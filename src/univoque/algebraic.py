@@ -4,25 +4,29 @@ A base q is specified symbolically as the unique root in (1, M+1] of an
 integer polynomial obtained by clearing denominators in the defining
 relation ``sum(beta_i / q^i) = 1``.  That polynomial may be reducible, so
 the field is built on its irreducible factor vanishing at q (the minimal
-polynomial, found once with sympy).  Elements of Q(q) are then coefficient
-vectors modulo the minimal polynomial; equality is structural, and sign
-determination refines the isolating interval until interval evaluation of
-the element's polynomial has constant sign.  This terminates for every
-nonzero element because nothing of degree below the minimal polynomial can
-vanish at q.
+polynomial, found once with sympy).
 
-All rationals are gmpy2.mpq (fractions.Fraction works identically if gmpy2
-is unavailable).
+An element of Q(q) is one tuple of Python ints ``(c_0, ..., c_{d-1}, den)``
+standing for ``sum(c_i q^i) / den``, with ``den > 0`` and the gcd of all
+entries 1.  The representation is canonical, so equality and hashing are
+structural.  The minimal polynomial is monic, so products reduce over the
+integers; multiplying by q is a shift plus one reduction step, and dividing
+by q is one step with the constant term of the minimal polynomial.
+
+The root is isolated in a dyadic interval ``[n_lo, n_hi] / 2^e``.  Sign
+determination runs interval Horner on the element's numerator in integers
+scaled by powers of two, bisecting the interval until the sign is constant.
+This terminates for every nonzero element because nothing of degree below
+the minimal polynomial can vanish at q.
+
+``Q`` (fractions.Fraction) is used only at the edges: precision arguments
+and the rational endpoints ``NumberField.lo`` and ``NumberField.hi``.
 """
 
 from __future__ import annotations
 
 import math
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 from .digits import EpSeq, check_alphabet, is_greedy_beta
 
@@ -31,7 +35,7 @@ class DegenerateInputError(ValueError):
     """Root isolation did not find exactly one root in the target interval."""
 
 
-# --- integer/rational polynomials as little-endian coefficient tuples -----
+# --- integer polynomials as little-endian coefficient tuples --------------
 
 def poly_trim(p):
     i = len(p)
@@ -71,20 +75,6 @@ def poly_eval(p, x):
     return acc
 
 
-def poly_divmod_monic(p, m):
-    """Divide by a monic polynomial; exact over the coefficient ring."""
-    assert m and m[-1] == 1
-    p = list(p)
-    q = [0] * max(0, len(p) - len(m) + 1)
-    for i in range(len(p) - len(m), -1, -1):
-        c = p[i + len(m) - 1]
-        if c:
-            q[i] = c
-            for j, mj in enumerate(m):
-                p[i + j] -= c * mj
-    return poly_trim(q), poly_trim(p)
-
-
 def poly_div_exact_linear(p, root):
     """Exact division of p by (t - root) for an integer root."""
     out = []
@@ -97,34 +87,46 @@ def poly_div_exact_linear(p, root):
     return tuple(reversed([c for c in out]))
 
 
-def poly_interval_eval(p, lo, hi):
-    """Interval Horner evaluation; returns rational bounds on p([lo, hi])."""
-    alo = ahi = Q(0)
-    for c in reversed(p):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
+def _pseudo_divmod(p, r):
+    """Pseudo-division over Z: ``l^k p = quo r + rem`` with l the leading
+    coefficient of r and k = len(p) - len(r) + 1."""
+    lead, n = r[-1], len(r) - 1
+    p = list(p)
+    quo = [0] * (len(p) - n)
+    for i in range(len(p) - 1 - n, -1, -1):
+        c = p[i + n]
+        if lead != 1:
+            p = [x * lead for x in p]
+            quo = [x * lead for x in quo]
+        quo[i] = c
+        if c:
+            for j, rj in enumerate(r):
+                p[i + j] -= c * rj
+    return quo, poly_trim(p[:n])
+
+
+def _dyadic_eval(p, n, e):
+    """``2^(e deg p) * p(n / 2^e)`` exactly, for an integer polynomial p."""
+    acc = 0
+    for k, c in enumerate(reversed(p)):
+        acc = acc * n + (c << (e * k))
+    return acc
 
 
 def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def isolate_root(P, M, precision=Q(1, 10**12)):
-    """Isolating rational interval for the unique root of ``P`` in (1, M+1].
-
-    Bisection with exact rational evaluation; the returned interval has
-    width at most ``precision`` (or is a degenerate [r, r] when the root is
-    rational).  Raises DegenerateInputError when a coarse scan does not see
-    exactly one sign change on (1, M+1].
-    """
+def _isolate_dyadic(P, M, precision):
+    """Isolating interval ``(n_lo, n_hi, e)``, i.e. [n_lo, n_hi] / 2^e, of the
+    unique root of ``P`` in (1, M+1]; see ``isolate_root``."""
     P = poly_trim(P)
     if not P:
         raise DegenerateInputError("zero polynomial")
-    lo, hi = Q(1), Q(M + 1)
-    grid = 64
-    marks = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
-    signs = [_sign(poly_eval(P, x)) for x in marks]
+    precision = Q(precision)
+    grid, e = 64, 6                  # marks 1 + M i / 64 = (64 + M i) / 2^6
+    marks = [grid + M * i for i in range(grid + 1)]
+    signs = [_sign(_dyadic_eval(P, x, e)) for x in marks]
     if signs[0] == 0:
         raise DegenerateInputError("polynomial vanishes at 1")
     changes = []
@@ -140,22 +142,35 @@ def isolate_root(P, M, precision=Q(1, 10**12)):
             f"expected exactly one root in (1, {M + 1}], found {len(changes)} sign changes")
     lo, hi = changes[0]
     if lo == hi:
-        return lo, hi
-    slo = _sign(poly_eval(P, lo))
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        sm = _sign(poly_eval(P, mid))
+        return lo, hi, e
+    slo = _sign(_dyadic_eval(P, lo, e))
+    while (hi - lo) * precision.denominator > precision.numerator << e:
+        mid, e = lo + hi, e + 1
+        lo, hi = lo << 1, hi << 1
+        sm = _sign(_dyadic_eval(P, mid, e))
         if sm == 0:
-            return mid, mid
+            return mid, mid, e
         if sm == slo:
             lo = mid
         else:
             hi = mid
-    return lo, hi
+    return lo, hi, e
 
 
-def _minimal_factor(P, lo, hi):
-    """Irreducible monic factor of P with a root in [lo, hi].
+def isolate_root(P, M, precision=Q(1, 10**12)):
+    """Isolating rational interval for the unique root of ``P`` in (1, M+1].
+
+    Bisection with exact evaluation at dyadic points; the returned interval
+    has width at most ``precision`` (or is a degenerate [r, r] when the root
+    is rational).  Raises DegenerateInputError when a coarse scan does not
+    see exactly one sign change on (1, M+1].
+    """
+    lo, hi, e = _isolate_dyadic(P, M, precision)
+    return Q(lo, 1 << e), Q(hi, 1 << e)
+
+
+def _minimal_factor(P, n_lo, n_hi, e):
+    """Irreducible monic factor of P with a root in (n_lo, n_hi) / 2^e.
 
     P is monic, so its irreducible integer factors are monic and exactly one
     of them changes sign over any interval isolating the root.
@@ -167,10 +182,7 @@ def _minimal_factor(P, lo, hi):
     candidates = []
     for f, _mult in factors:
         coeffs = tuple(int(c) for c in reversed(f.all_coeffs()))
-        if lo == hi:
-            if poly_eval(coeffs, lo) == 0:
-                candidates.append(coeffs)
-        elif _sign(poly_eval(coeffs, lo)) * _sign(poly_eval(coeffs, hi)) < 0:
+        if _sign(_dyadic_eval(coeffs, n_lo, e)) * _sign(_dyadic_eval(coeffs, n_hi, e)) < 0:
             candidates.append(coeffs)
     if len(candidates) != 1:
         raise DegenerateInputError("could not isolate a unique irreducible factor")
@@ -180,73 +192,138 @@ def _minimal_factor(P, lo, hi):
 
 
 class NumberField:
-    """Q(q) for the root q of a monic irreducible polynomial in an isolating
-    interval.
+    """Q(q) for the root q of a monic irreducible polynomial in the dyadic
+    isolating interval [n_lo, n_hi] / 2^e, with 0 < n_lo.
 
-    Elements are coefficient tuples of length ``deg`` over Q.  The isolating
-    interval is refined in place on demand; refinement only ever shrinks it,
-    so previously returned signs stay valid.  Share a field between threads
+    Elements are int tuples of length ``deg + 1`` (numerators, then the
+    denominator; see the module docstring).  The isolating interval is
+    refined in place on demand; refinement only ever shrinks it, so
+    previously returned signs stay valid.  Share a field between threads
     only if refinement is serialized (clone per thread otherwise).
     """
 
-    def __init__(self, min_poly, lo, hi):
+    def __init__(self, min_poly, n_lo, n_hi, e):
         min_poly = poly_trim(min_poly)
         assert min_poly[-1] == 1 and len(min_poly) >= 2
+        assert 0 < n_lo <= n_hi
         self.min_poly = min_poly
         self.deg = len(min_poly) - 1
-        self.lo, self.hi = Q(lo), Q(hi)
-        self._slo = _sign(poly_eval(min_poly, self.lo)) if lo != hi else 0
+        self._low = min_poly[:-1]
+        self.n_lo, self.n_hi, self.e = n_lo, n_hi, e
+        self._slo = _sign(_dyadic_eval(min_poly, n_lo, e)) if n_lo != n_hi else 0
+        self._cyc_inv = {}
+
+    @property
+    def lo(self):
+        return Q(self.n_lo, 1 << self.e)
+
+    @property
+    def hi(self):
+        return Q(self.n_hi, 1 << self.e)
 
     # elements -------------------------------------------------------------
 
+    def element(self, nums, den):
+        """The element ``sum(nums[i] q^i) / den`` for ints, den != 0."""
+        if den < 0:
+            nums, den = [-c for c in nums], -den
+        g = math.gcd(den, *nums)
+        if g != 1:
+            return tuple(c // g for c in nums) + (den // g,)
+        return tuple(nums) + (den,)
+
     def zero(self):
-        return (Q(0),) * self.deg
+        return (0,) * self.deg + (1,)
 
     def one(self):
         return self.rational(1)
 
     def rational(self, r):
-        return (Q(r),) + (Q(0),) * (self.deg - 1)
+        if not isinstance(r, int):
+            r = Q(r)
+            return (r.numerator,) + (0,) * (self.deg - 1) + (r.denominator,)
+        return (r,) + (0,) * (self.deg - 1) + (1,)
 
     def gen(self):
         """The generator q as a field element."""
-        if self.deg == 1:
-            return (Q(-self.min_poly[0]),)
-        return (Q(0), Q(1)) + (Q(0),) * (self.deg - 2)
-
-    def _pad(self, p):
-        return tuple(p) + (Q(0),) * (self.deg - len(p))
+        return self.mul_gen(self.one())
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        da, db = a[-1], b[-1]
+        if da == db:
+            return self.element([x + y for x, y in zip(a[:-1], b)], da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return self.element([x * fa + y * fb for x, y in zip(a[:-1], b)], da * fa)
+
+    def add_int(self, a, k):
+        """a + k for an integer k; the result needs no reduction."""
+        return (a[0] + k * a[-1],) + a[1:]
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(-x for x in a[:-1]) + (a[-1],)
 
     def mul(self, a, b):
-        prod = poly_mul(a, b)
-        _, rem = poly_divmod_monic(prod, self.min_poly)
-        return self._pad(rem)
+        d = self.deg
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(a[:-1]):
+            if x:
+                for j, y in enumerate(b[:-1]):
+                    prod[i + j] += x * y
+        low = self._low
+        for i in range(2 * d - 2, d - 1, -1):
+            c = prod[i]
+            if c:
+                base = i - d
+                for j, m in enumerate(low):
+                    prod[base + j] -= c * m
+        return self.element(prod[:d], a[-1] * b[-1])
 
-    def scal(self, r, a):
-        r = Q(r)
-        return tuple(r * x for x in a)
+    def mul_gen(self, a):
+        """q * a: a shift, then one reduction by the monic minimal polynomial."""
+        c = a[-2]
+        nums = (0,) + a[:-2]
+        if c:
+            nums = [x - c * m for x, m in zip(nums, self._low)]
+        if a[-1] == 1:
+            return tuple(nums) + (1,)
+        return self.element(nums, a[-1])
+
+    def div_gen(self, a):
+        """a / q: one step with the constant term m_0 of the minimal polynomial,
+        from 1/q = -(m_1 + m_2 q + ... + q^(d-1)) / m_0."""
+        c = a[0]
+        if not c:
+            return a[1:-1] + (0, a[-1])
+        m0 = self._low[0]
+        nums = [x * m0 - c * m for x, m in zip(a[1:-1] + (0,), self.min_poly[1:])]
+        return self.element(nums, a[-1] * m0)
 
     def inv(self, a):
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        if not any(a):
+        """Multiplicative inverse by the extended Euclidean algorithm over Q[t].
+
+        Each remainder is an integer polynomial over one denominator (the
+        quotients come from pseudo-division); each cofactor s is a field
+        element with remainder = s * a.
+        """
+        if not any(a[:-1]):
             raise ZeroDivisionError("inverse of zero field element")
-        r0, r1 = tuple(Q(c) for c in self.min_poly), poly_trim(a)
-        s0, s1 = (), (Q(1),)
+        r0, d0 = self.min_poly, 1
+        r1, d1 = poly_trim(a[:-1]), a[-1]
+        s0, s1 = self.zero(), self.one()
         while len(r1) > 1:
-            q, r = _qpoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1))
-        c = r1[0]
-        return self._pad(tuple(x / c for x in s1))
+            quo, rem = _pseudo_divmod(r0, r1)
+            f = r1[-1] ** (len(r0) - len(r1) + 1) * d0
+            # r0/d0 = (quo d1 / f) (r1/d1) + rem / f
+            quo_elem = self.element([c * d1 for c in quo] + [0] * (self.deg - len(quo)), f)
+            s0, s1 = s1, self.sub(s0, self.mul(quo_elem, s1))
+            g = math.gcd(f, *rem)
+            r0, d0, r1, d1 = r1, d1, tuple(c // g for c in rem), f // g
+        # a * s1 = r1[0] / d1
+        return self.element([c * d1 for c in s1[:-1]], s1[-1] * r1[0])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -254,32 +331,50 @@ class NumberField:
     def pow_gen(self, n):
         """q**n as a field element (n >= 0)."""
         out = self.one()
-        q = self.gen()
         for _ in range(n):
-            out = self.mul(out, q)
+            out = self.mul_gen(out)
+        return out
+
+    def cyc_inv(self, p):
+        """1 / (q^p - 1), cached per period length p."""
+        out = self._cyc_inv.get(p)
+        if out is None:
+            out = self._cyc_inv[p] = self.inv(self.add_int(self.pow_gen(p), -1))
         return out
 
     # sign and approximation ------------------------------------------------
 
     def refine(self):
-        if self.lo == self.hi:
+        if self.n_lo == self.n_hi:
             return
-        mid = (self.lo + self.hi) / 2
-        sm = _sign(poly_eval(self.min_poly, mid))
+        mid, e = self.n_lo + self.n_hi, self.e + 1
+        sm = _sign(_dyadic_eval(self.min_poly, mid, e))
         if sm == 0:
-            self.lo = self.hi = mid
+            self.n_lo = self.n_hi = mid
         elif sm == self._slo:
-            self.lo = mid
+            self.n_lo, self.n_hi = mid, self.n_hi << 1
         else:
-            self.hi = mid
+            self.n_lo, self.n_hi = self.n_lo << 1, mid
+        self.e = e
+
+    def _interval(self, p):
+        """Bounds on ``2^(e deg p) * p(x)`` over x in the isolating interval,
+        by interval Horner; every endpoint is positive, so each product
+        bound pairs with the endpoint chosen by the sign of the accumulator."""
+        n_lo, n_hi, e = self.n_lo, self.n_hi, self.e
+        lo = hi = shift = 0
+        for c in reversed(p):
+            c <<= shift
+            lo, hi = lo * (n_hi if lo < 0 else n_lo) + c, hi * (n_hi if hi > 0 else n_lo) + c
+            shift += e
+        return lo, hi
 
     def sign(self, a):
-        if not any(a):
-            return 0
-        if not any(a[1:]):
+        if not any(a[1:-1]):
             return _sign(a[0])
+        p = poly_trim(a[:-1])
         while True:
-            vlo, vhi = poly_interval_eval(poly_trim(a), self.lo, self.hi)
+            vlo, vhi = self._interval(p)
             if vlo > 0:
                 return 1
             if vhi < 0:
@@ -289,36 +384,42 @@ class NumberField:
             self.refine()
 
     def bounds(self, a, eps):
-        """Rational bounds on the real value of ``a`` with width <= eps."""
+        """Bounds ``(lo, hi, D)`` with the value of ``a`` in [lo/D, hi/D] and
+        (hi - lo)/D <= eps."""
         eps = Q(eps)
+        p = poly_trim(a[:-1])
         while True:
-            vlo, vhi = poly_interval_eval(poly_trim(a), self.lo, self.hi)
-            if vhi - vlo <= eps:
-                return vlo, vhi
+            vlo, vhi = self._interval(p)
+            D = a[-1] << (self.e * max(len(p) - 1, 0))
+            if (vhi - vlo) * eps.denominator <= eps.numerator * D:
+                return vlo, vhi, D
             self.refine()
 
     def decimal(self, a, places=12):
         scale = 10**places
-        vlo, vhi = self.bounds(a, Q(1, 10 * scale))
-        n = round(Q((vlo + vhi) * scale) / 2)
+        vlo, vhi, D = self.bounds(a, Q(1, 10 * scale))
+        # round the midpoint times scale, half to even
+        n, r = divmod((vlo + vhi) * scale, 2 * D)
+        if r > D or (r == D and n % 2):
+            n += 1
         sign = "-" if n < 0 else ""
         n = abs(n)
         return f"{sign}{n // scale}.{n % scale:0{places}d}"
 
 
 class AlgebraicReal:
-    """An element of Q(q), carried as a coefficient vector over its field.
+    """An element of Q(q), carried as a field element over its field.
 
     Supports exact ring arithmetic, exact division, and exact comparison;
-    hashing and equality are structural on the canonical coefficient vector,
-    so these values serve directly as memoization keys.
+    hashing and equality are structural on the canonical element tuple, so
+    these values serve directly as memoization keys.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "elem")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, elem):
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.elem = elem
 
     def _lift(self, other):
         if isinstance(other, AlgebraicReal):
@@ -328,47 +429,55 @@ class AlgebraicReal:
         return AlgebraicReal(self.field, self.field.rational(other))
 
     def __add__(self, other):
+        if isinstance(other, int):
+            return AlgebraicReal(self.field, self.field.add_int(self.elem, other))
         other = self._lift(other)
-        return AlgebraicReal(self.field, self.field.add(self.coeffs, other.coeffs))
+        return AlgebraicReal(self.field, self.field.add(self.elem, other.elem))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return AlgebraicReal(self.field, self.field.add_int(self.elem, -other))
         other = self._lift(other)
-        return AlgebraicReal(self.field, self.field.sub(self.coeffs, other.coeffs))
+        return AlgebraicReal(self.field, self.field.sub(self.elem, other.elem))
 
     def __rsub__(self, other):
-        return self._lift(other) - self
+        return -self + other
 
     def __mul__(self, other):
         other = self._lift(other)
-        return AlgebraicReal(self.field, self.field.mul(self.coeffs, other.coeffs))
+        return AlgebraicReal(self.field, self.field.mul(self.elem, other.elem))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._lift(other)
-        return AlgebraicReal(self.field, self.field.div(self.coeffs, other.coeffs))
+        return AlgebraicReal(self.field, self.field.div(self.elem, other.elem))
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
     def __neg__(self):
-        return AlgebraicReal(self.field, self.field.neg(self.coeffs))
+        return AlgebraicReal(self.field, self.field.neg(self.elem))
+
+    def mul_gen(self):
+        """q * self."""
+        return AlgebraicReal(self.field, self.field.mul_gen(self.elem))
 
     def sign(self):
-        return self.field.sign(self.coeffs)
+        return self.field.sign(self.elem)
 
     def cmp(self, other):
-        return (self - self._lift(other)).sign()
+        return (self - other).sign()
 
     def __eq__(self, other):
         if isinstance(other, AlgebraicReal):
-            return self.field is other.field and self.coeffs == other.coeffs
+            return self.field is other.field and self.elem == other.elem
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.elem)
 
     def __lt__(self, other):
         return self.cmp(other) < 0
@@ -383,23 +492,18 @@ class AlgebraicReal:
         return self.cmp(other) >= 0
 
     def __float__(self):
-        lo, hi = self.field.bounds(self.coeffs, Q(1, 10**17))
-        return float(Q(lo + hi) / 2)
+        lo, hi, D = self.field.bounds(self.elem, Q(1, 10**17))
+        return (lo + hi) / (2 * D)
 
     def __repr__(self):
-        return f"<{self.field.decimal(self.coeffs, 6)}...>"
+        return f"<{self.field.decimal(self.elem, 6)}...>"
 
     def decimal(self, places=12):
-        return self.field.decimal(self.coeffs, places)
+        return self.field.decimal(self.elem, places)
 
     def as_fraction(self):
         """(integer numerator polynomial, positive integer denominator)."""
-        dens = [int(Q(c).denominator) for c in self.coeffs]
-        lcm = 1
-        for d in dens:
-            lcm = lcm * d // math.gcd(lcm, d)
-        nums = [int(c * lcm) for c in self.coeffs]
-        return poly_trim(nums), lcm
+        return poly_trim(self.elem[:-1]), self.elem[-1]
 
     def to_json(self):
         num, den = self.as_fraction()
@@ -413,8 +517,7 @@ def compare(x, y):
 
 def apply_digit_map(x, k):
     """The affine digit-consumption map x -> q*x - k."""
-    q = AlgebraicReal(x.field, x.field.gen())
-    return q * x - k
+    return x.mul_gen() - k
 
 
 def base_polynomial(M, beta):
@@ -449,45 +552,29 @@ def base_polynomial(M, beta):
 def field_for_base(M, beta, precision=Q(1, 10**12)):
     """NumberField for the base defined by the greedy expansion ``beta``."""
     P = base_polynomial(M, beta)
-    lo, hi = isolate_root(P, M, precision)
-    if lo == hi:
-        r = lo
-        assert Q(r).denominator == 1, "rational root of a monic polynomial is an integer"
-        m = (-int(r), 1)
+    n_lo, n_hi, e = _isolate_dyadic(P, M, precision)
+    if n_lo == n_hi:
+        r, frac = divmod(n_lo, 1 << e)
+        assert frac == 0, "rational root of a monic polynomial is an integer"
+        m = (-r, 1)
     else:
-        m = _minimal_factor(P, lo, hi)
-    return NumberField(m, lo, hi)
+        m = _minimal_factor(P, n_lo, n_hi, e)
+    return NumberField(m, n_lo, n_hi, e)
 
 
 def value_of_sequence(field, s):
     """Exact value ``sum(s_i / q^i)`` of an eventually periodic digit sequence.
 
-    With preperiod digit polynomial W and period digit polynomial P, the
-    value is (W(q)(q^p - 1) + P(q)) / (q^w (q^p - 1)).
+    The periodic tail is worth P(q) / (q^p - 1), with P the digit polynomial
+    of the period and p its length; the zero tail needs no inverse.  The
+    preperiod digits are then taken in front of the tail from the last one
+    back, by Horner's rule with division by q.
     """
-    w, p = s.pre, s.per
-    q = AlgebraicReal(field, field.gen())
-    W = AlgebraicReal(field, field.zero())
-    for d in w:
-        W = W * q + d
-    P = AlgebraicReal(field, field.zero())
-    for d in p:
-        P = P * q + d
-    qp = AlgebraicReal(field, field.pow_gen(len(p)))
-    qw = AlgebraicReal(field, field.pow_gen(len(w)))
-    cyc = qp - 1
-    return (W * cyc + P) / (qw * cyc)
-
-
-def _qpoly_divmod(a, b):
-    """Division with remainder over Q[t] (little-endian Q tuples)."""
-    a = list(a)
-    q = [Q(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / lead
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return poly_trim(q), poly_trim(a)
+    v = field.zero()
+    if any(s.per):
+        for d in s.per:
+            v = field.add_int(field.mul_gen(v), d)
+        v = field.mul(v, field.cyc_inv(len(s.per)))
+    for d in reversed(s.pre):
+        v = field.div_gen(field.add_int(v, d))
+    return AlgebraicReal(field, v)

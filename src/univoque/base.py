@@ -214,7 +214,7 @@ def special_points(ctx):
         return ctx._cache["special_points"]
     M, N = ctx.M, ctx.n_period
     w = ctx.alpha_word()
-    qinv = 1 / ctx.q
+    qinv = ctx.value(EpSeq((1,), (0,)))          # 1/q
     kappa = ctx.kappa
 
     a = [None] * (N + 2)

@@ -2,11 +2,13 @@
 
 Expansions of x are infinite paths in the digit-transition system whose
 states are exact remainders: from value v the digit d is feasible when
-q*v - d stays inside [0, M/(q-1)].  Because remainders of eventually
-periodic inputs form a finite set, exhaustive exploration with exact
-memoization decides whether a point has finitely many expansions (and then
-materializes all of them) or reaches a branching cycle, which yields
-infinitely many.
+q*v - d stays inside [0, M/(q-1)].  When q is a Pisot number, the
+remainders of a point of Q(q) form a finite set, and exhaustive exploration
+with exact memoization decides whether the point has finitely many
+expansions (and then materializes all of them) or reaches a branching
+cycle, which yields infinitely many.  For other bases the remainders may
+never repeat; the state cap then bounds the search and the answer is
+CAP_EXCEEDED.
 
 The witness constructor produces, for any admissible tail sequence, a point
 with exactly m expansions for each m >= 1, by prefixing the tail with
@@ -45,7 +47,7 @@ def _check_range(ctx, x):
 
 def greedy_digit(ctx, x):
     """Largest digit d with q*x - d >= 0."""
-    qx = ctx.q * x
+    qx = x.mul_gen()
     for d in range(ctx.M, -1, -1):
         if (qx - d).sign() >= 0:
             return d, qx - d
@@ -119,7 +121,7 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
         if v in succ:
             continue
         moves = []
-        qv = ctx.q * v
+        qv = v.mul_gen()
         for d in range(ctx.M + 1):
             nxt = qv - d
             if nxt.sign() >= 0 and (nxt - kappa).sign() <= 0:

@@ -188,11 +188,10 @@ def brute_count_expansions(ctx, x, depth):
     if depth > 24:
         raise ValueError("oracle depth is capped at 24")
     kappa = ctx.kappa
-    q = ctx.q
 
     def feasible(v):
         out = []
-        qv = q * v
+        qv = v.mul_gen()
         for d in range(ctx.M + 1):
             nxt = qv - d
             if nxt.sign() >= 0 and (nxt - kappa).sign() <= 0:

@@ -127,26 +127,28 @@ class SpectralReport:
         }
 
 
+def _max_radius(radii):
+    """The first (radius, error) pair of largest radius; (0, 0) for none."""
+    return max(radii, key=lambda pair: pair[0], default=(0.0, 0.0))
+
+
 def spectral_radius(g):
     """Perron radius of the graph's adjacency matrix, with an error bound.
 
     The radius of the whole matrix is the maximum over its strongly
-    connected components, each of which is irreducible.
+    connected components, each of which is irreducible; a graph with no
+    components has radius 0.
     """
-    if not g.vertices:
-        raise ValueError("empty graph")
     comps, _ = scc(g)
-    best, best_err = 0.0, 0.0
-    for comp in comps:
-        r, err = _component_radius(g, comp)
-        if r > best:
-            best, best_err = r, err
-    return best, best_err
+    return _max_radius(_component_radius(g, comp) for comp in comps)
 
 
-def dimension_of(g, ctx):
-    """log(radius) / log(q), with q refined until the quotient is stable."""
-    r, err = spectral_radius(g)
+def dimension_of(g, ctx, radius=None):
+    """log(radius) / log(q), with q refined until the quotient is stable.
+
+    ``radius`` is the graph's (radius, error) pair when the caller has it.
+    """
+    r, err = radius if radius is not None else spectral_radius(g)
     if r <= 1.0:
         return 0.0
     while True:
@@ -164,18 +166,15 @@ def dimension_of(g, ctx):
 def spectral_report(g, ctx):
     comps, _ = scc(g)
     names = {v.index: g.vertex_name(v) for v in g.vertices}
-    per = []
-    for comp in comps:
-        r, _e = _component_radius(g, comp)
-        per.append(([names[v] for v in comp], r))
-    r, err = spectral_radius(g)
+    radii = [_component_radius(g, comp) for comp in comps]
+    r, err = _max_radius(radii)
     return SpectralReport(
         matrix=adjacency(g).astype(int).tolist(),
         radius=r,
         radius_err=err,
         entropy=math.log(r) if r > 0 else float("-inf"),
-        dimension=dimension_of(g, ctx),
-        per_scc=per,
+        dimension=dimension_of(g, ctx, (r, err)),
+        per_scc=[([names[v] for v in comp], rc) for comp, (rc, _e) in zip(comps, radii)],
     )
 
 
@@ -200,14 +199,10 @@ def component_dimensions(ctx):
     core = {v.index for v in build_graph(ctx, TILDE1).vertices}
     comps, _ = scc(tilde)
     names = {v.index: tilde.vertex_name(v) for v in tilde.vertices}
-    per = []
-    inside = []
-    for comp in comps:
-        r, _e = _component_radius(tilde, comp)
-        per.append(([names[v] for v in comp], r))
-        if set(comp) <= core:
-            inside.append(r)
-    overall, _err = spectral_radius(tilde)
+    radii = [_component_radius(tilde, comp) for comp in comps]
+    per = [([names[v] for v in comp], r) for comp, (r, _e) in zip(comps, radii)]
+    inside = [r for comp, (r, _e) in zip(comps, radii) if set(comp) <= core]
+    overall, _err = _max_radius(radii)
     if len(comps) == 1:
         hypothesis = True
         core_max = per[0][1]

@@ -1,11 +1,16 @@
+import functools
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from univoque import digits as dg
 from univoque.algebraic import (Q, AlgebraicReal, DegenerateInputError, apply_digit_map,
                                 base_polynomial, isolate_root, value_of_sequence)
-from univoque.base import new_base_context, special_points
+from univoque.base import new_base_context, special_points, v_successor
 
 
 def seq(text):
@@ -132,3 +137,93 @@ def test_json_rendering(tribonacci):
     third = AlgebraicReal(tribonacci.field, tribonacci.field.rational(Q(1, 3)))
     num, den = third.as_fraction()
     assert num == (1,) and den == 3
+
+
+# --- differential checks against sympy over QQ[t] / (minimal polynomial) ----
+
+def _sympy_value(min_poly, s):
+    """sum(s_i t^-i) in QQ[t] / (min_poly), computed by sympy alone."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    m = sympy.Poly(list(reversed(min_poly)), t, domain=sympy.QQ)
+    tinv = sympy.Poly(t, t, domain=sympy.QQ).invert(m)
+    value = sympy.Poly(0, t, domain=sympy.QQ)
+    power = sympy.Poly(1, t, domain=sympy.QQ)
+    for d in s.pre:
+        power = (power * tinv).rem(m)
+        value += d * power
+    if any(s.per):
+        p = len(s.per)
+        period = sympy.Poly(list(s.per), t, domain=sympy.QQ)     # sum p_j t^(p-j)
+        cyc = sympy.Poly(t**p - 1, t, domain=sympy.QQ).invert(m)
+        value += (power * period * cyc).rem(m)
+    coeffs = [Q(int(c.p), int(c.q)) for c in value.rem(m).all_coeffs()[::-1]]
+    return coeffs + [Q(0)] * (len(min_poly) - 1 - len(coeffs))
+
+
+def test_special_points_match_sympy(battery):
+    contexts = list(battery)
+    ctx = new_base_context(1, "111(0)")
+    for _ in range(3):                  # the successor chain to depth 3
+        ctx = v_successor(ctx)
+        contexts.append(ctx)
+    for ctx in contexts:
+        pts = special_points(ctx)
+        for name, key in pts.qg_key.items():
+            num, den = pts.value[name].as_fraction()
+            ours = [Q(c, den) for c in num] + [Q(0)] * (ctx.field.deg - len(num))
+            assert ours == _sympy_value(ctx.field.min_poly, key), (dg.format_seq(ctx.beta), name)
+
+
+FIELD_BASES = [(1, "111(0)"), (1, "11011(0)"), (3, "331(0)"), (4, "322(0)"),
+               (1, "111001010(0)"), (2, "21(0)")]
+
+
+@functools.cache
+def _field(i):
+    M, beta = FIELD_BASES[i]
+    f = new_base_context(M, beta).field
+    roots = np.roots(list(reversed([float(c) for c in f.min_poly])))
+    root = min((r.real for r in roots if abs(r.imag) < 1e-12), key=lambda r: abs(r - float(f.lo)))
+    return f, root
+
+
+@st.composite
+def field_elements(draw):
+    f, root = _field(draw(st.integers(0, len(FIELD_BASES) - 1)))
+    nums = draw(st.lists(st.integers(-30, 30), min_size=f.deg, max_size=f.deg))
+    den = draw(st.integers(1, 60))
+    return f, root, f.element(nums, den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_elements())
+def test_field_laws(sample):
+    f, root, a = sample
+    assert all(type(c) is int for c in a) and a[-1] > 0
+    assert f.div_gen(f.mul_gen(a)) == a
+    assert f.mul_gen(f.div_gen(a)) == a
+    if any(a[:-1]):
+        assert f.mul(a, f.inv(a)) == f.one()
+    value = sum(c * root**i for i, c in enumerate(a[:-1])) / a[-1]
+    if abs(value) > 1e-9:
+        assert f.sign(a) == (1 if value > 0 else -1)
+
+
+def test_element_ops_build_no_fraction(monkeypatch):
+    ctx = new_base_context(1, "111001(0)")
+    f = ctx.field
+    a, b = ctx.kappa.elem, special_points(ctx).a[2].elem
+    made = []
+    inner = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return inner(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    for x, y in ((a, b), (b, a), (a, a)):
+        f.sign(f.sub(f.add(x, f.mul(x, y)), f.div_gen(f.mul_gen(y))))
+        f.sign(f.sub(x, y))
+    assert made == []

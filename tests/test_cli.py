@@ -125,3 +125,11 @@ def test_precision_flag(capsys):
                      "--precision", "0.001", "--json")
     assert rc == 0
     assert json.loads(out)["q_approx"].startswith("1.618")
+
+
+def test_dim_empty_central_graph(capsys):
+    # the golden-ratio base has an empty central graph: radius 0, dimension 0
+    rc, out, err = run(capsys, "dim", "-M", "1", "--beta", "11(0)")
+    assert rc == 0 and not err
+    assert "radius    0.000000000000" in out
+    assert "dimension 0.000000000000" in out

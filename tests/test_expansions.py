@@ -209,3 +209,11 @@ def test_scaling_preserves_counts(tribonacci):
     a = ex.count_expansions(tribonacci, x)
     b = ex.count_expansions(tribonacci, scaled)
     assert a.count == b.count == 2
+
+
+def test_non_pisot_remainders_hit_the_cap():
+    # 111001010(0) has a conjugate of modulus above 1, so the remainders of
+    # 011(10) need not repeat; the cap ends the search
+    ctx = new_base_context(1, "111001010(0)")
+    x = ctx.value(seq("011(10)"))
+    assert ex.count_expansions(ctx, x, cap=300).kind == ex.CAP_EXCEEDED

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from univoque import spectral
 from univoque.base import golden_ratio_base, new_base_context, r_chain
-from univoque.graph import FULL, TILDE, build_graph, count_label_paths
+from univoque.graph import FULL, TILDE, build_graph, count_label_paths, scc
 from univoque.spectral import (component_dimensions, dimension_of, spectral_radius,
                                spectral_report, _char_poly_int)
 
@@ -104,3 +105,29 @@ def test_report_json(tribonacci):
     assert set(data) == {"radius", "radius_err", "entropy", "dimension", "scc"}
     assert data["scc"][0]["vertices"]
     assert rep.entropy == pytest.approx(math.log(rep.radius))
+
+
+def test_one_radius_per_component(monkeypatch):
+    ctx = new_base_context(4, "4331(0)")
+    g = build_graph(ctx, TILDE)
+    calls = []
+    inner = spectral._component_radius
+
+    def counted(graph, comp):
+        calls.append(tuple(comp))
+        return inner(graph, comp)
+
+    monkeypatch.setattr(spectral, "_component_radius", counted)
+    comps, _ = scc(g)
+    spectral_report(g, ctx)
+    assert sorted(calls) == sorted(map(tuple, comps))
+    calls.clear()
+    component_dimensions(ctx)
+    assert sorted(calls) == sorted(map(tuple, comps))
+
+
+def test_empty_graph_radius_zero():
+    g = build_graph(golden_ratio_base(1), TILDE)
+    assert not g.vertices
+    assert spectral_radius(g) == (0.0, 0.0)
+    assert dimension_of(g, golden_ratio_base(1)) == 0.0
