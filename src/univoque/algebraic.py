@@ -75,18 +75,6 @@ def poly_eval(p, x):
     return acc
 
 
-def poly_div_exact_linear(p, root):
-    """Exact division of p by (t - root) for an integer root."""
-    out = []
-    acc = 0
-    for c in reversed(p):
-        acc = acc * root + c
-        out.append(acc)
-    rem = out.pop()
-    assert rem == 0, "not divisible"
-    return tuple(reversed([c for c in out]))
-
-
 def _pseudo_divmod(p, r):
     """Pseudo-division over Z: ``l^k p = quo r + rem`` with l the leading
     coefficient of r and k = len(p) - len(r) + 1."""
@@ -543,7 +531,8 @@ def base_polynomial(M, beta):
     cyc = poly_sub(tp, (1,))
     poly = poly_sub(poly_add(poly_mul(W, cyc), P), poly_mul(tw, cyc))
     while poly and poly_eval(poly, 1) == 0:
-        poly = poly_div_exact_linear(poly, 1)
+        poly, rem = _pseudo_divmod(poly, (-1, 1))    # monic divisor: exact
+        assert not rem, "t = 1 is a root but (t - 1) leaves a remainder"
     if poly and poly[-1] < 0:
         poly = poly_neg(poly)
     return poly_trim(poly)

@@ -19,6 +19,7 @@ sorting by those keys must agree with exact algebraic comparison, and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import digits as dg
@@ -278,7 +279,8 @@ def order_points(ctx):
         return ctx._cache["point_order"]
     pts = special_points(ctx)
     names = sorted(pts.qg_key, key=point_sort_key)
-    names.sort(key=lambda nm: _KeyWrap(pts.qg_key[nm]))
+    lex_key = functools.cmp_to_key(dg.lex_cmp)
+    names.sort(key=lambda nm: lex_key(pts.qg_key[nm]))
     classes, values = [], []
     for nm in names:
         if classes and dg.lex_cmp(pts.qg_key[nm], values[-1][0]) == dg.EQ:
@@ -304,14 +306,3 @@ def order_points(ctx):
     ctx._cache["point_order"] = order
     return order
 
-
-class _KeyWrap:
-    """Adapter giving EpSeq keys a total order for list.sort."""
-
-    __slots__ = ("seq",)
-
-    def __init__(self, seq):
-        self.seq = seq
-
-    def __lt__(self, other):
-        return dg.lex_cmp(self.seq, other.seq) == dg.LT

@@ -48,7 +48,7 @@ def _context(args):
 
 def _emit(args, payload, text_lines):
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
             print(line)

@@ -24,6 +24,7 @@ from . import digits as dg
 from .algebraic import value_of_sequence
 from .base import chain_limit_alpha
 from .digits import EpSeq
+from .graph import tarjan
 
 EXACT = "EXACT"
 INFINITE_CYCLE = "INFINITE_CYCLE"
@@ -133,11 +134,13 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
             if nxt not in succ:
                 frontier.append(nxt)
 
-    comp_of, cyclic = _scc_values(succ)
-    # a cycle is pure when all its states have out-degree 1
-    impure = {c for v, c in comp_of.items() if c in cyclic and len(succ[v]) > 1}
-    reach_impure = _reaches(succ, comp_of, impure, x)
-    if reach_impure:
+    on_cycle = set()
+    for comp in tarjan(succ):
+        if len(comp) > 1 or any(w == comp[0] for _d, w in succ[comp[0]]):
+            on_cycle.update(comp)
+    # every state was reached from x, so a branching state on a cycle is
+    # reached too: infinitely many expansions
+    if any(len(succ[v]) > 1 for v in on_cycle):
         return ExpansionCount(INFINITE_CYCLE)
 
     def emit_cycle(v):
@@ -156,7 +159,7 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
     stack = [(x, ())]
     while stack:
         v, path = stack.pop()
-        if comp_of[v] in cyclic:
+        if v in on_cycle:
             witnesses.append(EpSeq(path, emit_cycle(v)))
             if len(witnesses) > cap:
                 return ExpansionCount(CAP_EXCEEDED)
@@ -165,71 +168,6 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
             stack.append((nxt, path + (d,)))
     witnesses.sort(key=lambda s: (s.pre, s.per))
     return ExpansionCount(EXACT, len(witnesses), tuple(witnesses))
-
-
-def _scc_values(succ):
-    """Tarjan over the remainder graph; returns component ids and cyclic ids."""
-    index, low, comp_of = {}, {}, {}
-    counter = [0]
-    stack, onstack = [], set()
-    cyclic = set()
-    ncomp = [0]
-    for root in list(succ):
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for _d, w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                cid = ncomp[0]
-                ncomp[0] += 1
-                for w in comp:
-                    comp_of[w] = cid
-                if len(comp) > 1 or any(nxt == v for _d, nxt in succ[v]):
-                    cyclic.add(cid)
-    return comp_of, cyclic
-
-
-def _reaches(succ, comp_of, bad_comps, start):
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        if comp_of[v] in bad_comps:
-            return True
-        for _d, w in succ[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return False
 
 
 # --- admissibility filters for tail families ---------------------------------

@@ -234,6 +234,50 @@ def _restrict(full, keep, variant):
 
 # --- strongly connected components -----------------------------------------
 
+def tarjan(succ):
+    """Strongly connected components of ``succ`` (node -> [(label, target)]).
+
+    Iterative Tarjan from the roots in ``succ``'s order; every target must
+    be a key.  Components come out sinks first, each a list of nodes.
+    """
+    index, low = {}, {}
+    stack, onstack = [], set()
+    comps = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for _k, w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in onstack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        onstack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
 def scc(g):
     """Tarjan components in deterministic order, plus the condensation edges.
 
@@ -241,59 +285,9 @@ def scc(g):
     list itself is sorted by smallest vertex index.  Condensation edges are
     pairs of component positions in that listing.
     """
-    indices = [v.index for v in g.vertices]
-    index_of = {}
-    low = {}
-    counter = [0]
-    stack, onstack = [], set()
-    comps = []
-    comp_of = {}
-
-    for root in indices:
-        if root in index_of:
-            continue
-        work = [(root, iter(g.out[root]))]
-        index_of[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for _k, w in it:
-                if w not in index_of:
-                    index_of[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(g.out[w])))
-                    advanced = True
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    for pos, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = pos
-    cond = set()
-    for i, _k, j in g.edges:
-        if comp_of[i] != comp_of[j]:
-            cond.add((comp_of[i], comp_of[j]))
+    comps = sorted(sorted(comp) for comp in tarjan(g.out))
+    comp_of = {v: pos for pos, comp in enumerate(comps) for v in comp}
+    cond = {(comp_of[i], comp_of[j]) for i, _k, j in g.edges if comp_of[i] != comp_of[j]}
     return comps, sorted(cond)
 
 

@@ -133,3 +133,12 @@ def test_dim_empty_central_graph(capsys):
     assert rc == 0 and not err
     assert "radius    0.000000000000" in out
     assert "dimension 0.000000000000" in out
+    # strict JSON: the entropy log(0) must not appear as -Infinity
+    rc, out, err = run(capsys, "dim", "-M", "1", "--beta", "11(0)", "--json")
+    assert rc == 0 and not err
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    data = json.loads(out, parse_constant=reject)
+    assert data["radius"] == 0.0 and data["entropy"] is None

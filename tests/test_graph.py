@@ -6,7 +6,8 @@ from univoque import digits as dg
 from univoque.base import BaseClass, golden_ratio_base, new_base_context, v_successor
 from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
                             connectivity_report, count_label_paths, cycle_word_matches,
-                            is_strongly_connected, path_words, scc, tower_decompose)
+                            is_strongly_connected, path_words, scc, tarjan,
+                            tower_decompose)
 from conftest import random_context
 
 
@@ -270,3 +271,15 @@ def test_randomized_graph_properties():
                     g.reflected_vertex_index(j)) in edges
         for v in g.vertices:
             assert len({k for k, _j in g.out[v.index]}) <= 1
+
+
+def test_tarjan_generic_nodes():
+    # any hashable nodes; components come out sinks first
+    succ = {"x": [(0, "y")], "y": [(1, "x"), (0, "z")], "z": [(0, "z")], "w": [(1, "x")]}
+    comps = tarjan(succ)
+    assert [sorted(c) for c in comps] == [["z"], ["x", "y"], ["w"]]
+    # a long path stays iterative
+    n = 5000
+    chain = {i: [(0, i + 1)] for i in range(n)}
+    chain[n] = [(0, 0)]
+    assert [len(c) for c in tarjan(chain)] == [n + 1]

@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import univoque
 from univoque import spectral
-from univoque.base import golden_ratio_base, new_base_context, r_chain
+from univoque.base import golden_ratio_base, new_base_context, r_chain, v_successor
 from univoque.graph import FULL, TILDE, build_graph, count_label_paths, scc
 from univoque.spectral import (component_dimensions, dimension_of, spectral_radius,
-                               spectral_report, _char_poly_int)
+                               spectral_report)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -92,10 +97,86 @@ def test_radius_not_below_full_graph(battery):
         assert rf == pytest.approx(max(rt, 1.0), abs=1e-9)
 
 
+def char_poly(A):
+    """Characteristic polynomial det(tI - A) of an integer matrix, monic and
+    big-endian, by Faddeev-LeVerrier in integers: B_k = A B_(k-1) + c_(k-1) I
+    and c_k = -tr(A B_(k-1)) / k, where every division is exact."""
+    n = len(A)
+    coeffs = [1]
+    Bk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        AB = [[sum(A[i][t] * Bk[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        c, rem = divmod(-sum(AB[i][i] for i in range(n)), k)
+        assert rem == 0
+        coeffs.append(c)
+        Bk = [[AB[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+def poly_value(coeffs, x):
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
 def test_char_poly_exact():
-    A = np.array([[0, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 0]])
+    A = [[0, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 0]]
     # det(tI - A) = t^4 - t^2 - 2t - 1 = (t^2 - t - 1)(t^2 + t + 1)
-    assert _char_poly_int(A) == [1, 0, -1, -2, -1]
+    assert char_poly(A) == [1, 0, -1, -2, -1]
+
+
+def component_matrix(g, comp):
+    pos = {v: p for p, v in enumerate(comp)}
+    A = [[0] * len(comp) for _ in comp]
+    for i, _k, j in g.edges:
+        if i in pos and j in pos:
+            A[pos[i]][pos[j]] = 1
+    return A
+
+
+def certificate_graphs(battery):
+    ctxs = list(battery) + [new_base_context(1, "111001000111001(0)")]
+    ctx = new_base_context(1, "111(0)")
+    for _ in range(4):
+        ctx = v_successor(ctx)
+        ctxs.append(ctx)
+    return [build_graph(c, variant) for c in ctxs for variant in (FULL, TILDE)]
+
+
+def test_every_component_radius_certified(battery):
+    # independent oracles: numpy's eigenvalues on every component, and the
+    # sign of the exact characteristic polynomial on the small ones
+    sizes = []
+    for g in certificate_graphs(battery):
+        for comp in scc(g)[0]:
+            r, err = spectral._component_radius(g, comp)
+            assert 0 <= err <= 1e-10, (g.ctx.beta, comp)
+            A = component_matrix(g, comp)
+            lam = float(max(abs(np.linalg.eigvals(np.array(A, dtype=float)))))
+            # numpy's own rounding is a few ulps of the radius
+            slack = 64 * sys.float_info.epsilon * max(1.0, lam)
+            assert r - err - slack <= lam <= r + err + slack, (g.ctx.beta, comp, r, err, lam)
+            if len(comp) <= 12:
+                coeffs = char_poly(A)
+                width = Fraction(max(4 * err, 1e-9))
+                lo = poly_value(coeffs, Fraction(r) - width)
+                hi = poly_value(coeffs, Fraction(r) + width)
+                assert lo * hi <= 0, (g.ctx.beta, comp, r, err)
+            sizes.append(len(comp))
+    assert max(sizes) >= 24
+
+
+def test_dim_imports_no_numpy():
+    src = os.path.dirname(os.path.dirname(univoque.__file__))
+    code = ("import sys\n"
+            "from univoque.cli import main\n"
+            "assert main(['dim', '-M', '1', '--beta', '111(0)']) == 0\n"
+            "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_report_json(tribonacci):
@@ -103,6 +184,7 @@ def test_report_json(tribonacci):
     rep = spectral_report(g, tribonacci)
     data = rep.to_json()
     assert set(data) == {"radius", "radius_err", "entropy", "dimension", "scc"}
+    assert data["entropy"] == rep.entropy
     assert data["scc"][0]["vertices"]
     assert rep.entropy == pytest.approx(math.log(rep.radius))
 
@@ -131,3 +213,4 @@ def test_empty_graph_radius_zero():
     assert not g.vertices
     assert spectral_radius(g) == (0.0, 0.0)
     assert dimension_of(g, golden_ratio_base(1)) == 0.0
+    assert spectral_report(g, golden_ratio_base(1)).to_json()["entropy"] is None
