@@ -33,5 +33,6 @@ for k in range(4):
     ctx = r_chain(base, k)
     g = build_graph(ctx, TILDE)
     r, _ = spectral_radius(g)
+    dim, _ = dimension_of(g, ctx)
     print(f"  k={k}: beta={format_seq(ctx.beta):16s} q~{ctx.q_approx(6)} radius {r:.9f} "
-          f"dimension {dimension_of(g, ctx):.6f}")
+          f"dimension {dim:.6f}")

@@ -4,7 +4,10 @@ A base q is specified symbolically as the unique root in (1, M+1] of an
 integer polynomial obtained by clearing denominators in the defining
 relation ``sum(beta_i / q^i) = 1``.  That polynomial may be reducible, so
 the field is built on its irreducible factor vanishing at q (the minimal
-polynomial, found once with sympy).
+polynomial).  ``minpoly.minimal_factor`` finds it in pure Python: the
+squarefree part, less its cyclotomic factors, is certified irreducible by
+distinct-degree factorization modulo a few small primes (Musser), or else
+factored by Hensel lifting and recombination (Zassenhaus).
 
 An element of Q(q) is one tuple of Python ints ``(c_0, ..., c_{d-1}, den)``
 standing for ``sum(c_i q^i) / den``, with ``den > 0`` and the gcd of all
@@ -155,28 +158,6 @@ def isolate_root(P, M, precision=Q(1, 10**12)):
     """
     lo, hi, e = _isolate_dyadic(P, M, precision)
     return Q(lo, 1 << e), Q(hi, 1 << e)
-
-
-def _minimal_factor(P, n_lo, n_hi, e):
-    """Irreducible monic factor of P with a root in (n_lo, n_hi) / 2^e.
-
-    P is monic, so its irreducible integer factors are monic and exactly one
-    of them changes sign over any interval isolating the root.
-    """
-    import sympy
-
-    t = sympy.Symbol("t")
-    _, factors = sympy.Poly(list(reversed(P)), t).factor_list()
-    candidates = []
-    for f, _mult in factors:
-        coeffs = tuple(int(c) for c in reversed(f.all_coeffs()))
-        if _sign(_dyadic_eval(coeffs, n_lo, e)) * _sign(_dyadic_eval(coeffs, n_hi, e)) < 0:
-            candidates.append(coeffs)
-    if len(candidates) != 1:
-        raise DegenerateInputError("could not isolate a unique irreducible factor")
-    m = candidates[0]
-    assert m[-1] == 1, "factor of a monic polynomial must be monic"
-    return m
 
 
 class NumberField:
@@ -547,7 +528,9 @@ def field_for_base(M, beta, precision=Q(1, 10**12)):
         assert frac == 0, "rational root of a monic polynomial is an integer"
         m = (-r, 1)
     else:
-        m = _minimal_factor(P, n_lo, n_hi, e)
+        from .minpoly import minimal_factor     # minpoly builds on this module's helpers
+
+        m = minimal_factor(P, n_lo, n_hi, e)
     return NumberField(m, n_lo, n_hi, e)
 
 

@@ -17,6 +17,7 @@ base and its successor, and the tower decomposition along successor chains.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from . import digits as dg
@@ -208,14 +209,16 @@ def _build_full(ctx):
         vertices.append(Vertex(index=len(vertices), left=k, right=k + 1, label=label))
     edges = []
     values = order.values
+    lefts = [w.left for w in vertices]
     for v in vertices:
         img_lo = apply_digit_map(values[v.left], v.label)
         img_hi = apply_digit_map(values[v.right], v.label)
         lo_class = _locate_geq(values, img_lo)
         hi_class = _locate_leq(values, img_hi)
-        for w in vertices:
-            if lo_class <= w.left and w.right <= hi_class:
-                edges.append((v.index, v.label, w.index))
+        # the targets lo_class <= w.left, w.left + 1 = w.right <= hi_class are
+        # one run of the vertices, which are sorted by left end
+        edges.extend((v.index, v.label, j)
+                     for j in range(bisect_left(lefts, lo_class), bisect_left(lefts, hi_class)))
     return UnivoqueGraph(ctx=ctx, variant=FULL, order=order, vertices=vertices, edges=edges)
 
 

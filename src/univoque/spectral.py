@@ -29,6 +29,7 @@ from .base import BaseClass
 from .graph import TILDE, TILDE1, build_graph, scc
 
 RADIUS_TOL = 1e-12
+DIM_TOL = 1e-8
 ITERATION_CAP = 10**5
 
 
@@ -36,6 +37,12 @@ def _round_up(q):
     """The least float not below the rational q."""
     f = float(q)
     return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+
+
+def _round_down(q):
+    """The greatest float not above the rational q."""
+    f = float(q)
+    return f if Fraction(f) <= q else math.nextafter(f, -math.inf)
 
 
 def _component_radius(g, comp):
@@ -68,6 +75,7 @@ class SpectralReport:
     radius_err: float
     entropy: float
     dimension: float
+    dimension_err: float
     per_scc: list          # (vertex names, radius) per component
 
     def to_json(self):
@@ -76,6 +84,7 @@ class SpectralReport:
             "radius_err": self.radius_err,
             "entropy": self.entropy if self.radius > 0 else None,
             "dimension": self.dimension,
+            "dimension_err": self.dimension_err,
             "scc": [{"vertices": names, "radius": r} for names, r in self.per_scc],
         }
 
@@ -97,23 +106,31 @@ def spectral_radius(g):
 
 
 def dimension_of(g, ctx, radius=None):
-    """log(radius) / log(q), with q refined until the quotient is stable.
+    """log(radius) / log(q) as a (dimension, half-width) pair.
 
+    The enclosure takes the radius interval [r - err, r + err] over the
+    isolating interval of q, with every logarithm and quotient rounded
+    outward.  q is refined until the enclosure is narrower than DIM_TOL, or
+    until refining no longer narrows it (the radius error dominates).
     ``radius`` is the graph's (radius, error) pair when the caller has it.
     """
     r, err = radius if radius is not None else spectral_radius(g)
     if r <= 1.0:
-        return 0.0
+        return 0.0, 0.0
+    log_r_lo = math.nextafter(math.log(max(math.nextafter(r - err, 0.0), 1.0)), -math.inf)
+    log_r_hi = math.nextafter(math.log(math.nextafter(r + err, math.inf)), math.inf)
+    width = math.inf
     while True:
-        qlo, qhi = ctx.field.lo, ctx.field.hi
-        if qlo == qhi:
-            lo = hi = math.log(r) / math.log(float(qlo))
-        else:
-            lo = math.log(max(r - err, 1.0)) / math.log(float(qhi))
-            hi = math.log(r + err) / math.log(float(qlo))
-        if hi - lo < 1e-8:
-            return (lo + hi) / 2
+        log_q_lo = math.nextafter(math.log(_round_down(ctx.field.lo)), -math.inf)
+        log_q_hi = math.nextafter(math.log(_round_up(ctx.field.hi)), math.inf)
+        lo = math.nextafter(max(log_r_lo, 0.0) / log_q_hi, -math.inf)
+        hi = math.nextafter(log_r_hi / log_q_lo, math.inf)
+        if hi - lo < DIM_TOL or hi - lo >= width or ctx.field.lo == ctx.field.hi:
+            break
+        width = hi - lo
         ctx.field.refine()
+    mid = (lo + hi) / 2
+    return mid, math.nextafter(max(hi - mid, mid - lo), math.inf)
 
 
 def spectral_report(g, ctx):
@@ -121,11 +138,13 @@ def spectral_report(g, ctx):
     names = {v.index: g.vertex_name(v) for v in g.vertices}
     radii = [_component_radius(g, comp) for comp in comps]
     r, err = _max_radius(radii)
+    dim, dim_err = dimension_of(g, ctx, (r, err))
     return SpectralReport(
         radius=r,
         radius_err=err,
         entropy=math.log(r) if r > 0 else float("-inf"),
-        dimension=dimension_of(g, ctx, (r, err)),
+        dimension=dim,
+        dimension_err=dim_err,
         per_scc=[([names[v] for v in comp], rc) for comp, (rc, _e) in zip(comps, radii)],
     )
 

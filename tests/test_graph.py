@@ -3,6 +3,8 @@ import random
 import pytest
 
 from univoque import digits as dg
+from univoque import graph
+from univoque.algebraic import apply_digit_map
 from univoque.base import BaseClass, golden_ratio_base, new_base_context, v_successor
 from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
                             connectivity_report, count_label_paths, cycle_word_matches,
@@ -283,3 +285,23 @@ def test_tarjan_generic_nodes():
     chain = {i: [(0, i + 1)] for i in range(n)}
     chain[n] = [(0, 0)]
     assert [len(c) for c in tarjan(chain)] == [n + 1]
+
+
+def test_full_edges_match_all_pairs_rule(battery, tribonacci):
+    """The edges taken as one run of the interval order are exactly those of
+    the rule tested against every vertex, in the same order."""
+    ctxs = list(battery)
+    ctx = tribonacci
+    for _ in range(4):
+        ctx = v_successor(ctx)
+        ctxs.append(ctx)
+    for ctx in ctxs:
+        g = build_graph(ctx, FULL)
+        values = g.order.values
+        expected = []
+        for v in g.vertices:
+            lo = graph._locate_geq(values, apply_digit_map(values[v.left], v.label))
+            hi = graph._locate_leq(values, apply_digit_map(values[v.right], v.label))
+            expected += [(v.index, v.label, w.index) for w in g.vertices
+                         if lo <= w.left and w.right <= hi]
+        assert g.edges == expected, dg.format_seq(ctx.beta)

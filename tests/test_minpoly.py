@@ -1,0 +1,186 @@
+"""The pure-Python minimal polynomial against sympy's factorization.
+
+sympy is a test-only oracle here: the package itself never imports it.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import univoque
+from univoque import cli, minpoly
+from univoque import digits as dg
+from univoque.algebraic import (DegenerateInputError, _dyadic_eval, _sign, base_polynomial,
+                                field_for_base)
+from univoque.base import new_base_context, v_successor
+from univoque.digits import EpSeq
+
+
+def sympy_minimal_factor(P, field):
+    """The factor in sympy's ``factor_list`` of P that vanishes in, or changes
+    sign over, the field's isolating interval."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    _, factors = sympy.Poly(list(reversed(P)), t).factor_list()
+    found = []
+    for f, _mult in factors:
+        coeffs = tuple(int(c) for c in reversed(f.all_coeffs()))
+        s_lo = _sign(_dyadic_eval(coeffs, field.n_lo, field.e))
+        s_hi = _sign(_dyadic_eval(coeffs, field.n_hi, field.e))
+        if s_lo * s_hi <= 0:
+            found.append(coeffs)
+    assert len(found) == 1
+    return found[0]
+
+
+def assert_matches_sympy(ctx):
+    assert ctx.field.min_poly == sympy_minimal_factor(ctx.defining_poly, ctx.field), \
+        dg.format_seq(ctx.beta)
+
+
+def chain(M, beta, depth):
+    ctx = new_base_context(M, beta)
+    out = [ctx]
+    for _ in range(depth):
+        ctx = v_successor(ctx)
+        out.append(ctx)
+    return out
+
+
+def test_battery_matches_sympy(battery):
+    for ctx in battery:
+        assert_matches_sympy(ctx)
+
+
+def test_tribonacci_chain_matches_sympy():
+    for ctx in chain(1, "111(0)", 5):
+        assert_matches_sympy(ctx)
+    assert ctx.field.deg == 49
+
+
+def test_long_word_chain_matches_sympy():
+    # after two steps the defining polynomial has the repeated factor (t + 1)^2
+    ctxs = chain(2, "222002000222002(0)", 3)
+    for ctx in ctxs:
+        assert_matches_sympy(ctx)
+    P = ctxs[2].defining_poly
+    assert minpoly._squarefree_part(P) != P
+    assert [ctx.field.deg for ctx in ctxs] == [15, 16, 30, 61]
+
+
+@st.composite
+def greedy_betas(draw):
+    """Finite or eventually periodic greedy expansions of 1 (first digit M)."""
+    M = draw(st.integers(1, 9))
+    digits = st.integers(0, M)
+    pre = (M,) + tuple(draw(st.lists(digits, max_size=5)))
+    per = tuple(draw(st.lists(digits, min_size=1, max_size=5)))
+    beta = EpSeq(pre, per)
+    assume(beta != EpSeq((1,), (0,)) and dg.is_greedy_beta(M, beta))
+    return M, beta
+
+
+@settings(max_examples=80, deadline=None)
+@given(greedy_betas())
+def test_random_bases_match_sympy(case):
+    M, beta = case
+    try:
+        field = field_for_base(M, beta)
+    except DegenerateInputError:
+        assume(False)
+    assert field.min_poly == sympy_minimal_factor(base_polynomial(M, beta), field)
+
+
+def spy(monkeypatch, name):
+    calls = []
+    inner = getattr(minpoly, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(minpoly, name, wrapped)
+    return calls
+
+
+def test_recombination_case(monkeypatch):
+    # cofactor t^3 - t + 1 is not cyclotomic: Musser cannot certify, Zassenhaus splits
+    calls = spy(monkeypatch, "_zassenhaus")
+    ctx = new_base_context(7, "77041503(0)")
+    assert calls
+    assert ctx.field.min_poly == (-3, -3, -8, -6, -7, 1)
+    assert_matches_sympy(ctx)
+
+
+@pytest.mark.parametrize("M, beta, min_poly", [
+    (4, "4403024(0)", (-4, 6, -8, 7, -6, 1)),
+    (4, "44110(002123)", (-3, 5, -7, 11, -11, 10, -9, 7, -6, 1)),
+])
+def test_non_squarefree_cases(M, beta, min_poly):
+    ctx = new_base_context(M, beta)
+    P = ctx.defining_poly
+    assert minpoly._squarefree_part(P) != P
+    assert ctx.field.min_poly == min_poly
+    assert_matches_sympy(ctx)
+
+
+def test_integer_root_needs_no_factorization(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("an integer base needs no factorization")
+
+    monkeypatch.setattr(minpoly, "minimal_factor", refuse)
+    assert new_base_context(2, "2(0)").field.min_poly == (-2, 1)
+
+
+def test_factors_when_no_prime_certifies():
+    # Swinnerton-Dyer t^4 - 10 t^2 + 1 is irreducible but splits modulo every
+    # prime, so only trial division rejects the recombined candidates
+    sd, cubic = (1, 0, -10, 0, 1), (1, -1, 0, 1)
+    assert minpoly._factors(sd) == [sd]
+    product = univoque.algebraic.poly_mul(sd, cubic)
+    assert sorted(minpoly._factors(product)) == sorted([sd, cubic])
+
+
+def test_cyclotomic_strip_keeps_only_exact_divisors(monkeypatch):
+    # (t + 1) divides t^2 - 1 and is stripped; (t - 8) is not cyclotomic
+    R = univoque.algebraic.poly_mul((-8, 1), (1, 1))
+    assert minpoly._strip_cyclotomic(R, 2) == (-8, 1)
+    # modulo 7, t - 8 is t - 1, a divisor of t^1 - 1; exact division refuses it
+    monkeypatch.setattr(minpoly, "LARGE_PRIME", 7)
+    assert minpoly._strip_cyclotomic((-8, 1), 1) == (-8, 1)
+
+
+def test_hensel_lift_reproduces_known_factors():
+    # both factors are irreducible modulo 5, and coprime there
+    g, h = (7, 0, 1), (11, -9, 0, 1)
+    f = univoque.algebraic.poly_mul(g, h)
+    k = 3
+    m = 5 ** (1 << k)
+    lifted = minpoly.hensel_lift(f, [minpoly._mod(g, 5), minpoly._mod(h, 5)], 5, k)
+    assert lifted == [minpoly._mod(g, m), minpoly._mod(h, m)]
+
+
+def test_recombination_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(minpoly, "RECOMBINATION_CAP", 0)
+    assert cli.main(["base", "classify", "-M", "7", "--beta", "77041503(0)"]) == 2
+    assert "recombination" in capsys.readouterr().err
+    # a base certified irreducible by its degree sets never recombines
+    assert cli.main(["base", "classify", "-M", "1", "--beta", "111(0)"]) == 0
+
+
+def test_cli_imports_no_sympy():
+    src = os.path.dirname(os.path.dirname(univoque.__file__))
+    code = ("import sys\n"
+            "from univoque.cli import main\n"
+            "assert main(['base', 'classify', '-M', '1', '--beta', '111(0)']) == 0\n"
+            "assert main(['dim', '-M', '1', '--beta', '111(0)']) == 0\n"
+            "print('sympy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"

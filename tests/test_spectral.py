@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +53,7 @@ def test_tribonacci_dimension(tribonacci):
     g = build_graph(tribonacci, TILDE)
     r, err = spectral_radius(g)
     assert r == pytest.approx(PHI, abs=1e-9)
-    dim = dimension_of(g, tribonacci)
+    dim, _err = dimension_of(g, tribonacci)
     assert 0 < dim < 1
     assert dim == pytest.approx(math.log(PHI) / math.log(1.8392867552141612), abs=1e-8)
 
@@ -64,7 +65,7 @@ def test_growth_rate_matches_radius(tribonacci):
     total, _w = count_label_paths(g, L)
     assert abs(math.log(total) / L - math.log(r)) <= 0.05
     # and the dimension agrees with the finite-length growth estimate
-    dim = dimension_of(g, tribonacci)
+    dim, _err = dimension_of(g, tribonacci)
     est = math.log(total) / (L * math.log(float(tribonacci.q)))
     assert abs(dim - est) <= 0.05
 
@@ -183,7 +184,7 @@ def test_report_json(tribonacci):
     g = build_graph(tribonacci, TILDE)
     rep = spectral_report(g, tribonacci)
     data = rep.to_json()
-    assert set(data) == {"radius", "radius_err", "entropy", "dimension", "scc"}
+    assert set(data) == {"radius", "radius_err", "entropy", "dimension", "dimension_err", "scc"}
     assert data["entropy"] == rep.entropy
     assert data["scc"][0]["vertices"]
     assert rep.entropy == pytest.approx(math.log(rep.radius))
@@ -212,5 +213,19 @@ def test_empty_graph_radius_zero():
     g = build_graph(golden_ratio_base(1), TILDE)
     assert not g.vertices
     assert spectral_radius(g) == (0.0, 0.0)
-    assert dimension_of(g, golden_ratio_base(1)) == 0.0
+    assert dimension_of(g, golden_ratio_base(1)) == (0.0, 0.0)
     assert spectral_report(g, golden_ratio_base(1)).to_json()["entropy"] is None
+
+
+def test_dimension_with_wide_radius_enclosure():
+    # a radius error of 1e-7 keeps the enclosure wider than 1e-8 for every q
+    ctx = new_base_context(1, "111001010(0)")
+    g = build_graph(ctx, TILDE)
+    r, err = spectral_radius(g)
+    start = time.perf_counter()
+    dim, dim_err = dimension_of(g, ctx, (r, 1e-7))
+    assert time.perf_counter() - start < 1.0
+    assert 1e-8 < dim_err < 1e-6
+    tight, tight_err = dimension_of(g, ctx, (r, err))
+    assert tight_err < 1e-8
+    assert dim - dim_err <= tight <= dim + dim_err
