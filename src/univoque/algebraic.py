@@ -352,14 +352,20 @@ class NumberField:
                 return 0
             self.refine()
 
+    def enclosure(self, a):
+        """Bounds ``(lo, hi, D)`` with the value of ``a`` in [lo/D, hi/D], from
+        one interval Horner pass on the current isolating interval (no
+        refinement); exact (lo == hi) for rational elements."""
+        p = poly_trim(a[:-1])
+        vlo, vhi = self._interval(p)
+        return vlo, vhi, a[-1] << (self.e * max(len(p) - 1, 0))
+
     def bounds(self, a, eps):
         """Bounds ``(lo, hi, D)`` with the value of ``a`` in [lo/D, hi/D] and
         (hi - lo)/D <= eps."""
         eps = Q(eps)
-        p = poly_trim(a[:-1])
         while True:
-            vlo, vhi = self._interval(p)
-            D = a[-1] << (self.e * max(len(p) - 1, 0))
+            vlo, vhi, D = self.enclosure(a)
             if (vhi - vlo) * eps.denominator <= eps.numerator * D:
                 return vlo, vhi, D
             self.refine()

@@ -4,7 +4,10 @@ Subcommands mirror the library: ``base classify|chain|points``,
 ``graph build|scc|verify|connectivity``, ``dim``, ``expansions
 count|witness`` and ``oracle words|brute``.  Output is human-readable text
 by default and JSON with --json; every run is deterministic.  Exit codes:
-0 success, 2 invalid input, 3 internal consistency failure.
+0 success, 2 invalid input or a search bound reached, 3 internal
+consistency failure or a failed check, 4 undecided (``graph verify
+--theorem 1.3`` on graphs above 64 vertices whose interval-order candidate
+fails, which are not searched).
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from . import digits as dg
 from .algebraic import Q, DegenerateInputError
 from .base import (InternalConsistencyError, UnsupportedClassError, new_base_context,
                    order_points, r_chain, special_points, v_successor)
-from .graph import (FULL, TILDE, TILDE1, StructuralError, build_graph, check_isomorphic,
-                    connectivity_report, scc, tower_decompose)
+from .graph import (FULL, TILDE, TILDE1, UNDECIDED, StructuralError, build_graph,
+                    check_isomorphic, connectivity_report, scc, tower_decompose)
 from .oracle import U_PREFIX, V_PREFIX, brute_count_expansions, enumerate_admissible_words
 from .spectral import spectral_report
 from . import expansions as exp
@@ -149,6 +152,10 @@ def cmd_graph_verify(args):
     if args.theorem in ("1.3", "iso"):
         succ = v_successor(ctx)
         mapping = check_isomorphic(build_graph(ctx, FULL), build_graph(succ, FULL))
+        if mapping == UNDECIDED:
+            _emit(args, {"check": "successor-isomorphism", "ok": None},
+                  ["successor graph isomorphic: undecided"])
+            return 4
         ok = mapping is not None
         payload = {"check": "successor-isomorphism", "ok": ok}
         _emit(args, payload, [f"successor graph isomorphic: {ok}"])
@@ -352,7 +359,8 @@ def main(argv=None):
     except (InternalConsistencyError, StructuralError) as e:
         print(f"internal consistency failure: {e}", file=sys.stderr)
         return 3
-    except (ValueError, UnsupportedClassError, DegenerateInputError, dg.AlphabetError) as e:
+    except (ValueError, UnsupportedClassError, DegenerateInputError, dg.AlphabetError,
+            exp.PeriodicityBoundError, exp.TailSearchBudgetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,10 +10,18 @@ cycle, which yields infinitely many.  For other bases the remainders may
 never repeat; the state cap then bounds the search and the answer is
 CAP_EXCEEDED.
 
+Exact arithmetic runs only where it can change the answer: the feasible
+digits of a remainder are read from one interval enclosure of q*v and one of
+q*v - M/(q-1) on the field's current isolating interval, and an exact sign
+is computed only for a digit that an enclosure leaves undecided.
+
 The witness constructor produces, for any admissible tail sequence, a point
 with exactly m expansions for each m >= 1, by prefixing the tail with
 ``1 0^((m-1)N)``; the admissibility filters for the tail family are also
-implemented here.
+implemented here.  The least admissible tail comes from a depth-first
+lexicographic search that carries the tie sets of the tail conditions and
+prunes every prefix that already breaks one; ``f_family_filter`` decides
+each leaf it reaches.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ INFINITE_CYCLE = "INFINITE_CYCLE"
 CAP_EXCEEDED = "CAP_EXCEEDED"
 
 DEFAULT_STATE_CAP = 10_000
+TAIL_NODE_BUDGET = 200_000       # search nodes of one default_tail call
 
 
 class RangeError(ValueError):
@@ -41,16 +50,30 @@ class PeriodicityBoundError(RuntimeError):
     """No eventually periodic structure found within the step bound."""
 
 
+class TailSearchBudgetError(RuntimeError):
+    """The least-tail search visited more than ``TAIL_NODE_BUDGET`` nodes."""
+
+    def __init__(self, nodes, period, max_period):
+        super().__init__(f"tail search stopped after {nodes} nodes (budget), "
+                         f"at period {period} of at most {max_period}")
+        self.nodes, self.period, self.max_period = nodes, period, max_period
+
+
 def _check_range(ctx, x):
     if x.sign() < 0 or (x - ctx.kappa).sign() > 0:
         raise RangeError("value outside the expandable interval")
 
 
 def greedy_digit(ctx, x):
-    """Largest digit d with q*x - d >= 0."""
+    """Largest digit d with q*x - d >= 0.
+
+    One enclosure [lo/D, hi/D] of q*x rules out every d above hi/D and
+    settles every d up to lo/D; only a digit in between needs an exact sign.
+    """
     qx = x.mul_gen()
-    for d in range(ctx.M, -1, -1):
-        if (qx - d).sign() >= 0:
+    lo, hi, D = qx.field.enclosure(qx.elem)
+    for d in range(min(ctx.M, hi // D), -1, -1):
+        if d * D <= lo or (qx - d).sign() >= 0:
             return d, qx - d
     raise RangeError("negative value has no expansion digit")
 
@@ -105,6 +128,28 @@ class ExpansionCount:
         return f"ExpansionCount({self.kind})"
 
 
+def _feasible_moves(field, M, kappa, v):
+    """The moves ``(d, q*v - d)`` with 0 <= q*v - d <= kappa, d increasing.
+
+    The feasible digits are the integers in [q*v - kappa, q*v].  Enclosures
+    of q*v and of q*v - kappa on the field's current isolating interval
+    settle every digit outside both of them; only a digit inside one costs
+    an exact sign.
+    """
+    qv = field.mul_gen(v)
+    qvk = field.sub(qv, kappa)
+    alo, ahi, ad = field.enclosure(qv)
+    blo, bhi, bd = field.enclosure(qvk)
+    moves = []
+    for d in range(max(0, -(-blo // bd)), min(M, ahi // ad) + 1):
+        if d * ad > alo and field.sign(field.add_int(qv, -d)) < 0:
+            continue
+        if d * bd < bhi and field.sign(field.add_int(qvk, -d)) > 0:
+            continue
+        moves.append((d, field.add_int(qv, -d)))
+    return moves
+
+
 def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
     """Count the expansions of x by exact exploration of its remainder graph.
 
@@ -114,20 +159,14 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
     CAP_EXCEEDED when more than ``cap`` distinct remainders appear.
     """
     _check_range(ctx, x)
-    kappa = ctx.kappa
+    field, kappa = x.field, ctx.kappa.elem
     succ = {}
-    frontier = [x]
+    frontier = [x.elem]
     while frontier:
         v = frontier.pop()
         if v in succ:
             continue
-        moves = []
-        qv = v.mul_gen()
-        for d in range(ctx.M + 1):
-            nxt = qv - d
-            if nxt.sign() >= 0 and (nxt - kappa).sign() <= 0:
-                moves.append((d, nxt))
-        succ[v] = moves
+        succ[v] = moves = _feasible_moves(field, ctx.M, kappa, v)
         if len(succ) > cap:
             return ExpansionCount(CAP_EXCEEDED)
         for _d, nxt in moves:
@@ -156,7 +195,7 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
         return tuple(tail)
 
     witnesses = []
-    stack = [(x, ())]
+    stack = [(x.elem, ())]
     while stack:
         v, path = stack.pop()
         if v in on_cycle:
@@ -232,43 +271,105 @@ def f_family_filter(ctx, c, strictness=WEAK):
                         starts_with_reflected_period=starts, splice_pair_ok=pair_ok)
 
 
+def _tie_step(a, loop, M, ties, d):
+    """Advance the tie sets ``(upper, lower)`` of the tail conditions by d.
+
+    An upper tie at offset i stands for a checked tail that has equalled
+    alpha so far and meets alpha's digit a[i] next; a lower tie is the same
+    for a reflected tail.  A new tail is checked after a digit below M
+    (upper) and after a positive digit (lower).  ``a`` is alpha's preperiod
+    and one period, and an offset past its end wraps to ``loop``.  Returns
+    None once a tied tail exceeds alpha: every continuation then fails the
+    WEAK filter, and so the STRICT one.
+    """
+    upper, lower = ties
+    nu, nl = set(), set()
+    for i in upper:
+        if d > a[i]:
+            return None
+        if d == a[i]:
+            nu.add(i + 1 if i + 1 < len(a) else loop)
+    for i in lower:
+        if d < M - a[i]:
+            return None
+        if d == M - a[i]:
+            nl.add(i + 1 if i + 1 < len(a) else loop)
+    if d < M:
+        nu.add(0)
+    if d > 0:
+        nl.add(0)
+    return frozenset(nu), frozenset(nl)
+
+
 def default_tail(ctx, strictness=STRICT, max_period=None):
     """Lexicographically least admissible periodic tail in witness normal form.
 
-    Candidates are the periodic sequences of period at most twice the alpha
-    period that start with the reflected period word.  The default STRICT
-    filter is what makes the exact-count witnesses exact; weak tails may put
-    the remainder orbit on the switch boundary and blow the count up to
-    infinity.
+    Candidates are the purely periodic sequences ``(u)`` whose period word u
+    starts with the reflected alpha period and has length N..2N (N the
+    alpha period; ``max_period`` replaces 2N), every length searched in
+    full.  For each length the words are walked depth first in increasing
+    order, which is the order of their periodic sequences; a node is pruned
+    once one of its checked tails (or a spliced alpha tail) already exceeds
+    alpha, or once its prefix exceeds the best tail found at a shorter
+    length.  The first leaf that passes ``f_family_filter`` is the least
+    tail of its length, and the least over all lengths is returned.  The
+    walk visits at most ``TAIL_NODE_BUDGET`` nodes in total and raises
+    ``TailSearchBudgetError`` beyond that.
+
+    The default STRICT filter is what makes the exact-count witnesses exact;
+    weak tails may put the remainder orbit on the switch boundary and blow
+    the count up to infinity.
     """
     ctx.require_graph_class()
+    M, alpha = ctx.M, ctx.alpha
     w = ctx.alpha_word()
     N = len(w)
     cap = max_period or 2 * N
-    rw = dg.word_reflect(w, ctx.M)
-    # keep the exhaustive search bounded for long periods: shorten the free
-    # suffix until the candidate pool is manageable
-    while cap > N and (ctx.M + 1) ** (cap - N) > 20000:
-        cap -= 1
+    rw = dg.word_reflect(w, M)
+    a = alpha.pre + alpha.per
+    loop = len(alpha.pre)
 
-    def extensions(prefix, upto):
-        if len(prefix) == upto:
-            yield prefix
-            return
-        for d in range(ctx.M + 1):
-            yield from extensions(prefix + (d,), upto)
+    none_left = "no admissible periodic tail within the period cap"
 
+    # every checked tail starts tied at offset 0, and so does each splice
+    # whose incremented alpha tail matches alpha's prefix
+    upper = {0}
+    for k in range(1, N):
+        if w[k - 1] < M:
+            head, ref = dg.word_plus(w[k:], M), alpha.prefix(N - k)
+            if head > ref:
+                raise ValueError(none_left)
+            if head == ref:
+                upper.add(N - k)
+    ties = (frozenset(upper), frozenset({0}))
+    for d in rw:
+        ties = _tie_step(a, loop, M, ties, d)
+        if ties is None:
+            raise ValueError(none_left)
+
+    nodes = 0
     best = None
     for length in range(N, cap + 1):
-        for word in extensions(rw, length):
-            c = EpSeq((), word)
-            if c.prefix(N) != rw:
+        stack = [(rw, ties, best is not None)]
+        while stack:
+            if nodes == TAIL_NODE_BUDGET:
+                raise TailSearchBudgetError(nodes, length, cap)
+            nodes += 1
+            word, state, tied = stack.pop()
+            if len(word) == length:
+                c = EpSeq((), word)
+                if f_family_filter(ctx, c, strictness):
+                    if best is None or dg.lex_cmp(c, best) == dg.LT:
+                        best = c
+                    break
                 continue
-            if f_family_filter(ctx, c, strictness):
-                if best is None or dg.lex_cmp(c, best) == dg.LT:
-                    best = c
+            top = best.digit(len(word)) if tied else M
+            for d in range(top, -1, -1):        # pushed high to low: popped low first
+                nxt = _tie_step(a, loop, M, state, d)
+                if nxt is not None:
+                    stack.append((word + (d,), nxt, tied and d == top))
     if best is None:
-        raise ValueError("no admissible periodic tail within the period cap")
+        raise ValueError(none_left)
     return best
 
 

@@ -360,12 +360,17 @@ def connectivity_report(ctx):
 
 # --- isomorphism ------------------------------------------------------------
 
+UNDECIDED = "UNDECIDED"          # check_isomorphic did not search
+
+
 def check_isomorphic(g1, g2):
-    """Label-preserving digraph isomorphism; returns a vertex map or None.
+    """Label-preserving digraph isomorphism: a vertex map, None when the
+    graphs are not isomorphic, or UNDECIDED.
 
     The interval orders give the canonical candidate (both graphs sorted by
     position); when that fails, a color-refinement-guided backtracking search
-    runs for graphs up to 64 vertices.
+    runs for graphs up to 64 vertices.  Larger graphs whose candidate fails
+    are not searched and give UNDECIDED.
     """
     v1 = [v.index for v in g1.vertices]
     v2 = [v.index for v in g2.vertices]
@@ -375,7 +380,7 @@ def check_isomorphic(g1, g2):
     if _is_isomorphism(g1, g2, cand):
         return cand
     if len(v1) > 64:
-        return None
+        return UNDECIDED
     return _search_isomorphism(g1, g2)
 
 

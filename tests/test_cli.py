@@ -142,3 +142,24 @@ def test_dim_empty_central_graph(capsys):
 
     data = json.loads(out, parse_constant=reject)
     assert data["radius"] == 0.0 and data["entropy"] is None
+
+
+def test_tail_search_budget_exit_code(capsys, monkeypatch):
+    from univoque import expansions
+    monkeypatch.setattr(expansions, "TAIL_NODE_BUDGET", 2)
+    rc, out, err = run(capsys, "expansions", "witness", "-M", "1", "--beta", "111(0)",
+                       "-m", "2")
+    assert rc == 2 and not out
+    assert err.startswith("error: tail search stopped after 2 nodes")
+
+
+def test_isomorphism_undecided_exit_code(capsys, monkeypatch):
+    # graphs above the search limit whose order candidate fails are not searched
+    from univoque import cli, graph
+    monkeypatch.setattr(cli, "check_isomorphic", lambda g1, g2: graph.UNDECIDED)
+    rc, out, _ = run(capsys, "graph", "verify", "-M", "1", "--beta", "111(0)",
+                     "--theorem", "1.3")
+    assert rc == 4 and "undecided" in out
+    rc, out, _ = run(capsys, "graph", "verify", "-M", "1", "--beta", "111(0)",
+                     "--theorem", "1.3", "--json")
+    assert rc == 4 and json.loads(out) == {"check": "successor-isomorphism", "ok": None}

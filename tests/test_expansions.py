@@ -1,11 +1,21 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import BATTERY, random_context
 from univoque import digits as dg
 from univoque import expansions as ex
+from univoque.algebraic import NumberField
 from univoque.base import new_base_context, r_chain, special_points, v_successor
 from univoque.digits import EpSeq
+from univoque.graph import tarjan
+
+# the battery plus the two wide-alphabet bases of the benchmark's count workload
+COUNT_BASES = BATTERY + [(7, "761(0)"), (9, "981(0)")]
 
 
 def seq(text):
@@ -217,3 +227,175 @@ def test_non_pisot_remainders_hit_the_cap():
     ctx = new_base_context(1, "111001010(0)")
     x = ctx.value(seq("011(10)"))
     assert ex.count_expansions(ctx, x, cap=300).kind == ex.CAP_EXCEEDED
+
+
+# --- the least-tail search against exhaustive enumeration --------------------
+
+def enumerated_default_tail(ctx, strictness):
+    """Reference: every periodic word of length N..2N that starts with the
+    reflected period, each through the full filter; the least one passing."""
+    w = ctx.alpha_word()
+    N = len(w)
+    rw = dg.word_reflect(w, ctx.M)
+
+    def extensions(prefix, upto):
+        if len(prefix) == upto:
+            yield prefix
+            return
+        for d in range(ctx.M + 1):
+            yield from extensions(prefix + (d,), upto)
+
+    best = None
+    for length in range(N, 2 * N + 1):
+        for word in extensions(rw, length):
+            c = EpSeq((), word)
+            if ex.f_family_filter(ctx, c, strictness):
+                if best is None or dg.lex_cmp(c, best) == dg.LT:
+                    best = c
+    return best
+
+
+def searched_default_tail(ctx, strictness):
+    try:
+        return ex.default_tail(ctx, strictness)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("M,beta", COUNT_BASES)
+def test_default_tail_matches_enumeration(M, beta):
+    ctx = new_base_context(M, beta)
+    for strictness in (ex.STRICT, ex.WEAK):
+        assert searched_default_tail(ctx, strictness) == enumerated_default_tail(ctx, strictness)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([ex.STRICT, ex.WEAK]))
+def test_default_tail_matches_enumeration_random(seed, strictness):
+    ctx = random_context(random.Random(seed))
+    assume((ctx.M + 1) ** ctx.n_period <= 20_000)
+    assert searched_default_tail(ctx, strictness) == enumerated_default_tail(ctx, strictness)
+
+
+@pytest.mark.parametrize("M,beta,tail", [
+    (3, "32202132(0)", "(0113120201131203)"),     # period 16 = 2N, the full bound
+    (9, "98761(0)", "(012390124)"),
+])
+def test_default_tail_searches_every_period(M, beta, tail):
+    ctx = new_base_context(M, beta)
+    c = ex.default_tail(ctx)
+    assert c == seq(tail)
+    for m in (1, 2, 3):
+        x, exps = ex.build_witness_xm(ctx, m, c)
+        res = ex.count_expansions(ctx, x)
+        assert res.kind == ex.EXACT and res.count == m and set(res.witnesses) == set(exps)
+
+
+def test_default_tail_long_period():
+    ctx = new_base_context(1, "111001000111001(0)")     # N = 15
+    start = time.perf_counter()
+    c = ex.default_tail(ctx)
+    assert time.perf_counter() - start < 1.0
+    for m in (1, 2, 3):
+        x, _exps = ex.build_witness_xm(ctx, m, c)
+        res = ex.count_expansions(ctx, x)
+        assert res.kind == ex.EXACT and res.count == m
+
+
+def test_default_tail_budget(tribonacci, monkeypatch):
+    monkeypatch.setattr(ex, "TAIL_NODE_BUDGET", 3)
+    with pytest.raises(ex.TailSearchBudgetError) as err:
+        ex.default_tail(tribonacci)
+    assert err.value.nodes == 3 and err.value.max_period == 2 * tribonacci.n_period
+
+
+# --- feasible digits from enclosures against per-digit signs ------------------
+
+def per_digit_count(ctx, x, cap):
+    """Reference: count_expansions with two exact signs per digit and state."""
+    kappa = ctx.kappa
+    succ = {}
+    frontier = [x]
+    while frontier:
+        v = frontier.pop()
+        if v in succ:
+            continue
+        qv = v.mul_gen()
+        succ[v] = moves = [(d, qv - d) for d in range(ctx.M + 1)
+                           if (qv - d).sign() >= 0 and (qv - d - kappa).sign() <= 0]
+        if len(succ) > cap:
+            return ex.ExpansionCount(ex.CAP_EXCEEDED)
+        frontier += [nxt for _d, nxt in moves if nxt not in succ]
+    on_cycle = set()
+    for comp in tarjan(succ):
+        if len(comp) > 1 or any(w == comp[0] for _d, w in succ[comp[0]]):
+            on_cycle.update(comp)
+    if any(len(succ[v]) > 1 for v in on_cycle):
+        return ex.ExpansionCount(ex.INFINITE_CYCLE)
+    witnesses = []
+    stack = [(x, ())]
+    while stack:
+        v, path = stack.pop()
+        if v in on_cycle:
+            tail, cur = [], v
+            while True:
+                d, cur = succ[cur][0]
+                tail.append(d)
+                if cur == v:
+                    break
+            witnesses.append(EpSeq(path, tuple(tail)))
+            if len(witnesses) > cap:
+                return ex.ExpansionCount(ex.CAP_EXCEEDED)
+            continue
+        stack += [(nxt, path + (d,)) for d, nxt in reversed(succ[v])]
+    witnesses.sort(key=lambda s: (s.pre, s.per))
+    return ex.ExpansionCount(ex.EXACT, len(witnesses), tuple(witnesses))
+
+
+def per_digit_greedy(ctx, x, L):
+    """Reference: greedy digits with one exact sign per digit tried."""
+    out = []
+    for _ in range(L):
+        qx = x.mul_gen()
+        d = next(d for d in range(ctx.M, -1, -1) if (qx - d).sign() >= 0)
+        out.append(d)
+        x = qx - d
+    return tuple(out)
+
+
+def digit_words(max_len):
+    return st.lists(st.integers(0, 9), max_size=max_len)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), digit_words(3), digit_words(3).filter(bool), st.integers(1, 4),
+       st.sampled_from([Fraction(1, 2), Fraction(1, 10**12)]))
+def test_count_matches_per_digit_signs(seed, pre, per, m, precision):
+    # precision 1/2 keeps the coarse isolating interval of the root scan, so
+    # that the enclosures leave digits undecided and the exact signs run
+    base = random_context(random.Random(seed))
+    s = EpSeq([d % (base.M + 1) for d in pre], [d % (base.M + 1) for d in per])
+    tail = searched_default_tail(base, ex.STRICT)
+    points = [lambda ctx: ctx.value(s), lambda ctx: ctx.kappa - ctx.value(s)]
+    if tail is not None:
+        points.append(lambda ctx: ex.build_witness_xm(ctx, m, tail)[0])
+    for point in points:
+        ctx = new_base_context(base.M, base.beta, precision=precision)
+        x = point(ctx)
+        got, ref = ex.count_expansions(ctx, x, cap=300), per_digit_count(ctx, x, cap=300)
+        assert (got.kind, got.count, got.witnesses) == (ref.kind, ref.count, ref.witnesses)
+        ctx = new_base_context(base.M, base.beta, precision=precision)
+        x = point(ctx)
+        assert ex.greedy_expand(ctx, x, 8) == per_digit_greedy(ctx, x, 8)
+
+
+def test_count_witnesses_need_few_exact_signs(monkeypatch):
+    ctx = new_base_context(9, "981(0)")
+    c = ex.default_tail(ctx)
+    points = [ex.build_witness_xm(ctx, m, c)[0] for m in range(1, 11)]
+    calls = []
+    sign = NumberField.sign
+    monkeypatch.setattr(NumberField, "sign", lambda f, a: calls.append(a) or sign(f, a))
+    counts = [ex.count_expansions(ctx, x) for x in points]
+    assert [(r.kind, r.count) for r in counts] == [(ex.EXACT, m) for m in range(1, 11)]
+    assert len(calls) < 100       # two per digit and state made 4,590

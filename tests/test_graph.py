@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -166,6 +167,23 @@ def test_isomorphism_chain(tribonacci, base331):
     g = build_graph(tribonacci, FULL)
     ident = check_isomorphic(g, g)
     assert ident is not None
+
+
+def test_isomorphism_undecided_above_search_limit(tribonacci):
+    ctx = tribonacci
+    for _ in range(5):
+        ctx = v_successor(ctx)
+    g = build_graph(ctx, FULL)
+    assert len(g.vertices) == 96
+    assert check_isomorphic(g, g) == {v.index: v.index for v in g.vertices}
+    # the same graph with its vertices renumbered: the order candidate fails
+    # and a graph this large is not searched
+    perm = list(range(len(g.vertices)))
+    random.Random(5).shuffle(perm)
+    moved = [dataclasses.replace(v, index=perm[v.index]) for v in g.vertices]
+    copy = graph.UnivoqueGraph(ctx, FULL, g.order, sorted(moved, key=lambda v: v.index),
+                               [(perm[i], k, perm[j]) for i, k, j in g.edges])
+    assert check_isomorphic(g, copy) == graph.UNDECIDED
 
 
 def test_tower_tribonacci(tribonacci):
