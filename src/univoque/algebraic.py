@@ -115,6 +115,8 @@ def _isolate_dyadic(P, M, precision):
     if not P:
         raise DegenerateInputError("zero polynomial")
     precision = Q(precision)
+    if precision <= 0:
+        raise ValueError(f"precision must be positive, got {precision}")
     grid, e = 64, 6                  # marks 1 + M i / 64 = (64 + M i) / 2^6
     marks = [grid + M * i for i in range(grid + 1)]
     signs = [_sign(_dyadic_eval(P, x, e)) for x in marks]

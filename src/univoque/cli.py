@@ -38,14 +38,10 @@ def _add_base_flags(p):
 def _context(args):
     precision = Q(1, 10**12)
     if args.precision:
-        if "/" in args.precision:
-            num, _, den = args.precision.partition("/")
-            precision = Q(int(num), int(den))
-        else:
-            from decimal import Decimal
-            from fractions import Fraction
-            f = Fraction(Decimal(args.precision))
-            precision = Q(f.numerator, f.denominator)
+        try:
+            precision = Q(args.precision)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"invalid precision {args.precision!r}") from None
     return new_base_context(args.M, args.beta, precision=precision)
 
 

@@ -4,8 +4,10 @@ Everything downstream (base classification, graph construction, expansion
 counting) compares digit sequences lexicographically.  This module provides
 the two carriers -- plain words as tuples of ints, and :class:`EpSeq` for
 eventually periodic infinite sequences -- together with reflection, shifting,
-and the lexicographic admissibility predicates for greedy / quasi-greedy
-sequences and for the base classes.
+the lexicographic admissibility predicates for greedy / quasi-greedy
+sequences and for the base classes, and the follower automaton
+:class:`LexAutomaton` of the two-sided tail conditions against alpha, which
+the word oracle and the witness-tail search both run on.
 
 A sequence over the alphabet ``{0, ..., M}`` is *finite* if it has a last
 nonzero digit and *infinite* otherwise (the zero sequence counts as
@@ -141,10 +143,6 @@ class EpSeq:
 
 
 ZERO = EpSeq((), (0,))
-
-
-def const_seq(d):
-    return EpSeq((), (d,))
 
 
 def reflect(s, M):
@@ -297,6 +295,130 @@ def is_unique_expansion_seq(ctx_alpha, c, M, mode=UNIQUE):
             if r == GT or (strict and r == EQ):
                 return False
     return True
+
+
+class LexAutomaton:
+    """Follower automaton of the two-sided shift conditions against alpha.
+
+    A state is a pair of tie sets for the prefix read so far: an upper tie
+    at offset i stands for a checked tail that has equalled alpha so far and
+    meets alpha's digit at i next, a lower tie is the same for a reflected
+    tail.  A new tail is checked after a digit below M (upper) and after a
+    positive digit (lower).  Alpha is purely periodic, so offsets live modulo
+    its period and the automaton is finite.
+    """
+
+    def __init__(self, M, alpha_period):
+        self.M = M
+        self.alpha = tuple(alpha_period)
+        self.N = len(self.alpha)
+        self._trans = {}
+        self._alive = None
+        self._good = None
+
+    def start(self):
+        return (frozenset(), frozenset())
+
+    def step(self, state, d):
+        """Advance by one digit; None when a constraint is violated."""
+        upper, lower = state
+        nu, nl = set(), set()
+        for i in upper:
+            ai = self.alpha[i]
+            if d > ai:
+                return None
+            if d == ai:
+                nu.add((i + 1) % self.N)
+        for i in lower:
+            bi = self.M - self.alpha[i]
+            if d < bi:
+                return None
+            if d == bi:
+                nl.add((i + 1) % self.N)
+        if d < self.M:
+            nu.add(0)
+        if d > 0:
+            nl.add(0)
+        return (frozenset(nu), frozenset(nl))
+
+    # --- reachable state space and acceptance sets --------------------------
+
+    def _explore(self, roots):
+        # the explored set stays closed under transitions, so adding the
+        # states reachable from new roots leaves every old verdict valid
+        frontier = [s for s in (self.start(), *roots) if s not in self._trans]
+        if frontier:
+            self._alive = self._good = None
+        while frontier:
+            s = frontier.pop()
+            if s in self._trans:
+                continue
+            moves = {}
+            for d in range(self.M + 1):
+                t = self.step(s, d)
+                if t is not None:
+                    moves[d] = t
+                    if t not in self._trans:
+                        frontier.append(t)
+            self._trans[s] = moves
+
+    def alive_states(self, *roots):
+        """States admitting some infinite violation-free continuation, among
+        those reachable from ``start()`` or from ``roots``."""
+        self._explore(roots)
+        if self._alive is not None:
+            return self._alive
+        alive = set(self._trans)
+        changed = True
+        while changed:
+            changed = False
+            for s in list(alive):
+                if not any(t in alive for t in self._trans[s].values()):
+                    alive.discard(s)
+                    changed = True
+        self._alive = alive
+        return alive
+
+    def good_states(self, *roots):
+        """States admitting a continuation along which every tie breaks,
+        among those reachable from ``start()`` or from ``roots``.
+
+        Greatest fixpoint: a state is good when, moving only through good
+        states, some finite continuation discharges all ties currently held
+        (newer ties are then discharged by iterating the argument from the
+        state reached).
+        """
+        alive = self.alive_states(*roots)
+        if self._good is not None:
+            return self._good
+        good = set(alive)
+        changed = True
+        while changed:
+            changed = False
+            for s in list(good):
+                if not self._can_discharge(s, good):
+                    good.discard(s)
+                    changed = True
+        self._good = good
+        return good
+
+    def _can_discharge(self, s, allowed):
+        seen = {(s, s[0], s[1])}
+        frontier = [(s, s[0], s[1])]
+        while frontier:
+            cur, au, al = frontier.pop()
+            if not au and not al:
+                return True
+            for d, t in self._trans[cur].items():
+                if t not in allowed:
+                    continue
+                nau = frozenset((i + 1) % self.N for i in au if d == self.alpha[i])
+                nal = frozenset((i + 1) % self.N for i in al if d == self.M - self.alpha[i])
+                key = (t, nau, nal)
+                if key not in seen:
+                    seen.add(key)
+                    frontier.append(key)
+        return False
 
 
 # ---------------------------------------------------------------------------

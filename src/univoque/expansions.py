@@ -17,11 +17,12 @@ is computed only for a digit that an enclosure leaves undecided.
 
 The witness constructor produces, for any admissible tail sequence, a point
 with exactly m expansions for each m >= 1, by prefixing the tail with
-``1 0^((m-1)N)``; the admissibility filters for the tail family are also
-implemented here.  The least admissible tail comes from a depth-first
-lexicographic search that carries the tie sets of the tail conditions and
-prunes every prefix that already breaks one; ``f_family_filter`` decides
-each leaf it reaches.
+``1 0^((m-1)N)``.  Every tail condition is a run of the follower automaton
+``digits.LexAutomaton`` (owned by the digit layer and shared with the word
+oracle) from one start tie set: ``f_family_filter`` runs it over a given
+tail, and the least admissible tail comes from a depth-first lexicographic
+search that steps it digit by digit, prunes every prefix on which it dies
+and decides each leaf from the leaf's own state.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from . import digits as dg
 from .algebraic import value_of_sequence
 from .base import chain_limit_alpha
-from .digits import EpSeq
+from .digits import EpSeq, LexAutomaton
 from .graph import tarjan
 
 EXACT = "EXACT"
@@ -40,6 +41,7 @@ CAP_EXCEEDED = "CAP_EXCEEDED"
 
 DEFAULT_STATE_CAP = 10_000
 TAIL_NODE_BUDGET = 200_000       # search nodes of one default_tail call
+QUASI_GREEDY_STEP_BOUND = 4096   # greedy digits before a remainder must repeat
 
 
 class RangeError(ValueError):
@@ -88,14 +90,14 @@ def greedy_expand(ctx, x, L):
     return tuple(out)
 
 
-def quasi_greedy_expand(ctx, x, step_bound=4096):
+def quasi_greedy_expand(ctx, x):
     """The lexicographically largest infinite expansion of x, as an EpSeq.
 
     Greedy digits are generated with exact remainders until either the
     remainder vanishes (finite greedy expansion: decrement the last digit
     and append the expansion of 1) or a remainder repeats (the greedy
     expansion itself is eventually periodic).  Points whose remainders do
-    not close up within ``step_bound`` raise, never truncate.
+    not close up within ``QUASI_GREEDY_STEP_BOUND`` raise, never truncate.
     """
     _check_range(ctx, x)
     if x.sign() == 0:
@@ -103,7 +105,7 @@ def quasi_greedy_expand(ctx, x, step_bound=4096):
     seen = {x: 0}
     digits = []
     cur = x
-    for _step in range(step_bound):
+    for _step in range(QUASI_GREEDY_STEP_BOUND):
         d, cur = greedy_digit(ctx, cur)
         digits.append(d)
         if cur.sign() == 0:
@@ -113,7 +115,7 @@ def quasi_greedy_expand(ctx, x, step_bound=4096):
             k = seen[cur]
             return EpSeq(tuple(digits[:k]), tuple(digits[k:]))
         seen[cur] = len(digits)
-    raise PeriodicityBoundError(f"no periodic remainder within {step_bound} steps")
+    raise PeriodicityBoundError(f"no periodic remainder within {QUASI_GREEDY_STEP_BOUND} steps")
 
 
 @dataclass
@@ -214,15 +216,58 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
 STRICT, WEAK = "STRICT", "WEAK"
 
 
-@dataclass
-class FilterReport:
-    ok: bool
-    failures: list                     # condition tags with the failing index
-    starts_with_reflected_period: bool
-    splice_pair_ok: bool               # simpler sufficient pair for the splice bound
+def _start_ties(ctx):
+    """Tie set of the tail conditions before the tail's first digit.
 
-    def __bool__(self):
-        return self.ok
+    Checked tails start at offset 0, upper and lower.  A splice condition
+    ``w+[k:] c <= alpha`` (w the alpha period, w[k-1] < M) is settled by its
+    fixed head unless the head equals alpha's prefix; then it is one more
+    upper tie, at offset N-k.  None when a splice head exceeds alpha.
+    """
+    M, w = ctx.M, ctx.alpha_word()
+    N = len(w)
+    upper = {0}
+    for k in range(1, N):
+        if w[k - 1] < M:
+            head, ref = dg.word_plus(w[k:], M), w[:N - k]
+            if head > ref:
+                return None
+            if head == ref:
+                upper.add(N - k)
+    return frozenset(upper), frozenset({0})
+
+
+def _run(auto, state, word):
+    """The state after reading ``word`` from ``state``; None once the run dies."""
+    for d in word:
+        if state is None:
+            return None
+        state = auto.step(state, d)
+    return state
+
+
+def _periodic_ok(auto, ctx, state, per, strict):
+    """Whether ``per`` repeated forever is admissible from ``state``.
+
+    The state at a period boundary determines the rest of the run, so the
+    run closes a cycle once a boundary state repeats.  WEAK holds iff the
+    run never dies.  STRICT also rejects a tie that survives the cycle: an
+    upper tie i with ``(per) == shift(alpha, i)``, or a lower tie i with the
+    reflection of ``(per)`` equal to ``shift(alpha, i)``.
+    """
+    seen = {}
+    while state not in seen:
+        seen[state] = len(seen)
+        state = _run(auto, state, per)
+        if state is None:
+            return False
+    if not strict:
+        return True
+    cycle = list(seen)[seen[state]:]
+    tail = EpSeq((), per)
+    bounds = (tail, dg.reflect(tail, ctx.M))       # (upper, lower)
+    return not any(dg.shift(ctx.alpha, i) == bound
+                   for s in cycle for ties, bound in zip(s, bounds) for i in ties)
 
 
 def f_family_filter(ctx, c, strictness=WEAK):
@@ -233,143 +278,75 @@ def f_family_filter(ctx, c, strictness=WEAK):
     reflected tail after a positive digit stays below alpha; and alpha's own
     tail spliced with c (incremented period tail followed by c) stays below
     alpha wherever the period digit is below M.  STRICT demands strict
-    inequalities, WEAK allows equality.
+    inequalities, WEAK allows equality.  Decided by one run of the follower
+    automaton from the tie set ``_start_ties``.
     """
     ctx.require_graph_class()
-    M, alpha = ctx.M, ctx.alpha
-    w = ctx.alpha_word()
-    N = len(w)
-    strict = strictness == STRICT
-    failures = []
-
-    def bad(r):
-        return r == dg.GT or (strict and r == dg.EQ)
-
-    window = len(c.pre) + len(c.per)
-    for n in range(0, window + 1):
-        tail = dg.shift(c, n)
-        if n == 0 or c.digit(n - 1) < M:
-            if bad(dg.lex_cmp(tail, alpha)):
-                failures.append(f"tail_upper@{n}")
-        if n == 0 or c.digit(n - 1) > 0:
-            if bad(dg.lex_cmp(dg.reflect(tail, M), alpha)):
-                failures.append(f"tail_lower@{n}")
-    for k in range(1, N):
-        if w[k - 1] < M:
-            spliced = EpSeq(dg.word_plus(w[k:], M) + c.pre, c.per)
-            if bad(dg.lex_cmp(spliced, alpha)):
-                failures.append(f"splice@{k}")
-
-    pair_ok = True
-    for k in range(1, N):
-        if w[k - 1] < M:
-            if not (tuple(c.prefix(k)) <= dg.word_reflect(w[:k], M)
-                    and dg.lex_cmp(dg.shift(c, k), alpha) != dg.GT):
-                pair_ok = False
-    starts = c.prefix(N) == dg.word_reflect(w, M)
-    return FilterReport(ok=not failures, failures=failures,
-                        starts_with_reflected_period=starts, splice_pair_ok=pair_ok)
+    dg.check_alphabet(c.pre + c.per, ctx.M)
+    auto = LexAutomaton(ctx.M, ctx.alpha_word())
+    state = _run(auto, _start_ties(ctx), c.pre)
+    return state is not None and _periodic_ok(auto, ctx, state, c.per, strictness == STRICT)
 
 
-def _tie_step(a, loop, M, ties, d):
-    """Advance the tie sets ``(upper, lower)`` of the tail conditions by d.
-
-    An upper tie at offset i stands for a checked tail that has equalled
-    alpha so far and meets alpha's digit a[i] next; a lower tie is the same
-    for a reflected tail.  A new tail is checked after a digit below M
-    (upper) and after a positive digit (lower).  ``a`` is alpha's preperiod
-    and one period, and an offset past its end wraps to ``loop``.  Returns
-    None once a tied tail exceeds alpha: every continuation then fails the
-    WEAK filter, and so the STRICT one.
-    """
-    upper, lower = ties
-    nu, nl = set(), set()
-    for i in upper:
-        if d > a[i]:
-            return None
-        if d == a[i]:
-            nu.add(i + 1 if i + 1 < len(a) else loop)
-    for i in lower:
-        if d < M - a[i]:
-            return None
-        if d == M - a[i]:
-            nl.add(i + 1 if i + 1 < len(a) else loop)
-    if d < M:
-        nu.add(0)
-    if d > 0:
-        nl.add(0)
-    return frozenset(nu), frozenset(nl)
-
-
-def default_tail(ctx, strictness=STRICT, max_period=None):
+def default_tail(ctx, strictness=STRICT):
     """Lexicographically least admissible periodic tail in witness normal form.
 
     Candidates are the purely periodic sequences ``(u)`` whose period word u
     starts with the reflected alpha period and has length N..2N (N the
-    alpha period; ``max_period`` replaces 2N), every length searched in
-    full.  For each length the words are walked depth first in increasing
-    order, which is the order of their periodic sequences; a node is pruned
-    once one of its checked tails (or a spliced alpha tail) already exceeds
-    alpha, or once its prefix exceeds the best tail found at a shorter
-    length.  The first leaf that passes ``f_family_filter`` is the least
-    tail of its length, and the least over all lengths is returned.  The
-    walk visits at most ``TAIL_NODE_BUDGET`` nodes in total and raises
-    ``TailSearchBudgetError`` beyond that.
+    alpha period), every length searched in full.  For each length the words
+    are walked depth first in increasing order, which is the order of their
+    periodic sequences, with the follower automaton run from ``_start_ties``;
+    a node is pruned once the run dies (a checked tail or a spliced alpha
+    tail already exceeds alpha), or once its prefix exceeds the best tail
+    found at a shorter length.  The first leaf whose state passes
+    ``_periodic_ok`` is the least tail of its length, and the least over all
+    lengths is returned.  The walk visits at most ``TAIL_NODE_BUDGET`` nodes
+    in total and raises ``TailSearchBudgetError`` beyond that.  When no
+    tail is found, the error says whether any admissible tail starting with
+    the reflected period exists at all (a good state of the automaton after
+    it, respectively an alive one for WEAK).
 
     The default STRICT filter is what makes the exact-count witnesses exact;
     weak tails may put the remainder orbit on the switch boundary and blow
     the count up to infinity.
     """
     ctx.require_graph_class()
-    M, alpha = ctx.M, ctx.alpha
-    w = ctx.alpha_word()
+    M, w = ctx.M, ctx.alpha_word()
     N = len(w)
-    cap = max_period or 2 * N
     rw = dg.word_reflect(w, M)
-    a = alpha.pre + alpha.per
-    loop = len(alpha.pre)
-
-    none_left = "no admissible periodic tail within the period cap"
-
-    # every checked tail starts tied at offset 0, and so does each splice
-    # whose incremented alpha tail matches alpha's prefix
-    upper = {0}
-    for k in range(1, N):
-        if w[k - 1] < M:
-            head, ref = dg.word_plus(w[k:], M), alpha.prefix(N - k)
-            if head > ref:
-                raise ValueError(none_left)
-            if head == ref:
-                upper.add(N - k)
-    ties = (frozenset(upper), frozenset({0}))
-    for d in rw:
-        ties = _tie_step(a, loop, M, ties, d)
-        if ties is None:
-            raise ValueError(none_left)
+    strict = strictness == STRICT
+    auto = LexAutomaton(M, w)
+    state = _run(auto, _start_ties(ctx), rw)
+    none_exists = (f"an admissible {strictness} tail that starts with the reflected period "
+                   "does not exist for this base")
+    if state is None:
+        raise ValueError(none_exists)
 
     nodes = 0
     best = None
-    for length in range(N, cap + 1):
-        stack = [(rw, ties, best is not None)]
+    for length in range(N, 2 * N + 1):
+        stack = [(rw, state, best is not None)]
         while stack:
             if nodes == TAIL_NODE_BUDGET:
-                raise TailSearchBudgetError(nodes, length, cap)
+                raise TailSearchBudgetError(nodes, length, 2 * N)
             nodes += 1
-            word, state, tied = stack.pop()
+            word, cur, tied = stack.pop()
             if len(word) == length:
-                c = EpSeq((), word)
-                if f_family_filter(ctx, c, strictness):
+                if _periodic_ok(auto, ctx, cur, word, strict):
+                    c = EpSeq((), word)
                     if best is None or dg.lex_cmp(c, best) == dg.LT:
                         best = c
                     break
                 continue
             top = best.digit(len(word)) if tied else M
             for d in range(top, -1, -1):        # pushed high to low: popped low first
-                nxt = _tie_step(a, loop, M, state, d)
+                nxt = auto.step(cur, d)
                 if nxt is not None:
                     stack.append((word + (d,), nxt, tied and d == top))
     if best is None:
-        raise ValueError(none_left)
+        if state not in (auto.good_states(state) if strict else auto.alive_states(state)):
+            raise ValueError(none_exists)
+        raise ValueError("no admissible periodic tail within the period cap")
     return best
 
 
@@ -385,9 +362,8 @@ def build_witness_xm(ctx, m, c=None):
         raise ValueError("need m >= 1")
     if c is None:
         c = default_tail(ctx)
-    rep = f_family_filter(ctx, c, WEAK)
-    if not rep:
-        raise ValueError(f"tail fails the admissibility filter: {rep.failures}")
+    if not f_family_filter(ctx, c, WEAK):
+        raise ValueError(f"tail {dg.format_seq(c)} fails the admissibility filter")
     w = ctx.alpha_word()
     N = len(w)
     given = EpSeq((1,) + (0,) * ((m - 1) * N) + c.pre, c.per)

@@ -69,12 +69,6 @@ class UnivoqueGraph:
     def names(self):
         return [self.vertex_name(v) for v in self.vertices]
 
-    def vertex_by_name(self, name):
-        for v in self.vertices:
-            if self.vertex_name(v) == name:
-                return v
-        raise KeyError(name)
-
     def _class_names(self, class_idx):
         return self.order.classes[class_idx]
 
@@ -678,6 +672,9 @@ def cycle_word_matches(word, expected):
 
 # --- label-path language -----------------------------------------------------
 
+WORD_CAP = 10**6                 # words count_label_paths will list
+
+
 def _label_dfa(g):
     """Subset automaton of the labeled graph (paths may start anywhere)."""
     start = frozenset(g.vertex_indices())
@@ -698,12 +695,12 @@ def _label_dfa(g):
     return start, trans
 
 
-def count_label_paths(g, L, want_words=False, word_cap=10**6):
+def count_label_paths(g, L, want_words=False):
     """Number of distinct length-L label words readable along paths.
 
     Counting runs over the deterministic subset automaton, so it is exact
     for any L.  When ``want_words`` is set (L <= 14) the words themselves
-    are returned as a sorted list, capped at ``word_cap``.
+    are returned as a sorted list, capped at ``WORD_CAP``.
     """
     if L < 0:
         raise ValueError("length must be nonnegative")
@@ -718,7 +715,7 @@ def count_label_paths(g, L, want_words=False, word_cap=10**6):
     total = sum(counts.values())
     if not want_words:
         return total, None
-    if L > 14 or total > word_cap:
+    if L > 14 or total > WORD_CAP:
         return total, None
     words = []
     stack = [(start, ())]

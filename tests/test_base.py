@@ -34,6 +34,13 @@ def test_rejects_base_one_and_non_greedy():
         new_base_context(1, "011(0)")
 
 
+@pytest.mark.parametrize("precision", [0, -1])
+def test_rejects_nonpositive_precision(precision):
+    # root bisection could never reach a width <= 0
+    with pytest.raises(ValueError, match="precision must be positive"):
+        new_base_context(1, "111(0)", precision=precision)
+
+
 def test_below_min_v_flag():
     ctx = new_base_context(1, "101(0)")
     assert ctx.base_class is BaseClass.NOT_IN_V

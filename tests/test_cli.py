@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from univoque.cli import main
 
 
@@ -91,6 +93,16 @@ def test_expansions_witness(capsys):
     assert len(data["expansions"]) == 2
 
 
+def test_expansions_witness_default_tail(capsys):
+    rc, out, _ = run(capsys, "expansions", "witness", "-M", "1", "--beta", "111(0)", "-m", "2")
+    assert rc == 0 and out.startswith("tail (00101)\n")
+    # no strict tail exists at all, which is not a search bound
+    rc, out, err = run(capsys, "expansions", "witness", "-M", "1", "--beta", "111001(0)",
+                       "-m", "2")
+    assert rc == 2 and not out
+    assert "does not exist" in err and "period cap" not in err
+
+
 def test_base_chain_r_kind(capsys):
     rc, out, _ = run(capsys, "base", "chain", "-M", "4", "--beta", "322(0)",
                      "--kind", "r", "--steps", "2", "--json")
@@ -125,6 +137,19 @@ def test_precision_flag(capsys):
                      "--precision", "0.001", "--json")
     assert rc == 0
     assert json.loads(out)["q_approx"].startswith("1.618")
+
+
+@pytest.mark.parametrize("precision,message", [
+    ("0", "precision must be positive"),
+    ("-1", "precision must be positive"),
+    ("abc", "invalid precision 'abc'"),
+    ("1/0", "invalid precision '1/0'"),
+])
+def test_precision_flag_rejects(capsys, precision, message):
+    rc, out, err = run(capsys, "base", "classify", "-M", "1", "--beta", "111(0)",
+                       "--precision", precision)
+    assert rc == 2 and not out
+    assert err.startswith("error: ") and message in err
 
 
 def test_dim_empty_central_graph(capsys):

@@ -133,13 +133,10 @@ def test_default_tails(tribonacci, base322):
 
 
 def test_filter_examples(tribonacci):
-    weak = ex.f_family_filter(tribonacci, seq("(001)"), ex.WEAK)
-    assert weak.ok and weak.starts_with_reflected_period and weak.splice_pair_ok
-    strict = ex.f_family_filter(tribonacci, seq("(001)"), ex.STRICT)
-    assert not strict.ok      # the reflection equals the bound exactly
-    degenerate = ex.f_family_filter(tribonacci, dg.ZERO, ex.WEAK)
-    assert not degenerate.ok
-    assert any(tag.startswith("tail_lower") for tag in degenerate.failures)
+    assert ex.f_family_filter(tribonacci, seq("(001)"), ex.WEAK)
+    # the reflection equals the bound exactly
+    assert not ex.f_family_filter(tribonacci, seq("(001)"), ex.STRICT)
+    assert not ex.f_family_filter(tribonacci, dg.ZERO, ex.WEAK)
 
 
 def test_filter_splice_holds_along_chain(tribonacci, base322):
@@ -229,11 +226,80 @@ def test_non_pisot_remainders_hit_the_cap():
     assert ex.count_expansions(ctx, x, cap=300).kind == ex.CAP_EXCEEDED
 
 
-# --- the least-tail search against exhaustive enumeration --------------------
+# --- the automaton filter and the least-tail search against literal references
+
+def literal_filter(ctx, c, strictness):
+    """Reference: the three families of tail bounds, each tail compared with
+    alpha as a whole sequence."""
+    M, alpha = ctx.M, ctx.alpha
+    w = ctx.alpha_word()
+    N = len(w)
+    strict = strictness == ex.STRICT
+
+    def bad(r):
+        return r == dg.GT or (strict and r == dg.EQ)
+
+    for n in range(0, len(c.pre) + len(c.per) + 1):
+        tail = dg.shift(c, n)
+        if (n == 0 or c.digit(n - 1) < M) and bad(dg.lex_cmp(tail, alpha)):
+            return False
+        if (n == 0 or c.digit(n - 1) > 0) and bad(dg.lex_cmp(dg.reflect(tail, M), alpha)):
+            return False
+    for k in range(1, N):
+        if w[k - 1] < M:
+            spliced = EpSeq(dg.word_plus(w[k:], M) + c.pre, c.per)
+            if bad(dg.lex_cmp(spliced, alpha)):
+                return False
+    return True
+
+
+def random_tail(rng, ctx):
+    """An eventually periodic tail; half start with the reflected period, and
+    half have a rotation of the alpha period or its reflection as period,
+    where ties with alpha survive forever."""
+    w = ctx.alpha_word()
+    rw = dg.word_reflect(w, ctx.M)
+    pre = tuple(rng.randint(0, ctx.M) for _ in range(rng.randint(0, 3)))
+    if rng.random() < 0.5:
+        pre = rw + pre
+    if rng.random() < 0.5:
+        piece, k = rng.choice([w, rw]), rng.randrange(len(w))
+        per = piece[k:] + piece[:k]
+    else:
+        per = tuple(rng.randint(0, ctx.M) for _ in range(rng.randint(1, 4)))
+    return EpSeq(pre, per)
+
+
+def filter_verdicts(ctx, rng, tails):
+    """Kinds of the random tails' verdicts, each checked against the reference."""
+    kinds = set()
+    for _ in range(tails):
+        c = random_tail(rng, ctx)
+        verdict = [ex.f_family_filter(ctx, c, s) for s in (ex.STRICT, ex.WEAK)]
+        assert verdict == [literal_filter(ctx, c, s) for s in (ex.STRICT, ex.WEAK)], \
+            (ctx.beta, c)
+        kinds.add("admissible" if verdict[0] else "weak-only" if verdict[1] else "rejected")
+    return kinds
+
+
+def test_filter_matches_literal_filter():
+    rng = random.Random(53)
+    kinds = set()
+    for M, beta in COUNT_BASES:
+        kinds |= filter_verdicts(new_base_context(M, beta), rng, 150)
+    assert kinds == {"admissible", "weak-only", "rejected"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32))
+def test_filter_matches_literal_filter_random(seed):
+    rng = random.Random(seed)
+    filter_verdicts(random_context(rng), rng, 40)
+
 
 def enumerated_default_tail(ctx, strictness):
     """Reference: every periodic word of length N..2N that starts with the
-    reflected period, each through the full filter; the least one passing."""
+    reflected period, each through the literal filter; the least one passing."""
     w = ctx.alpha_word()
     N = len(w)
     rw = dg.word_reflect(w, ctx.M)
@@ -249,7 +315,7 @@ def enumerated_default_tail(ctx, strictness):
     for length in range(N, 2 * N + 1):
         for word in extensions(rw, length):
             c = EpSeq((), word)
-            if ex.f_family_filter(ctx, c, strictness):
+            if literal_filter(ctx, c, strictness):
                 if best is None or dg.lex_cmp(c, best) == dg.LT:
                     best = c
     return best
@@ -300,6 +366,15 @@ def test_default_tail_long_period():
         x, _exps = ex.build_witness_xm(ctx, m, c)
         res = ex.count_expansions(ctx, x)
         assert res.kind == ex.EXACT and res.count == m
+
+
+def test_default_tail_none_exists():
+    # the state after the reflected period is alive but not good: no strict
+    # tail of any period, while weak ones remain
+    ctx = new_base_context(1, "111001(0)")
+    with pytest.raises(ValueError, match="does not exist"):
+        ex.default_tail(ctx)
+    assert ex.default_tail(ctx, ex.WEAK) == seq("(000111)")
 
 
 def test_default_tail_budget(tribonacci, monkeypatch):

@@ -1,0 +1,43 @@
+"""Import layering of the package, read from the source with ``ast``.
+
+The oracles check the graph and expansion code, so they must not depend on
+it, and no library module may depend on an oracle.
+"""
+
+import ast
+from pathlib import Path
+
+import univoque
+
+SRC = Path(univoque.__file__).parent
+
+
+def imported_modules(path):
+    """Absolute names a source file imports, each ``from`` name included, so
+    that ``from . import oracle`` counts as importing ``univoque.oracle``."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["univoque" if node.level else None, node.module]))
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_library_modules_do_not_import_the_oracle():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("cli.py", "__init__.py"):
+            continue
+        assert "univoque.oracle" not in imported_modules(path), path.name
+
+
+def test_oracle_is_independent_of_the_code_it_checks():
+    checked = {"univoque.graph", "univoque.spectral", "univoque.expansions"}
+    assert not imported_modules(SRC / "oracle.py") & checked
+
+
+def test_import_reader_sees_relative_imports():
+    found = imported_modules(SRC / "cli.py")
+    assert {"univoque.oracle", "univoque.expansions", "univoque.graph"} <= found
