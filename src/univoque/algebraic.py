@@ -487,11 +487,6 @@ class AlgebraicReal:
         return {"num": list(num) or [0], "den": [den], "approx": self.decimal(12)}
 
 
-def compare(x, y):
-    """Exact three-way comparison of two AlgebraicReal values."""
-    return x.cmp(y)
-
-
 def apply_digit_map(x, k):
     """The affine digit-consumption map x -> q*x - k."""
     return x.mul_gen() - k

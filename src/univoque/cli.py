@@ -18,7 +18,7 @@ import sys
 
 from . import digits as dg
 from .algebraic import Q, DegenerateInputError
-from .base import (InternalConsistencyError, UnsupportedClassError, new_base_context,
+from .base import (BaseClass, InternalConsistencyError, UnsupportedClassError, new_base_context,
                    order_points, r_chain, special_points, v_successor)
 from .graph import (FULL, TILDE, TILDE1, UNDECIDED, StructuralError, build_graph,
                     check_isomorphic, connectivity_report, scc, tower_decompose)
@@ -238,7 +238,10 @@ def cmd_expansions_witness(args):
 
 def cmd_oracle_words(args):
     ctx = _context(args)
-    mode = U_PREFIX if args.mode == "u" else V_PREFIX
+    # default: strict bounds for in-between bases, weak ones for limit bases
+    strict = (args.mode == "u" if args.mode
+              else ctx.base_class is not BaseClass.IN_CLOSURE_U_NOT_U)
+    mode = U_PREFIX if strict else V_PREFIX
     words = sorted(enumerate_admissible_words(ctx, args.L, mode))
     payload = {"mode": mode, "L": args.L, "count": len(words),
                "words": [dg.format_word(w) for w in words]}
@@ -348,9 +351,6 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "mode", "unset") is None:
-            ctx = _context(args)
-            args.mode = "v" if ctx.base_class.value == "closureU\\U" else "u"
         return args.fn(args)
     except (InternalConsistencyError, StructuralError) as e:
         print(f"internal consistency failure: {e}", file=sys.stderr)

@@ -7,7 +7,9 @@ eventually periodic infinite sequences -- together with reflection, shifting,
 the lexicographic admissibility predicates for greedy / quasi-greedy
 sequences and for the base classes, and the follower automaton
 :class:`LexAutomaton` of the two-sided tail conditions against alpha, which
-the word oracle and the witness-tail search both run on.
+the word oracle and the witness-tail search both run on.  Its reachable
+states form one successor map built with ``walk.explore``; the alive states
+come from ``walk.alive`` and the good states are a greatest fixpoint on it.
 
 A sequence over the alphabet ``{0, ..., M}`` is *finite* if it has a last
 nonzero digit and *infinite* otherwise (the zero sequence counts as
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+
+from .walk import alive, explore
 
 Word = tuple  # digits as a tuple of ints
 
@@ -312,9 +316,6 @@ class LexAutomaton:
         self.M = M
         self.alpha = tuple(alpha_period)
         self.N = len(self.alpha)
-        self._trans = {}
-        self._alive = None
-        self._good = None
 
     def start(self):
         return (frozenset(), frozenset())
@@ -343,41 +344,17 @@ class LexAutomaton:
 
     # --- reachable state space and acceptance sets --------------------------
 
-    def _explore(self, roots):
-        # the explored set stays closed under transitions, so adding the
-        # states reachable from new roots leaves every old verdict valid
-        frontier = [s for s in (self.start(), *roots) if s not in self._trans]
-        if frontier:
-            self._alive = self._good = None
-        while frontier:
-            s = frontier.pop()
-            if s in self._trans:
-                continue
-            moves = {}
-            for d in range(self.M + 1):
-                t = self.step(s, d)
-                if t is not None:
-                    moves[d] = t
-                    if t not in self._trans:
-                        frontier.append(t)
-            self._trans[s] = moves
+    def _succ(self, roots):
+        """The successor map of the states reachable from ``start()`` or
+        from ``roots``."""
+        return explore((self.start(), *roots),
+                       lambda s: [(d, t) for d in range(self.M + 1)
+                                  if (t := self.step(s, d)) is not None])
 
     def alive_states(self, *roots):
         """States admitting some infinite violation-free continuation, among
         those reachable from ``start()`` or from ``roots``."""
-        self._explore(roots)
-        if self._alive is not None:
-            return self._alive
-        alive = set(self._trans)
-        changed = True
-        while changed:
-            changed = False
-            for s in list(alive):
-                if not any(t in alive for t in self._trans[s].values()):
-                    alive.discard(s)
-                    changed = True
-        self._alive = alive
-        return alive
+        return alive(self._succ(roots))
 
     def good_states(self, *roots):
         """States admitting a continuation along which every tie breaks,
@@ -388,28 +365,25 @@ class LexAutomaton:
         (newer ties are then discharged by iterating the argument from the
         state reached).
         """
-        alive = self.alive_states(*roots)
-        if self._good is not None:
-            return self._good
-        good = set(alive)
+        succ = self._succ(roots)
+        good = alive(succ)
         changed = True
         while changed:
             changed = False
             for s in list(good):
-                if not self._can_discharge(s, good):
+                if not self._can_discharge(succ, s, good):
                     good.discard(s)
                     changed = True
-        self._good = good
         return good
 
-    def _can_discharge(self, s, allowed):
+    def _can_discharge(self, succ, s, allowed):
         seen = {(s, s[0], s[1])}
         frontier = [(s, s[0], s[1])]
         while frontier:
             cur, au, al = frontier.pop()
             if not au and not al:
                 return True
-            for d, t in self._trans[cur].items():
+            for d, t in succ[cur]:
                 if t not in allowed:
                     continue
                 nau = frozenset((i + 1) % self.N for i in au if d == self.alpha[i])

@@ -4,16 +4,17 @@ Expansions of x are infinite paths in the digit-transition system whose
 states are exact remainders: from value v the digit d is feasible when
 q*v - d stays inside [0, M/(q-1)].  When q is a Pisot number, the
 remainders of a point of Q(q) form a finite set, and exhaustive exploration
-with exact memoization decides whether the point has finitely many
-expansions (and then materializes all of them) or reaches a branching
-cycle, which yields infinitely many.  For other bases the remainders may
-never repeat; the state cap then bounds the search and the answer is
-CAP_EXCEEDED.
+(``walk.explore``, with exact memoization) decides, from the cycles that
+``walk.tarjan`` finds, whether the point has finitely many expansions (and
+then materializes all of them) or reaches a branching cycle, which yields
+infinitely many.  For other bases the remainders may never repeat; the
+state cap then bounds the search and the answer is CAP_EXCEEDED.
 
 Exact arithmetic runs only where it can change the answer: the feasible
 digits of a remainder are read from one interval enclosure of q*v and one of
 q*v - M/(q-1) on the field's current isolating interval, and an exact sign
-is computed only for a digit that an enclosure leaves undecided.
+is computed only for a digit that an enclosure leaves undecided.  The greedy
+digit is the largest of them.
 
 The witness constructor produces, for any admissible tail sequence, a point
 with exactly m expansions for each m >= 1, by prefixing the tail with
@@ -30,10 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import digits as dg
-from .algebraic import value_of_sequence
+from .algebraic import AlgebraicReal, value_of_sequence
 from .base import chain_limit_alpha
 from .digits import EpSeq, LexAutomaton
-from .graph import tarjan
+from .walk import cyclic, explore, tarjan
 
 EXACT = "EXACT"
 INFINITE_CYCLE = "INFINITE_CYCLE"
@@ -67,17 +68,17 @@ def _check_range(ctx, x):
 
 
 def greedy_digit(ctx, x):
-    """Largest digit d with q*x - d >= 0.
+    """Largest digit d with 0 <= q*x - d <= kappa, and that remainder.
 
-    One enclosure [lo/D, hi/D] of q*x rules out every d above hi/D and
-    settles every d up to lo/D; only a digit in between needs an exact sign.
+    It is the largest move of ``_feasible_moves``; for x in [0, kappa] it is
+    also the largest d with q*x - d >= 0, since q*kappa - M = kappa and
+    kappa >= 1.
     """
-    qx = x.mul_gen()
-    lo, hi, D = qx.field.enclosure(qx.elem)
-    for d in range(min(ctx.M, hi // D), -1, -1):
-        if d * D <= lo or (qx - d).sign() >= 0:
-            return d, qx - d
-    raise RangeError("negative value has no expansion digit")
+    moves = _feasible_moves(x.field, ctx.M, ctx.kappa.elem, x.elem)
+    if not moves:
+        raise RangeError("value outside the expandable interval has no expansion digit")
+    d, v = moves[-1]
+    return d, AlgebraicReal(x.field, v)
 
 
 def greedy_expand(ctx, x, L):
@@ -162,23 +163,10 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
     """
     _check_range(ctx, x)
     field, kappa = x.field, ctx.kappa.elem
-    succ = {}
-    frontier = [x.elem]
-    while frontier:
-        v = frontier.pop()
-        if v in succ:
-            continue
-        succ[v] = moves = _feasible_moves(field, ctx.M, kappa, v)
-        if len(succ) > cap:
-            return ExpansionCount(CAP_EXCEEDED)
-        for _d, nxt in moves:
-            if nxt not in succ:
-                frontier.append(nxt)
-
-    on_cycle = set()
-    for comp in tarjan(succ):
-        if len(comp) > 1 or any(w == comp[0] for _d, w in succ[comp[0]]):
-            on_cycle.update(comp)
+    succ = explore([x.elem], lambda v: _feasible_moves(field, ctx.M, kappa, v), cap)
+    if succ is None:
+        return ExpansionCount(CAP_EXCEEDED)
+    on_cycle = {v for comp in tarjan(succ) if cyclic(succ, comp) for v in comp}
     # every state was reached from x, so a branching state on a cycle is
     # reached too: infinitely many expansions
     if any(len(succ[v]) > 1 for v in on_cycle):

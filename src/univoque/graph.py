@@ -13,17 +13,20 @@ central interval (b1, a1), and the further restriction to the vertices
 leaning on the orbit points a_i / b_i.  On top of those live the structural
 operations: strong-connectedness criteria, the order isomorphism between a
 base and its successor, and the tower decomposition along successor chains.
+Components, reachability and the subset automaton of the labels are walks
+of ``walk`` over the successor map ``out`` (vertex -> [(label, target)]).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from . import digits as dg
 from .algebraic import apply_digit_map
 from .base import (BaseClass, InternalConsistencyError, order_points, special_points,
                    v_successor)
+from .walk import cyclic, explore, tarjan
 
 FULL, TILDE, TILDE1 = "FULL", "TILDE", "TILDE1"
 
@@ -138,30 +141,6 @@ class UnivoqueGraph:
         }
 
 
-def _locate_geq(values, x):
-    """Least class index whose value is >= x (len(values) if none)."""
-    lo, hi = 0, len(values)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if values[mid].cmp(x) >= 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _locate_leq(values, x):
-    """Greatest class index whose value is <= x (-1 if none)."""
-    lo, hi = -1, len(values) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if values[mid].cmp(x) <= 0:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 def build_graph(ctx, variant=FULL):
     """Construct the labeled interval graph of a base (FULL/TILDE/TILDE1)."""
     ctx.require_graph_class()
@@ -207,8 +186,8 @@ def _build_full(ctx):
     for v in vertices:
         img_lo = apply_digit_map(values[v.left], v.label)
         img_hi = apply_digit_map(values[v.right], v.label)
-        lo_class = _locate_geq(values, img_lo)
-        hi_class = _locate_leq(values, img_hi)
+        lo_class = bisect_left(values, img_lo)
+        hi_class = bisect_right(values, img_hi) - 1
         # the targets lo_class <= w.left, w.left + 1 = w.right <= hi_class are
         # one run of the vertices, which are sorted by left end
         edges.extend((v.index, v.label, j)
@@ -231,50 +210,6 @@ def _restrict(full, keep, variant):
 
 # --- strongly connected components -----------------------------------------
 
-def tarjan(succ):
-    """Strongly connected components of ``succ`` (node -> [(label, target)]).
-
-    Iterative Tarjan from the roots in ``succ``'s order; every target must
-    be a key.  Components come out sinks first, each a list of nodes.
-    """
-    index, low = {}, {}
-    stack, onstack = [], set()
-    comps = []
-    for root in succ:
-        if root in index:
-            continue
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            v, it = work[-1]
-            for _k, w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        onstack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    comps.append(comp)
-    return comps
-
-
 def scc(g):
     """Tarjan components in deterministic order, plus the condensation edges.
 
@@ -289,25 +224,8 @@ def scc(g):
 
 
 def is_strongly_connected(g):
-    comps, _ = scc(g)
-    if len(comps) != 1:
-        return False
-    if len(g.vertices) == 1:
-        v = g.vertices[0].index
-        return any(j == v for _k, j in g.out[v])
-    return True
-
-
-def reachable_from(g, starts):
-    seen = set(starts)
-    frontier = list(starts)
-    while frontier:
-        v = frontier.pop()
-        for _k, w in g.out[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
+    comps = tarjan(g.out)
+    return len(comps) == 1 and cyclic(g.out, comps[0])
 
 
 @dataclass
@@ -330,7 +248,7 @@ def connectivity_report(ctx):
     tilde = build_graph(ctx, TILDE)
     core = build_graph(ctx, TILDE1)
     direct = is_strongly_connected(tilde)
-    reach = reachable_from(tilde, [v.index for v in core.vertices])
+    reach = explore(core.vertex_indices(), tilde.out.__getitem__)
     targets = [v for v in tilde.vertices if {"AB", "THETA_LEFT"} & tilde.kinds(v)]
     crit = all(v.index in reach for v in targets)
     if crit != direct:
@@ -628,9 +546,9 @@ def tower_decompose(ctx0, m):
             block_of[v] = pos
     block_sets = [set(b) for b in blocks]
     for i in range(len(blocks)):
-        reach = reachable_from(top, block_sets[i])
+        reach = explore(block_sets[i], top.out.__getitem__)
         for j in range(len(blocks)):
-            hits = bool(reach & block_sets[j])
+            hits = not block_sets[j].isdisjoint(reach)
             if hits != (i <= j):
                 raise StructuralError(
                     f"level {i + 1} {'reaches' if hits else 'misses'} level {j + 1}")
@@ -676,23 +594,18 @@ WORD_CAP = 10**6                 # words count_label_paths will list
 
 
 def _label_dfa(g):
-    """Subset automaton of the labeled graph (paths may start anywhere)."""
-    start = frozenset(g.vertex_indices())
-    trans = {}
-    frontier = [start]
-    seen = {start}
-    while frontier:
-        s = frontier.pop()
+    """Subset automaton of the labeled graph (paths may start anywhere):
+    the start state and the transitions ``state -> {label: state}``."""
+
+    def moves(s):
         by_label = {}
         for v in s:
             for k, j in g.out[v]:
                 by_label.setdefault(k, set()).add(j)
-        trans[s] = {k: frozenset(t) for k, t in by_label.items()}
-        for t in trans[s].values():
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return start, trans
+        return [(k, frozenset(t)) for k, t in by_label.items()]
+
+    start = frozenset(g.vertex_indices())
+    return start, {s: dict(out) for s, out in explore([start], moves).items()}
 
 
 def count_label_paths(g, L, want_words=False):

@@ -3,7 +3,8 @@
 Nothing here touches the graph or the expansion-search machinery; words are
 enumerated straight from the lexicographic conditions, and expansion counts
 are bounded by exhaustive prefix enumeration with exact arithmetic.  The
-shared dependencies are the exact-arithmetic layer and the digit layer.
+shared dependencies are the exact-arithmetic layer, the digit layer and the
+successor-map walks of ``walk``.
 
 The word oracle runs on the follower automaton ``digits.LexAutomaton``,
 whose states record, for the prefix read so far, which tail constraints are

@@ -45,11 +45,11 @@ def _round_down(q):
     return f if Fraction(f) <= q else math.nextafter(f, -math.inf)
 
 
-def _component_radius(g, comp):
-    """Perron radius of one component with a certified bound: the true radius
-    lies in [r - err, r + err]."""
+def _component_radius(succ, comp):
+    """Perron radius of one component of the successor map ``succ`` with a
+    certified bound: the true radius lies in [r - err, r + err]."""
     pos = {v: p for p, v in enumerate(comp)}
-    rows = [sorted({pos[j] for _k, j in g.out[v] if j in pos}) for v in comp]
+    rows = [sorted({pos[j] for _k, j in succ[v] if j in pos}) for v in comp]
     x = [1.0] * len(comp)
     for _ in range(ITERATION_CAP):
         y = [x[i] + sum(x[j] for j in row) for i, row in enumerate(rows)]
@@ -102,7 +102,7 @@ def spectral_radius(g):
     components has radius 0.
     """
     comps, _ = scc(g)
-    return _max_radius(_component_radius(g, comp) for comp in comps)
+    return _max_radius(_component_radius(g.out, comp) for comp in comps)
 
 
 def dimension_of(g, ctx, radius=None):
@@ -136,7 +136,7 @@ def dimension_of(g, ctx, radius=None):
 def spectral_report(g, ctx):
     comps, _ = scc(g)
     names = {v.index: g.vertex_name(v) for v in g.vertices}
-    radii = [_component_radius(g, comp) for comp in comps]
+    radii = [_component_radius(g.out, comp) for comp in comps]
     r, err = _max_radius(radii)
     dim, dim_err = dimension_of(g, ctx, (r, err))
     return SpectralReport(
@@ -170,7 +170,7 @@ def component_dimensions(ctx):
     core = {v.index for v in build_graph(ctx, TILDE1).vertices}
     comps, _ = scc(tilde)
     names = {v.index: tilde.vertex_name(v) for v in tilde.vertices}
-    radii = [_component_radius(tilde, comp) for comp in comps]
+    radii = [_component_radius(tilde.out, comp) for comp in comps]
     per = [([names[v] for v in comp], r) for comp, (r, _e) in zip(comps, radii)]
     inside = [r for comp, (r, _e) in zip(comps, radii) if set(comp) <= core]
     overall, _err = _max_radius(radii)

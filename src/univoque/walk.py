@@ -1,0 +1,95 @@
+"""Walks over finite transition systems given as successor maps.
+
+Every finite labeled transition system of the package -- the interval
+graphs, their subset automaton, the follower automaton of the lexicographic
+bounds and the remainder graph of an expansion count -- is walked here, on
+one plain successor map ``node -> [(label, target)]``.  Nodes are any
+hashable values; every target of a map is one of its keys.  This module
+imports nothing from the package.
+"""
+
+from __future__ import annotations
+
+
+def explore(roots, moves, cap=None):
+    """The successor map of everything reachable from ``roots``.
+
+    ``moves(node)`` gives a node's ``(label, target)`` pairs and is called
+    once per node.  Returns None once the map holds more than ``cap`` nodes.
+    """
+    succ = {}
+    frontier = list(roots)
+    while frontier:
+        v = frontier.pop()
+        if v in succ:
+            continue
+        succ[v] = out = moves(v)
+        if cap is not None and len(succ) > cap:
+            return None
+        frontier.extend(w for _k, w in out if w not in succ)
+    return succ
+
+
+def tarjan(succ):
+    """Strongly connected components of ``succ`` (node -> [(label, target)]).
+
+    Iterative Tarjan from the roots in ``succ``'s order; every target must
+    be a key.  Components come out sinks first, each a list of nodes.
+    """
+    index, low = {}, {}
+    stack, onstack = [], set()
+    comps = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for _k, w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in onstack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        onstack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def cyclic(succ, comp):
+    """Whether the component ``comp`` carries a cycle: it has two nodes or
+    more, or its one node has a self-loop."""
+    v = comp[0]
+    return len(comp) > 1 or any(w == v for _k, w in succ[v])
+
+
+def alive(succ):
+    """The nodes with an infinite path, i.e. those that reach a cyclic
+    component.
+
+    Tarjan lists components sinks first, so each component's successors
+    are decided before it is.
+    """
+    live = set()
+    for comp in tarjan(succ):
+        if cyclic(succ, comp) or any(w in live for v in comp for _k, w in succ[v]):
+            live.update(comp)
+    return live

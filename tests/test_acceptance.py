@@ -162,9 +162,13 @@ def _graph_words_by_level(g, L):
     return levels
 
 
-def _oracle_words_by_level(ctx, L, mode):
+def _oracle_accept(ctx, mode):
     auto = LexAutomaton(ctx.M, ctx.alpha.per)
-    accept = auto.good_states() if mode == U_PREFIX else auto.alive_states()
+    return auto, auto.good_states() if mode == U_PREFIX else auto.alive_states()
+
+
+def _oracle_words_by_level(ctx, L, mode):
+    auto, accept = _oracle_accept(ctx, mode)
     levels = [set() for _ in range(L + 1)]
     stack = [(auto.start(), ())]
     while stack:
@@ -179,16 +183,75 @@ def _oracle_words_by_level(ctx, L, mode):
     return levels
 
 
+def _language_check(g, ctx, mode):
+    """Compare the graph's label language with the oracle's prefixes, for all
+    lengths at once.
+
+    Breadth-first over pairs (subset-automaton state of the graph, follower
+    automaton state restricted to its accept set), from the pair of start
+    states.  Both automata are deterministic and both languages are closed
+    under prefixes, so the languages agree on every length up to L exactly
+    when the enabled digit sets agree at every pair reached in fewer than L
+    steps; once no new pair appears, they agree on every length
+    (Hopcroft-Karp 1971).  Returns (True, levels to the fixpoint) or
+    (False, the least length on which the languages differ).
+    """
+    start, trans = _label_dfa(g)
+    auto, accept = _oracle_accept(ctx, mode)
+    frontier = [(start, auto.start())]
+    seen = set(frontier)
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for gs, os in frontier:
+            omoves = {d: t for d in range(ctx.M + 1)
+                      if (t := auto.step(os, d)) is not None and t in accept}
+            if set(trans[gs]) != set(omoves):
+                return False, level
+            for d, gt in trans[gs].items():
+                pair = (gt, omoves[d])
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
+        frontier = nxt
+    return True, level
+
+
 def test_criterion_09_language_oracle(battery):
-    L = 10
+    # all lengths on every battery pair, by the product exploration
     for ctx in battery:
-        pairs = [(ctx, V_PREFIX), (v_successor(ctx), U_PREFIX)]
-        for c, mode in pairs:
+        for c, mode in ((ctx, V_PREFIX), (v_successor(ctx), U_PREFIX)):
+            agree, level = _language_check(build_graph(c, FULL), c, mode)
+            assert agree, (dg.format_seq(c.beta), mode, level)
+    # the literal word sets up to length 10 on the two smallest bases, as a
+    # check on the checker
+    L = 10
+    for ctx in battery[:2]:
+        for c, mode in ((ctx, V_PREFIX), (v_successor(ctx), U_PREFIX)):
             g_levels = _graph_words_by_level(build_graph(c, FULL), L)
             o_levels = _oracle_words_by_level(c, L, mode)
             for ell in range(1, L + 1):
                 assert g_levels[ell] == o_levels[ell], (c.beta, mode, ell)
-    report(9, "graph languages equal oracle prefixes for lengths 1..10, both classes")
+    report(9, "graph languages equal oracle prefixes for every length, both classes")
+
+
+def test_language_check_along_successor_chain(tribonacci):
+    """U mode agrees for every length along the 111(0) successor chain to
+    depth 5; V mode differs at a finite length, the same one at which the
+    enumerated word sets first differ."""
+    ctx = tribonacci
+    for depth in range(1, 6):
+        ctx = v_successor(ctx)
+        g = build_graph(ctx, FULL)
+        assert _language_check(g, ctx, U_PREFIX)[0], depth
+        agree, level = _language_check(g, ctx, V_PREFIX)
+        assert not agree, depth
+        if depth == 1:
+            g_levels = _graph_words_by_level(g, level)
+            o_levels = _oracle_words_by_level(ctx, level, V_PREFIX)
+            assert [g_levels[ell] == o_levels[ell] for ell in range(level + 1)] == \
+                [True] * level + [False]
 
 
 def test_criterion_10_expansion_counting(tribonacci, base322):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from univoque import cli
 from univoque.cli import main
 
 
@@ -116,6 +117,21 @@ def test_oracle_words_default_mode(capsys):
                      "--json")
     data = json.loads(out)
     assert data["mode"] == "U_PREFIX" and data["count"] == 2
+
+
+def test_oracle_words_default_mode_builds_one_context(capsys, monkeypatch):
+    calls = []
+    inner = cli.new_base_context
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "new_base_context", counted)
+    rc, out, _ = run(capsys, "oracle", "words", "-M", "1", "--beta", "11(0)", "-L", "3")
+    assert rc == 0
+    assert len(calls) == 1
+    assert out.split() == ["2", "words", "000", "111"]
 
 
 def test_oracle_brute(capsys):

@@ -12,7 +12,7 @@ from univoque import expansions as ex
 from univoque.algebraic import NumberField
 from univoque.base import new_base_context, r_chain, special_points, v_successor
 from univoque.digits import EpSeq
-from univoque.graph import tarjan
+from univoque.walk import tarjan
 
 # the battery plus the two wide-alphabet bases of the benchmark's count workload
 COUNT_BASES = BATTERY + [(7, "761(0)"), (9, "981(0)")]

@@ -9,8 +9,8 @@ from univoque.algebraic import apply_digit_map
 from univoque.base import BaseClass, golden_ratio_base, new_base_context, v_successor
 from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
                             connectivity_report, count_label_paths, cycle_word_matches,
-                            is_strongly_connected, path_words, scc, tarjan,
-                            tower_decompose)
+                            is_strongly_connected, path_words, scc, tower_decompose)
+from univoque.walk import tarjan
 from conftest import random_context
 
 
@@ -318,8 +318,11 @@ def test_full_edges_match_all_pairs_rule(battery, tribonacci):
         values = g.order.values
         expected = []
         for v in g.vertices:
-            lo = graph._locate_geq(values, apply_digit_map(values[v.left], v.label))
-            hi = graph._locate_leq(values, apply_digit_map(values[v.right], v.label))
+            # the class range of the image, by a linear scan of exact comparisons
+            img_lo = apply_digit_map(values[v.left], v.label)
+            img_hi = apply_digit_map(values[v.right], v.label)
+            lo = next((c for c, val in enumerate(values) if val.cmp(img_lo) >= 0), len(values))
+            hi = max((c for c, val in enumerate(values) if val.cmp(img_hi) <= 0), default=-1)
             expected += [(v.index, v.label, w.index) for w in g.vertices
                          if lo <= w.left and w.right <= hi]
         assert g.edges == expected, dg.format_seq(ctx.beta)

@@ -1,7 +1,9 @@
 """Import layering of the package, read from the source with ``ast``.
 
 The oracles check the graph and expansion code, so they must not depend on
-it, and no library module may depend on an oracle.
+it, and no library module may depend on an oracle.  The walks over successor
+maps sit below everything: ``walk`` imports nothing from the package, and the
+digit layer imports nothing else from it.
 """
 
 import ast
@@ -41,3 +43,17 @@ def test_oracle_is_independent_of_the_code_it_checks():
 def test_import_reader_sees_relative_imports():
     found = imported_modules(SRC / "cli.py")
     assert {"univoque.oracle", "univoque.expansions", "univoque.graph"} <= found
+
+
+def package_imports(path):
+    return {name for name in imported_modules(path) if name.startswith("univoque")}
+
+
+def test_walk_imports_nothing_from_the_package():
+    assert not package_imports(SRC / "walk.py")
+
+
+def test_digits_imports_only_walk_from_the_package():
+    found = package_imports(SRC / "digits.py")
+    assert "univoque.walk" in found
+    assert all(name.startswith("univoque.walk.") for name in found - {"univoque.walk"}), found

@@ -151,7 +151,7 @@ def test_every_component_radius_certified(battery):
     sizes = []
     for g in certificate_graphs(battery):
         for comp in scc(g)[0]:
-            r, err = spectral._component_radius(g, comp)
+            r, err = spectral._component_radius(g.out, comp)
             assert 0 <= err <= 1e-10, (g.ctx.beta, comp)
             A = component_matrix(g, comp)
             lam = float(max(abs(np.linalg.eigvals(np.array(A, dtype=float)))))
@@ -196,9 +196,9 @@ def test_one_radius_per_component(monkeypatch):
     calls = []
     inner = spectral._component_radius
 
-    def counted(graph, comp):
+    def counted(succ, comp):
         calls.append(tuple(comp))
-        return inner(graph, comp)
+        return inner(succ, comp)
 
     monkeypatch.setattr(spectral, "_component_radius", counted)
     comps, _ = scc(g)

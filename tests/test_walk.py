@@ -1,0 +1,58 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from univoque.walk import alive, cyclic, explore, tarjan
+
+
+def test_explore_full_map_and_cap():
+    # a path 0 -> 1 -> ... -> 9 -> 0 read from the moves function
+    calls = []
+
+    def moves(v):
+        calls.append(v)
+        return [(0, (v + 1) % 10)]
+
+    succ = explore([0], moves)
+    assert succ == {v: [(0, (v + 1) % 10)] for v in range(10)}
+    assert sorted(calls) == list(range(10))
+    assert explore([0], moves, cap=10) == succ
+    assert explore([0], moves, cap=9) is None
+    assert explore([3, 7], moves) == succ
+    assert explore([], moves) == {}
+
+
+def test_cyclic_singletons_and_components():
+    succ = {"a": [(0, "a")], "b": [(0, "a")], "c": [(0, "d")], "d": [(1, "c")]}
+    assert cyclic(succ, ["a"])
+    assert not cyclic(succ, ["b"])
+    assert cyclic(succ, ["c", "d"])
+
+
+def alive_reference(succ):
+    """Drop nodes with no live successor until stable."""
+    live = set(succ)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(live):
+            if not any(w in live for _k, w in succ[v]):
+                live.discard(v)
+                changed = True
+    return live
+
+
+@st.composite
+def successor_maps(draw):
+    # nodes without moves, self-loops and sinks all come up
+    n = draw(st.integers(1, 12))
+    return {v: draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, n - 1)),
+                             max_size=3))
+            for v in range(n)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(successor_maps())
+def test_alive_matches_reference(succ):
+    assert alive(succ) == alive_reference(succ)
+    comps = tarjan(succ)
+    assert sorted(v for comp in comps for v in comp) == sorted(succ)
