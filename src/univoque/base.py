@@ -20,7 +20,7 @@ sorting by those keys must agree with exact algebraic comparison, and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import digits as dg
 from .algebraic import Q, AlgebraicReal, base_polynomial, field_for_base, value_of_sequence
@@ -35,20 +35,28 @@ class UnsupportedClassError(ValueError):
     """Operation requires a base whose expansion of 1 is periodic (not unique)."""
 
 
+class SearchBoundError(RuntimeError):
+    """A search reached its explicit bound before it could decide."""
+
+
 GRAPH_CLASSES = (BaseClass.IN_CLOSURE_U_NOT_U, BaseClass.IN_V_NOT_CLOSURE_U)
 
 
-@dataclass
 class BaseContext:
-    M: int
-    beta: EpSeq
-    alpha: EpSeq
-    base_class: BaseClass
-    defining_poly: tuple
-    field: object
-    n_period: int = 0                   # primitive period of alpha when periodic
-    below_min_v: bool = False           # informational flag for NOT_IN_V inputs
-    _cache: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("M", "beta", "alpha", "base_class", "defining_poly", "field", "n_period",
+                 "below_min_v", "_cache")
+
+    def __init__(self, M, beta, alpha, base_class, defining_poly, field, n_period=0,
+                 below_min_v=False):
+        self.M = M
+        self.beta = beta
+        self.alpha = alpha
+        self.base_class = base_class
+        self.defining_poly = defining_poly
+        self.field = field
+        self.n_period = n_period            # primitive period of alpha when periodic
+        self.below_min_v = below_min_v      # informational flag for NOT_IN_V inputs
+        self._cache = {}
 
     @property
     def q(self):
@@ -190,8 +198,7 @@ def point_sort_key(name):
     raise ValueError(f"unknown point name {name!r}")
 
 
-@dataclass
-class SpecialPoints:
+class SpecialPoints(namedtuple("SpecialPoints", "a b theta eta qg_key value")):
     """Exact values and quasi-greedy comparison keys of the partition points.
 
     ``a`` and ``b`` are 1-based lists of length N+2 (index N+1 holds the
@@ -201,12 +208,7 @@ class SpecialPoints:
     values.
     """
 
-    a: list
-    b: list
-    theta: list
-    eta: list
-    qg_key: dict
-    value: dict
+    __slots__ = ()
 
 
 def special_points(ctx):
@@ -250,8 +252,7 @@ def special_points(ctx):
     return pts
 
 
-@dataclass
-class PointOrder:
+class PointOrder(namedtuple("PointOrder", "classes values index_of")):
     """Sorted equality classes of the named partition points.
 
     ``classes[k]`` is the list of names whose values coincide, sorted by the
@@ -259,9 +260,7 @@ class PointOrder:
     common exact value.  ``index_of`` maps each name to its class index.
     """
 
-    classes: list
-    values: list
-    index_of: dict
+    __slots__ = ()
 
     def chain(self):
         return "<".join("=".join(cls) for cls in self.classes)

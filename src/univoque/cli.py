@@ -2,12 +2,13 @@
 
 Subcommands mirror the library: ``base classify|chain|points``,
 ``graph build|scc|verify|connectivity``, ``dim``, ``expansions
-count|witness`` and ``oracle words|brute``.  Output is human-readable text
-by default and JSON with --json; every run is deterministic.  Exit codes:
-0 success, 2 invalid input or a search bound reached, 3 internal
+count|witness`` and ``oracle words|brute-count``.  Output is human-readable
+text by default and JSON with --json; every run is deterministic.  Exit
+codes: 0 success, 2 invalid input or a search bound reached, 3 internal
 consistency failure or a failed check, 4 undecided (``graph verify
 --theorem 1.3`` on graphs above 64 vertices whose interval-order candidate
-fails, which are not searched).
+fails, which are not searched).  Each command imports the layers it runs
+inside its own function, so a process loads nothing else.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ import json
 import sys
 
 from . import digits as dg
-from .algebraic import Q, DegenerateInputError
-from .base import (BaseClass, InternalConsistencyError, UnsupportedClassError, new_base_context,
+from .algebraic import Q
+from .base import (BaseClass, InternalConsistencyError, SearchBoundError, new_base_context,
                    order_points, r_chain, special_points, v_successor)
-from .graph import (FULL, TILDE, TILDE1, UNDECIDED, StructuralError, build_graph,
-                    check_isomorphic, connectivity_report, scc, tower_decompose)
-from .oracle import U_PREFIX, V_PREFIX, brute_count_expansions, enumerate_admissible_words
-from .spectral import spectral_report
-from . import expansions as exp
 
 
 def _add_base_flags(p):
@@ -75,6 +71,8 @@ def cmd_base_classify(args):
 
 
 def cmd_base_chain(args):
+    if args.steps < 0:
+        raise ValueError(f"--steps must be nonnegative, got {args.steps}")
     ctx = _context(args)
     chain = [ctx]
     for k in range(1, args.steps + 1):
@@ -106,12 +104,13 @@ def cmd_base_points(args):
     return 0
 
 
-_VARIANTS = {"full": FULL, "tilde": TILDE, "tilde1": TILDE1}
+_VARIANTS = ("full", "tilde", "tilde1")     # graph.FULL, TILDE, TILDE1 in lower case
 
 
 def cmd_graph_build(args):
+    from .graph import build_graph
     ctx = _context(args)
-    g = build_graph(ctx, _VARIANTS[args.variant])
+    g = build_graph(ctx, args.variant.upper())
     if args.dot:
         _write(args.dot, g.to_dot())
     if args.json_path:
@@ -127,8 +126,9 @@ def cmd_graph_build(args):
 
 
 def cmd_graph_scc(args):
+    from .graph import build_graph, scc
     ctx = _context(args)
-    g = build_graph(ctx, _VARIANTS[args.variant])
+    g = build_graph(ctx, args.variant.upper())
     comps, cond = scc(g)
     names = {v.index: g.vertex_name(v) for v in g.vertices}
     payload = {
@@ -144,6 +144,7 @@ def cmd_graph_scc(args):
 
 
 def cmd_graph_verify(args):
+    from .graph import FULL, UNDECIDED, build_graph, check_isomorphic, tower_decompose
     ctx = _context(args)
     if args.theorem in ("1.3", "iso"):
         succ = v_successor(ctx)
@@ -171,6 +172,7 @@ def cmd_graph_verify(args):
 
 
 def cmd_graph_connectivity(args):
+    from .graph import connectivity_report
     ctx = _context(args)
     rep = connectivity_report(ctx)
     payload = {
@@ -189,6 +191,8 @@ def cmd_graph_connectivity(args):
 
 
 def cmd_dim(args):
+    from .graph import TILDE, build_graph
+    from .spectral import spectral_report
     ctx = _context(args)
     g = build_graph(ctx, TILDE)
     rep = spectral_report(g, ctx)
@@ -207,9 +211,11 @@ def cmd_dim(args):
 
 
 def cmd_expansions_count(args):
+    from . import expansions as exp
     ctx = _context(args)
     x = ctx.value(dg.parse_seq(args.x))
-    res = exp.count_expansions(ctx, x, cap=args.cap)
+    cap = exp.DEFAULT_STATE_CAP if args.cap is None else args.cap
+    res = exp.count_expansions(ctx, x, cap=cap)
     payload = {"kind": res.kind, "count": res.count,
                "witnesses": [dg.format_seq(w) for w in res.witnesses]}
     lines = [f"count: {res.kind}" + (f"({res.count})" if res.count is not None else "")]
@@ -219,6 +225,7 @@ def cmd_expansions_count(args):
 
 
 def cmd_expansions_witness(args):
+    from . import expansions as exp
     ctx = _context(args)
     c = dg.parse_seq(args.tail) if args.tail else exp.default_tail(ctx)
     x, exps = exp.build_witness_xm(ctx, args.m, c)
@@ -237,6 +244,7 @@ def cmd_expansions_witness(args):
 
 
 def cmd_oracle_words(args):
+    from .oracle import U_PREFIX, V_PREFIX, enumerate_admissible_words
     ctx = _context(args)
     # default: strict bounds for in-between bases, weak ones for limit bases
     strict = (args.mode == "u" if args.mode
@@ -250,6 +258,7 @@ def cmd_oracle_words(args):
 
 
 def cmd_oracle_brute(args):
+    from .oracle import brute_count_expansions
     ctx = _context(args)
     x = ctx.value(dg.parse_seq(args.x))
     lo, hi = brute_count_expansions(ctx, x, args.depth)
@@ -285,14 +294,14 @@ def make_parser():
     gsub = graph.add_subparsers(dest="subcommand", required=True)
     g1 = gsub.add_parser("build")
     _add_base_flags(g1)
-    g1.add_argument("--variant", choices=sorted(_VARIANTS), default="full")
+    g1.add_argument("--variant", choices=_VARIANTS, default="full")
     g1.add_argument("--dot", metavar="PATH", help="write DOT to PATH (- for stdout)")
     g1.add_argument("--json", dest="json_path", metavar="PATH",
                     help="write JSON to PATH (- for stdout)")
     g1.set_defaults(fn=cmd_graph_build)
     g2 = gsub.add_parser("scc")
     _add_base_flags(g2)
-    g2.add_argument("--variant", choices=sorted(_VARIANTS), default="tilde")
+    g2.add_argument("--variant", choices=_VARIANTS, default="tilde")
     g2.add_argument("--json", action="store_true")
     g2.set_defaults(fn=cmd_graph_scc)
     g3 = gsub.add_parser("verify")
@@ -318,7 +327,7 @@ def make_parser():
     e1 = esub.add_parser("count")
     _add_base_flags(e1)
     e1.add_argument("--x", required=True, help="point given by a digit sequence")
-    e1.add_argument("--cap", type=int, default=exp.DEFAULT_STATE_CAP)
+    e1.add_argument("--cap", type=int, default=None)
     e1.add_argument("--json", action="store_true")
     e1.set_defaults(fn=cmd_expansions_count)
     e2 = esub.add_parser("witness")
@@ -352,11 +361,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InternalConsistencyError, StructuralError) as e:
+    except InternalConsistencyError as e:        # graph.StructuralError included
         print(f"internal consistency failure: {e}", file=sys.stderr)
         return 3
-    except (ValueError, UnsupportedClassError, DegenerateInputError, dg.AlphabetError,
-            exp.PeriodicityBoundError, exp.TailSearchBudgetError) as e:
+    except (ValueError, SearchBoundError) as e:     # every input-error class is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -28,11 +28,11 @@ and decides each leaf from the leaf's own state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import digits as dg
 from .algebraic import AlgebraicReal, value_of_sequence
-from .base import chain_limit_alpha
+from .base import SearchBoundError, chain_limit_alpha
 from .digits import EpSeq, LexAutomaton
 from .walk import cyclic, explore, tarjan
 
@@ -49,11 +49,11 @@ class RangeError(ValueError):
     """The point lies outside [0, M/(q-1)]."""
 
 
-class PeriodicityBoundError(RuntimeError):
+class PeriodicityBoundError(SearchBoundError):
     """No eventually periodic structure found within the step bound."""
 
 
-class TailSearchBudgetError(RuntimeError):
+class TailSearchBudgetError(SearchBoundError):
     """The least-tail search visited more than ``TAIL_NODE_BUDGET`` nodes."""
 
     def __init__(self, nodes, period, max_period):
@@ -119,11 +119,11 @@ def quasi_greedy_expand(ctx, x):
     raise PeriodicityBoundError(f"no periodic remainder within {QUASI_GREEDY_STEP_BOUND} steps")
 
 
-@dataclass
-class ExpansionCount:
-    kind: str
-    count: int | None = None
-    witnesses: tuple = ()
+class ExpansionCount(namedtuple("ExpansionCount", "kind count witnesses",
+                                defaults=(None, ()))):
+    """A count's ``kind``; for EXACT also the ``count`` and its witnesses."""
+
+    __slots__ = ()
 
     def __repr__(self):
         if self.kind == EXACT:
@@ -161,6 +161,8 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
     INFINITE_CYCLE when some branching state lies on or above a cycle, and
     CAP_EXCEEDED when more than ``cap`` distinct remainders appear.
     """
+    if cap < 0:
+        raise ValueError(f"state cap must be nonnegative, got {cap}")
     _check_range(ctx, x)
     field, kappa = x.field, ctx.kappa.elem
     succ = explore([x.elem], lambda v: _feasible_moves(field, ctx.M, kappa, v), cap)
@@ -365,11 +367,9 @@ def build_witness_xm(ctx, m, c=None):
 
 # --- location of a base inside its chain window ------------------------------
 
-@dataclass
-class AlphaDecomposition:
-    trivial: bool                  # the base is the window's left endpoint
-    k_values: tuple                # block exponents, one full alpha period
-    k_cycle_start: int
+# trivial: the base is the window's left endpoint; k_values: block
+# exponents, one full alpha period; k_cycle_start: where they start to repeat
+AlphaDecomposition = namedtuple("AlphaDecomposition", "trivial k_values k_cycle_start")
 
 
 def alpha_structure(ctx, left_ctx):

@@ -20,7 +20,7 @@ of ``walk`` over the successor map ``out`` (vertex -> [(label, target)]).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import digits as dg
 from .algebraic import apply_digit_map
@@ -31,34 +31,33 @@ from .walk import cyclic, explore, tarjan
 FULL, TILDE, TILDE1 = "FULL", "TILDE", "TILDE1"
 
 
-class StructuralError(AssertionError):
+class StructuralError(InternalConsistencyError):
     """A structural guarantee of the construction failed verification."""
 
 
-@dataclass(frozen=True)
-class Vertex:
-    index: int           # position in interval order within the parent graph
-    left: int            # class index of the left endpoint
-    right: int           # class index of the right endpoint
-    label: int           # forced digit of the region containing the interval
+class Vertex(namedtuple("Vertex", "index left right label")):
+    """An interval of the graph: ``index`` is its position in interval order
+    within the parent graph, ``left`` and ``right`` the class indices of its
+    endpoints, ``label`` the forced digit of the region containing it."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return f"Vertex#{self.index}"
 
 
-@dataclass
 class UnivoqueGraph:
-    ctx: object
-    variant: str
-    order: object                    # PointOrder of the context
-    vertices: list
-    edges: list                      # (src index, label, dst index) triples
-    out: dict = field(default_factory=dict)
+    __slots__ = ("ctx", "variant", "order", "vertices", "edges", "out")
 
-    def __post_init__(self):
-        self.out = {v.index: [] for v in self.vertices}
-        for i, k, j in self.edges:
-            self.out[i].append((k, j))
+    def __init__(self, ctx, variant, order, vertices, edges):
+        self.ctx = ctx
+        self.variant = variant
+        self.order = order                  # PointOrder of the context
+        self.vertices = vertices
+        self.edges = edges                  # (src index, label, dst index) triples
+        self.out = out = {v.index: [] for v in vertices}
+        for i, k, j in edges:
+            out[i].append((k, j))
 
     def vertex_indices(self):
         return [v.index for v in self.vertices]
@@ -228,12 +227,12 @@ def is_strongly_connected(g):
     return len(comps) == 1 and cyclic(g.out, comps[0])
 
 
-@dataclass
-class ConnectivityReport:
-    strongly_connected: bool        # direct verdict on the central subgraph
-    reach_criterion: bool           # every AB / THETA_LEFT vertex reachable from the core
-    sufficient_b2: bool             # b2 below every middle a_i (sufficient only)
-    m1_ab_criterion: bool | None    # alphabet {0,1} specialization of the criterion
+# strongly_connected: direct verdict on the central subgraph; reach_criterion:
+# every AB / THETA_LEFT vertex reachable from the core; sufficient_b2: b2 below
+# every middle a_i (sufficient only); m1_ab_criterion: alphabet {0,1}
+# specialization of the criterion, None for other alphabets
+ConnectivityReport = namedtuple(
+    "ConnectivityReport", "strongly_connected reach_criterion sufficient_b2 m1_ab_criterion")
 
 
 def connectivity_report(ctx):
@@ -449,8 +448,8 @@ def embed_successor(g_small, g_big):
     return mapping
 
 
-@dataclass
-class TowerDecomposition:
+class TowerDecomposition(namedtuple("TowerDecomposition",
+                                     "n graphs blocks residual cycles block_of")):
     """Cyclic tower of a successor-chain graph.
 
     ``graphs[j]`` is the full graph of the j-th chain element (j = 0 is the
@@ -461,15 +460,11 @@ class TowerDecomposition:
     embedded vertices, so blocks + residual partition the top graph.
     ``cycles[j]`` gives each block as an ordered vertex list with its label
     word; blocks after the first span pure cycles (no stray in-block edge),
-    the first carries the orbit cycle plus chords.
+    the first carries the orbit cycle plus chords.  ``block_of`` maps each
+    blocked vertex to its position in ``blocks``.
     """
 
-    n: int
-    graphs: list
-    blocks: list
-    residual: set
-    cycles: list          # (ordered vertex indices, label word) per level
-    block_of: dict
+    __slots__ = ()
 
 
 def tower_decompose(ctx0, m):

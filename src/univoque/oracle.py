@@ -33,6 +33,8 @@ def enumerate_admissible_words(ctx, L, mode=V_PREFIX):
     bounds -- unique expansions.  Enumeration is a pruned DFS over the
     follower automaton; no graph machinery is involved.
     """
+    if L < 0:
+        raise ValueError(f"word length must be nonnegative, got {L}")
     if L > 12:
         raise ValueError("oracle word enumeration is capped at length 12")
     ctx.require_graph_class()
@@ -62,6 +64,8 @@ def brute_count_expansions(ctx, x, depth):
     cycle without ever meeting a second feasible digit).  The true count
     lies in between when every branching of x resolves within the depth.
     """
+    if depth < 0:
+        raise ValueError(f"oracle depth must be nonnegative, got {depth}")
     if depth > 24:
         raise ValueError("oracle depth is capped at 24")
     kappa = ctx.kappa

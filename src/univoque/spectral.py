@@ -22,7 +22,7 @@ array library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .base import BaseClass
@@ -69,14 +69,12 @@ def _component_radius(succ, comp):
     return r, _round_up(max(hi - Fraction(r), Fraction(r) - lo))
 
 
-@dataclass
-class SpectralReport:
-    radius: float
-    radius_err: float
-    entropy: float
-    dimension: float
-    dimension_err: float
-    per_scc: list          # (vertex names, radius) per component
+class SpectralReport(namedtuple("SpectralReport",
+                                 "radius radius_err entropy dimension dimension_err per_scc")):
+    """Radius, entropy and dimension of a graph; ``per_scc`` holds a
+    (vertex names, radius) pair per component."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -149,12 +147,12 @@ def spectral_report(g, ctx):
     )
 
 
-@dataclass
-class ComponentDimensionReport:
-    per_scc: list              # (vertex names, radius)
-    overall_radius: float
-    core_components_max: float | None   # max radius among components inside the core subgraph
-    core_equals_overall: bool  # the dimension-transfer hypothesis
+# per_scc: (vertex names, radius) per component; core_components_max: max
+# radius among components inside the core subgraph, or None;
+# core_equals_overall: the dimension-transfer hypothesis
+ComponentDimensionReport = namedtuple(
+    "ComponentDimensionReport",
+    "per_scc overall_radius core_components_max core_equals_overall")
 
 
 def component_dimensions(ctx):

@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from univoque import cli
+import univoque
+from univoque import cli, graph, oracle
+from univoque import digits as dg
+from univoque import expansions as ex
+from univoque.algebraic import AlgebraicReal, DegenerateInputError
+from univoque.base import InternalConsistencyError, UnsupportedClassError
 from univoque.cli import main
 
 
@@ -196,11 +204,136 @@ def test_tail_search_budget_exit_code(capsys, monkeypatch):
 
 def test_isomorphism_undecided_exit_code(capsys, monkeypatch):
     # graphs above the search limit whose order candidate fails are not searched
-    from univoque import cli, graph
-    monkeypatch.setattr(cli, "check_isomorphic", lambda g1, g2: graph.UNDECIDED)
+    monkeypatch.setattr(graph, "check_isomorphic", lambda g1, g2: graph.UNDECIDED)
     rc, out, _ = run(capsys, "graph", "verify", "-M", "1", "--beta", "111(0)",
                      "--theorem", "1.3")
     assert rc == 4 and "undecided" in out
     rc, out, _ = run(capsys, "graph", "verify", "-M", "1", "--beta", "111(0)",
                      "--theorem", "1.3", "--json")
     assert rc == 4 and json.loads(out) == {"check": "successor-isomorphism", "ok": None}
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "words", "-M", "1", "--beta", "111(0)", "-L", "-1"),
+    ("oracle", "brute-count", "-M", "1", "--beta", "111(0)", "--x", "1000000(00101)",
+     "--depth", "-3"),
+    ("base", "chain", "-M", "1", "--beta", "11(0)", "--kind", "v", "--steps", "-1"),
+    ("expansions", "count", "-M", "2", "--beta", "2(0)", "--x", "(1)", "--cap", "-5"),
+])
+def test_negative_bounds_exit_code(capsys, monkeypatch, argv):
+    # a search that starts in spite of its negative bound fails at once
+    # instead of running without end
+    def no_search(*args):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(oracle, "LexAutomaton", no_search)
+    monkeypatch.setattr(AlgebraicReal, "mul_gen", no_search)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and not out
+    assert err.startswith("error: ") and "nonnegative" in err
+
+
+@pytest.mark.parametrize("error,code", [
+    (InternalConsistencyError("order"), 3),
+    (graph.StructuralError("tower"), 3),
+    (ValueError("input"), 2),
+    (UnsupportedClassError("class"), 2),
+    (DegenerateInputError("degenerate"), 2),
+    (dg.AlphabetError("digit"), 2),
+    (ex.PeriodicityBoundError("period"), 2),
+    (ex.TailSearchBudgetError(5, 2, 6), 2),
+], ids=lambda e: type(e).__name__ if isinstance(e, Exception) else str(e))
+def test_exit_code_map(capsys, monkeypatch, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_base_classify", fail)
+    rc, out, err = run(capsys, "base", "classify", "-M", "1", "--beta", "111(0)")
+    assert rc == code and not out
+    assert err == ("internal consistency failure: " if code == 3 else "error: ") + f"{error}\n"
+
+
+def fresh_interpreter(code):
+    src = os.path.dirname(os.path.dirname(univoque.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+# modules a bare interpreter of this environment holds (a site hook may
+# preload some) are not counted as loaded by the command
+RUN_COMMAND = """
+import contextlib, io, json, sys
+bare = set(sys.modules)
+from univoque import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        rc = cli.main({argv!r})
+    except SystemExit as e:
+        rc = e.code
+print(json.dumps([rc, out.getvalue(), sorted(set(sys.modules) - bare)]))
+"""
+
+# the minimal polynomial of q is needed only when q is irrational
+OPTIONAL = {"graph", "spectral", "expansions", "oracle", "minpoly"}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    pytest.param(("base", "classify", "-M", "1", "--beta", "111(0)", "--json"),
+                 {"minpoly"}, id="base_classify"),
+    pytest.param(("base", "chain", "-M", "1", "--beta", "11(0)", "--kind", "v", "--steps", "3",
+                  "--json"), {"minpoly"}, id="base_chain"),
+    pytest.param(("base", "points", "-M", "4", "--beta", "322(0)", "--json"),
+                 {"minpoly"}, id="base_points"),
+    pytest.param(("graph", "build", "-M", "4", "--beta", "322(0)", "--variant", "tilde",
+                  "--dot", "-"), {"graph", "minpoly"}, id="graph_build"),
+    pytest.param(("graph", "scc", "-M", "4", "--beta", "322(0)", "--json"),
+                 {"graph", "minpoly"}, id="graph_scc"),
+    pytest.param(("graph", "verify", "-M", "1", "--beta", "111(0)", "--theorem", "1.4",
+                  "--steps", "3", "--json"), {"graph", "minpoly"}, id="graph_verify"),
+    pytest.param(("graph", "connectivity", "-M", "1", "--beta", "111001010(0)", "--json"),
+                 {"graph", "minpoly"}, id="graph_connectivity"),
+    pytest.param(("dim", "-M", "1", "--beta", "111001000111001(0)", "--per-scc", "--json"),
+                 {"graph", "spectral", "minpoly"}, id="dim"),
+    pytest.param(("expansions", "count", "-M", "2", "--beta", "2(0)", "--x", "(1)", "--json"),
+                 {"expansions"}, id="expansions_count"),
+    pytest.param(("expansions", "witness", "-M", "1", "--beta", "111(0)", "-m", "3", "--json"),
+                 {"expansions", "minpoly"}, id="expansions_witness"),
+    pytest.param(("oracle", "words", "-M", "1", "--beta", "11(0)", "-L", "4", "--json"),
+                 {"oracle", "minpoly"}, id="oracle_words"),
+    pytest.param(("oracle", "brute-count", "-M", "1", "--beta", "111(0)", "--x",
+                  "1000000(00101)", "--depth", "15", "--json"),
+                 {"oracle", "minpoly"}, id="oracle_brute_count"),
+    pytest.param(("--help",), set(), id="help"),
+])
+def test_command_loads_only_its_layers(argv, loaded):
+    # the commands of the cli benchmark (bench/clicmds.py), each in a fresh process
+    rc, out, added = fresh_interpreter(RUN_COMMAND.format(argv=list(argv)))
+    assert rc == 0 and out
+    assert {m.split(".")[1] for m in added if m.startswith("univoque.")} & OPTIONAL == loaded
+    assert not {"dataclasses", "inspect"} & set(added)
+    if argv == ("--help",):
+        assert "usage:" in out
+
+
+def test_import_univoque_loads_no_layer():
+    added, layer = fresh_interpreter("import json, sys\n"
+                                     "bare = set(sys.modules)\n"
+                                     "import univoque\n"
+                                     "added = sorted(set(sys.modules) - bare)\n"
+                                     "layer = univoque.graph.scc.__module__\n"
+                                     "print(json.dumps([added, layer]))\n")
+    assert [m for m in added if m.startswith("univoque")] == ["univoque"]
+    assert layer == "univoque.graph"
+
+
+def test_package_exports_resolve_on_access():
+    namespace = {}
+    exec("from univoque import *", namespace)
+    assert set(univoque.__all__) <= set(namespace) and set(univoque.__all__) <= set(dir(univoque))
+    from univoque import build_graph, count_expansions
+    assert build_graph is graph.build_graph and count_expansions is ex.count_expansions
+    with pytest.raises(AttributeError):
+        univoque.no_such_name

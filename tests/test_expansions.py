@@ -226,6 +226,13 @@ def test_non_pisot_remainders_hit_the_cap():
     assert ex.count_expansions(ctx, x, cap=300).kind == ex.CAP_EXCEEDED
 
 
+def test_negative_cap_is_rejected(tribonacci):
+    x = tribonacci.value(seq("(10)"))
+    assert ex.count_expansions(tribonacci, x, cap=0).kind == ex.CAP_EXCEEDED
+    with pytest.raises(ValueError, match="nonnegative"):
+        ex.count_expansions(tribonacci, x, cap=-1)
+
+
 # --- the automaton filter and the least-tail search against literal references
 
 def literal_filter(ctx, c, strictness):

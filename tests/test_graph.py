@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -180,7 +179,7 @@ def test_isomorphism_undecided_above_search_limit(tribonacci):
     # and a graph this large is not searched
     perm = list(range(len(g.vertices)))
     random.Random(5).shuffle(perm)
-    moved = [dataclasses.replace(v, index=perm[v.index]) for v in g.vertices]
+    moved = [graph.Vertex(perm[v.index], v.left, v.right, v.label) for v in g.vertices]
     copy = graph.UnivoqueGraph(ctx, FULL, g.order, sorted(moved, key=lambda v: v.index),
                                [(perm[i], k, perm[j]) for i, k, j in g.edges])
     assert check_isomorphic(g, copy) == graph.UNDECIDED

@@ -1,5 +1,10 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_context
 from univoque import digits as dg
 from univoque.base import golden_ratio_base, new_base_context, v_successor
 from univoque.graph import FULL, build_graph, path_words
@@ -56,8 +61,6 @@ def test_graph_language_equality_spot(battery):
 
 
 def test_graph_language_equality_random_contexts():
-    import random
-    from conftest import random_context
     from univoque.base import BaseClass
 
     rng = random.Random(53)
@@ -73,8 +76,6 @@ def test_graph_language_equality_random_contexts():
 
 
 def test_brute_bounds_random_points(tribonacci, base322):
-    import random
-
     rng = random.Random(59)
     for ctx in (tribonacci, base322):
         for _ in range(8):
@@ -89,9 +90,60 @@ def test_brute_bounds_random_points(tribonacci, base322):
                 assert hi >= 1 and hi >= lo >= 0
 
 
+BRUTE_NODE_BUDGET = 3000     # feasible-prefix tree size one example may walk
+
+
+def brute_depth(ctx, x, max_depth=16):
+    """The largest depth whose feasible-prefix tree, walked in floats, stays
+    within the node budget (a budget only: the count itself is exact)."""
+    q, kappa = float(ctx.q), float(ctx.kappa)
+    frontier, nodes = [float(x)], 0
+    for depth in range(max_depth):
+        frontier = [q * v - d for v in frontier for d in range(ctx.M + 1)
+                    if -1e-9 <= q * v - d <= kappa + 1e-9]
+        nodes += len(frontier)
+        if nodes > BRUTE_NODE_BUDGET:
+            return depth
+    return max_depth
+
+
+def digit_words(max_len):
+    return st.lists(st.integers(0, 4), max_size=max_len)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), digit_words(8), digit_words(3).filter(bool))
+def test_count_against_brute_count(seed, pre, per):
+    ctx = random_context(random.Random(seed))
+    s = dg.EpSeq([d % (ctx.M + 1) for d in pre], [d % (ctx.M + 1) for d in per])
+    x = ctx.value(s)
+    res = ex.count_expansions(ctx, x, cap=300)
+    if res.kind != ex.EXACT:
+        return
+    depth = brute_depth(ctx, x)
+    lo, hi = brute_count_expansions(ctx, x, depth)
+    assert lo <= res.count, (ctx.M, ctx.beta, s, depth)
+    # witnesses that already differ within the depth are distinct prefixes
+    if len({w.prefix(depth) for w in res.witnesses}) == res.count:
+        assert res.count <= hi, (ctx.M, ctx.beta, s, depth)
+
+
 def test_length_cap():
     with pytest.raises(ValueError):
         enumerate_admissible_words(golden_ratio_base(1), 13, V_PREFIX)
+
+
+class Untouchable:
+    def __getattr__(self, name):
+        raise AssertionError(f"search started: {name} read")
+
+
+def test_negative_bounds_are_rejected_before_any_search():
+    # on a negative bound the searches would wait for a length they never meet
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_admissible_words(Untouchable(), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        brute_count_expansions(Untouchable(), Untouchable(), -3)
 
 
 def test_brute_bounds_trivial(tribonacci):
