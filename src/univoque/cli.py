@@ -147,6 +147,8 @@ def cmd_graph_verify(args):
     from .graph import FULL, UNDECIDED, build_graph, check_isomorphic, tower_decompose
     ctx = _context(args)
     if args.theorem in ("1.3", "iso"):
+        if ctx.base_class is not BaseClass.IN_CLOSURE_U_NOT_U:
+            raise ValueError("the successor isomorphism applies to limit-of-uniqueness bases only")
         succ = v_successor(ctx)
         mapping = check_isomorphic(build_graph(ctx, FULL), build_graph(succ, FULL))
         if mapping == UNDECIDED:

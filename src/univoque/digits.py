@@ -9,7 +9,9 @@ sequences and for the base classes, and the follower automaton
 :class:`LexAutomaton` of the two-sided tail conditions against alpha, which
 the word oracle and the witness-tail search both run on.  Its reachable
 states form one successor map built with ``walk.explore``; the alive states
-come from ``walk.alive`` and the good states are a greatest fixpoint on it.
+and the good states both come from one sinks-first pass of ``walk.alive``,
+the good ones with a component test built on the automaton's strict
+periodic-run check ``LexAutomaton.periodic_ok``.
 
 A sequence over the alphabet ``{0, ..., M}`` is *finite* if it has a last
 nonzero digit and *infinite* otherwise (the zero sequence counts as
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .walk import alive, explore
+from .walk import alive, cyclic, explore
 
 Word = tuple  # digits as a tuple of ints
 
@@ -183,9 +185,25 @@ def lex_cmp(a, b):
     return EQ
 
 
-def _shift_window(s):
-    # positions 1..|pre|+|per| exhaust all distinct (digit, shifted tail) pairs
-    return len(s.pre) + len(s.per)
+def _shifts_bounded(s, bound, M, upper, lower, strict):
+    """Whether the checked shifted tails of ``s`` stay below ``bound``.
+
+    The tail after a digit below M is checked when ``upper`` holds, the
+    reflection of the tail after a positive digit when ``lower`` holds; a
+    checked tail fails above ``bound``, and at equality too when ``strict``.
+    Positions 1..|pre|+|per| exhaust all distinct (digit, shifted tail) pairs.
+    """
+    fail = EQ if strict else GT
+    for n in range(1, len(s.pre) + len(s.per) + 1):
+        d = s.digit(n - 1)
+        up, low = upper and d < M, lower and d > 0
+        if up or low:
+            tail = shift(s, n)
+            if up and lex_cmp(tail, bound) >= fail:
+                return False
+            if low and lex_cmp(reflect(tail, M), bound) >= fail:
+                return False
+    return True
 
 
 def is_greedy_beta(M, s):
@@ -195,12 +213,7 @@ def is_greedy_beta(M, s):
     lexicographically smaller than the whole sequence.
     """
     check_alphabet(s.pre + s.per, M)
-    if s.is_zero():
-        return False
-    for n in range(1, _shift_window(s) + 1):
-        if s.digit(n - 1) < M and lex_cmp(shift(s, n), s) != LT:
-            return False
-    return True
+    return not s.is_zero() and _shifts_bounded(s, s, M, upper=True, lower=False, strict=True)
 
 
 def is_quasigreedy_alpha(M, s):
@@ -210,12 +223,7 @@ def is_quasigreedy_alpha(M, s):
     in fact holds at every position.
     """
     check_alphabet(s.pre + s.per, M)
-    if s.is_finite():
-        return False
-    for n in range(1, _shift_window(s) + 1):
-        if s.digit(n - 1) < M and lex_cmp(shift(s, n), s) == GT:
-            return False
-    return True
+    return not s.is_finite() and _shifts_bounded(s, s, M, upper=True, lower=False, strict=False)
 
 
 def beta_from_alpha(M, alpha):
@@ -241,16 +249,6 @@ def alpha_from_beta(M, beta):
     return beta
 
 
-def _reflected_tail_test(M, s, strict):
-    # reflected shifted tails bounded by s at every position after a positive digit
-    for n in range(1, _shift_window(s) + 1):
-        if s.digit(n - 1) > 0:
-            c = lex_cmp(reflect(shift(s, n), M), s)
-            if c == GT or (strict and c == EQ):
-                return False
-    return True
-
-
 def classify_alpha(M, s):
     """Classify the base with quasi-greedy expansion ``s`` (precondition:
     ``is_quasigreedy_alpha``).
@@ -262,12 +260,12 @@ def classify_alpha(M, s):
     """
     if not is_quasigreedy_alpha(M, s):
         raise ValueError(f"{s!r} is not a quasi-greedy expansion over 0..{M}")
-    if not _reflected_tail_test(M, s, strict=False):
+    if not _shifts_bounded(s, s, M, upper=False, lower=True, strict=False):
         return BaseClass.NOT_IN_V
-    if not _reflected_tail_test(M, s, strict=True):
+    if not _shifts_bounded(s, s, M, upper=False, lower=True, strict=True):
         return BaseClass.IN_V_NOT_CLOSURE_U
     beta = beta_from_alpha(M, s)
-    if _reflected_tail_test(M, beta, strict=True):
+    if _shifts_bounded(beta, beta, M, upper=False, lower=True, strict=True):
         return BaseClass.IN_U
     return BaseClass.IN_CLOSURE_U_NOT_U
 
@@ -287,18 +285,7 @@ def is_unique_expansion_seq(ctx_alpha, c, M, mode=UNIQUE):
     if not is_quasigreedy_alpha(M, ctx_alpha):
         raise ValueError("context sequence is not quasi-greedy")
     check_alphabet(c.pre + c.per, M)
-    strict = mode == UNIQUE
-    for n in range(1, _shift_window(c) + 1):
-        d = c.digit(n - 1)
-        if d < M:
-            r = lex_cmp(shift(c, n), ctx_alpha)
-            if r == GT or (strict and r == EQ):
-                return False
-        if d > 0:
-            r = lex_cmp(reflect(shift(c, n), M), ctx_alpha)
-            if r == GT or (strict and r == EQ):
-                return False
-    return True
+    return _shifts_bounded(c, ctx_alpha, M, upper=True, lower=True, strict=mode == UNIQUE)
 
 
 class LexAutomaton:
@@ -342,6 +329,38 @@ class LexAutomaton:
             nl.add(0)
         return (frozenset(nu), frozenset(nl))
 
+    def run(self, state, word):
+        """The state after reading ``word`` from ``state``; None once the run dies."""
+        for d in word:
+            if state is None:
+                return None
+            state = self.step(state, d)
+        return state
+
+    def periodic_ok(self, state, per, strict):
+        """Whether ``per`` repeated forever is admissible from ``state``.
+
+        The state at a period boundary determines the rest of the run, so the
+        run closes a cycle once a boundary state repeats.  Weak admissibility
+        holds iff the run never dies.  Strict also rejects a tie that survives
+        the cycle: an upper tie i with ``(per) == shift(alpha, i)``, or a
+        lower tie i with the reflection of ``(per)`` equal to
+        ``shift(alpha, i)``.
+        """
+        seen = {}
+        while state not in seen:
+            seen[state] = len(seen)
+            state = self.run(state, per)
+            if state is None:
+                return False
+        if not strict:
+            return True
+        cycle = list(seen)[seen[state]:]
+        tail = EpSeq((), per)
+        bounds = (tail, reflect(tail, self.M))       # (upper, lower)
+        return not any(EpSeq((), self.alpha[i:] + self.alpha[:i]) == bound
+                       for s in cycle for ties, bound in zip(s, bounds) for i in ties)
+
     # --- reachable state space and acceptance sets --------------------------
 
     def _succ(self, roots):
@@ -360,39 +379,29 @@ class LexAutomaton:
         """States admitting a continuation along which every tie breaks,
         among those reachable from ``start()`` or from ``roots``.
 
-        Greatest fixpoint: a state is good when, moving only through good
-        states, some finite continuation discharges all ties currently held
-        (newer ties are then discharged by iterating the argument from the
-        state reached).
+        A tie that survives forever makes the rest of the run periodic, so a
+        run that is not eventually periodic breaks every tie.  A state is
+        therefore good iff it reaches a cyclic component that either has a
+        state with two moves inside it (runs within it need not be
+        eventually periodic), or is one simple cycle whose word passes the
+        strict periodic check.
         """
         succ = self._succ(roots)
-        good = alive(succ)
-        changed = True
-        while changed:
-            changed = False
-            for s in list(good):
-                if not self._can_discharge(succ, s, good):
-                    good.discard(s)
-                    changed = True
-        return good
 
-    def _can_discharge(self, succ, s, allowed):
-        seen = {(s, s[0], s[1])}
-        frontier = [(s, s[0], s[1])]
-        while frontier:
-            cur, au, al = frontier.pop()
-            if not au and not al:
+        def breaks_ties(succ, comp):
+            if not cyclic(succ, comp):
+                return False
+            inside = set(comp)
+            moves = {s: [(d, t) for d, t in succ[s] if t in inside] for s in comp}
+            if any(len(m) > 1 for m in moves.values()):
                 return True
-            for d, t in succ[cur]:
-                if t not in allowed:
-                    continue
-                nau = frozenset((i + 1) % self.N for i in au if d == self.alpha[i])
-                nal = frozenset((i + 1) % self.N for i in al if d == self.M - self.alpha[i])
-                key = (t, nau, nal)
-                if key not in seen:
-                    seen.add(key)
-                    frontier.append(key)
-        return False
+            word, s = [], comp[0]
+            while not word or s != comp[0]:
+                d, s = moves[s][0]
+                word.append(d)
+            return self.periodic_ok(comp[0], word, strict=True)
+
+        return alive(succ, breaks_ties)
 
 
 # ---------------------------------------------------------------------------

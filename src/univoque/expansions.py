@@ -23,7 +23,9 @@ with exactly m expansions for each m >= 1, by prefixing the tail with
 oracle) from one start tie set: ``f_family_filter`` runs it over a given
 tail, and the least admissible tail comes from a depth-first lexicographic
 search that steps it digit by digit, prunes every prefix on which it dies
-and decides each leaf from the leaf's own state.
+and decides each leaf from the leaf's own state.  Both decide a periodic
+tail by the automaton's own check ``LexAutomaton.periodic_ok``, the same one
+its good states are built on.
 """
 
 from __future__ import annotations
@@ -227,39 +229,6 @@ def _start_ties(ctx):
     return frozenset(upper), frozenset({0})
 
 
-def _run(auto, state, word):
-    """The state after reading ``word`` from ``state``; None once the run dies."""
-    for d in word:
-        if state is None:
-            return None
-        state = auto.step(state, d)
-    return state
-
-
-def _periodic_ok(auto, ctx, state, per, strict):
-    """Whether ``per`` repeated forever is admissible from ``state``.
-
-    The state at a period boundary determines the rest of the run, so the
-    run closes a cycle once a boundary state repeats.  WEAK holds iff the
-    run never dies.  STRICT also rejects a tie that survives the cycle: an
-    upper tie i with ``(per) == shift(alpha, i)``, or a lower tie i with the
-    reflection of ``(per)`` equal to ``shift(alpha, i)``.
-    """
-    seen = {}
-    while state not in seen:
-        seen[state] = len(seen)
-        state = _run(auto, state, per)
-        if state is None:
-            return False
-    if not strict:
-        return True
-    cycle = list(seen)[seen[state]:]
-    tail = EpSeq((), per)
-    bounds = (tail, dg.reflect(tail, ctx.M))       # (upper, lower)
-    return not any(dg.shift(ctx.alpha, i) == bound
-                   for s in cycle for ties, bound in zip(s, bounds) for i in ties)
-
-
 def f_family_filter(ctx, c, strictness=WEAK):
     """Admissibility of a tail sequence for the exact-count witnesses.
 
@@ -274,8 +243,8 @@ def f_family_filter(ctx, c, strictness=WEAK):
     ctx.require_graph_class()
     dg.check_alphabet(c.pre + c.per, ctx.M)
     auto = LexAutomaton(ctx.M, ctx.alpha_word())
-    state = _run(auto, _start_ties(ctx), c.pre)
-    return state is not None and _periodic_ok(auto, ctx, state, c.per, strictness == STRICT)
+    state = auto.run(_start_ties(ctx), c.pre)
+    return state is not None and auto.periodic_ok(state, c.per, strictness == STRICT)
 
 
 def default_tail(ctx, strictness=STRICT):
@@ -289,12 +258,12 @@ def default_tail(ctx, strictness=STRICT):
     a node is pruned once the run dies (a checked tail or a spliced alpha
     tail already exceeds alpha), or once its prefix exceeds the best tail
     found at a shorter length.  The first leaf whose state passes
-    ``_periodic_ok`` is the least tail of its length, and the least over all
-    lengths is returned.  The walk visits at most ``TAIL_NODE_BUDGET`` nodes
-    in total and raises ``TailSearchBudgetError`` beyond that.  When no
-    tail is found, the error says whether any admissible tail starting with
-    the reflected period exists at all (a good state of the automaton after
-    it, respectively an alive one for WEAK).
+    ``LexAutomaton.periodic_ok`` is the least tail of its length, and the
+    least over all lengths is returned.  The walk visits at most
+    ``TAIL_NODE_BUDGET`` nodes in total and raises ``TailSearchBudgetError``
+    beyond that.  When no tail is found, the error says whether any
+    admissible tail starting with the reflected period exists at all (a good
+    state of the automaton after it, respectively an alive one for WEAK).
 
     The default STRICT filter is what makes the exact-count witnesses exact;
     weak tails may put the remainder orbit on the switch boundary and blow
@@ -306,7 +275,7 @@ def default_tail(ctx, strictness=STRICT):
     rw = dg.word_reflect(w, M)
     strict = strictness == STRICT
     auto = LexAutomaton(M, w)
-    state = _run(auto, _start_ties(ctx), rw)
+    state = auto.run(_start_ties(ctx), rw)
     none_exists = (f"an admissible {strictness} tail that starts with the reflected period "
                    "does not exist for this base")
     if state is None:
@@ -322,7 +291,7 @@ def default_tail(ctx, strictness=STRICT):
             nodes += 1
             word, cur, tied = stack.pop()
             if len(word) == length:
-                if _periodic_ok(auto, ctx, cur, word, strict):
+                if auto.periodic_ok(cur, word, strict):
                     c = EpSeq((), word)
                     if best is None or dg.lex_cmp(c, best) == dg.LT:
                         best = c

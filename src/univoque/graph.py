@@ -434,17 +434,16 @@ def embed_successor(g_small, g_big):
         mapping[v.index] = targets.pop()
     if len(set(mapping.values())) != len(mapping):
         raise StructuralError("successor embedding is not injective")
-    image = set(mapping.values())
     e_big = _edge_set(g_big)
     for i, k, j in g_small.edges:
         if (mapping[i], k, mapping[j]) not in e_big:
             raise StructuralError(
                 f"edge {g_small.vertex_name(g_small.vertices[i])} -{k}-> ... lost by embedding")
+    inv = {w: v for v, w in mapping.items()}
+    e_small = _edge_set(g_small)
     for i, k, j in g_big.edges:
-        if i in image and j in image:
-            inv = {w: v for v, w in mapping.items()}
-            if (inv[i], k, inv[j]) not in _edge_set(g_small):
-                raise StructuralError("embedding image has an extra internal edge")
+        if i in inv and j in inv and (inv[i], k, inv[j]) not in e_small:
+            raise StructuralError("embedding image has an extra internal edge")
     return mapping
 
 
@@ -506,9 +505,10 @@ def tower_decompose(ctx0, m):
     if len(by_right_a) != n:
         raise StructuralError(f"seed orbit touches {len(by_right_a)} vertices, expected {n}")
     seed_cycle = [by_right_a[i] for i in range(1, n + 1)]
+    seed_edges = _edge_set(graphs[0])
     for i in range(n):
         src, dst = seed_cycle[i], seed_cycle[(i + 1) % n]
-        if (src, alpha[i], dst) not in _edge_set(graphs[0]):
+        if (src, alpha[i], dst) not in seed_edges:
             raise StructuralError(f"seed orbit edge {i + 1} with digit {alpha[i]} is missing")
     blocks = [push_seq([maps[0][v] for v in seed_cycle], 1)]
     cycles = [(blocks[0], tuple(alpha))]

@@ -13,7 +13,9 @@ automaton; the oracle checks the graphs, which it never imports.  A word is
 a valid prefix if some infinite continuation never violates a constraint
 (weak mode), respectively additionally breaks every tie at some finite time
 (strict mode, where a tie surviving forever would mean equality with the
-bound).
+bound).  The automaton decides both from its components: a state is alive
+when it reaches a cycle, and good when it reaches a branching component or
+a simple cycle that passes its strict periodic-run check.
 """
 
 from __future__ import annotations

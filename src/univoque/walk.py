@@ -81,15 +81,15 @@ def cyclic(succ, comp):
     return len(comp) > 1 or any(w == v for _k, w in succ[v])
 
 
-def alive(succ):
-    """The nodes with an infinite path, i.e. those that reach a cyclic
-    component.
+def alive(succ, accept=cyclic):
+    """The nodes that reach a component passing ``accept(succ, comp)``; with
+    the default test, the nodes with an infinite path.
 
     Tarjan lists components sinks first, so each component's successors
     are decided before it is.
     """
     live = set()
     for comp in tarjan(succ):
-        if cyclic(succ, comp) or any(w in live for v in comp for _k, w in succ[v]):
+        if accept(succ, comp) or any(w in live for v in comp for _k, w in succ[v]):
             live.update(comp)
     return live

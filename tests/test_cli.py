@@ -69,6 +69,12 @@ def test_graph_verify(capsys):
     rc, out, _ = run(capsys, "graph", "verify", "-M", "1", "--beta", "111(0)",
                      "--theorem", "1.3")
     assert rc == 0 and "True" in out
+    # the successor isomorphism is claimed only on closureU\U; elsewhere the
+    # command rejects the base as input, as --theorem 1.4 does
+    rc, out, err = run(capsys, "graph", "verify", "-M", "1", "--beta", "111001(0)",
+                       "--theorem", "1.3")
+    assert rc == 2 and not out
+    assert err.startswith("error: ") and "limit-of-uniqueness" in err
     rc, out, _ = run(capsys, "graph", "verify", "-M", "1", "--beta", "111(0)",
                      "--theorem", "1.4", "--steps", "2", "--json")
     data = json.loads(out)

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_context
 from univoque import digits as dg
-from univoque.digits import EpSeq, BaseClass
+from univoque.digits import EpSeq, BaseClass, LexAutomaton
+from univoque.walk import alive, explore
 
 
 def seq(text):
@@ -143,8 +147,8 @@ def test_classify_monotone_in_strictness():
             continue
         cls = dg.classify_alpha(M, s)
         seen.add((M, s, cls))
-        strict = dg._reflected_tail_test(M, s, strict=True)
-        weak = dg._reflected_tail_test(M, s, strict=False)
+        strict = dg._shifts_bounded(s, s, M, upper=False, lower=True, strict=True)
+        weak = dg._shifts_bounded(s, s, M, upper=False, lower=True, strict=False)
         if cls in (BaseClass.IN_U, BaseClass.IN_CLOSURE_U_NOT_U):
             assert strict and weak
         if cls is BaseClass.IN_V_NOT_CLOSURE_U:
@@ -180,3 +184,107 @@ def test_beta_alpha_conversion():
     assert dg.beta_from_alpha(1, seq("(110)")) == seq("111(0)")
     assert dg.beta_from_alpha(2, seq("(2)")) == seq("(2)")   # all-digits-M stays infinite
     assert dg.alpha_from_beta(1, seq("(1)")) == seq("(1)")
+
+
+# --- the follower automaton against literal references -----------------------
+
+def fixpoint_good_states(auto, *roots):
+    """Reference: the greatest fixpoint of "some finite continuation through
+    good states breaks every tie held now", started from the alive states."""
+    succ = explore((auto.start(), *roots),
+                   lambda s: [(d, t) for d in range(auto.M + 1)
+                              if (t := auto.step(s, d)) is not None])
+
+    def can_discharge(s, allowed):
+        seen = {(s, s[0], s[1])}
+        frontier = [(s, s[0], s[1])]
+        while frontier:
+            cur, au, al = frontier.pop()
+            if not au and not al:
+                return True
+            for d, t in succ[cur]:
+                if t not in allowed:
+                    continue
+                nau = frozenset((i + 1) % auto.N for i in au if d == auto.alpha[i])
+                nal = frozenset((i + 1) % auto.N for i in al if d == auto.M - auto.alpha[i])
+                key = (t, nau, nal)
+                if key not in seen:
+                    seen.add(key)
+                    frontier.append(key)
+        return False
+
+    good = alive(succ)
+    changed = True
+    while changed:
+        changed = False
+        for s in list(good):
+            if not can_discharge(s, good):
+                good.discard(s)
+                changed = True
+    return good
+
+
+def assert_good_states_match(M, w, *roots):
+    auto = LexAutomaton(M, w)
+    for rs in ((), roots):
+        assert auto.good_states(*rs) == fixpoint_good_states(auto, *rs), (M, w, rs)
+
+
+BOTH_ZERO_TIES = (frozenset({0}), frozenset({0}))
+
+
+def test_good_states_match_fixpoint(battery):
+    for ctx in battery:
+        w = ctx.alpha_word()
+        wp = dg.word_plus(w, ctx.M)
+        for word in (w, wp + dg.word_reflect(wp, ctx.M)):     # the base and its successor
+            assert_good_states_match(ctx.M, word, BOTH_ZERO_TIES)
+
+
+def test_good_states_match_fixpoint_along_chain():
+    w = (1, 1, 0)                                       # alpha period of 111(0)
+    for _depth in range(7):
+        assert_good_states_match(1, w, BOTH_ZERO_TIES)
+        wp = dg.word_plus(w, 1)
+        w = wp + dg.word_reflect(wp, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_good_states_match_fixpoint_random(seed, data):
+    ctx = random_context(random.Random(seed))
+    w = ctx.alpha_word()
+    offsets = st.frozensets(st.integers(0, len(w) - 1), max_size=3)
+    assert_good_states_match(ctx.M, w, (data.draw(offsets), data.draw(offsets)))
+
+
+@st.composite
+def alpha_and_sequence(draw):
+    """A purely periodic quasi-greedy alpha (the greatest rotation of a
+    primitive word) and an eventually periodic sequence; half of the
+    sequences have a rotation of alpha's period or of its reflection as
+    period, so that ties with alpha survive forever."""
+    M = draw(st.integers(1, 4))
+    digits = st.integers(0, M)
+    per = EpSeq((), draw(st.lists(digits, min_size=1, max_size=6))).per
+    alpha = EpSeq((), max(per[k:] + per[:k] for k in range(len(per))))
+    assert dg.is_quasigreedy_alpha(M, alpha)
+    pre = tuple(draw(st.lists(digits, max_size=4)))
+    if draw(st.booleans()):
+        piece = draw(st.sampled_from([alpha.per, dg.word_reflect(alpha.per, M)]))
+        k = draw(st.integers(0, len(piece) - 1))
+        c_per = piece[k:] + piece[:k]
+    else:
+        c_per = tuple(draw(st.lists(digits, min_size=1, max_size=5)))
+    return M, alpha, EpSeq(pre, c_per)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha_and_sequence())
+def test_automaton_run_matches_window_predicate(case):
+    M, alpha, c = case
+    auto = LexAutomaton(M, alpha.per)
+    state = auto.run(auto.start(), c.pre)
+    for mode, strict in ((dg.UNIQUE, True), (dg.DOUBLY_INFINITE, False)):
+        accepted = state is not None and auto.periodic_ok(state, c.per, strict)
+        assert accepted == dg.is_unique_expansion_seq(alpha, c, M, mode), (mode, alpha, c)

@@ -56,3 +56,26 @@ def test_alive_matches_reference(succ):
     assert alive(succ) == alive_reference(succ)
     comps = tarjan(succ)
     assert sorted(v for comp in comps for v in comp) == sorted(succ)
+
+
+def reached(succ, v):
+    """Every node on a path from ``v``, ``v`` included."""
+    seen, frontier = {v}, [v]
+    while frontier:
+        for _k, w in succ[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(successor_maps(), st.sets(st.integers(0, 11)))
+def test_alive_with_accept_matches_reference(succ, marked):
+    # a component is accepted when it holds a marked node; a node is live
+    # when it reaches a node whose component (the nodes reaching it back)
+    # is accepted
+    reach = {v: reached(succ, v) for v in succ}
+    accepted = {v for v in succ if any(w in marked for w in reach[v] if v in reach[w])}
+    expected = {v for v in succ if reach[v] & accepted}
+    assert alive(succ, lambda succ, comp: bool(marked & set(comp))) == expected
