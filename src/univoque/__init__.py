@@ -24,7 +24,7 @@ _EXPORTS = {
               "count_label_paths", "path_words"),
     "spectral": ("spectral_radius", "dimension_of", "spectral_report", "component_dimensions"),
     "expansions": ("greedy_expand", "quasi_greedy_expand", "count_expansions",
-                   "build_witness_xm", "f_family_filter", "default_tail", "alpha_structure"),
+                   "build_witness_xm", "f_family_filter", "default_tail"),
     "oracle": ("U_PREFIX", "V_PREFIX", "enumerate_admissible_words", "brute_count_expansions"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -34,7 +34,7 @@ from collections import namedtuple
 
 from . import digits as dg
 from .algebraic import AlgebraicReal, value_of_sequence
-from .base import SearchBoundError, chain_limit_alpha
+from .base import SearchBoundError
 from .digits import EpSeq, LexAutomaton
 from .walk import cyclic, explore, tarjan
 
@@ -333,64 +333,3 @@ def build_witness_xm(ctx, m, c=None):
         expansions.append(EpSeq(pre, c.per))
     return x, tuple(expansions)
 
-
-# --- location of a base inside its chain window ------------------------------
-
-# trivial: the base is the window's left endpoint; k_values: block
-# exponents, one full alpha period; k_cycle_start: where they start to repeat
-AlphaDecomposition = namedtuple("AlphaDecomposition", "trivial k_values k_cycle_start")
-
-
-def alpha_structure(ctx, left_ctx):
-    """Block decomposition of alpha over the window of a smaller base.
-
-    For a base strictly inside the window of ``left_ctx`` (between it and
-    the limit of its chain), alpha factors as ``w+`` followed by
-    alternating blocks ``reflect(w^k w+)`` and ``w^k w+`` with a periodic,
-    first-dominated exponent sequence.  Returns None when the base lies
-    outside the window.
-    """
-    left_ctx.require_graph_class()
-    ctx.require_graph_class()
-    w = left_ctx.alpha_word()
-    M = left_ctx.M
-    if ctx.M != M:
-        raise ValueError("windows require a common alphabet")
-    if ctx.alpha == left_ctx.alpha:
-        return AlphaDecomposition(trivial=True, k_values=(), k_cycle_start=0)
-    limit = chain_limit_alpha(left_ctx)
-    if dg.lex_cmp(left_ctx.beta, ctx.beta) != dg.LT or dg.lex_cmp(ctx.alpha, limit) != dg.LT:
-        return None
-    wp = dg.word_plus(w, M)
-    rw, rwp = dg.word_reflect(w, M), dg.word_reflect(wp, M)
-    mlen = len(w)
-    alpha = ctx.alpha
-
-    if tuple(alpha.prefix(mlen)) != wp:
-        return None
-    pos = mlen
-    ks = []
-    states = {}
-    reflected = True
-    k_cap = (len(alpha.pre) + 2 * len(alpha.per)) // mlen + 2
-    while True:
-        state = ((pos - len(alpha.pre)) % len(alpha.per) if pos >= len(alpha.pre) else -pos,
-                 reflected)
-        if state in states:
-            return AlphaDecomposition(trivial=False, k_values=tuple(ks),
-                                      k_cycle_start=states[state])
-        states[state] = len(ks)
-        plain, plus = (rw, rwp) if reflected else (w, wp)
-        k = 0
-        while alpha.prefix(pos + mlen)[pos:] == plain:
-            pos += mlen
-            k += 1
-            if k > k_cap:
-                return None
-        if alpha.prefix(pos + mlen)[pos:] != plus:
-            return None
-        pos += mlen
-        if ks and k > ks[0]:
-            return None
-        ks.append(k)
-        reflected = not reflected

@@ -109,10 +109,10 @@ class UnivoqueGraph:
         lines = ["digraph univoque {", "  rankdir=LR;"]
         for v in self.vertices:
             lines.append(f'  "{self.vertex_name(v)}";')
+        byidx = {v.index: v for v in self.vertices}
         for i, k, j in sorted(self.edges):
-            vi = next(v for v in self.vertices if v.index == i)
-            vj = next(v for v in self.vertices if v.index == j)
-            lines.append(f'  "{self.vertex_name(vi)}" -> "{self.vertex_name(vj)}" [label="{k}"];')
+            lines.append(f'  "{self.vertex_name(byidx[i])}" -> "{self.vertex_name(byidx[j])}" '
+                         f'[label="{k}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -269,104 +269,44 @@ def connectivity_report(ctx):
     return ConnectivityReport(direct, crit, suff, m1)
 
 
-# --- isomorphism ------------------------------------------------------------
+# --- order maps between graphs ---------------------------------------------
 
-UNDECIDED = "UNDECIDED"          # check_isomorphic did not search
+def _order_embedding_fault(g_small, g_big, mapping):
+    """Why ``mapping`` is not an order embedding of ``g_small`` onto an induced
+    subgraph of ``g_big``, or None when it is one.
+
+    The map must be strictly increasing in interval order (hence injective),
+    send every edge to an edge of the same label, and add no edge among its
+    image.
+    """
+    big_left = {v.index: v.left for v in g_big.vertices}
+    image_lefts = [big_left[mapping[v.index]]
+                   for v in sorted(g_small.vertices, key=lambda v: v.left)]
+    if any(a >= b for a, b in zip(image_lefts, image_lefts[1:])):
+        return "the map is not increasing in interval order"
+    image = set(mapping.values())
+    pushed = {(mapping[i], k, mapping[j]) for i, k, j in g_small.edges}
+    induced = {(i, k, j) for i, k, j in g_big.edges if i in image and j in image}
+    if pushed - induced:
+        return "an edge is lost by the map"
+    if induced - pushed:
+        return "the image has an extra internal edge"
+    return None
 
 
 def check_isomorphic(g1, g2):
-    """Label-preserving digraph isomorphism: a vertex map, None when the
-    graphs are not isomorphic, or UNDECIDED.
+    """Decide whether two graphs are order isomorphic.
 
-    The interval orders give the canonical candidate (both graphs sorted by
-    position); when that fails, a color-refinement-guided backtracking search
-    runs for graphs up to 64 vertices.  Larger graphs whose candidate fails
-    are not searched and give UNDECIDED.
+    Returns the map that pairs the vertices of the two graphs by their rank
+    in interval order when it is a label-preserving digraph isomorphism,
+    and None otherwise.  No other map is tried: an isomorphism that does
+    not respect the interval order does not count.
     """
-    v1 = [v.index for v in g1.vertices]
-    v2 = [v.index for v in g2.vertices]
-    if len(v1) != len(v2) or len(g1.edges) != len(g2.edges):
+    if len(g1.vertices) != len(g2.vertices):
         return None
-    cand = dict(zip(v1, v2))
-    if _is_isomorphism(g1, g2, cand):
-        return cand
-    if len(v1) > 64:
-        return UNDECIDED
-    return _search_isomorphism(g1, g2)
-
-
-def _edge_set(g):
-    return {(i, k, j) for i, k, j in g.edges}
-
-
-def _is_isomorphism(g1, g2, mapping):
-    e2 = _edge_set(g2)
-    if len(set(mapping.values())) != len(mapping):
-        return False
-    for i, k, j in g1.edges:
-        if (mapping[i], k, mapping[j]) not in e2:
-            return False
-    return len(g1.edges) == len(g2.edges)
-
-
-def _refined_colors(g):
-    colors = {v.index: (v.label,) for v in g.vertices}
-    indeg = {v.index: [] for v in g.vertices}
-    for i, k, j in g.edges:
-        indeg[j].append(k)
-    for v in g.vertices:
-        colors[v.index] += (len(g.out[v.index]), tuple(sorted(indeg[v.index])))
-    for _ in range(len(g.vertices)):
-        new = {}
-        for v in g.vertices:
-            outc = tuple(sorted((k, colors[j]) for k, j in g.out[v.index]))
-            new[v.index] = (colors[v.index], outc)
-        canon = {c: n for n, c in enumerate(sorted(set(new.values()), key=repr))}
-        new = {v: canon[c] for v, c in new.items()}
-        if len(set(new.values())) == len(set(colors.values())):
-            colors = new
-            break
-        colors = new
-    return colors
-
-
-def _search_isomorphism(g1, g2):
-    c1, c2 = _refined_colors(g1), _refined_colors(g2)
-    if sorted(c1.values()) != sorted(c2.values()):
-        return None
-    order1 = sorted(c1, key=lambda v: (c1[v], v))
-    pool = {}
-    for v, c in c2.items():
-        pool.setdefault(c, []).append(v)
-    e2 = _edge_set(g2)
-    mapping = {}
-    used = set()
-
-    def ok_partial(v, w):
-        for k, j in g1.out[v]:
-            if j in mapping and (w, k, mapping[j]) not in e2:
-                return False
-        for i, k, j in g1.edges:
-            if j == v and i in mapping and (mapping[i], k, w) not in e2:
-                return False
-        return True
-
-    def rec(pos):
-        if pos == len(order1):
-            return _is_isomorphism(g1, g2, mapping)
-        v = order1[pos]
-        for w in pool[c1[v]]:
-            if w in used or not ok_partial(v, w):
-                continue
-            mapping[v] = w
-            used.add(w)
-            if rec(pos + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return dict(mapping) if rec(0) else None
+    by_order = [sorted(g.vertices, key=lambda v: v.left) for g in (g1, g2)]
+    mapping = {v.index: w.index for v, w in zip(*by_order)}
+    return None if _order_embedding_fault(g1, g2, mapping) else mapping
 
 
 # --- successor embedding and the tower decomposition ------------------------
@@ -414,11 +354,12 @@ def _endpoint_image_names(small_ctx, names):
 def embed_successor(g_small, g_big):
     """The order isomorphism of a graph onto a subgraph of its successor's.
 
-    Returns {vertex index in g_small -> vertex index in g_big}.  Verifies
-    that the map is increasing, total, and edge-preserving in both
-    directions on its image; raises StructuralError otherwise.
+    Returns {vertex index in g_small -> vertex index in g_big}.  The map comes
+    from the endpoint names; it must hit one vertex per left endpoint and be
+    an order embedding onto an induced subgraph (``_order_embedding_fault``),
+    or StructuralError is raised.
     """
-    ctx, big = g_small.ctx, g_big.ctx
+    ctx = g_small.ctx
     mapping = {}
     big_by_left = {}
     for v in g_big.vertices:
@@ -432,18 +373,9 @@ def embed_successor(g_small, g_big):
                 f"left endpoint of {g_small.vertex_name(v)} maps to {sorted(images)} "
                 f"which hits {len(targets)} vertices of the successor graph")
         mapping[v.index] = targets.pop()
-    if len(set(mapping.values())) != len(mapping):
-        raise StructuralError("successor embedding is not injective")
-    e_big = _edge_set(g_big)
-    for i, k, j in g_small.edges:
-        if (mapping[i], k, mapping[j]) not in e_big:
-            raise StructuralError(
-                f"edge {g_small.vertex_name(g_small.vertices[i])} -{k}-> ... lost by embedding")
-    inv = {w: v for v, w in mapping.items()}
-    e_small = _edge_set(g_small)
-    for i, k, j in g_big.edges:
-        if i in inv and j in inv and (inv[i], k, inv[j]) not in e_small:
-            raise StructuralError("embedding image has an extra internal edge")
+    fault = _order_embedding_fault(g_small, g_big, mapping)
+    if fault:
+        raise StructuralError(f"successor embedding: {fault}")
     return mapping
 
 
@@ -505,7 +437,7 @@ def tower_decompose(ctx0, m):
     if len(by_right_a) != n:
         raise StructuralError(f"seed orbit touches {len(by_right_a)} vertices, expected {n}")
     seed_cycle = [by_right_a[i] for i in range(1, n + 1)]
-    seed_edges = _edge_set(graphs[0])
+    seed_edges = set(graphs[0].edges)
     for i in range(n):
         src, dst = seed_cycle[i], seed_cycle[(i + 1) % n]
         if (src, alpha[i], dst) not in seed_edges:

@@ -21,6 +21,9 @@ a simple cycle that passes its strict periodic-run check.
 from __future__ import annotations
 
 from .digits import LexAutomaton
+from .walk import explore
+
+WORD_CAP = 10**6         # words enumerate_admissible_words will hold
 
 U_PREFIX = "U_PREFIX"    # prefixes of unique expansions (strict bounds)
 V_PREFIX = "V_PREFIX"    # prefixes of unique doubly infinite expansions (weak bounds)
@@ -33,7 +36,9 @@ def enumerate_admissible_words(ctx, L, mode=V_PREFIX):
     most alpha, at triggered positions) -- the quasi-greedy expansions of
     points with a unique doubly infinite expansion.  U_PREFIX: the strict
     bounds -- unique expansions.  Enumeration is a pruned DFS over the
-    follower automaton; no graph machinery is involved.
+    follower automaton; no graph machinery is involved.  The words are
+    counted over the automaton first, and more than ``WORD_CAP`` of them
+    raise ValueError before any is listed.
     """
     if L < 0:
         raise ValueError(f"word length must be nonnegative, got {L}")
@@ -41,8 +46,22 @@ def enumerate_admissible_words(ctx, L, mode=V_PREFIX):
         raise ValueError("oracle word enumeration is capped at length 12")
     ctx.require_graph_class()
     auto = LexAutomaton(ctx.M, ctx.alpha.per)
-    strict = mode == U_PREFIX
-    accept = auto.good_states() if strict else auto.alive_states()
+    accept = auto.good_states() if mode == U_PREFIX else auto.alive_states()
+    succ = explore([auto.start()], lambda s: [(d, t) for d in range(ctx.M + 1)
+                                              if (t := auto.step(s, d)) in accept])
+    # the automaton is deterministic, so its runs are the words: count them
+    # state by state before listing any
+    counts = {auto.start(): 1}
+    for _ in range(L):
+        nxt = {}
+        for s, c in counts.items():
+            for _d, t in succ[s]:
+                nxt[t] = nxt.get(t, 0) + c
+        counts = nxt
+    total = sum(counts.values())
+    if total > WORD_CAP:
+        raise ValueError(f"{total} admissible words of length {L} exceed the "
+                         f"enumeration cap of {WORD_CAP}")
     out = set()
     stack = [(auto.start(), ())]
     while stack:
@@ -50,10 +69,7 @@ def enumerate_admissible_words(ctx, L, mode=V_PREFIX):
         if len(w) == L:
             out.add(w)
             continue
-        for d in range(ctx.M + 1):
-            t = auto.step(s, d)
-            if t is not None and t in accept:
-                stack.append((t, w + (d,)))
+        stack.extend((t, w + (d,)) for d, t in succ[s])
     return out
 
 

@@ -1,22 +1,22 @@
 """Spectral radius, topological entropy and dimension of the interval graphs.
 
 The growth rate of the label-path language of a graph is the Perron radius
-of its 0/1 adjacency matrix A; entropy is its natural logarithm and the
-dimension of the generated set is entropy divided by log q.  The radius of
-A is the maximum over its strongly connected components, each an
-irreducible block.
+of its adjacency matrix A, whose entries count edges; entropy is its
+natural logarithm and the dimension of the generated set is entropy divided
+by log q.  The radius of A is the maximum over its strongly connected
+components, each an irreducible block.
 
 Each component's radius is certified by an exact enclosure.  A sparse float
 power iteration on B = A + I (primitive, so it converges) runs over the
-component's distinct successors.  Its final positive vector x is then read
-exactly as integers over one power of two, and the Collatz-Wielandt bounds
-min (Bx)_i / x_i <= r(B) <= max (Bx)_i / x_i (Perron-Frobenius) enclose
-r(B) = r(A) + 1 in exact rationals.  The reported radius is the midpoint of
-that enclosure minus one, and its error bound the distance to either end,
-rounded up.  Every component gets this certificate, whatever its size
-(there is no size cutoff); when the iteration cap is hit the enclosure is
-wider but still exact.  Only Python floats, ints and Fractions are used, no
-array library.
+component's edges, parallel ones included.  Its final positive vector x is
+then read exactly as integers over one power of two, and the
+Collatz-Wielandt bounds min (Bx)_i / x_i <= r(B) <= max (Bx)_i / x_i
+(Perron-Frobenius) enclose r(B) = r(A) + 1 in exact rationals.  The
+reported radius is the midpoint of that enclosure minus one, and its error
+bound the distance to either end, rounded up.  Every component gets this
+certificate, whatever its size (there is no size cutoff); when the
+iteration cap is hit the enclosure is wider but still exact.  Only Python
+floats, ints and Fractions are used, no array library.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _component_radius(succ, comp):
     """Perron radius of one component of the successor map ``succ`` with a
     certified bound: the true radius lies in [r - err, r + err]."""
     pos = {v: p for p, v in enumerate(comp)}
-    rows = [sorted({pos[j] for _k, j in succ[v] if j in pos}) for v in comp]
+    rows = [sorted(pos[j] for _k, j in succ[v] if j in pos) for v in comp]
     x = [1.0] * len(comp)
     for _ in range(ITERATION_CAP):
         y = [x[i] + sum(x[j] for j in row) for i, row in enumerate(rows)]

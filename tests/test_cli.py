@@ -1,7 +1,10 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,21 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def readme_commands():
+    """The ``univoque`` lines of the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("univoque ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = readme_commands()
+    assert len(commands) == 12
+    for argv in commands:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0 and out and not err, argv
 
 
 def test_classify_json(capsys):
@@ -148,6 +166,15 @@ def test_oracle_words_default_mode_builds_one_context(capsys, monkeypatch):
     assert out.split() == ["2", "words", "000", "111"]
 
 
+def test_oracle_words_count_cap(capsys):
+    # about 7e11 words: counted over the automaton and refused before listing
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "oracle", "words", "-M", "9", "--beta", "981(0)", "-L", "12")
+    assert time.perf_counter() - start < 2.0
+    assert rc == 2 and not out
+    assert err.startswith("error: ") and "exceed the enumeration cap" in err
+
+
 def test_oracle_brute(capsys):
     rc, out, _ = run(capsys, "oracle", "brute-count", "-M", "2", "--beta", "2(0)",
                      "--x", "(1)", "--depth", "10", "--json")
@@ -206,17 +233,6 @@ def test_tail_search_budget_exit_code(capsys, monkeypatch):
                        "-m", "2")
     assert rc == 2 and not out
     assert err.startswith("error: tail search stopped after 2 nodes")
-
-
-def test_isomorphism_undecided_exit_code(capsys, monkeypatch):
-    # graphs above the search limit whose order candidate fails are not searched
-    monkeypatch.setattr(graph, "check_isomorphic", lambda g1, g2: graph.UNDECIDED)
-    rc, out, _ = run(capsys, "graph", "verify", "-M", "1", "--beta", "111(0)",
-                     "--theorem", "1.3")
-    assert rc == 4 and "undecided" in out
-    rc, out, _ = run(capsys, "graph", "verify", "-M", "1", "--beta", "111(0)",
-                     "--theorem", "1.3", "--json")
-    assert rc == 4 and json.loads(out) == {"check": "successor-isomorphism", "ok": None}
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,7 @@ from conftest import BATTERY, random_context
 from univoque import digits as dg
 from univoque import expansions as ex
 from univoque.algebraic import NumberField
-from univoque.base import new_base_context, r_chain, special_points, v_successor
+from univoque.base import new_base_context, r_chain, special_points
 from univoque.digits import EpSeq
 from univoque.walk import tarjan
 
@@ -192,20 +192,6 @@ def test_count_reflection_symmetry(tribonacci, base322):
             if a.kind == ex.EXACT:
                 reflected = {dg.reflect(wit, ctx.M) for wit in a.witnesses}
                 assert reflected == set(b.witnesses)
-
-
-def test_alpha_structure(tribonacci):
-    r2 = r_chain(tribonacci, 2)
-    dec = ex.alpha_structure(r2, tribonacci)
-    assert dec is not None and not dec.trivial
-    assert dec.k_values[0] == 1
-    assert max(dec.k_values) == dec.k_values[0]
-    assert ex.alpha_structure(tribonacci, tribonacci).trivial
-    outside = new_base_context(1, "11(0)")
-    assert ex.alpha_structure(outside, tribonacci) is None
-    # the successor sits inside the window too
-    dec1 = ex.alpha_structure(v_successor(tribonacci), tribonacci)
-    assert dec1 is not None
 
 
 def test_scaling_preserves_counts(tribonacci):

@@ -168,21 +168,53 @@ def test_isomorphism_chain(tribonacci, base331):
     assert ident is not None
 
 
-def test_isomorphism_undecided_above_search_limit(tribonacci):
+def test_isomorphism_pairs_vertices_by_interval_order(tribonacci):
     ctx = tribonacci
     for _ in range(5):
         ctx = v_successor(ctx)
     g = build_graph(ctx, FULL)
     assert len(g.vertices) == 96
     assert check_isomorphic(g, g) == {v.index: v.index for v in g.vertices}
-    # the same graph with its vertices renumbered: the order candidate fails
-    # and a graph this large is not searched
+    # the same graph with its vertices renumbered: pairing by interval order
+    # finds the renumbering whatever the vertex indices and list positions
     perm = list(range(len(g.vertices)))
     random.Random(5).shuffle(perm)
     moved = [graph.Vertex(perm[v.index], v.left, v.right, v.label) for v in g.vertices]
     copy = graph.UnivoqueGraph(ctx, FULL, g.order, sorted(moved, key=lambda v: v.index),
                                [(perm[i], k, perm[j]) for i, k, j in g.edges])
-    assert check_isomorphic(g, copy) == graph.UNDECIDED
+    assert check_isomorphic(g, copy) == {v.index: perm[v.index] for v in g.vertices}
+
+
+def reversed_copy(g):
+    """g with its interval order turned around: every vertex keeps its index,
+    label and edges, and moves to the mirror gap of the point order."""
+    top = len(g.order.classes) - 1
+    vertices = [graph.Vertex(v.index, top - v.right, top - v.left, v.label)
+                for v in g.vertices]
+    return graph.UnivoqueGraph(g.ctx, FULL, g.order, vertices, list(g.edges))
+
+
+def test_isomorphism_respects_interval_order(tribonacci):
+    g = build_graph(tribonacci, FULL)
+    assert len(g.vertices) == 6
+    rev = reversed_copy(g)
+    # the identity is a digraph isomorphism onto the copy, but it reverses
+    # the interval order, and the order-preserving pairing breaks labels
+    assert {(i, k, j) for i, k, j in rev.edges} == {(i, k, j) for i, k, j in g.edges}
+    assert check_isomorphic(g, rev) is None
+
+
+def test_embedding_must_be_increasing(tribonacci, monkeypatch):
+    g = build_graph(tribonacci, FULL)
+    rev = reversed_copy(g)
+    index_of, classes = g.order.index_of, g.order.classes
+    top = len(classes) - 1
+    # send each left endpoint to the mirror class: the map found is the
+    # identity on indices, which keeps every edge but reverses the order
+    monkeypatch.setattr(graph, "_endpoint_image_names",
+                        lambda ctx, names: set(classes[top - 1 - index_of[names[0]]]))
+    with pytest.raises(graph.StructuralError, match="not increasing"):
+        graph.embed_successor(g, rev)
 
 
 def test_tower_tribonacci(tribonacci):

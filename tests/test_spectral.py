@@ -145,6 +145,24 @@ def certificate_graphs(battery):
     return [build_graph(c, variant) for c in ctxs for variant in (FULL, TILDE)]
 
 
+def test_parallel_edges_count():
+    # two edges from one vertex to itself: A = (2), radius 2
+    r, err = spectral._component_radius({0: [(0, 0), (1, 0)]}, [0])
+    assert r - err <= 2.0 <= r + err and err <= 1e-12
+
+
+def test_interval_graphs_have_no_parallel_edges(battery):
+    # all edges leaving a vertex share its label, so no two join the same
+    # pair, and reading the rows as sets of targets gives the same radii
+    for g in certificate_graphs(battery):
+        for v, out in g.out.items():
+            assert len({j for _k, j in out}) == len(out), (g.ctx.beta, g.variant, v)
+        targets = {v: [(0, j) for j in sorted({j for _k, j in out})] for v, out in g.out.items()}
+        for comp in scc(g)[0]:
+            assert spectral._component_radius(g.out, comp) == \
+                spectral._component_radius(targets, comp)
+
+
 def test_every_component_radius_certified(battery):
     # independent oracles: numpy's eigenvalues on every component, and the
     # sign of the exact characteristic polynomial on the small ones
