@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Q
 
-from .digits import EpSeq, check_alphabet, is_greedy_beta
+from .digits import EpSeq, format_seq, is_greedy_beta
 
 
 class DegenerateInputError(ValueError):
@@ -497,13 +497,14 @@ def base_polynomial(M, beta):
 
     For a finite greedy expansion ``d1..dK`` this is
     ``t^K - d1 t^(K-1) - ... - dK``; in general the defining relation is
-    cleared of denominators and spurious roots at t = 1 are removed.
+    cleared of denominators and spurious roots at t = 1 are removed.  This
+    is where an input expansion is validated: ValueError unless it is a
+    greedy expansion of 1 over 0..M of a base above 1.
     """
-    check_alphabet(beta.pre + beta.per, M)
     if not is_greedy_beta(M, beta):
-        raise ValueError(f"{beta!r} is not a greedy expansion of 1 over 0..{M}")
+        raise ValueError(f"{format_seq(beta)} is not a greedy expansion of 1 over 0..{M}")
     if beta == EpSeq((1,), (0,)):
-        raise ValueError("greedy expansion 1(0) corresponds to base 1")
+        raise ValueError("greedy expansion 1(0) means base 1, which is outside every construction")
     if beta.is_finite():
         w = beta.finite_word()
         return poly_trim(tuple(-d for d in reversed(w)) + (1,))
@@ -522,9 +523,9 @@ def base_polynomial(M, beta):
     return poly_trim(poly)
 
 
-def field_for_base(M, beta, precision=Q(1, 10**12)):
-    """NumberField for the base defined by the greedy expansion ``beta``."""
-    P = base_polynomial(M, beta)
+def field_for_base(P, M, precision=Q(1, 10**12)):
+    """NumberField for the base whose defining polynomial ``P``
+    (``base_polynomial``) has it as its one root in (1, M+1]."""
     n_lo, n_hi, e = _isolate_dyadic(P, M, precision)
     if n_lo == n_hi:
         r, frac = divmod(n_lo, 1 << e)

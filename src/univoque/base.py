@@ -7,7 +7,8 @@ quasi-greedy expansion alpha is periodic with primitive period N, the
 context carries the partition points of the graph construction:
 
 * ``a_i`` -- the value of the greedy digit tail starting at position i,
-  for i = 1..N+1 (a_1 = 1, a_{N+1} = 0);
+  for i = 1..N+1 (a_1 = 1, a_{N+1} = 0): the greedy orbit of 1,
+  a_{i+1} = q*a_i - beta_i;
 * ``b_i = M/(q-1) - a_i`` -- their reflections;
 * ``theta_j = j/q`` and ``eta_j = (j-1)/q + M/(q^2-q)`` -- the endpoints of
   the switch region, where the first digit of an expansion is not forced.
@@ -23,7 +24,8 @@ import functools
 from collections import namedtuple
 
 from . import digits as dg
-from .algebraic import Q, AlgebraicReal, base_polynomial, field_for_base, value_of_sequence
+from .algebraic import (Q, AlgebraicReal, apply_digit_map, base_polynomial, field_for_base,
+                        value_of_sequence)
 from .digits import BaseClass, EpSeq
 
 
@@ -43,11 +45,9 @@ GRAPH_CLASSES = (BaseClass.IN_CLOSURE_U_NOT_U, BaseClass.IN_V_NOT_CLOSURE_U)
 
 
 class BaseContext:
-    __slots__ = ("M", "beta", "alpha", "base_class", "defining_poly", "field", "n_period",
-                 "below_min_v", "_cache")
+    __slots__ = ("M", "beta", "alpha", "base_class", "defining_poly", "field", "n_period", "_cache")
 
-    def __init__(self, M, beta, alpha, base_class, defining_poly, field, n_period=0,
-                 below_min_v=False):
+    def __init__(self, M, beta, alpha, base_class, defining_poly, field, n_period=0):
         self.M = M
         self.beta = beta
         self.alpha = alpha
@@ -55,8 +55,12 @@ class BaseContext:
         self.defining_poly = defining_poly
         self.field = field
         self.n_period = n_period            # primitive period of alpha when periodic
-        self.below_min_v = below_min_v      # informational flag for NOT_IN_V inputs
         self._cache = {}
+
+    @property
+    def below_min_v(self):
+        """Informational flag: the base lies below every base of V."""
+        return self.base_class is BaseClass.NOT_IN_V
 
     @property
     def q(self):
@@ -98,14 +102,11 @@ class BaseContext:
 
 
 def new_base_context(M, beta, precision=Q(1, 10**12)):
-    """Build a context from the greedy expansion of 1 (digit string or EpSeq)."""
+    """Build a context from the greedy expansion of 1 (digit string or EpSeq),
+    which ``base_polynomial`` validates while building the defining polynomial."""
     if isinstance(beta, str):
         beta = dg.parse_seq(beta)
-    dg.check_alphabet(beta.pre + beta.per, M)
-    if not dg.is_greedy_beta(M, beta):
-        raise ValueError(f"{dg.format_seq(beta)} is not a greedy expansion of 1 over 0..{M}")
-    if beta == EpSeq((1,), (0,)):
-        raise ValueError("greedy expansion 1(0) means base 1, which is outside every construction")
+    poly = base_polynomial(M, beta)
     alpha = dg.alpha_from_beta(M, beta)
     base_class = dg.classify_alpha(M, alpha)
     n_period = 0
@@ -116,17 +117,15 @@ def new_base_context(M, beta, precision=Q(1, 10**12)):
             raise ValueError(
                 f"non-primitive greedy input {dg.format_seq(beta)}: the periodic expansion "
                 f"{dg.format_seq(alpha)} corresponds to {dg.format_seq(rebuilt)}")
-    ctx = BaseContext(
+    return BaseContext(
         M=M,
         beta=beta,
         alpha=alpha,
         base_class=base_class,
-        defining_poly=base_polynomial(M, beta),
-        field=field_for_base(M, beta, precision),
+        defining_poly=poly,
+        field=field_for_base(poly, M, precision),
         n_period=n_period,
-        below_min_v=(base_class is BaseClass.NOT_IN_V),
     )
-    return ctx
 
 
 def golden_ratio_base(M):
@@ -145,16 +144,9 @@ def v_successor(ctx):
 
     If alpha has primitive period w, the successor's alpha is
     ``(w+ reflect(w+))^inf``, equivalently its greedy expansion is
-    ``w+ reflect(w) 0^inf``.
+    ``w+ reflect(w) 0^inf``: the first element of ``r_chain``.
     """
-    ctx.require_graph_class()
-    w = ctx.alpha_word()
-    wp = dg.word_plus(w, ctx.M)
-    beta = EpSeq(wp + dg.word_reflect(w, ctx.M), (0,))
-    out = new_base_context(ctx.M, beta)
-    if out.base_class is not BaseClass.IN_V_NOT_CLOSURE_U:
-        raise InternalConsistencyError("successor base must fall strictly between the closure classes")
-    return out
+    return r_chain(ctx, 1)
 
 
 def r_chain(ctx, k):
@@ -212,6 +204,12 @@ class SpecialPoints(namedtuple("SpecialPoints", "a b theta eta qg_key value")):
 
 
 def special_points(ctx):
+    """The partition points of the graph construction, with their keys.
+
+    The orbit points run a_1 = 1, a_{i+1} = q*a_i - beta_i, one digit map
+    per point along the greedy word ``beta = w+ 0^inf``; the orbit must
+    close at a_{N+1} = 0, or InternalConsistencyError is raised.
+    """
     ctx.require_graph_class()
     if "special_points" in ctx._cache:
         return ctx._cache["special_points"]
@@ -223,15 +221,16 @@ def special_points(ctx):
     a = [None] * (N + 2)
     b = [None] * (N + 2)
     keys, values = {}, {}
-    for i in range(1, N + 1):
-        tail = dg.word_plus(w[i - 1:], M)
-        a[i] = ctx.value(EpSeq(tail, (0,)))
+    a[1] = AlgebraicReal(ctx.field, ctx.field.one())
+    for i, digit in enumerate(dg.word_plus(w, M), start=1):
+        a[i + 1] = apply_digit_map(a[i], digit)
         b[i] = kappa - a[i]
         keys[f"a{i}"] = EpSeq(w[i - 1:], w)
         keys[f"b{i}"] = dg.reflect(keys[f"a{i}"], M)
         values[f"a{i}"] = a[i]
         values[f"b{i}"] = b[i]
-    a[N + 1] = ctx.value(dg.ZERO)
+    if a[N + 1].sign() != 0:
+        raise InternalConsistencyError(f"the orbit of 1 does not close at 0 after {N} digits")
     b[N + 1] = kappa
 
     theta = [None] * (M + 1)

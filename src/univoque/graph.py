@@ -14,7 +14,8 @@ leaning on the orbit points a_i / b_i.  On top of those live the structural
 operations: strong-connectedness criteria, the order isomorphism between a
 base and its successor, and the tower decomposition along successor chains.
 Components, reachability and the subset automaton of the labels are walks
-of ``walk`` over the successor map ``out`` (vertex -> [(label, target)]).
+of ``walk`` over the successor map ``out`` (vertex -> [(label, target)]);
+the label words are counted and listed by ``walk`` on that automaton.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import digits as dg
 from .algebraic import apply_digit_map
 from .base import (BaseClass, InternalConsistencyError, order_points, special_points,
                    v_successor)
-from .walk import cyclic, explore, tarjan
+from .walk import count_words, cyclic, explore, tarjan, words
 
 FULL, TILDE, TILDE1 = "FULL", "TILDE", "TILDE1"
 
@@ -95,8 +96,6 @@ class UnivoqueGraph:
             out.add("AB")
         if any(nm.startswith("th") and int(nm[2:]) >= 1 for nm in rights):
             out.add("THETA_LEFT")
-        if any(nm.startswith("et") and int(nm[2:]) <= self.ctx.M for nm in lefts):
-            out.add("ETA_RIGHT")
         return out
 
     def reflected_vertex_index(self, idx):
@@ -517,12 +516,9 @@ def cycle_word_matches(word, expected):
 
 # --- label-path language -----------------------------------------------------
 
-WORD_CAP = 10**6                 # words count_label_paths will list
-
-
 def _label_dfa(g):
     """Subset automaton of the labeled graph (paths may start anywhere):
-    the start state and the transitions ``state -> {label: state}``."""
+    the start state and the successor map ``state -> [(label, state)]``."""
 
     def moves(s):
         by_label = {}
@@ -532,46 +528,19 @@ def _label_dfa(g):
         return [(k, frozenset(t)) for k, t in by_label.items()]
 
     start = frozenset(g.vertex_indices())
-    return start, {s: dict(out) for s, out in explore([start], moves).items()}
+    return start, explore([start], moves)
 
 
-def count_label_paths(g, L, want_words=False):
-    """Number of distinct length-L label words readable along paths.
-
-    Counting runs over the deterministic subset automaton, so it is exact
-    for any L.  When ``want_words`` is set (L <= 14) the words themselves
-    are returned as a sorted list, capped at ``WORD_CAP``.
-    """
-    if L < 0:
-        raise ValueError("length must be nonnegative")
-    start, trans = _label_dfa(g)
-    counts = {start: 1}
-    for _ in range(L):
-        nxt = {}
-        for s, c in counts.items():
-            for k, t in trans[s].items():
-                nxt[t] = nxt.get(t, 0) + c
-        counts = nxt
-    total = sum(counts.values())
-    if not want_words:
-        return total, None
-    if L > 14 or total > WORD_CAP:
-        return total, None
-    words = []
-    stack = [(start, ())]
-    while stack:
-        s, w = stack.pop()
-        if len(w) == L:
-            words.append(w)
-            continue
-        for k, t in sorted(trans[s].items()):
-            stack.append((t, w + (k,)))
-    return total, sorted(words)
+def count_label_paths(g, L):
+    """Number of distinct length-L label words readable along paths: the runs
+    of the deterministic subset automaton, which ``walk.count_words`` counts
+    exactly for any L."""
+    start, succ = _label_dfa(g)
+    return count_words(succ, start, L)
 
 
 def path_words(g, L):
-    """The set of length-L label words of the graph."""
-    total, words = count_label_paths(g, L, want_words=True)
-    if words is None:
-        raise ValueError(f"word set of size {total} exceeds the enumeration cap")
-    return set(words)
+    """The set of length-L label words of the graph, listed by ``walk.words``
+    over the subset automaton (ValueError past its ``WORD_CAP``)."""
+    start, succ = _label_dfa(g)
+    return words(succ, start, L)

@@ -4,7 +4,7 @@ Nothing here touches the graph or the expansion-search machinery; words are
 enumerated straight from the lexicographic conditions, and expansion counts
 are bounded by exhaustive prefix enumeration with exact arithmetic.  The
 shared dependencies are the exact-arithmetic layer, the digit layer and the
-successor-map walks of ``walk``.
+successor-map walks of ``walk``, whose word listing serves the graphs too.
 
 The word oracle runs on the follower automaton ``digits.LexAutomaton``,
 whose states record, for the prefix read so far, which tail constraints are
@@ -21,9 +21,7 @@ a simple cycle that passes its strict periodic-run check.
 from __future__ import annotations
 
 from .digits import LexAutomaton
-from .walk import explore
-
-WORD_CAP = 10**6         # words enumerate_admissible_words will hold
+from .walk import explore, words
 
 U_PREFIX = "U_PREFIX"    # prefixes of unique expansions (strict bounds)
 V_PREFIX = "V_PREFIX"    # prefixes of unique doubly infinite expansions (weak bounds)
@@ -36,9 +34,10 @@ def enumerate_admissible_words(ctx, L, mode=V_PREFIX):
     most alpha, at triggered positions) -- the quasi-greedy expansions of
     points with a unique doubly infinite expansion.  U_PREFIX: the strict
     bounds -- unique expansions.  Enumeration is a pruned DFS over the
-    follower automaton; no graph machinery is involved.  The words are
-    counted over the automaton first, and more than ``WORD_CAP`` of them
-    raise ValueError before any is listed.
+    follower automaton; no graph machinery is involved.  The automaton is
+    deterministic, so its runs are the words, and ``walk.words`` lists them
+    (ValueError past its ``WORD_CAP``), the same walk that lists the label
+    words of a graph.
     """
     if L < 0:
         raise ValueError(f"word length must be nonnegative, got {L}")
@@ -49,28 +48,7 @@ def enumerate_admissible_words(ctx, L, mode=V_PREFIX):
     accept = auto.good_states() if mode == U_PREFIX else auto.alive_states()
     succ = explore([auto.start()], lambda s: [(d, t) for d in range(ctx.M + 1)
                                               if (t := auto.step(s, d)) in accept])
-    # the automaton is deterministic, so its runs are the words: count them
-    # state by state before listing any
-    counts = {auto.start(): 1}
-    for _ in range(L):
-        nxt = {}
-        for s, c in counts.items():
-            for _d, t in succ[s]:
-                nxt[t] = nxt.get(t, 0) + c
-        counts = nxt
-    total = sum(counts.values())
-    if total > WORD_CAP:
-        raise ValueError(f"{total} admissible words of length {L} exceed the "
-                         f"enumeration cap of {WORD_CAP}")
-    out = set()
-    stack = [(auto.start(), ())]
-    while stack:
-        s, w = stack.pop()
-        if len(w) == L:
-            out.add(w)
-            continue
-        stack.extend((t, w + (d,)) for d, t in succ[s])
-    return out
+    return words(succ, auto.start(), L)
 
 
 def brute_count_expansions(ctx, x, depth):

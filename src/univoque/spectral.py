@@ -131,10 +131,18 @@ def dimension_of(g, ctx, radius=None):
     return mid, math.nextafter(max(hi - mid, mid - lo), math.inf)
 
 
-def spectral_report(g, ctx):
+def _components(g):
+    """The components of ``g`` in ``scc`` order, their (radius, error) pairs,
+    and the ``per_scc`` list of (vertex names, radius) pairs."""
     comps, _ = scc(g)
     names = {v.index: g.vertex_name(v) for v in g.vertices}
     radii = [_component_radius(g.out, comp) for comp in comps]
+    per = [([names[v] for v in comp], r) for comp, (r, _e) in zip(comps, radii)]
+    return comps, radii, per
+
+
+def spectral_report(g, ctx):
+    _comps, radii, per = _components(g)
     r, err = _max_radius(radii)
     dim, dim_err = dimension_of(g, ctx, (r, err))
     return SpectralReport(
@@ -143,7 +151,7 @@ def spectral_report(g, ctx):
         entropy=math.log(r) if r > 0 else float("-inf"),
         dimension=dim,
         dimension_err=dim_err,
-        per_scc=[([names[v] for v in comp], rc) for comp, (rc, _e) in zip(comps, radii)],
+        per_scc=per,
     )
 
 
@@ -166,10 +174,7 @@ def component_dimensions(ctx):
         raise ValueError("component dimensions apply to limit-of-uniqueness bases only")
     tilde = build_graph(ctx, TILDE)
     core = {v.index for v in build_graph(ctx, TILDE1).vertices}
-    comps, _ = scc(tilde)
-    names = {v.index: tilde.vertex_name(v) for v in tilde.vertices}
-    radii = [_component_radius(tilde.out, comp) for comp in comps]
-    per = [([names[v] for v in comp], r) for comp, (r, _e) in zip(comps, radii)]
+    comps, radii, per = _components(tilde)
     inside = [r for comp, (r, _e) in zip(comps, radii) if set(comp) <= core]
     overall, _err = _max_radius(radii)
     if len(comps) == 1:

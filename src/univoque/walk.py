@@ -6,9 +6,16 @@ bounds and the remainder graph of an expansion count -- is walked here, on
 one plain successor map ``node -> [(label, target)]``.  Nodes are any
 hashable values; every target of a map is one of its keys.  This module
 imports nothing from the package.
+
+The label words of a deterministic map (no node has two moves with one
+label), such as the subset automaton of a graph or the follower automaton,
+are its runs: ``count_words`` counts them node by node for any length, and
+``words`` lists them depth-first once the count is within ``WORD_CAP``.
 """
 
 from __future__ import annotations
+
+WORD_CAP = 10**6         # words ``words`` will list
 
 
 def explore(roots, moves, cap=None):
@@ -93,3 +100,39 @@ def alive(succ, accept=cyclic):
         if accept(succ, comp) or any(w in live for v in comp for _k, w in succ[v]):
             live.update(comp)
     return live
+
+
+def count_words(succ, start, L):
+    """Number of length-L label words read from ``start`` in the
+    deterministic map ``succ``: its runs, counted node by node."""
+    if L < 0:
+        raise ValueError(f"word length must be nonnegative, got {L}")
+    counts = {start: 1}
+    for _ in range(L):
+        nxt = {}
+        for v, c in counts.items():
+            for _k, w in succ[v]:
+                nxt[w] = nxt.get(w, 0) + c
+        counts = nxt
+    return sum(counts.values())
+
+
+def words(succ, start, L):
+    """The set of length-L label words read from ``start`` in the
+    deterministic map ``succ``, listed depth-first.
+
+    The words are counted first; more than ``WORD_CAP`` of them raise
+    ValueError before any is listed.
+    """
+    total = count_words(succ, start, L)
+    if total > WORD_CAP:
+        raise ValueError(f"{total} words of length {L} exceed the enumeration cap of {WORD_CAP}")
+    out = set()
+    stack = [(start, ())]
+    while stack:
+        v, w = stack.pop()
+        if len(w) == L:
+            out.add(w)
+            continue
+        stack.extend((u, w + (k,)) for k, u in succ[v])
+    return out

@@ -157,7 +157,7 @@ def _graph_words_by_level(g, L):
         levels[len(w)].add(w)
         if len(w) == L:
             continue
-        for k, t in trans[s].items():
+        for k, t in trans[s]:
             stack.append((t, w + (k,)))
     return levels
 
@@ -207,9 +207,9 @@ def _language_check(g, ctx, mode):
         for gs, os in frontier:
             omoves = {d: t for d in range(ctx.M + 1)
                       if (t := auto.step(os, d)) is not None and t in accept}
-            if set(trans[gs]) != set(omoves):
+            if {k for k, _t in trans[gs]} != set(omoves):
                 return False, level
-            for d, gt in trans[gs].items():
+            for d, gt in trans[gs]:
                 pair = (gt, omoves[d])
                 if pair not in seen:
                     seen.add(pair)

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from univoque import digits as dg
-from univoque.base import (BaseClass, golden_ratio_base, new_base_context, order_points,
-                           r_chain, special_points, v_successor, chain_limit_alpha)
+from univoque.base import (BaseClass, BaseContext, InternalConsistencyError, golden_ratio_base,
+                           new_base_context, order_points, r_chain, special_points, v_successor,
+                           chain_limit_alpha)
 from conftest import random_context
 
 
@@ -215,3 +216,55 @@ def test_order_points_randomized_consistency():
         order = order_points(ctx)
         assert all(order.values[k].cmp(order.values[k + 1]) < 0
                    for k in range(len(order.values) - 1))
+
+
+def test_special_points_match_tail_values(battery, tribonacci):
+    # the orbit a_{i+1} = q a_i - beta_i against each a_i as the value of
+    # its own greedy tail, on the battery and the 111(0) chain to depth 6
+    contexts = list(battery)
+    ctx = tribonacci
+    for _ in range(6):
+        ctx = v_successor(ctx)
+        contexts.append(ctx)
+    for ctx in contexts:
+        w, N = ctx.alpha_word(), ctx.n_period
+        pts = special_points(ctx)
+        for i in range(1, N + 1):
+            tail = ctx.value(dg.EpSeq(dg.word_plus(w[i - 1:], ctx.M), (0,)))
+            assert pts.a[i] == tail, (dg.format_seq(ctx.beta), i)
+            assert pts.b[i] == ctx.kappa - tail
+        assert pts.a[N + 1] == ctx.value(dg.ZERO)
+
+
+def test_special_points_orbit_must_close(tribonacci):
+    # the 111(0) digits read in the golden-ratio field: the orbit of 1 hits
+    # 0 one digit early and ends at -1
+    golden = new_base_context(1, "11(0)").field
+    ctx = BaseContext(tribonacci.M, tribonacci.beta, tribonacci.alpha, tribonacci.base_class,
+                      tribonacci.defining_poly, golden, tribonacci.n_period)
+    with pytest.raises(InternalConsistencyError, match="does not close"):
+        special_points(ctx)
+
+
+def test_context_validates_and_builds_polynomial_once(monkeypatch):
+    import univoque.algebraic as algebraic
+    import univoque.base as base
+
+    calls = {"base_polynomial": 0, "is_greedy_beta": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counted(base, "base_polynomial")
+    counted(algebraic, "is_greedy_beta")
+    counted(dg, "is_greedy_beta")
+    for M, beta in ((1, "111(0)"), (1, "101(0)"), (2, "2(0)"), (1, "(1)")):
+        calls.update(base_polynomial=0, is_greedy_beta=0)
+        new_base_context(M, beta)
+        assert calls == {"base_polynomial": 1, "is_greedy_beta": 1}, (M, beta)

@@ -264,14 +264,21 @@ def test_tower_trivial_decomposition(tribonacci):
 def test_count_label_paths_basics(tribonacci):
     g2 = build_graph(golden_ratio_base(2), FULL)
     for L in (1, 3, 7):
-        total, words = count_label_paths(g2, L, want_words=True)
+        total, words = count_label_paths(g2, L), sorted(path_words(g2, L))
         assert total == 2
         assert words == [(0,) * L, (2,) * L]
     g = build_graph(tribonacci, FULL)
-    total, words = count_label_paths(g, 0, want_words=True)
+    total, words = count_label_paths(g, 0), sorted(path_words(g, 0))
     assert total == 1 and words == [()]
-    t8, w8 = count_label_paths(g, 8, want_words=True)
+    t8, w8 = count_label_paths(g, 8), path_words(g, 8)
     assert t8 == len(w8) == len(set(w8))
+
+
+def test_path_words_past_length_14():
+    # words are listed at every length once their count is within the cap
+    g2 = build_graph(golden_ratio_base(2), FULL)
+    assert path_words(g2, 15) == {(0,) * 15, (2,) * 15}
+    assert count_label_paths(g2, 15) == 2
 
 
 def test_dot_and_json_exports_deterministic(base322):

@@ -3,11 +3,14 @@
 The oracles check the graph and expansion code, so they must not depend on
 it, and no library module may depend on an oracle.  The walks over successor
 maps sit below everything: ``walk`` imports nothing from the package, and the
-digit layer imports nothing else from it.
+digit layer imports nothing else from it.  The package itself declares no
+runtime dependency.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import univoque
 
@@ -57,3 +60,12 @@ def test_digits_imports_only_walk_from_the_package():
     found = package_imports(SRC / "digits.py")
     assert "univoque.walk" in found
     assert all(name.startswith("univoque.walk.") for name in found - {"univoque.walk"}), found
+
+
+def test_no_runtime_dependencies():
+    # the package runs on the standard library alone; sympy, numpy and the
+    # test tools stay optional
+    tomllib = pytest.importorskip("tomllib")      # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["dependencies"] == []

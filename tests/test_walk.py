@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from univoque.walk import alive, cyclic, explore, tarjan
+from univoque import walk
+from univoque.walk import alive, count_words, cyclic, explore, tarjan, words
 
 
 def test_explore_full_map_and_cap():
@@ -79,3 +81,43 @@ def test_alive_with_accept_matches_reference(succ, marked):
     accepted = {v for v in succ if any(w in marked for w in reach[v] if v in reach[w])}
     expected = {v for v in succ if reach[v] & accepted}
     assert alive(succ, lambda succ, comp: bool(marked & set(comp))) == expected
+
+
+@st.composite
+def deterministic_maps(draw):
+    # each node reads each label at most once; sinks and self-loops come up
+    n = draw(st.integers(1, 8))
+    return {v: sorted(draw(st.dictionaries(st.integers(0, 2), st.integers(0, n - 1),
+                                           max_size=3)).items())
+            for v in range(n)}
+
+
+def path_labels(succ, start, L):
+    """The label word of every length-L path from ``start``, one per path."""
+    paths = [((), start)]
+    for _ in range(L):
+        paths = [(w + (k,), u) for w, v in paths for k, u in succ[v]]
+    return [w for w, _v in paths]
+
+
+@settings(max_examples=200, deadline=None)
+@given(deterministic_maps(), st.integers(0, 6))
+def test_words_match_literal_paths(succ, L):
+    literal = path_labels(succ, 0, L)
+    assert count_words(succ, 0, L) == len(literal)
+    assert words(succ, 0, L) == set(literal)
+    assert len(set(literal)) == len(literal)      # deterministic: one path per word
+
+
+def test_words_cap(monkeypatch):
+    # two labels at one node: 2^L words of length L
+    succ = {0: [(0, 0), (1, 0)]}
+    assert count_words(succ, 0, 200) == 2 ** 200
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_words(succ, 0, -1)
+    with pytest.raises(ValueError, match="exceed the enumeration cap"):
+        words(succ, 0, 20)                        # 2^20 > WORD_CAP, counted only
+    monkeypatch.setattr(walk, "WORD_CAP", 8)
+    assert len(words(succ, 0, 3)) == 8
+    with pytest.raises(ValueError, match="16 words of length 4"):
+        words(succ, 0, 4)
