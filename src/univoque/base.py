@@ -16,6 +16,14 @@ context carries the partition points of the graph construction:
 Each point also gets its quasi-greedy expansion as an exact comparison key;
 sorting by those keys must agree with exact algebraic comparison, and
 ``order_points`` verifies that it does.
+
+A context owns what is derived from it.  ``memo`` computes each derived
+object once and keeps it in the context: kappa, the special points, the
+point order, the r-chain contexts (``v_successor`` is the first of them) and,
+in ``graph``, the interval graphs.  A successor context therefore lives as
+long as its seed, and a chain, its tower and its isomorphism checks share
+one context, with its graphs, per base.  Nothing is cached at module level:
+``new_base_context`` always builds a new context.
 """
 
 from __future__ import annotations
@@ -44,7 +52,29 @@ class SearchBoundError(RuntimeError):
 GRAPH_CLASSES = (BaseClass.IN_CLOSURE_U_NOT_U, BaseClass.IN_V_NOT_CLOSURE_U)
 
 
+def memo(owner, fn, *args):
+    """``fn(owner, *args)``, computed once and kept in ``owner._cache``.
+
+    The key is the function with its arguments, so callers pass normalised
+    arguments (defaults filled in) and run their argument and class checks
+    before calling: a check belongs to every call, not only to the first.
+    Every caller gets the same object, which must not be mutated.
+    """
+    cache = owner._cache
+    key = (fn, *args)
+    if key not in cache:
+        cache[key] = fn(owner, *args)
+    return cache[key]
+
+
 class BaseContext:
+    """A base given by its greedy expansion of 1, with its number field.
+
+    ``_cache`` holds what ``memo`` derived from the context: kappa, the
+    special points and their order, the r-chain contexts and the interval
+    graphs.  Successor contexts kept there live as long as this one.
+    """
+
     __slots__ = ("M", "beta", "alpha", "base_class", "defining_poly", "field", "n_period", "_cache")
 
     def __init__(self, M, beta, alpha, base_class, defining_poly, field, n_period=0):
@@ -69,9 +99,7 @@ class BaseContext:
     @property
     def kappa(self):
         """The right endpoint M/(q-1) of the expandable interval."""
-        if "kappa" not in self._cache:
-            self._cache["kappa"] = self.M / (self.q - 1)
-        return self._cache["kappa"]
+        return memo(self, _kappa)
 
     def value(self, seq):
         return value_of_sequence(self.field, seq)
@@ -99,6 +127,10 @@ class BaseContext:
             "q_approx": self.q_approx(12),
             "poly": list(self.defining_poly),
         }
+
+
+def _kappa(ctx):
+    return ctx.M / (ctx.q - 1)
 
 
 def new_base_context(M, beta, precision=Q(1, 10**12)):
@@ -144,7 +176,8 @@ def v_successor(ctx):
 
     If alpha has primitive period w, the successor's alpha is
     ``(w+ reflect(w+))^inf``, equivalently its greedy expansion is
-    ``w+ reflect(w) 0^inf``: the first element of ``r_chain``.
+    ``w+ reflect(w) 0^inf``: the first element of ``r_chain``, and the
+    same context object.
     """
     return r_chain(ctx, 1)
 
@@ -154,13 +187,17 @@ def r_chain(ctx, k):
 
     The chain starts at the given context (k = 0) and increases strictly; its
     first element is of the in-between class and all later ones are limits of
-    uniqueness bases.
+    uniqueness bases.  Each element is built once per context (``memo``).
     """
     ctx.require_graph_class()
     if k < 0:
         raise ValueError("chain index must be nonnegative")
     if k == 0:
         return ctx
+    return memo(ctx, _r_chain, k)
+
+
+def _r_chain(ctx, k):
     w = ctx.alpha_word()
     wp = dg.word_plus(w, ctx.M)
     beta = EpSeq(wp + dg.word_reflect(w, ctx.M) * k, (0,))
@@ -211,8 +248,10 @@ def special_points(ctx):
     close at a_{N+1} = 0, or InternalConsistencyError is raised.
     """
     ctx.require_graph_class()
-    if "special_points" in ctx._cache:
-        return ctx._cache["special_points"]
+    return memo(ctx, _special_points)
+
+
+def _special_points(ctx):
     M, N = ctx.M, ctx.n_period
     w = ctx.alpha_word()
     qinv = ctx.value(EpSeq((1,), (0,)))          # 1/q
@@ -246,9 +285,7 @@ def special_points(ctx):
         keys[name] = dg.reflect(keys[f"th{M + 1 - j}"], M)
         values[name] = eta[j]
 
-    pts = SpecialPoints(a=a, b=b, theta=theta, eta=eta, qg_key=keys, value=values)
-    ctx._cache["special_points"] = pts
-    return pts
+    return SpecialPoints(a=a, b=b, theta=theta, eta=eta, qg_key=keys, value=values)
 
 
 class PointOrder(namedtuple("PointOrder", "classes values index_of")):
@@ -273,8 +310,11 @@ def order_points(ctx):
     strict step.  A disagreement would falsify the order isomorphism between
     sequences and values and raises InternalConsistencyError.
     """
-    if "point_order" in ctx._cache:
-        return ctx._cache["point_order"]
+    ctx.require_graph_class()
+    return memo(ctx, _order_points)
+
+
+def _order_points(ctx):
     pts = special_points(ctx)
     names = sorted(pts.qg_key, key=point_sort_key)
     lex_key = functools.cmp_to_key(dg.lex_cmp)
@@ -296,11 +336,9 @@ def order_points(ctx):
         if values[k][1].cmp(values[k + 1][1]) >= 0:
             raise InternalConsistencyError(
                 f"key order says {classes[k][0]} < {classes[k+1][0]} but the values disagree")
-    order = PointOrder(
+    return PointOrder(
         classes=classes,
         values=[v for _, v in values],
         index_of={nm: k for k, cls in enumerate(classes) for nm in cls},
     )
-    ctx._cache["point_order"] = order
-    return order
 

@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from . import digits as dg
 from .algebraic import apply_digit_map
-from .base import (BaseClass, InternalConsistencyError, order_points, special_points,
+from .base import (BaseClass, InternalConsistencyError, memo, order_points, special_points,
                    v_successor)
 from .walk import count_words, cyclic, explore, tarjan, words
 
@@ -48,7 +48,10 @@ class Vertex(namedtuple("Vertex", "index left right label")):
 
 
 class UnivoqueGraph:
-    __slots__ = ("ctx", "variant", "order", "vertices", "edges", "out")
+    """A labeled interval graph; ``_cache`` holds what ``base.memo`` derived
+    from it (the spectral layer's pass over its components)."""
+
+    __slots__ = ("ctx", "variant", "order", "vertices", "edges", "out", "_cache")
 
     def __init__(self, ctx, variant, order, vertices, edges):
         self.ctx = ctx
@@ -59,6 +62,7 @@ class UnivoqueGraph:
         self.out = out = {v.index: [] for v in vertices}
         for i, k, j in edges:
             out[i].append((k, j))
+        self._cache = {}
 
     def vertex_indices(self):
         return [v.index for v in self.vertices]
@@ -98,12 +102,6 @@ class UnivoqueGraph:
             out.add("THETA_LEFT")
         return out
 
-    def reflected_vertex_index(self, idx):
-        """Index of the mirror image under x -> M/(q-1) - x."""
-        pos = {v.index: p for p, v in enumerate(self.vertices)}
-        n = len(self.vertices)
-        return self.vertices[n - 1 - pos[idx]].index
-
     def to_dot(self):
         lines = ["digraph univoque {", "  rankdir=LR;"]
         for v in self.vertices:
@@ -140,27 +138,23 @@ class UnivoqueGraph:
 
 
 def build_graph(ctx, variant=FULL):
-    """Construct the labeled interval graph of a base (FULL/TILDE/TILDE1)."""
+    """The labeled interval graph of a base (FULL/TILDE/TILDE1), built once
+    per context (``base.memo``)."""
     ctx.require_graph_class()
-    cache_key = ("graph", variant)
-    if cache_key in ctx._cache:
-        return ctx._cache[cache_key]
-    full = ctx._cache.get(("graph", FULL))
-    if full is None:
-        full = _build_full(ctx)
-        ctx._cache[("graph", FULL)] = full
-    if variant == FULL:
-        g = full
-    elif variant == TILDE:
-        g = _restrict(full, _tilde_indices(full), TILDE)
-    elif variant == TILDE1:
-        tilde = build_graph(ctx, TILDE)
-        keep = {v.index for v in tilde.vertices if {"A_RIGHT", "B_LEFT"} & tilde.kinds(v)}
-        g = _restrict(full, keep, TILDE1)
-    else:
+    if variant not in (FULL, TILDE, TILDE1):
         raise ValueError(f"unknown variant {variant!r}")
-    ctx._cache[cache_key] = g
-    return g
+    return memo(ctx, _build_graph, variant)
+
+
+def _build_graph(ctx, variant):
+    if variant == FULL:
+        return _build_full(ctx)
+    full = build_graph(ctx, FULL)
+    if variant == TILDE:
+        return _restrict(full, _tilde_indices(full), TILDE)
+    tilde = build_graph(ctx, TILDE)
+    keep = {v.index for v in tilde.vertices if {"A_RIGHT", "B_LEFT"} & tilde.kinds(v)}
+    return _restrict(full, keep, TILDE1)
 
 
 def _build_full(ctx):
@@ -400,8 +394,9 @@ class TowerDecomposition(namedtuple("TowerDecomposition",
 def tower_decompose(ctx0, m):
     """Decompose the m-th successor graph along the embedding chain.
 
-    Builds the graphs of the first m successors of ``ctx0``, embeds each in
-    the next, and verifies the announced structure: the new vertices at each
+    Takes the graphs of the first m successors of ``ctx0`` (the ones a chain
+    from ``ctx0`` already built, kept by ``base.memo``), embeds each in the
+    next, and verifies the announced structure: the new vertices at each
     step form a single pure cycle of doubled length, and a path runs from
     level j to level k exactly when j <= k.
     """

@@ -17,6 +17,10 @@ bound the distance to either end, rounded up.  Every component gets this
 certificate, whatever its size (there is no size cutoff); when the
 iteration cap is hit the enclosure is wider but still exact.  Only Python
 floats, ints and Fractions are used, no array library.
+
+The pass over a graph's components runs once per graph (``_components``,
+kept on the graph by ``base.memo``); ``spectral_radius``,
+``spectral_report`` and ``component_dimensions`` all read it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .base import BaseClass
+from .base import BaseClass, memo
 from .graph import TILDE, TILDE1, build_graph, scc
 
 RADIUS_TOL = 1e-12
@@ -99,8 +103,8 @@ def spectral_radius(g):
     connected components, each of which is irreducible; a graph with no
     components has radius 0.
     """
-    comps, _ = scc(g)
-    return _max_radius(_component_radius(g.out, comp) for comp in comps)
+    _comps, radii, _per = _components(g)
+    return _max_radius(radii)
 
 
 def dimension_of(g, ctx, radius=None):
@@ -133,7 +137,12 @@ def dimension_of(g, ctx, radius=None):
 
 def _components(g):
     """The components of ``g`` in ``scc`` order, their (radius, error) pairs,
-    and the ``per_scc`` list of (vertex names, radius) pairs."""
+    and the ``per_scc`` list of (vertex names, radius) pairs; computed once
+    per graph."""
+    return memo(g, _component_pass)
+
+
+def _component_pass(g):
     comps, _ = scc(g)
     names = {v.index: g.vertex_name(v) for v in g.vertices}
     radii = [_component_radius(g.out, comp) for comp in comps]

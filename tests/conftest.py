@@ -45,6 +45,13 @@ def base331():
     return new_base_context(3, "331(0)")
 
 
+def mirror_map(g):
+    """Each vertex index of ``g`` paired with the index of its mirror image
+    under x -> M/(q-1) - x: the vertex of opposite rank in interval order."""
+    indices = [v.index for v in g.vertices]
+    return dict(zip(indices, reversed(indices)))
+
+
 def random_context(rng):
     """A random base admitting the graph construction (alphabet <= 5,
     period <= 8), drawn by rejection from random greedy words."""

@@ -6,6 +6,9 @@ All tolerances are fixed here, not configurable.
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from univoque import digits as dg
 from univoque import expansions as ex
 from univoque.algebraic import Q, isolate_root
@@ -17,7 +20,7 @@ from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
                             path_words, scc, tower_decompose, _label_dfa)
 from univoque.oracle import LexAutomaton, U_PREFIX, V_PREFIX
 from univoque.spectral import component_dimensions, spectral_radius
-from conftest import random_context
+from conftest import mirror_map, random_context
 
 
 def report(n, text):
@@ -254,6 +257,18 @@ def test_language_check_along_successor_chain(tribonacci):
                 [True] * level + [False]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_language_check_on_drawn_bases(seed):
+    """All lengths on a drawn base and its successor, each in the mode of its
+    class: V on a limit-of-uniqueness base, U on an in-between one."""
+    ctx = random_context(random.Random(seed))
+    for c in (ctx, v_successor(ctx)):
+        mode = V_PREFIX if c.base_class is BaseClass.IN_CLOSURE_U_NOT_U else U_PREFIX
+        agree, level = _language_check(build_graph(c, FULL), c, mode)
+        assert agree, (c.M, dg.format_seq(c.beta), mode, level)
+
+
 def test_criterion_10_expansion_counting(tribonacci, base322):
     for ctx in (tribonacci, base322):
         tail = ex.default_tail(ctx)
@@ -300,9 +315,9 @@ def _property_suite(ctx):
         graphs.append(build_graph(ctx, TILDE))
     for g in graphs:
         edges = {(i, k, j) for i, k, j in g.edges}
+        mirror = mirror_map(g)
         for i, k, j in edges:
-            assert (g.reflected_vertex_index(i), ctx.M - k,
-                    g.reflected_vertex_index(j)) in edges
+            assert (mirror[i], ctx.M - k, mirror[j]) in edges
         for v in g.vertices:
             assert {k for k, _j in g.out[v.index]} <= {v.label}
     if ctx.base_class is BaseClass.IN_CLOSURE_U_NOT_U:

@@ -10,7 +10,7 @@ from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
                             connectivity_report, count_label_paths, cycle_word_matches,
                             is_strongly_connected, path_words, scc, tower_decompose)
 from univoque.walk import tarjan
-from conftest import random_context
+from conftest import mirror_map, random_context
 
 
 def names_of(g):
@@ -99,10 +99,9 @@ def test_edge_reflection_symmetry(battery):
         for variant in (FULL, TILDE):
             g = build_graph(ctx, variant)
             edges = {(i, k, j) for i, k, j in g.edges}
+            mirror = mirror_map(g)
             for i, k, j in edges:
-                ri = g.reflected_vertex_index(i)
-                rj = g.reflected_vertex_index(j)
-                assert (ri, ctx.M - k, rj) in edges
+                assert (mirror[i], ctx.M - k, mirror[j]) in edges
 
 
 def test_incoming_below_b1_forced_to_zero(battery):
@@ -324,9 +323,9 @@ def test_randomized_graph_properties():
                           else ctx.n_period) + ctx.M - 1
             assert len(g.vertices) == n_expected
         edges = {(i, k, j) for i, k, j in g.edges}
+        mirror = mirror_map(g)
         for i, k, j in edges:
-            assert (g.reflected_vertex_index(i), ctx.M - k,
-                    g.reflected_vertex_index(j)) in edges
+            assert (mirror[i], ctx.M - k, mirror[j]) in edges
         for v in g.vertices:
             assert len({k for k, _j in g.out[v.index]}) <= 1
 

@@ -4,7 +4,8 @@ The oracles check the graph and expansion code, so they must not depend on
 it, and no library module may depend on an oracle.  The walks over successor
 maps sit below everything: ``walk`` imports nothing from the package, and the
 digit layer imports nothing else from it.  The package itself declares no
-runtime dependency.
+runtime dependency, and keeps no process-wide memo: what is derived from a
+context or a graph is kept on it by ``base.memo``.
 """
 
 import ast
@@ -60,6 +61,27 @@ def test_digits_imports_only_walk_from_the_package():
     found = package_imports(SRC / "digits.py")
     assert "univoque.walk" in found
     assert all(name.startswith("univoque.walk.") for name in found - {"univoque.walk"}), found
+
+
+PROCESS_MEMOS = {"functools.lru_cache", "functools.cache"}
+
+
+def process_memos(text):
+    """The ``functools`` memo decorators a source text names, whether imported
+    by name or read as attributes of the module."""
+    tree = ast.parse(text)
+    named = {f"{node.module}.{alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    named |= {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    return named & PROCESS_MEMOS
+
+
+def test_no_process_wide_memo():
+    assert process_memos("import functools\n@functools.cache\ndef f(x): pass\n")
+    assert process_memos("from functools import lru_cache\n")
+    for path in sorted(SRC.glob("*.py")):
+        assert not process_memos(path.read_text()), path.name
 
 
 def test_no_runtime_dependencies():
