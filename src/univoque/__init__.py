@@ -16,7 +16,7 @@ _EXPORTS = {
     "digits": ("EpSeq", "BaseClass", "lex_cmp", "reflect", "shift", "parse_seq", "format_seq",
                "is_greedy_beta", "is_quasigreedy_alpha", "classify_alpha",
                "is_unique_expansion_seq"),
-    "algebraic": ("AlgebraicReal", "base_polynomial", "isolate_root", "value_of_sequence"),
+    "algebraic": ("AlgebraicReal", "base_polynomial", "value_of_sequence"),
     "base": ("BaseContext", "new_base_context", "golden_ratio_base", "v_successor",
              "r_chain", "special_points", "order_points"),
     "graph": ("FULL", "TILDE", "TILDE1", "build_graph", "scc", "is_strongly_connected",

@@ -16,14 +16,18 @@ structural.  The minimal polynomial is monic, so products reduce over the
 integers; multiplying by q is a shift plus one reduction step, and dividing
 by q is one step with the constant term of the minimal polynomial.
 
-The root is isolated in a dyadic interval ``[n_lo, n_hi] / 2^e``.  Sign
-determination runs interval Horner on the element's numerator in integers
-scaled by powers of two, bisecting the interval until the sign is constant.
-This terminates for every nonzero element because nothing of degree below
-the minimal polynomial can vanish at q.
+The root is isolated in a dyadic interval ``[n_lo, n_hi] / 2^e``: a scan of
+(1, M+1] at 64 marks finds the cell where the defining polynomial changes
+sign, ``NumberField.refine`` (the one bisection of q) narrows it to
+``INITIAL_WIDTH`` = 1/10^12, and from then on it is refined only on demand.
+Sign determination runs interval Horner on the element's numerator in
+integers scaled by powers of two, refining the interval until the sign is
+constant.  This terminates for every nonzero element because nothing of
+degree below the minimal polynomial can vanish at q.
 
-``Q`` (fractions.Fraction) is used only at the edges: precision arguments
-and the rational endpoints ``NumberField.lo`` and ``NumberField.hi``.
+``Q`` (fractions.Fraction) is used only at the edges: ``INITIAL_WIDTH``,
+tolerances and the rational endpoints ``NumberField.lo`` and
+``NumberField.hi``.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ import math
 from fractions import Fraction as Q
 
 from .digits import EpSeq, format_seq, is_greedy_beta
+
+
+# width of the isolating interval of q when a field is built; every
+# comparison refines it further as far as it needs
+INITIAL_WIDTH = Q(1, 10**12)
 
 
 class DegenerateInputError(ValueError):
@@ -108,15 +117,14 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def _isolate_dyadic(P, M, precision):
-    """Isolating interval ``(n_lo, n_hi, e)``, i.e. [n_lo, n_hi] / 2^e, of the
-    unique root of ``P`` in (1, M+1]; see ``isolate_root``."""
+def _isolate_dyadic(P, M):
+    """The cell ``(n_lo, n_hi, e)``, i.e. [n_lo, n_hi] / 2^e, of a 64-mark
+    scan of (1, M+1] in which ``P`` changes sign; [r, r] when a mark is the
+    root.  Raises DegenerateInputError unless the scan sees exactly one sign
+    change."""
     P = poly_trim(P)
     if not P:
         raise DegenerateInputError("zero polynomial")
-    precision = Q(precision)
-    if precision <= 0:
-        raise ValueError(f"precision must be positive, got {precision}")
     grid, e = 64, 6                  # marks 1 + M i / 64 = (64 + M i) / 2^6
     marks = [grid + M * i for i in range(grid + 1)]
     signs = [_sign(_dyadic_eval(P, x, e)) for x in marks]
@@ -134,32 +142,7 @@ def _isolate_dyadic(P, M, precision):
         raise DegenerateInputError(
             f"expected exactly one root in (1, {M + 1}], found {len(changes)} sign changes")
     lo, hi = changes[0]
-    if lo == hi:
-        return lo, hi, e
-    slo = _sign(_dyadic_eval(P, lo, e))
-    while (hi - lo) * precision.denominator > precision.numerator << e:
-        mid, e = lo + hi, e + 1
-        lo, hi = lo << 1, hi << 1
-        sm = _sign(_dyadic_eval(P, mid, e))
-        if sm == 0:
-            return mid, mid, e
-        if sm == slo:
-            lo = mid
-        else:
-            hi = mid
     return lo, hi, e
-
-
-def isolate_root(P, M, precision=Q(1, 10**12)):
-    """Isolating rational interval for the unique root of ``P`` in (1, M+1].
-
-    Bisection with exact evaluation at dyadic points; the returned interval
-    has width at most ``precision`` (or is a degenerate [r, r] when the root
-    is rational).  Raises DegenerateInputError when a coarse scan does not
-    see exactly one sign change on (1, M+1].
-    """
-    lo, hi, e = _isolate_dyadic(P, M, precision)
-    return Q(lo, 1 << e), Q(hi, 1 << e)
 
 
 class NumberField:
@@ -523,10 +506,11 @@ def base_polynomial(M, beta):
     return poly_trim(poly)
 
 
-def field_for_base(P, M, precision=Q(1, 10**12)):
+def field_for_base(P, M):
     """NumberField for the base whose defining polynomial ``P``
-    (``base_polynomial``) has it as its one root in (1, M+1]."""
-    n_lo, n_hi, e = _isolate_dyadic(P, M, precision)
+    (``base_polynomial``) has it as its one root in (1, M+1], isolated to
+    a width of at most ``INITIAL_WIDTH``."""
+    n_lo, n_hi, e = _isolate_dyadic(P, M)
     if n_lo == n_hi:
         r, frac = divmod(n_lo, 1 << e)
         assert frac == 0, "rational root of a monic polynomial is an integer"
@@ -534,8 +518,13 @@ def field_for_base(P, M, precision=Q(1, 10**12)):
     else:
         from .minpoly import minimal_factor     # minpoly builds on this module's helpers
 
+        # q is the only root of P in (1, M+1], so the scan cell isolates it
         m = minimal_factor(P, n_lo, n_hi, e)
-    return NumberField(m, n_lo, n_hi, e)
+    field = NumberField(m, n_lo, n_hi, e)
+    width = INITIAL_WIDTH
+    while (field.n_hi - field.n_lo) * width.denominator > width.numerator << field.e:
+        field.refine()
+    return field
 
 
 def value_of_sequence(field, s):

@@ -32,7 +32,7 @@ import functools
 from collections import namedtuple
 
 from . import digits as dg
-from .algebraic import (Q, AlgebraicReal, apply_digit_map, base_polynomial, field_for_base,
+from .algebraic import (AlgebraicReal, apply_digit_map, base_polynomial, field_for_base,
                         value_of_sequence)
 from .digits import BaseClass, EpSeq
 
@@ -133,9 +133,11 @@ def _kappa(ctx):
     return ctx.M / (ctx.q - 1)
 
 
-def new_base_context(M, beta, precision=Q(1, 10**12)):
+def new_base_context(M, beta):
     """Build a context from the greedy expansion of 1 (digit string or EpSeq),
     which ``base_polynomial`` validates while building the defining polynomial."""
+    if M < 1:
+        raise ValueError("alphabet bound must be at least 1")
     if isinstance(beta, str):
         beta = dg.parse_seq(beta)
     poly = base_polynomial(M, beta)
@@ -155,15 +157,13 @@ def new_base_context(M, beta, precision=Q(1, 10**12)):
         alpha=alpha,
         base_class=base_class,
         defining_poly=poly,
-        field=field_for_base(poly, M, precision),
+        field=field_for_base(poly, M),
         n_period=n_period,
     )
 
 
 def golden_ratio_base(M):
     """The smallest base with a unique doubly infinite expansion of 1."""
-    if M < 1:
-        raise ValueError("alphabet bound must be at least 1")
     if M % 2 == 0:
         m = M // 2
         return new_base_context(M, EpSeq((m + 1,), (0,)))

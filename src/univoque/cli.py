@@ -16,7 +16,6 @@ import json
 import sys
 
 from . import digits as dg
-from .algebraic import Q
 from .base import (BaseClass, InternalConsistencyError, SearchBoundError, new_base_context,
                    order_points, r_chain, special_points, v_successor)
 
@@ -25,18 +24,10 @@ def _add_base_flags(p):
     p.add_argument("-M", type=int, required=True, help="alphabet bound")
     p.add_argument("--beta", required=True,
                    help='greedy expansion of 1 in digit-string form, e.g. "111(0)"')
-    p.add_argument("--precision", default=None,
-                   help="root isolation precision (rational or decimal string)")
 
 
 def _context(args):
-    precision = Q(1, 10**12)
-    if args.precision:
-        try:
-            precision = Q(args.precision)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"invalid precision {args.precision!r}") from None
-    return new_base_context(args.M, args.beta, precision=precision)
+    return new_base_context(args.M, args.beta)
 
 
 def _emit(args, payload, text_lines):

@@ -408,13 +408,18 @@ class LexAutomaton:
 # text grammar: digits 0-9 written directly, larger digits comma-separated,
 # period in parentheses, e.g. "111(0)", "(110)", "3,12,0(5,1)"
 
-def parse_word(text):
+def parse_word(text, literal):
+    """The digits of ``text``, one per character or comma-separated; a
+    ValueError naming the sequence literal ``literal`` on anything else."""
     text = text.strip()
     if not text:
         return ()
-    if "," in text:
-        return tuple(int(t) for t in text.split(","))
-    return tuple(int(ch) for ch in text)
+    try:
+        if "," in text:
+            return tuple(int(t) for t in text.split(","))
+        return tuple(int(ch) for ch in text)
+    except ValueError:
+        raise ValueError(f"malformed sequence literal {literal!r}") from None
 
 
 def parse_seq(text):
@@ -431,11 +436,11 @@ def parse_seq(text):
         body, sep, tail = rest.partition(")")
         if not sep or tail:
             raise ValueError(f"malformed sequence literal {text!r}")
-        per = parse_word(body)
+        per = parse_word(body, text)
         if not per:
             raise ValueError(f"empty period in {text!r}")
-        return EpSeq(parse_word(head), per)
-    word = parse_word(text)
+        return EpSeq(parse_word(head, text), per)
+    word = parse_word(text, text)
     if not word:
         raise ValueError("empty sequence literal")
     return EpSeq(word, (0,))

@@ -112,24 +112,24 @@ def dimension_of(g, ctx, radius=None):
 
     The enclosure takes the radius interval [r - err, r + err] over the
     isolating interval of q, with every logarithm and quotient rounded
-    outward.  q is refined until the enclosure is narrower than DIM_TOL, or
-    until refining no longer narrows it (the radius error dominates).
-    ``radius`` is the graph's (radius, error) pair when the caller has it.
+    outward.  q is refined only while the enclosure is at least DIM_TOL wide
+    and the q interval's share of that width, ``log_r_hi / log_q_lo -
+    log_r_hi / log_q_hi``, is at least DIM_TOL / 2; the rest of the width
+    is the radius error's, which refining q cannot narrow.  ``radius`` is
+    the graph's (radius, error) pair when the caller has it.
     """
     r, err = radius if radius is not None else spectral_radius(g)
     if r <= 1.0:
         return 0.0, 0.0
     log_r_lo = math.nextafter(math.log(max(math.nextafter(r - err, 0.0), 1.0)), -math.inf)
     log_r_hi = math.nextafter(math.log(math.nextafter(r + err, math.inf)), math.inf)
-    width = math.inf
     while True:
         log_q_lo = math.nextafter(math.log(_round_down(ctx.field.lo)), -math.inf)
         log_q_hi = math.nextafter(math.log(_round_up(ctx.field.hi)), math.inf)
         lo = math.nextafter(max(log_r_lo, 0.0) / log_q_hi, -math.inf)
         hi = math.nextafter(log_r_hi / log_q_lo, math.inf)
-        if hi - lo < DIM_TOL or hi - lo >= width or ctx.field.lo == ctx.field.hi:
+        if hi - lo < DIM_TOL or log_r_hi / log_q_lo - log_r_hi / log_q_hi < DIM_TOL / 2:
             break
-        width = hi - lo
         ctx.field.refine()
     mid = (lo + hi) / 2
     return mid, math.nextafter(max(hi - mid, mid - lo), math.inf)

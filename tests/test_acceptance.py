@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from univoque import digits as dg
 from univoque import expansions as ex
-from univoque.algebraic import Q, isolate_root
+from univoque.algebraic import Q, field_for_base
 from univoque.base import (BaseClass, golden_ratio_base, new_base_context, order_points,
                            r_chain, special_points, v_successor)
 from univoque.digits import EpSeq
@@ -35,8 +35,9 @@ def test_criterion_01_base_constants():
         ((-1, -1, -1, 1), 1.83929),
     ]
     for poly, ref in targets:
-        lo, hi = isolate_root(poly, 1, Q(1, 10**8))
-        mid = float(Q(lo + hi) / 2)
+        field = field_for_base(poly, 1)
+        lo, hi, D = field.bounds(field.gen(), Q(1, 10**8))
+        mid = float(Q(lo + hi, 2 * D))
         assert abs(mid - ref) <= 1e-5, (poly, mid, ref)
     report(1, "four reference roots isolated to 1e-5")
 

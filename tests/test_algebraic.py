@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import BATTERY, random_context
 from univoque import digits as dg
 from univoque.algebraic import (Q, AlgebraicReal, DegenerateInputError, apply_digit_map,
-                                base_polynomial, isolate_root, value_of_sequence)
+                                base_polynomial, field_for_base, value_of_sequence)
 from univoque.base import new_base_context, special_points, v_successor
 
 
@@ -29,8 +30,9 @@ def test_base_polynomial_examples():
 
 
 def _root_close(poly, M, target, tol=1e-5):
-    lo, hi = isolate_root(poly, M, Q(1, 10**7))
-    mid = float(Q(lo + hi) / 2)
+    field = field_for_base(poly, M)
+    lo, hi, D = field.bounds(field.gen(), Q(1, 10**7))
+    mid = float(Q(lo + hi, 2 * D))
     assert abs(mid - target) <= tol, (mid, target)
 
 
@@ -43,14 +45,65 @@ def test_isolated_roots_match_reference_values():
 
 def test_isolate_root_degenerate_inputs():
     with pytest.raises(DegenerateInputError):
-        isolate_root((1,), 1)                        # constant, no roots
+        field_for_base((1,), 1)                      # constant, no roots
     with pytest.raises(DegenerateInputError):
-        isolate_root((2, -3, 1), 2)                  # roots at 1 and 2... vanishes at 1
+        field_for_base((2, -3, 1), 2)                # roots at 1 and 2... vanishes at 1
 
 
 def test_isolate_root_exact_rational():
-    lo, hi = isolate_root((-2, 1), 2, Q(1, 10**5))
-    assert lo == hi == 2
+    field = field_for_base((-2, 1), 2)
+    lo, hi, D = field.bounds(field.gen(), Q(1, 10**5))
+    assert Q(lo, D) == Q(hi, D) == 2
+    assert field.lo == field.hi == 2
+
+
+def _scaled_sign(P, n, e):
+    """The sign of P(n / 2^e)."""
+    d = len(P) - 1
+    v = sum(c * n**k << (e * (d - k)) for k, c in enumerate(P))
+    return (v > 0) - (v < 0)
+
+
+def bisected_interval(P, M):
+    """Reference isolating interval ``(n_lo, n_hi, e)`` of the root of P in
+    (1, M+1]: the sign-change cell of a scan at the 64 marks (64 + M i) / 2^6,
+    bisected on P itself to width at most 1/10^12, or [r, r] once a mark or a
+    midpoint is the root."""
+    e = 6
+    marks = [64 + M * i for i in range(65)]
+    roots = [n for n in marks if _scaled_sign(P, n, e) == 0]
+    if roots:
+        return roots[0], roots[0], e
+    lo, hi = next((a, b) for a, b in zip(marks, marks[1:])
+                  if _scaled_sign(P, a, e) != _scaled_sign(P, b, e))
+    slo = _scaled_sign(P, lo, e)
+    while (hi - lo) * 10**12 > 1 << e:
+        mid, e = lo + hi, e + 1
+        lo, hi = lo << 1, hi << 1
+        sm = _scaled_sign(P, mid, e)
+        if sm == 0:
+            return mid, mid, e
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, e
+
+
+def test_field_starts_on_the_bisected_interval():
+    # base 2 is a scan mark for M = 2 but not for M = 3, where the field's
+    # generator is rational and q's interval must still be narrowed
+    bases = list(BATTERY) + [(2, "2(0)"), (3, "2(0)")]
+    rng = random.Random(7)
+    bases += [(c.M, c.beta) for c in (random_context(rng) for _ in range(100))]
+    ctx = new_base_context(1, "111(0)")
+    for _ in range(4):
+        ctx = v_successor(ctx)
+        bases.append((ctx.M, ctx.beta))
+    for M, beta in bases:
+        ctx = new_base_context(M, beta)
+        f = ctx.field
+        assert (f.n_lo, f.n_hi, f.e) == bisected_interval(ctx.defining_poly, M), (M, beta)
 
 
 def test_value_of_sequence_basics(tribonacci):

@@ -35,11 +35,12 @@ def test_rejects_base_one_and_non_greedy():
         new_base_context(1, "011(0)")
 
 
-@pytest.mark.parametrize("precision", [0, -1])
-def test_rejects_nonpositive_precision(precision):
-    # root bisection could never reach a width <= 0
-    with pytest.raises(ValueError, match="precision must be positive"):
-        new_base_context(1, "111(0)", precision=precision)
+@pytest.mark.parametrize("M", [0, -1])
+def test_rejects_alphabet_bound_below_one(M):
+    with pytest.raises(ValueError, match="alphabet bound must be at least 1"):
+        new_base_context(M, "1(0)")
+    with pytest.raises(ValueError, match="alphabet bound must be at least 1"):
+        golden_ratio_base(M)
 
 
 def test_below_min_v_flag():

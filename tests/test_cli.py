@@ -189,24 +189,25 @@ def test_validation_exit_code(capsys):
     assert rc == 2
 
 
-def test_precision_flag(capsys):
-    rc, out, _ = run(capsys, "base", "classify", "-M", "1", "--beta", "11(0)",
-                     "--precision", "0.001", "--json")
-    assert rc == 0
-    assert json.loads(out)["q_approx"].startswith("1.618")
-
-
-@pytest.mark.parametrize("precision,message", [
-    ("0", "precision must be positive"),
-    ("-1", "precision must be positive"),
-    ("abc", "invalid precision 'abc'"),
-    ("1/0", "invalid precision '1/0'"),
+@pytest.mark.parametrize("M,beta,message", [
+    ("0", "1(0)", "alphabet bound must be at least 1"),
+    ("-1", "1(0)", "alphabet bound must be at least 1"),
+    ("1", "1a(0)", "malformed sequence literal '1a(0)'"),
+    ("1", "1,,2(0)", "malformed sequence literal '1,,2(0)'"),
 ])
-def test_precision_flag_rejects(capsys, precision, message):
-    rc, out, err = run(capsys, "base", "classify", "-M", "1", "--beta", "111(0)",
-                       "--precision", precision)
+def test_edge_input_exit_code(capsys, M, beta, message):
+    rc, out, err = run(capsys, "base", "classify", "-M", M, "--beta", beta)
     assert rc == 2 and not out
-    assert err.startswith("error: ") and message in err
+    assert err == f"error: {message}\n"
+
+
+def test_precision_flag_refused(capsys):
+    # the field isolates q to a fixed width and refines it on demand
+    with pytest.raises(SystemExit) as exit_info:
+        main(["base", "classify", "-M", "1", "--beta", "11(0)", "--precision", "0.001"])
+    out = capsys.readouterr()
+    assert exit_info.value.code == 2 and not out.out
+    assert "unrecognized arguments: --precision" in out.err
 
 
 def test_dim_empty_central_graph(capsys):

@@ -1,6 +1,5 @@
 import random
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import BATTERY, random_context
 from univoque import digits as dg
 from univoque import expansions as ex
-from univoque.algebraic import NumberField
+from univoque.algebraic import NumberField, _isolate_dyadic
 from univoque.base import new_base_context, r_chain, special_points
 from univoque.digits import EpSeq
 from univoque.walk import tarjan
@@ -435,12 +434,21 @@ def digit_words(max_len):
     return st.lists(st.integers(0, 9), max_size=max_len)
 
 
+def fresh_context(base, coarse):
+    """A new context of ``base``; with ``coarse``, its field is put back on
+    the cell of the root scan, before any narrowing."""
+    ctx = new_base_context(base.M, base.beta)
+    if coarse:
+        ctx.field = NumberField(ctx.field.min_poly, *_isolate_dyadic(ctx.defining_poly, ctx.M))
+    return ctx
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), digit_words(3), digit_words(3).filter(bool), st.integers(1, 4),
-       st.sampled_from([Fraction(1, 2), Fraction(1, 10**12)]))
-def test_count_matches_per_digit_signs(seed, pre, per, m, precision):
-    # precision 1/2 keeps the coarse isolating interval of the root scan, so
-    # that the enclosures leave digits undecided and the exact signs run
+       st.booleans())
+def test_count_matches_per_digit_signs(seed, pre, per, m, coarse):
+    # the coarse isolating interval of the root scan leaves digits
+    # undecided by the enclosures, so that the exact signs run
     base = random_context(random.Random(seed))
     s = EpSeq([d % (base.M + 1) for d in pre], [d % (base.M + 1) for d in per])
     tail = searched_default_tail(base, ex.STRICT)
@@ -448,11 +456,11 @@ def test_count_matches_per_digit_signs(seed, pre, per, m, precision):
     if tail is not None:
         points.append(lambda ctx: ex.build_witness_xm(ctx, m, tail)[0])
     for point in points:
-        ctx = new_base_context(base.M, base.beta, precision=precision)
+        ctx = fresh_context(base, coarse)
         x = point(ctx)
         got, ref = ex.count_expansions(ctx, x, cap=300), per_digit_count(ctx, x, cap=300)
         assert (got.kind, got.count, got.witnesses) == (ref.kind, ref.count, ref.witnesses)
-        ctx = new_base_context(base.M, base.beta, precision=precision)
+        ctx = fresh_context(base, coarse)
         x = point(ctx)
         assert ex.greedy_expand(ctx, x, 8) == per_digit_greedy(ctx, x, 8)
 

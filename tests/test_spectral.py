@@ -247,3 +247,17 @@ def test_dimension_with_wide_radius_enclosure():
     tight, tight_err = dimension_of(g, ctx, (r, err))
     assert tight_err < 1e-8
     assert dim - dim_err <= tight <= dim + dim_err
+
+
+def test_repeated_dimension_calls_leave_q_alone():
+    # with a radius error of 1e-7 the error alone sets the enclosure's
+    # width, which refining q cannot narrow
+    ctx = new_base_context(1, "111001010(0)")
+    e = ctx.field.e
+    g = build_graph(ctx, TILDE)
+    r, _err = spectral_radius(g)
+    dims = [dimension_of(g, ctx, (r, 1e-7)) for _ in range(3)]
+    assert ctx.field.e == e
+    assert dims[0] == dims[1] == dims[2]
+    dimension_of(g, ctx)
+    assert ctx.field.e == e
