@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .walk import alive, cyclic, explore
+from .walk import alive, cyclic, explore, orbit
 
 Word = tuple  # digits as a tuple of ints
 
@@ -340,22 +340,20 @@ class LexAutomaton:
     def periodic_ok(self, state, per, strict):
         """Whether ``per`` repeated forever is admissible from ``state``.
 
-        The state at a period boundary determines the rest of the run, so the
-        run closes a cycle once a boundary state repeats.  Weak admissibility
-        holds iff the run never dies.  Strict also rejects a tie that survives
-        the cycle: an upper tie i with ``(per) == shift(alpha, i)``, or a
-        lower tie i with the reflection of ``(per)`` equal to
-        ``shift(alpha, i)``.
+        The state at a period boundary determines the rest of the run, so
+        ``walk.orbit`` follows the boundary states, one period per move, until
+        one repeats and closes a cycle.  Weak admissibility holds iff the run
+        never dies.  Strict also rejects a tie that survives the cycle: an
+        upper tie i with ``(per) == shift(alpha, i)``, or a lower tie i with
+        the reflection of ``(per)`` equal to ``shift(alpha, i)``.
         """
-        seen = {}
-        while state not in seen:
-            seen[state] = len(seen)
-            state = self.run(state, per)
-            if state is None:
-                return False
+        boundaries, _periods, k = orbit(
+            state, lambda s: None if (t := self.run(s, per)) is None else (per, t))
+        if k is None:
+            return False
         if not strict:
             return True
-        cycle = list(seen)[seen[state]:]
+        cycle = boundaries[k:]
         tail = EpSeq((), per)
         bounds = (tail, reflect(tail, self.M))       # (upper, lower)
         return not any(EpSeq((), self.alpha[i:] + self.alpha[:i]) == bound
@@ -395,10 +393,7 @@ class LexAutomaton:
             moves = {s: [(d, t) for d, t in succ[s] if t in inside] for s in comp}
             if any(len(m) > 1 for m in moves.values()):
                 return True
-            word, s = [], comp[0]
-            while not word or s != comp[0]:
-                d, s = moves[s][0]
-                word.append(d)
+            _cycle, word, _k = orbit(comp[0], lambda s: moves[s][0])
             return self.periodic_ok(comp[0], word, strict=True)
 
         return alive(succ, breaks_ties)
@@ -409,17 +404,16 @@ class LexAutomaton:
 # period in parentheses, e.g. "111(0)", "(110)", "3,12,0(5,1)"
 
 def parse_word(text, literal):
-    """The digits of ``text``, one per character or comma-separated; a
-    ValueError naming the sequence literal ``literal`` on anything else."""
+    """The digits of ``text``, one ASCII digit per character or one nonempty
+    run of ASCII digits per comma-separated piece; a ValueError naming the
+    sequence literal ``literal`` on anything else."""
     text = text.strip()
     if not text:
         return ()
-    try:
-        if "," in text:
-            return tuple(int(t) for t in text.split(","))
-        return tuple(int(ch) for ch in text)
-    except ValueError:
-        raise ValueError(f"malformed sequence literal {literal!r}") from None
+    pieces = text.split(",") if "," in text else text
+    if not all(p.isascii() and p.isdigit() for p in pieces):
+        raise ValueError(f"malformed sequence literal {literal!r}")
+    return tuple(int(p) for p in pieces)
 
 
 def parse_seq(text):

@@ -6,9 +6,10 @@ q*v - d stays inside [0, M/(q-1)].  When q is a Pisot number, the
 remainders of a point of Q(q) form a finite set, and exhaustive exploration
 (``walk.explore``, with exact memoization) decides, from the cycles that
 ``walk.tarjan`` finds, whether the point has finitely many expansions (and
-then materializes all of them) or reaches a branching cycle, which yields
-infinitely many.  For other bases the remainders may never repeat; the
-state cap then bounds the search and the answer is CAP_EXCEEDED.
+then materializes all of them, each cycle word read by ``walk.orbit``) or
+reaches a branching cycle, which yields infinitely many.  For other bases
+the remainders may never repeat; the state cap then bounds the search and
+the answer is CAP_EXCEEDED.
 
 Exact arithmetic runs only where it can change the answer: the feasible
 digits of a remainder are read from one interval enclosure of q*v and one of
@@ -36,7 +37,7 @@ from . import digits as dg
 from .algebraic import AlgebraicReal, value_of_sequence
 from .base import SearchBoundError
 from .digits import EpSeq, LexAutomaton
-from .walk import cyclic, explore, tarjan
+from .walk import cyclic, explore, orbit, tarjan
 
 EXACT = "EXACT"
 INFINITE_CYCLE = "INFINITE_CYCLE"
@@ -96,29 +97,25 @@ def greedy_expand(ctx, x, L):
 def quasi_greedy_expand(ctx, x):
     """The lexicographically largest infinite expansion of x, as an EpSeq.
 
-    Greedy digits are generated with exact remainders until either the
-    remainder vanishes (finite greedy expansion: decrement the last digit
-    and append the expansion of 1) or a remainder repeats (the greedy
-    expansion itself is eventually periodic).  Points whose remainders do
-    not close up within ``QUASI_GREEDY_STEP_BOUND`` raise, never truncate.
+    ``walk.orbit`` follows the exact greedy remainders until one vanishes
+    (finite greedy expansion: decrement the last digit and append the
+    expansion of 1) or one repeats (the greedy expansion itself is
+    eventually periodic).  Points whose remainders do not close up within
+    ``QUASI_GREEDY_STEP_BOUND`` digits raise, never truncate.
     """
     _check_range(ctx, x)
     if x.sign() == 0:
         return dg.ZERO
-    seen = {x: 0}
-    digits = []
-    cur = x
-    for _step in range(QUASI_GREEDY_STEP_BOUND):
-        d, cur = greedy_digit(ctx, cur)
-        digits.append(d)
-        if cur.sign() == 0:
-            word = tuple(digits)
-            return EpSeq(dg.word_minus(word) + ctx.alpha.pre, ctx.alpha.per)
-        if cur in seen:
-            k = seen[cur]
-            return EpSeq(tuple(digits[:k]), tuple(digits[k:]))
-        seen[cur] = len(digits)
-    raise PeriodicityBoundError(f"no periodic remainder within {QUASI_GREEDY_STEP_BOUND} steps")
+    bound = QUASI_GREEDY_STEP_BOUND
+    # a run that closes by a repeat has one node per digit, one that ends
+    # at a zero remainder has one more
+    run = orbit(x, lambda v: None if v.sign() == 0 else greedy_digit(ctx, v), bound + 1)
+    if run is None or len(run[1]) > bound:
+        raise PeriodicityBoundError(f"no periodic remainder within {bound} steps")
+    _remainders, digits, k = run
+    if k is None:
+        return EpSeq(dg.word_minus(tuple(digits)) + ctx.alpha.pre, ctx.alpha.per)
+    return EpSeq(tuple(digits[:k]), tuple(digits[k:]))
 
 
 class ExpansionCount(namedtuple("ExpansionCount", "kind count witnesses",
@@ -176,24 +173,14 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
     if any(len(succ[v]) > 1 for v in on_cycle):
         return ExpansionCount(INFINITE_CYCLE)
 
-    def emit_cycle(v):
-        # deterministic tail from v: follow forced digits until v recurs
-        tail = []
-        cur = v
-        while True:
-            d, nxt = succ[cur][0]
-            tail.append(d)
-            cur = nxt
-            if cur == v:
-                break
-        return tuple(tail)
-
     witnesses = []
     stack = [(x.elem, ())]
     while stack:
         v, path = stack.pop()
         if v in on_cycle:
-            witnesses.append(EpSeq(path, emit_cycle(v)))
+            # the deterministic cycle through v: its forced digits until v recurs
+            _cycle, tail, _k = orbit(v, lambda u: succ[u][0])
+            witnesses.append(EpSeq(path, tuple(tail)))
             if len(witnesses) > cap:
                 return ExpansionCount(CAP_EXCEEDED)
             continue

@@ -13,9 +13,10 @@ central interval (b1, a1), and the further restriction to the vertices
 leaning on the orbit points a_i / b_i.  On top of those live the structural
 operations: strong-connectedness criteria, the order isomorphism between a
 base and its successor, and the tower decomposition along successor chains.
-Components, reachability and the subset automaton of the labels are walks
-of ``walk`` over the successor map ``out`` (vertex -> [(label, target)]);
-the label words are counted and listed by ``walk`` on that automaton.
+Components, reachability, the cycle of a tower level and the subset
+automaton of the labels are walks of ``walk`` over the successor map ``out``
+(vertex -> [(label, target)]); the label words are counted and listed by
+``walk`` on that automaton.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from collections import namedtuple
 
 from . import digits as dg
 from .algebraic import apply_digit_map
-from .base import (BaseClass, InternalConsistencyError, memo, order_points, special_points,
-                   v_successor)
-from .walk import count_words, cyclic, explore, tarjan, words
+from .base import BaseClass, InternalConsistencyError, memo, order_points, v_successor
+from .walk import count_words, cyclic, explore, orbit, tarjan, words
 
 FULL, TILDE, TILDE1 = "FULL", "TILDE", "TILDE1"
 
@@ -252,11 +252,10 @@ def connectivity_report(ctx):
         m1 = all(v.index in reach for v in ab)
         if m1 != direct:
             raise InternalConsistencyError("two-digit criterion disagrees with component count")
-    pts = special_points(ctx)
-    N = ctx.n_period
-    suff = False
-    if N >= 3:
-        suff = all(pts.b[2].cmp(pts.a[i]) < 0 for i in range(2, N))
+    # order_points has certified every strict step and every tie of the
+    # special points, so their class indices compare them exactly
+    at = tilde.order.index_of
+    suff = ctx.n_period >= 3 and all(at["b2"] < at[f"a{i}"] for i in range(2, ctx.n_period))
     if suff and not direct:
         raise InternalConsistencyError("sufficient endpoint condition held but graph is split")
     return ConnectivityReport(direct, crit, suff, m1)
@@ -478,26 +477,21 @@ def tower_decompose(ctx0, m):
 
 
 def _trace_cycle(g, cset, level):
-    """Check ``cset`` spans a single cycle; return it ordered with labels."""
-    succ = {}
-    for v in cset:
+    """The single cycle spanned by ``cset``, from its least vertex, with its
+    labels: ``walk.orbit`` follows each vertex's one move inside ``cset``,
+    and the run must return to its start having visited every vertex."""
+
+    def inside_move(v):
         inside = [(k, j) for k, j in g.out[v] if j in cset]
         if len(inside) != 1:
             raise StructuralError(
                 f"cycle vertex {g.vertex_name(next(x for x in g.vertices if x.index == v))} "
                 f"has {len(inside)} successors inside level {level + 1}")
-        succ[v] = inside[0]
-    start = min(cset)
-    path, labels = [start], []
-    k, nxt = succ[start]
-    labels.append(k)
-    while nxt != start:
-        path.append(nxt)
-        k, nxt2 = succ[nxt]
-        labels.append(k)
-        nxt = nxt2
-    if len(path) != len(cset):
-        raise StructuralError(f"level {level + 1} splits into several cycles")
+        return inside[0]
+
+    path, labels, k = orbit(min(cset), inside_move)
+    if k != 0 or len(path) != len(cset):
+        raise StructuralError(f"level {level + 1} is not a single cycle")
     return path, tuple(labels)
 
 

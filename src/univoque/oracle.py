@@ -21,7 +21,7 @@ a simple cycle that passes its strict periodic-run check.
 from __future__ import annotations
 
 from .digits import LexAutomaton
-from .walk import explore, words
+from .walk import explore, orbit, words
 
 U_PREFIX = "U_PREFIX"    # prefixes of unique expansions (strict bounds)
 V_PREFIX = "V_PREFIX"    # prefixes of unique doubly infinite expansions (weak bounds)
@@ -41,8 +41,6 @@ def enumerate_admissible_words(ctx, L, mode=V_PREFIX):
     """
     if L < 0:
         raise ValueError(f"word length must be nonnegative, got {L}")
-    if L > 12:
-        raise ValueError("oracle word enumeration is capped at length 12")
     ctx.require_graph_class()
     auto = LexAutomaton(ctx.M, ctx.alpha.per)
     accept = auto.good_states() if mode == U_PREFIX else auto.alive_states()
@@ -75,25 +73,18 @@ def brute_count_expansions(ctx, x, depth):
                 out.append((d, nxt))
         return out
 
+    def forced(v):
+        moves = feasible(v)
+        return moves[0] if len(moves) == 1 else None
+
     pinned_cache = {}
 
     def pinned(v):
-        if v in pinned_cache:
-            return pinned_cache[v]
-        seen = set()
-        cur = v
-        result = True
-        while cur not in seen:
-            seen.add(cur)
-            moves = feasible(cur)
-            if len(moves) != 1:
-                result = False
-                break
-            cur = moves[0][1]
-        for w in seen:
-            pinned_cache.setdefault(w, result)
-        pinned_cache[v] = result
-        return result
+        # the forced-digit run from v closes a cycle, or stops at a branching
+        if v not in pinned_cache:
+            run, _digits, k = orbit(v, forced)
+            pinned_cache.update(dict.fromkeys(run, k is not None))
+        return pinned_cache[v]
 
     lower = upper = 0
     stack = [(x, 0)]

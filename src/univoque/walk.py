@@ -7,6 +7,10 @@ one plain successor map ``node -> [(label, target)]``.  Nodes are any
 hashable values; every target of a map is one of its keys.  This module
 imports nothing from the package.
 
+A run with one move per node -- a greedy expansion, a forced-digit tail, the
+cycle word of a graph level or of a follower-automaton component -- is
+followed by ``orbit`` to its first repeated node, which closes its cycle.
+
 The label words of a deterministic map (no node has two moves with one
 label), such as the subset automaton of a graph or the follower automaton,
 are its runs: ``count_words`` counts them node by node for any length, and
@@ -35,6 +39,29 @@ def explore(roots, moves, cap=None):
             return None
         frontier.extend(w for _k, w in out if w not in succ)
     return succ
+
+
+def orbit(start, step, cap=None):
+    """The run from ``start`` up to its first repeated node.
+
+    ``step(node)`` gives the node's one ``(label, target)`` move, or None
+    where the run stops.  Returns ``(nodes, labels, k)``: ``labels[i]`` is
+    read on leaving ``nodes[i]``, and the last move returns to ``nodes[k]``;
+    k is None when ``step`` stopped the run at ``nodes[-1]``.  Returns None
+    once the run passes ``cap`` nodes.
+    """
+    index, labels = {}, []
+    node = start
+    while node not in index:
+        if cap is not None and len(index) >= cap:
+            return None
+        index[node] = len(index)
+        move = step(node)
+        if move is None:
+            return list(index), labels, None
+        label, node = move
+        labels.append(label)
+    return list(index), labels, index[node]
 
 
 def tarjan(succ):

@@ -194,6 +194,10 @@ def test_validation_exit_code(capsys):
     ("-1", "1(0)", "alphabet bound must be at least 1"),
     ("1", "1a(0)", "malformed sequence literal '1a(0)'"),
     ("1", "1,,2(0)", "malformed sequence literal '1,,2(0)'"),
+    ("12", "1_0,1(0)", "malformed sequence literal '1_0,1(0)'"),
+    ("1", "1, 1(0)", "malformed sequence literal '1, 1(0)'"),
+    ("1", "1,+1(0)", "malformed sequence literal '1,+1(0)'"),
+    ("1", "１１１(0)", "malformed sequence literal '１１１(0)'"),
 ])
 def test_edge_input_exit_code(capsys, M, beta, message):
     rc, out, err = run(capsys, "base", "classify", "-M", M, "--beta", beta)

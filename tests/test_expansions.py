@@ -64,6 +64,23 @@ def test_quasi_greedy_examples(tribonacci):
         assert ex.greedy_expand(tribonacci, pts.b[i], 8) == got.prefix(8)
 
 
+@pytest.mark.parametrize("literal,bound", [
+    ("(10)", 2),        # the remainders close by a repeat
+    ("(001)", 3),
+    ("1(0)", 1),        # a remainder vanishes
+    ("0011(0)", 4),
+])
+def test_quasi_greedy_step_bound_edge(tribonacci, monkeypatch, literal, bound):
+    # a run that closes at its s-th greedy digit returns iff s <= the bound
+    x = tribonacci.value(seq(literal))
+    monkeypatch.setattr(ex, "QUASI_GREEDY_STEP_BOUND", bound)
+    expected = ex.quasi_greedy_expand(tribonacci, x)
+    assert tribonacci.value(expected).cmp(x) == 0
+    monkeypatch.setattr(ex, "QUASI_GREEDY_STEP_BOUND", bound - 1)
+    with pytest.raises(ex.PeriodicityBoundError):
+        ex.quasi_greedy_expand(tribonacci, x)
+
+
 def test_reflected_points_infinite_greedy_4331():
     ctx = new_base_context(4, "4331(0)")
     pts = special_points(ctx)

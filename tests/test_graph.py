@@ -1,11 +1,14 @@
 import random
+import signal
+from types import SimpleNamespace
 
 import pytest
 
 from univoque import digits as dg
 from univoque import graph
 from univoque.algebraic import apply_digit_map
-from univoque.base import BaseClass, golden_ratio_base, new_base_context, v_successor
+from univoque.base import (BaseClass, golden_ratio_base, new_base_context, special_points,
+                           v_successor)
 from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
                             connectivity_report, count_label_paths, cycle_word_matches,
                             is_strongly_connected, path_words, scc, tower_decompose)
@@ -143,6 +146,21 @@ def test_connectivity_battery():
         assert rep.sufficient_b2 == suff, beta
         if M == 1:
             assert rep.m1_ab_criterion == sc, beta
+    # the endpoint test read from the certified point order agrees with
+    # exact comparisons of b2 against every middle a_i
+    ctxs = [new_base_context(M, beta) for M, beta in expected]
+    rng = random.Random(7)
+    while len(ctxs) < len(expected) + 100:
+        ctx = random_context(rng)
+        if ctx.base_class is BaseClass.IN_CLOSURE_U_NOT_U:
+            ctxs.append(ctx)
+    verdicts = []
+    for ctx in ctxs:
+        pts, N = special_points(ctx), ctx.n_period
+        exact = N >= 3 and all(pts.b[2].cmp(pts.a[i]) < 0 for i in range(2, N))
+        assert connectivity_report(ctx).sufficient_b2 == exact, (ctx.M, ctx.beta)
+        verdicts.append(exact)
+    assert set(verdicts) == {True, False}
 
 
 def test_connectivity_patterns_differ_by_alphabet():
@@ -236,6 +254,24 @@ def test_tower_331(base331):
         inside = set(path)
         for v in path:
             assert sum(1 for _k, j in top.out[v] if j in inside) == 1
+
+
+def test_trace_cycle_rejects_rho_shaped_level():
+    # inside moves 0 -> 1 -> 2 -> 1: a tail into a cycle that misses the
+    # least vertex, where the run must stop instead of waiting for vertex 0
+    level = SimpleNamespace(out={0: [(0, 1)], 1: [(1, 2)], 2: [(0, 1)]}, vertices=[])
+
+    def stalled(signum, frame):
+        raise TimeoutError("tracing the level did not stop")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(10)
+    try:
+        with pytest.raises(graph.StructuralError, match="level 2 is not a single cycle"):
+            graph._trace_cycle(level, {0, 1, 2}, 1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_isomorphism_rejects_same_size_pair(base331):

@@ -128,9 +128,15 @@ def test_count_against_brute_count(seed, pre, per):
         assert res.count <= hi, (ctx.M, ctx.beta, s, depth)
 
 
-def test_length_cap():
-    with pytest.raises(ValueError):
-        enumerate_admissible_words(golden_ratio_base(1), 13, V_PREFIX)
+def test_words_past_length_12():
+    # the word count bounds the listing, as for the label words of a graph
+    from univoque.base import BaseClass
+
+    for ctx in (golden_ratio_base(1), new_base_context(1, "111(0)")):
+        mode = V_PREFIX if ctx.base_class is BaseClass.IN_CLOSURE_U_NOT_U else U_PREFIX
+        g = build_graph(ctx, FULL)
+        for L in (13, 16):
+            assert enumerate_admissible_words(ctx, L, mode) == path_words(g, L), (ctx.beta, L)
 
 
 class Untouchable:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from univoque import walk
-from univoque.walk import alive, count_words, cyclic, explore, tarjan, words
+from univoque.walk import alive, count_words, cyclic, explore, orbit, tarjan, words
 
 
 def test_explore_full_map_and_cap():
@@ -121,3 +121,46 @@ def test_words_cap(monkeypatch):
     assert len(words(succ, 0, 3)) == 8
     with pytest.raises(ValueError, match="16 words of length 4"):
         words(succ, 0, 4)
+
+
+def moves_of(succ):
+    """The one-move step of a map ``node -> (label, target)``; None off the map."""
+    calls = []
+
+    def step(v):
+        calls.append(v)
+        return succ.get(v)
+
+    return step, calls
+
+
+def test_orbit_pure_cycle():
+    step, calls = moves_of({0: ("a", 1), 1: ("b", 2), 2: ("c", 0)})
+    assert orbit(0, step) == ([0, 1, 2], ["a", "b", "c"], 0)
+    assert calls == [0, 1, 2]                     # one step per node
+
+
+def test_orbit_rho_shaped_run():
+    # a tail 0 -> 1 into the cycle 1 -> 2 -> 3 -> 1
+    step, _calls = moves_of({0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (3, 1)})
+    assert orbit(0, step) == ([0, 1, 2, 3], [0, 1, 2, 3], 1)
+    # a self-loop closes at once
+    assert orbit("x", lambda v: (7, v)) == (["x"], [7], 0)
+
+
+def test_orbit_stopped_run():
+    step, calls = moves_of({0: (5, 1), 1: (6, 2)})
+    assert orbit(0, step) == ([0, 1, 2], [5, 6], None)
+    assert calls == [0, 1, 2]
+    assert orbit(9, step) == ([9], [], None)
+
+
+def test_orbit_cap():
+    rho = {0: (0, 1), 1: (1, 2), 2: (2, 3), 3: (3, 1)}
+    assert orbit(0, moves_of(rho)[0], cap=4) == ([0, 1, 2, 3], [0, 1, 2, 3], 1)
+    step, calls = moves_of(rho)
+    assert orbit(0, step, cap=3) is None
+    assert calls == [0, 1, 2]                     # never steps past the cap
+    stopped = moves_of({0: (5, 1), 1: (6, 2)})[0]
+    assert orbit(0, stopped, cap=3) == ([0, 1, 2], [5, 6], None)
+    assert orbit(0, stopped, cap=2) is None
