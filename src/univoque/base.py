@@ -7,8 +7,8 @@ quasi-greedy expansion alpha is periodic with primitive period N, the
 context carries the partition points of the graph construction:
 
 * ``a_i`` -- the value of the greedy digit tail starting at position i,
-  for i = 1..N+1 (a_1 = 1, a_{N+1} = 0): the greedy orbit of 1,
-  a_{i+1} = q*a_i - beta_i;
+  for i = 1..N (a_1 = 1): the greedy orbit of 1, a_{i+1} = q*a_i - beta_i,
+  which closes at a_{N+1} = 0;
 * ``b_i = M/(q-1) - a_i`` -- their reflections;
 * ``theta_j = j/q`` and ``eta_j = (j-1)/q + M/(q^2-q)`` -- the endpoints of
   the switch region, where the first digit of an expansion is not forced.
@@ -86,11 +86,6 @@ class BaseContext:
         self.field = field
         self.n_period = n_period            # primitive period of alpha when periodic
         self._cache = {}
-
-    @property
-    def below_min_v(self):
-        """Informational flag: the base lies below every base of V."""
-        return self.base_class is BaseClass.NOT_IN_V
 
     @property
     def q(self):
@@ -227,14 +222,11 @@ def point_sort_key(name):
     raise ValueError(f"unknown point name {name!r}")
 
 
-class SpecialPoints(namedtuple("SpecialPoints", "a b theta eta qg_key value")):
-    """Exact values and quasi-greedy comparison keys of the partition points.
+class SpecialPoints(namedtuple("SpecialPoints", "qg_key value")):
+    """Quasi-greedy comparison keys and exact values of the partition points.
 
-    ``a`` and ``b`` are 1-based lists of length N+2 (index N+1 holds the
-    interval endpoints 0 and M/(q-1)); ``theta`` is indexed 0..M and ``eta``
-    1..M+1.  ``qg_key`` maps the point names "a1".."aN", "b1".."bN",
-    "th0".."thM", "et1".."etM+1" to EpSeq keys, and ``value`` to the exact
-    values.
+    Both map the point names "a1".."aN", "b1".."bN", "th0".."thM" and
+    "et1".."etM+1": ``qg_key`` to EpSeq keys, ``value`` to the exact values.
     """
 
     __slots__ = ()
@@ -257,35 +249,25 @@ def _special_points(ctx):
     qinv = ctx.value(EpSeq((1,), (0,)))          # 1/q
     kappa = ctx.kappa
 
-    a = [None] * (N + 2)
-    b = [None] * (N + 2)
     keys, values = {}, {}
-    a[1] = AlgebraicReal(ctx.field, ctx.field.one())
+    a = AlgebraicReal(ctx.field, ctx.field.one())
     for i, digit in enumerate(dg.word_plus(w, M), start=1):
-        a[i + 1] = apply_digit_map(a[i], digit)
-        b[i] = kappa - a[i]
         keys[f"a{i}"] = EpSeq(w[i - 1:], w)
         keys[f"b{i}"] = dg.reflect(keys[f"a{i}"], M)
-        values[f"a{i}"] = a[i]
-        values[f"b{i}"] = b[i]
-    if a[N + 1].sign() != 0:
+        values[f"a{i}"] = a
+        values[f"b{i}"] = kappa - a
+        a = apply_digit_map(a, digit)
+    if a.sign() != 0:
         raise InternalConsistencyError(f"the orbit of 1 does not close at 0 after {N} digits")
-    b[N + 1] = kappa
 
-    theta = [None] * (M + 1)
-    eta = [None] * (M + 2)
     for j in range(0, M + 1):
-        theta[j] = j * qinv
-        name = f"th{j}"
-        keys[name] = dg.ZERO if j == 0 else EpSeq((j - 1,), w)
-        values[name] = theta[j]
+        keys[f"th{j}"] = dg.ZERO if j == 0 else EpSeq((j - 1,), w)
+        values[f"th{j}"] = j * qinv
     for j in range(1, M + 2):
-        eta[j] = kappa - theta[M + 1 - j]
-        name = f"et{j}"
-        keys[name] = dg.reflect(keys[f"th{M + 1 - j}"], M)
-        values[name] = eta[j]
+        keys[f"et{j}"] = dg.reflect(keys[f"th{M + 1 - j}"], M)
+        values[f"et{j}"] = kappa - values[f"th{M + 1 - j}"]
 
-    return SpecialPoints(a=a, b=b, theta=theta, eta=eta, qg_key=keys, value=values)
+    return SpecialPoints(qg_key=keys, value=values)
 
 
 class PointOrder(namedtuple("PointOrder", "classes values index_of")):

@@ -4,15 +4,17 @@ Subcommands mirror the library: ``base classify|chain|points``,
 ``graph build|scc|verify|connectivity``, ``dim``, ``expansions
 count|witness`` and ``oracle words|brute-count``.  Output is human-readable
 text by default and JSON with --json; every run is deterministic.  Exit
-codes: 0 success, 2 invalid input or a search bound reached, 3 internal
-consistency failure or a failed check.  Each command imports the layers it
-runs inside its own function, so a process loads nothing else.
+codes: 0 success, 1 stdout closed before the output was written, 2 invalid
+input or a search bound reached, 3 internal consistency failure or a failed
+check.  Each command imports the layers it runs inside its own function, so
+a process loads nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import digits as dg
@@ -41,9 +43,13 @@ def _emit(args, payload, text_lines):
 def _write(path, content):
     if path == "-":
         sys.stdout.write(content)
-    else:
-        with open(path, "w") as fh:
-            fh.write(content)
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as e:                        # an output path is input too
+        raise ValueError(f"cannot write {path!r}: {e.strerror}") from None
+    with fh:
+        fh.write(content)
 
 
 def cmd_base_classify(args):
@@ -346,7 +352,13 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader of stdout is gone: drop the rest of the output quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InternalConsistencyError as e:        # graph.StructuralError included
         print(f"internal consistency failure: {e}", file=sys.stderr)
         return 3

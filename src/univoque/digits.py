@@ -14,11 +14,12 @@ the good ones with a component test built on the automaton's strict
 periodic-run check ``LexAutomaton.periodic_ok``.
 
 A sequence over the alphabet ``{0, ..., M}`` is *finite* if it has a last
-nonzero digit and *infinite* otherwise (the zero sequence counts as
-infinite).  It is *doubly infinite* if both the sequence and its digit-wise
-reflection ``c -> M - c`` are infinite.  All predicates here decide their
-condition over a finite window, which is sufficient because every input is
-eventually periodic.
+nonzero digit (``EpSeq.is_finite``) and *infinite* otherwise; it is *doubly
+infinite* if its digit-wise reflection ``c -> M - c`` is infinite as well.
+``is_unique_expansion_seq`` decides unique expansions (UNIQUE) and unique
+doubly infinite expansions (DOUBLY_INFINITE).  All predicates here decide
+their condition over a finite window, which is sufficient because every
+input is eventually periodic.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import math
 from enum import Enum
 
 from .walk import alive, cyclic, explore, orbit
-
-Word = tuple  # digits as a tuple of ints
 
 LT, EQ, GT = -1, 0, 1
 
@@ -119,27 +118,12 @@ class EpSeq:
             return self.pre[i]
         return self.per[(i - len(self.pre)) % len(self.per)]
 
-    def prefix(self, n):
-        return tuple(self.digit(i) for i in range(n))
-
     def is_zero(self):
         return not self.pre and self.per == (0,)
 
     def is_finite(self):
         """True if the sequence has a last nonzero digit."""
         return self.per == (0,) and bool(self.pre)
-
-    def is_infinite_seq(self):
-        """Infinitely many nonzero digits, or identically zero."""
-        return not self.is_finite()
-
-    def is_doubly_infinite(self, M):
-        check_alphabet(self.pre + self.per, M)
-        if self.per == (0,) and not self.pre:
-            return True
-        if self.per == (M,) and not self.pre:
-            return True
-        return any(d > 0 for d in self.per) and any(d < M for d in self.per)
 
     def finite_word(self):
         """The digits up to the last nonzero one (requires a finite sequence)."""

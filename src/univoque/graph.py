@@ -73,22 +73,10 @@ class UnivoqueGraph:
     def vertex_name(self, v):
         return f"({self.class_name(v.left)},{self.class_name(v.right)})"
 
-    def names(self):
-        return [self.vertex_name(v) for v in self.vertices]
-
-    def _class_names(self, class_idx):
-        return self.order.classes[class_idx]
-
-    def left_names(self, v):
-        return self._class_names(v.left)
-
-    def right_names(self, v):
-        return self._class_names(v.right)
-
     def kinds(self, v):
         """The (possibly multiple) endpoint forms of a vertex."""
         N = self.ctx.n_period
-        lefts, rights = self.left_names(v), self.right_names(v)
+        lefts, rights = self.order.classes[v.left], self.order.classes[v.right]
         a_right = any(nm[0] == "a" and int(nm[1:]) <= N for nm in rights)
         b_left = any(nm[0] == "b" and int(nm[1:]) <= N for nm in lefts)
         out = set()
@@ -355,10 +343,10 @@ def embed_successor(g_small, g_big):
     mapping = {}
     big_by_left = {}
     for v in g_big.vertices:
-        for nm in g_big.left_names(v):
+        for nm in g_big.order.classes[v.left]:
             big_by_left[nm] = v.index
     for v in g_small.vertices:
-        images = _endpoint_image_names(ctx, g_small.left_names(v))
+        images = _endpoint_image_names(ctx, g_small.order.classes[v.left])
         targets = {big_by_left[nm] for nm in images if nm in big_by_left}
         if len(targets) != 1:
             raise StructuralError(
@@ -424,7 +412,7 @@ def tower_decompose(ctx0, m):
     alpha = ctx0.alpha_word()
     by_right_a = {}
     for v in graphs[0].vertices:
-        for nm in graphs[0].right_names(v):
+        for nm in graphs[0].order.classes[v.right]:
             if nm[0] == "a" and int(nm[1:]) <= n:
                 by_right_a[int(nm[1:])] = v.index
     if len(by_right_a) != n:
@@ -493,14 +481,6 @@ def _trace_cycle(g, cset, level):
     if k != 0 or len(path) != len(cset):
         raise StructuralError(f"level {level + 1} is not a single cycle")
     return path, tuple(labels)
-
-
-def cycle_word_matches(word, expected):
-    """True if two cyclic label words agree up to rotation."""
-    if len(word) != len(expected):
-        return False
-    doubled = expected + expected
-    return any(doubled[i:i + len(word)] == tuple(word) for i in range(len(expected)))
 
 
 # --- label-path language -----------------------------------------------------

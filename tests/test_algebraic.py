@@ -122,28 +122,28 @@ def test_compare_and_digit_map(tribonacci):
     kappa = tribonacci.kappa
     # switch endpoints behave like announced under the digit maps
     for j in range(1, tribonacci.M + 1):
-        th = pts.theta[j]
+        th = pts.value[f"th{j}"]
         assert apply_digit_map(th, j).sign() == 0
         assert (apply_digit_map(th, j - 1) - 1).sign() == 0
-        et = pts.eta[j]
+        et = pts.value[f"et{j}"]
         assert (apply_digit_map(et, j - 1) - kappa).sign() == 0
         assert (apply_digit_map(et, j) - (kappa - 1)).sign() == 0
     assert (apply_digit_map(kappa, tribonacci.M) - kappa).sign() == 0
     # eta is the reflection of theta
     for j in range(1, tribonacci.M + 2):
-        lhs = pts.eta[j]
-        rhs = kappa - pts.theta[tribonacci.M + 1 - j]
+        lhs = pts.value[f"et{j}"]
+        rhs = kappa - pts.value[f"th{tribonacci.M + 1 - j}"]
         assert (lhs - rhs).sign() == 0
     # direct switch formula (j-1)/q + M/(q^2-q)
     for j in range(1, tribonacci.M + 1):
         direct = (j - 1) / q + tribonacci.M / (q * q - q)
-        assert (pts.eta[j] - direct).sign() == 0
+        assert (pts.value[f"et{j}"] - direct).sign() == 0
 
 
 def test_reflection_reverses_compare(tribonacci):
     pts = special_points(tribonacci)
     kappa = tribonacci.kappa
-    vals = [pts.a[1], pts.a[2], pts.b[1], pts.theta[1], pts.eta[1]]
+    vals = [pts.value[nm] for nm in ("a1", "a2", "b1", "th1", "et1")]
     for x in vals:
         for y in vals:
             assert x.cmp(y) == (kappa - y).cmp(kappa - x)
@@ -152,11 +152,12 @@ def test_reflection_reverses_compare(tribonacci):
 def test_special_point_order_examples(tribonacci):
     pts = special_points(tribonacci)
     N = tribonacci.n_period
-    assert (pts.a[N] - pts.theta[1]).sign() == 0          # a_N rides the switch
-    assert (pts.b[N] - pts.eta[1]).sign() == 0
-    assert pts.b[1].cmp(pts.a[1]) < 0
-    for i in range(1, N + 2):
-        assert (pts.a[i] + pts.b[i] - tribonacci.kappa).sign() == 0
+    a, b = pts.value[f"a{N}"], pts.value[f"b{N}"]
+    assert (a - pts.value["th1"]).sign() == 0          # a_N rides the switch
+    assert (b - pts.value["et1"]).sign() == 0
+    assert pts.value["b1"].cmp(pts.value["a1"]) < 0
+    for i in range(1, N + 1):
+        assert (pts.value[f"a{i}"] + pts.value[f"b{i}"] - tribonacci.kappa).sign() == 0
 
 
 def test_lex_order_matches_value_order():
@@ -267,7 +268,7 @@ def test_field_laws(sample):
 def test_element_ops_build_no_fraction(monkeypatch):
     ctx = new_base_context(1, "111001(0)")
     f = ctx.field
-    a, b = ctx.kappa.elem, special_points(ctx).a[2].elem
+    a, b = ctx.kappa.elem, special_points(ctx).value["a2"].elem
     made = []
     inner = Fraction.__new__
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from univoque import digits as dg
+from univoque.algebraic import apply_digit_map
 from univoque.base import (BaseClass, BaseContext, InternalConsistencyError, golden_ratio_base,
                            new_base_context, order_points, r_chain, special_points, v_successor,
                            chain_limit_alpha)
@@ -46,7 +47,6 @@ def test_rejects_alphabet_bound_below_one(M):
 def test_below_min_v_flag():
     ctx = new_base_context(1, "101(0)")
     assert ctx.base_class is BaseClass.NOT_IN_V
-    assert ctx.below_min_v
     with pytest.raises(Exception):
         ctx.require_graph_class()
 
@@ -232,9 +232,10 @@ def test_special_points_match_tail_values(battery, tribonacci):
         pts = special_points(ctx)
         for i in range(1, N + 1):
             tail = ctx.value(dg.EpSeq(dg.word_plus(w[i - 1:], ctx.M), (0,)))
-            assert pts.a[i] == tail, (dg.format_seq(ctx.beta), i)
-            assert pts.b[i] == ctx.kappa - tail
-        assert pts.a[N + 1] == ctx.value(dg.ZERO)
+            assert pts.value[f"a{i}"] == tail, (dg.format_seq(ctx.beta), i)
+            assert pts.value[f"b{i}"] == ctx.kappa - tail
+        last_digit = dg.word_plus(w, ctx.M)[-1]
+        assert apply_digit_map(pts.value[f"a{N}"], last_digit) == ctx.value(dg.ZERO)
 
 
 def test_special_points_orbit_must_close(tribonacci):

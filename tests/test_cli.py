@@ -205,6 +205,37 @@ def test_edge_input_exit_code(capsys, M, beta, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flag,name", [("--dot", "missing/g.dot"), ("--json", ".")])
+def test_unwritable_output_path_exit_code(capsys, tmp_path, flag, name):
+    # a missing directory, then a directory where a file should go
+    path = str(tmp_path / name)
+    rc, out, err = run(capsys, "graph", "build", "-M", "4", "--beta", "322(0)", flag, path)
+    assert rc == 2 and not out
+    assert err.startswith(f"error: cannot write {path!r}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("base", "classify", "-M", "1", "--beta", "111(0)"),
+    ("oracle", "words", "-M", "1", "--beta", "111(0)", "-L", "18"),
+])
+def test_closed_stdout_ends_quietly(argv):
+    # the reader is gone before the command starts, so the first write fails
+    # whatever the size of the pipe buffer; buffered stdout fails only when
+    # it is flushed, unbuffered stdout at the first print
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(univoque.__file__))
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "univoque.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env=env | unbuffered, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b""), unbuffered
+
+
 def test_precision_flag_refused(capsys):
     # the field isolates q to a fixed width and refines it on demand
     with pytest.raises(SystemExit) as exit_info:

@@ -1,0 +1,119 @@
+"""The CLI's output contract: a fixed corpus of commands, run in-process
+through ``cli.main``, must keep its exit code and the sha256 of its stdout
+and stderr, as recorded in ``cli_corpus.json``.
+
+A deliberate change of output regenerates the file with
+``PYTHONPATH=src python tests/test_cli_corpus.py`` in the same change, and
+CHANGES.md names each command whose entry changed.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import shlex
+from pathlib import Path
+
+from test_cli import readme_commands
+from univoque import cli
+
+CORPUS = Path(__file__).with_name("cli_corpus.json")
+
+# the recurring battery of tests/conftest.py
+BATTERY = [(1, "111(0)"), (1, "11011(0)"), (4, "4331(0)"), (3, "331(0)"), (4, "322(0)"),
+           (1, "111001010(0)")]
+
+
+def other_mode(argv):
+    """The same command in its other output mode."""
+    if "--json" in argv:
+        return [a for a in argv if a != "--json"]
+    if "--dot" in argv:                          # graph build: JSON to stdout
+        return argv[:argv.index("--dot")] + ["--json", "-"]
+    return argv + ["--json"]
+
+
+def corpus():
+    readme = readme_commands()
+    cmds = readme + [other_mode(a) for a in readme]
+    cmds.append(["base", "chain", "-M", "1", "--beta", "11(0)", "--kind", "r", "--steps", "3"])
+    for M, beta in BATTERY:
+        base = ["-M", str(M), "--beta", beta]
+        cmds += [
+            ["base", "classify", *base],
+            ["base", "points", *base],
+            ["graph", "scc", *base],
+            ["dim", *base, "--per-scc"],
+            ["graph", "connectivity", *base],
+            ["graph", "verify", *base, "--theorem", "1.4"],
+            *(["expansions", "witness", *base, "-m", str(m)] for m in range(1, 5)),
+            ["expansions", "count", *base, "--x", "1(01)"],
+        ]
+        L = "8" if M == 1 else "5"
+        cmds += [["oracle", "words", *base, "-L", L],
+                 ["oracle", "words", *base, "-L", L, "--mode", "u"]]
+    cmds += [
+        ["base", "classify", "-M", "0", "--beta", "1(0)"],
+        ["base", "classify", "-M", "1", "--beta", "1a(0)"],
+        ["base", "classify", "-M", "1", "--beta", "(10)"],
+        ["graph", "build", "-M", "1", "--beta", "1010(0)"],
+        ["base", "classify", "-M", "12", "--beta", "12,0,1(0)"],
+    ]
+    return {shlex.join(a): a for a in cmds}
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def record(argv):
+    rc, out, err = run(argv)
+    return {"exit": rc, "stdout": sha(out), "stderr": sha(err)}
+
+
+def head(text, n=5):
+    return "\n".join(text.splitlines()[:n])
+
+
+def test_cli_corpus():
+    expected = json.loads(CORPUS.read_text())
+    cmds = corpus()
+    assert list(expected) == list(cmds), "the corpus changed: regenerate cli_corpus.json"
+    faults = []
+    for key, argv in cmds.items():
+        rc, out, err = run(argv)
+        if {"exit": rc, "stdout": sha(out), "stderr": sha(err)} != expected[key]:
+            faults.append(f"{key}\n  exit {rc}\n  stdout:\n{head(out)}\n  stderr:\n{head(err)}")
+    assert not faults, "output changed:\n" + "\n".join(faults)
+
+
+def subcommand_paths(parser, prefix=()):
+    """Every command path of the parser, e.g. ("graph", "scc") and ("dim",)."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [path for a in subs for name, p in a.choices.items()
+            for path in subcommand_paths(p, prefix + (name,))]
+
+
+def test_corpus_covers_every_command():
+    paths = subcommand_paths(cli.make_parser())
+    assert len(paths) >= 12                       # the walk reaches the leaves
+    argvs = list(corpus().values())
+    missing = [p for p in paths if not any(tuple(a[:len(p)]) == p for a in argvs)]
+    assert not missing
+
+
+if __name__ == "__main__":
+    CORPUS.write_text(json.dumps({k: record(a) for k, a in corpus().items()}, indent=1) + "\n")

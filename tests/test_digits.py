@@ -168,15 +168,6 @@ def test_unique_expansion_seq():
 def test_finite_infinite_doubly_infinite():
     assert seq("111(0)").is_finite()
     assert not seq("(110)").is_finite()
-    assert seq("(0)").is_infinite_seq()          # the zero sequence counts as infinite
-    assert not seq("111(0)").is_infinite_seq()
-    # doubly infinite: both the sequence and its reflection are infinite,
-    # with the two constant sequences included by convention
-    assert seq("(0)").is_doubly_infinite(1)
-    assert seq("(1)").is_doubly_infinite(1)
-    assert seq("(10)").is_doubly_infinite(1)
-    assert not seq("111(0)").is_doubly_infinite(1)
-    assert not seq("0(1)").is_doubly_infinite(1)
 
 
 def test_beta_alpha_conversion():

@@ -28,7 +28,7 @@ def test_greedy_expand_examples(tribonacci):
     assert ex.greedy_expand(tribonacci, zero, 4) == (0, 0, 0, 0)
     pts = special_points(tribonacci)
     for j in range(1, tribonacci.M + 1):
-        assert ex.greedy_expand(tribonacci, pts.theta[j], 5) == (j, 0, 0, 0, 0)
+        assert ex.greedy_expand(tribonacci, pts.value[f"th{j}"], 5) == (j, 0, 0, 0, 0)
 
 
 def test_greedy_is_maximal(tribonacci):
@@ -54,14 +54,15 @@ def test_quasi_greedy_examples(tribonacci):
     N = tribonacci.n_period
     w = tribonacci.alpha_word()
     for i in range(1, N + 1):
-        got = ex.quasi_greedy_expand(tribonacci, pts.a[i])
+        got = ex.quasi_greedy_expand(tribonacci, pts.value[f"a{i}"])
         assert got == EpSeq(w[i - 1:], w)
         assert got == pts.qg_key[f"a{i}"]
     # reflected points have infinite greedy expansions equal to their keys
     for i in range(1, N + 1):
-        got = ex.quasi_greedy_expand(tribonacci, pts.b[i])
+        b = pts.value[f"b{i}"]
+        got = ex.quasi_greedy_expand(tribonacci, b)
         assert got == pts.qg_key[f"b{i}"]
-        assert ex.greedy_expand(tribonacci, pts.b[i], 8) == got.prefix(8)
+        assert ex.greedy_expand(tribonacci, b, 8) == tuple(got.digit(k) for k in range(8))
 
 
 @pytest.mark.parametrize("literal,bound", [
@@ -84,8 +85,8 @@ def test_quasi_greedy_step_bound_edge(tribonacci, monkeypatch, literal, bound):
 def test_reflected_points_infinite_greedy_4331():
     ctx = new_base_context(4, "4331(0)")
     pts = special_points(ctx)
-    assert ex.greedy_expand(ctx, pts.b[1], 8) == (0, 1, 1, 4, 0, 1, 1, 4)
-    assert ex.quasi_greedy_expand(ctx, pts.b[1]) == seq("(0114)")
+    assert ex.greedy_expand(ctx, pts.value["b1"], 8) == (0, 1, 1, 4, 0, 1, 1, 4)
+    assert ex.quasi_greedy_expand(ctx, pts.value["b1"]) == seq("(0114)")
 
 
 def test_witness_uniqueness_matches_strict_test(tribonacci):

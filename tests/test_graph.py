@@ -10,14 +10,14 @@ from univoque.algebraic import apply_digit_map
 from univoque.base import (BaseClass, golden_ratio_base, new_base_context, special_points,
                            v_successor)
 from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
-                            connectivity_report, count_label_paths, cycle_word_matches,
-                            is_strongly_connected, path_words, scc, tower_decompose)
+                            connectivity_report, count_label_paths, is_strongly_connected,
+                            path_words, scc, tower_decompose)
 from univoque.walk import tarjan
 from conftest import mirror_map, random_context
 
 
 def names_of(g):
-    return set(g.names())
+    return {g.vertex_name(v) for v in g.vertices}
 
 
 def edges_by_name(g):
@@ -157,7 +157,8 @@ def test_connectivity_battery():
     verdicts = []
     for ctx in ctxs:
         pts, N = special_points(ctx), ctx.n_period
-        exact = N >= 3 and all(pts.b[2].cmp(pts.a[i]) < 0 for i in range(2, N))
+        exact = N >= 3 and all(pts.value["b2"].cmp(pts.value[f"a{i}"]) < 0
+                               for i in range(2, N))
         assert connectivity_report(ctx).sufficient_b2 == exact, (ctx.M, ctx.beta)
         verdicts.append(exact)
     assert set(verdicts) == {True, False}
@@ -238,16 +239,18 @@ def test_tower_tribonacci(tribonacci):
     dec = tower_decompose(tribonacci, 2)
     assert [len(b) for b in dec.blocks] == [3, 6]
     assert len(dec.residual) == 3
-    assert cycle_word_matches(dec.cycles[0][1], (1, 1, 0))
-    assert cycle_word_matches(dec.cycles[1][1], (1, 1, 1, 0, 0, 0))
+    # each level after the first is read from its least vertex
+    assert [w for _p, w in dec.cycles] == [(1, 1, 0), (0, 0, 0, 1, 1, 1)]
+    assert dec.cycles[1][0][0] == min(dec.cycles[1][0])
 
 
 def test_tower_331(base331):
     dec = tower_decompose(base331, 3)
     assert [len(b) for b in dec.blocks] == [3, 6, 12]
     assert len(dec.residual) == 3 + base331.M - 1
-    assert cycle_word_matches(dec.cycles[1][1], (3, 3, 1, 0, 0, 2))
-    assert cycle_word_matches(dec.cycles[2][1], (3, 3, 1, 0, 0, 3, 0, 0, 2, 3, 3, 0))
+    assert dec.cycles[1][1] == (0, 0, 2, 3, 3, 1)
+    assert dec.cycles[2][1] == (0, 0, 2, 3, 3, 0, 3, 3, 1, 0, 0, 3)
+    assert all(path[0] == min(path) for path, _w in dec.cycles[1:])
     # pure cycles beyond the first level: one in-block successor each
     top = dec.graphs[-1]
     for path, _w in dec.cycles[1:]:

@@ -124,7 +124,7 @@ def test_count_against_brute_count(seed, pre, per):
     lo, hi = brute_count_expansions(ctx, x, depth)
     assert lo <= res.count, (ctx.M, ctx.beta, s, depth)
     # witnesses that already differ within the depth are distinct prefixes
-    if len({w.prefix(depth) for w in res.witnesses}) == res.count:
+    if len({tuple(w.digit(i) for i in range(depth)) for w in res.witnesses}) == res.count:
         assert res.count <= hi, (ctx.M, ctx.beta, s, depth)
 
 
