@@ -350,8 +350,13 @@ def make_parser():
 
 def main(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            # --help exits from inside argparse with its text still buffered
+            sys.stdout.flush()
+            raise
         rc = args.fn(args)
         sys.stdout.flush()
         return rc

@@ -8,6 +8,16 @@ that interval.  The infinite label paths of the graph spell exactly the
 unique expansions (for the strictly-in-between base class) or the unique
 doubly infinite expansions (for limit-of-uniqueness bases).
 
+The edges are read off the quasi-greedy keys of the special points, with no
+comparison in the field.  An endpoint of a label-d vertex has a key s that
+starts with d, and the map x -> q*x - d carries it to the point whose key is
+shift(s, 1).  The special points are closed under the shift: a_i goes to
+a_{i+1} and a_N to a_1, b_i likewise, th_j (j >= 1) to a_1, et_j (j <= M)
+to b_1, and th_0 and et_{M+1} are fixed.  Each image is confirmed exactly,
+once per (class, label): by the first digit of the key, by the shifted key
+being a class key, and by equality of the digit map's value with the image
+class's value (structural, since field elements are canonical).
+
 Three variants are built here: the full graph, its restriction to the
 central interval (b1, a1), and the further restriction to the vertices
 leaning on the orbit points a_i / b_i.  On top of those live the structural
@@ -21,12 +31,13 @@ automaton of the labels are walks of ``walk`` over the successor map ``out``
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 
 from . import digits as dg
 from .algebraic import apply_digit_map
-from .base import BaseClass, InternalConsistencyError, memo, order_points, v_successor
+from .base import (BaseClass, InternalConsistencyError, memo, order_points, special_points,
+                   v_successor)
 from .walk import count_words, cyclic, explore, orbit, tarjan, words
 
 FULL, TILDE, TILDE1 = "FULL", "TILDE", "TILDE1"
@@ -160,14 +171,36 @@ def _build_full(ctx):
             continue
         label = sum(1 for e in eta_idx if e <= k)
         vertices.append(Vertex(index=len(vertices), left=k, right=k + 1, label=label))
-    edges = []
+    # every endpoint of a label-d vertex has a key s that starts with d, and
+    # T_d carries it to the point whose key is shift(s, 1); the special points
+    # are closed under the shift, so the image is a class, found by its key
+    keys = special_points(ctx).qg_key
+    key_of = [keys[cls[0]] for cls in order.classes]
+    class_of = {key: k for k, key in enumerate(key_of)}
     values = order.values
+    images = {}
+
+    def image(k, d):
+        """The class that T_d carries class k onto, confirmed exactly once
+        per (class, label): first digit, shifted key, then the field value."""
+        if (k, d) in images:
+            return images[k, d]
+        name = order.classes[k][0]
+        if key_of[k].digit(0) != d:
+            raise StructuralError(f"key {dg.format_seq(key_of[k])} of {name} does not start "
+                                  f"with the label {d} of its vertex")
+        j = class_of.get(dg.shift(key_of[k], 1))
+        if j is None:
+            raise StructuralError(f"the shifted key of {name} is not a special point")
+        if apply_digit_map(values[k], d) != values[j]:
+            raise StructuralError(f"T_{d} does not carry {name} onto {order.classes[j][0]}")
+        images[k, d] = j
+        return j
+
+    edges = []
     lefts = [w.left for w in vertices]
     for v in vertices:
-        img_lo = apply_digit_map(values[v.left], v.label)
-        img_hi = apply_digit_map(values[v.right], v.label)
-        lo_class = bisect_left(values, img_lo)
-        hi_class = bisect_right(values, img_hi) - 1
+        lo_class, hi_class = image(v.left, v.label), image(v.right, v.label)
         # the targets lo_class <= w.left, w.left + 1 = w.right <= hi_class are
         # one run of the vertices, which are sorted by left end
         edges.extend((v.index, v.label, j)

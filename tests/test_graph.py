@@ -1,19 +1,20 @@
 import random
 import signal
+from bisect import bisect_left, bisect_right
 from types import SimpleNamespace
 
 import pytest
 
 from univoque import digits as dg
 from univoque import graph
-from univoque.algebraic import apply_digit_map
-from univoque.base import (BaseClass, golden_ratio_base, new_base_context, special_points,
-                           v_successor)
+from univoque.algebraic import NumberField, apply_digit_map
+from univoque.base import (BaseClass, golden_ratio_base, new_base_context, order_points,
+                           special_points, v_successor)
 from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
                             connectivity_report, count_label_paths, is_strongly_connected,
                             path_words, scc, tower_decompose)
 from univoque.walk import tarjan
-from conftest import mirror_map, random_context
+from conftest import BATTERY, mirror_map, random_context
 
 
 def names_of(g):
@@ -381,24 +382,100 @@ def test_tarjan_generic_nodes():
     assert [len(c) for c in tarjan(chain)] == [n + 1]
 
 
+def all_pairs_edges(g):
+    """The edges of the rule tested against every vertex: the class range of
+    each image by a linear scan of exact comparisons."""
+    values = g.order.values
+    edges = []
+    for v in g.vertices:
+        img_lo = apply_digit_map(values[v.left], v.label)
+        img_hi = apply_digit_map(values[v.right], v.label)
+        lo = next((c for c, val in enumerate(values) if val.cmp(img_lo) >= 0), len(values))
+        hi = max((c for c, val in enumerate(values) if val.cmp(img_hi) <= 0), default=-1)
+        edges += [(v.index, v.label, w.index) for w in g.vertices
+                  if lo <= w.left and w.right <= hi]
+    return edges
+
+
+def bisection_edges(g):
+    """The edges of the rule that applies T_d in the field and brackets each
+    image by binary search over the sorted class values, one exact
+    comparison per step."""
+    values = g.order.values
+    lefts = [w.left for w in g.vertices]
+    edges = []
+    for v in g.vertices:
+        lo = bisect_left(values, apply_digit_map(values[v.left], v.label))
+        hi = bisect_right(values, apply_digit_map(values[v.right], v.label)) - 1
+        edges += [(v.index, v.label, j)
+                  for j in range(bisect_left(lefts, lo), bisect_left(lefts, hi))]
+    return edges
+
+
 def test_full_edges_match_all_pairs_rule(battery, tribonacci):
-    """The edges taken as one run of the interval order are exactly those of
-    the rule tested against every vertex, in the same order."""
+    """The edges read off the shifted keys, as one run of the interval order,
+    are exactly those of the rule tested against every vertex, in the same
+    order: on the battery, a successor chain, random bases and wide
+    alphabets."""
     ctxs = list(battery)
     ctx = tribonacci
     for _ in range(4):
         ctx = v_successor(ctx)
         ctxs.append(ctx)
+    rng = random.Random(7)
+    ctxs += [random_context(rng) for _ in range(100)]
+    ctxs += [new_base_context(M, beta) for M, beta in ((7, "761(0)"), (9, "981(0)"),
+                                                       (9, "9981(0)"))]
     for ctx in ctxs:
         g = build_graph(ctx, FULL)
-        values = g.order.values
-        expected = []
-        for v in g.vertices:
-            # the class range of the image, by a linear scan of exact comparisons
-            img_lo = apply_digit_map(values[v.left], v.label)
-            img_hi = apply_digit_map(values[v.right], v.label)
-            lo = next((c for c, val in enumerate(values) if val.cmp(img_lo) >= 0), len(values))
-            hi = max((c for c, val in enumerate(values) if val.cmp(img_hi) <= 0), default=-1)
-            expected += [(v.index, v.label, w.index) for w in g.vertices
-                         if lo <= w.left and w.right <= hi]
-        assert g.edges == expected, dg.format_seq(ctx.beta)
+        assert g.edges == all_pairs_edges(g), dg.format_seq(ctx.beta)
+
+
+def test_full_edges_match_bisection_rule_deep(tribonacci):
+    # the rule the key lookup replaced, where its exact searches cost most
+    ctx = tribonacci
+    for depth in range(1, 7):
+        ctx = v_successor(ctx)
+        if depth >= 5:
+            g = build_graph(ctx, FULL)
+            assert g.edges == bisection_edges(g), depth
+
+
+def test_full_build_makes_no_exact_comparison(monkeypatch):
+    # fresh contexts: the graphs of the session fixtures are already built
+    ctxs = [new_base_context(M, beta) for M, beta in BATTERY]
+    ctx = new_base_context(1, "111(0)")
+    for _ in range(5):
+        ctx = v_successor(ctx)
+        ctxs.append(ctx)
+    for ctx in ctxs:
+        order_points(ctx)
+    calls = []
+    sign = NumberField.sign
+
+    def counted(field, a):
+        calls.append(a)
+        return sign(field, a)
+
+    monkeypatch.setattr(NumberField, "sign", counted)
+    for ctx in ctxs:
+        build_graph(ctx, FULL)
+    assert calls == []
+    ctxs[0].q.cmp(1)             # the count does see a comparison
+    assert calls
+
+
+def test_full_build_confirms_every_image():
+    # a class value off by one: T_d no longer carries it onto its image
+    ctx = new_base_context(1, "111(0)")
+    order = order_points(ctx)
+    k = order.index_of["a2"]
+    order.values[k] = order.values[k] + 1
+    with pytest.raises(graph.StructuralError, match="does not carry"):
+        build_graph(ctx, FULL)
+    # the least class gets a key that does not start with its vertex label 0
+    ctx = new_base_context(1, "111(0)")
+    name = order_points(ctx).classes[0][0]
+    special_points(ctx).qg_key[name] = dg.EpSeq((1,), (0,))
+    with pytest.raises(graph.StructuralError, match="does not start with the label 0"):
+        build_graph(ctx, FULL)
