@@ -5,9 +5,9 @@ integer polynomial obtained by clearing denominators in the defining
 relation ``sum(beta_i / q^i) = 1``.  That polynomial may be reducible, so
 the field is built on its irreducible factor vanishing at q (the minimal
 polynomial).  ``minpoly.minimal_factor`` finds it in pure Python: the
-squarefree part, less its cyclotomic factors, is certified irreducible by
-distinct-degree factorization modulo a few small primes (Musser), or else
-factored by Hensel lifting and recombination (Zassenhaus).
+squarefree part, less its cyclotomic factors, is factored modulo one small
+prime, and the modular factors are Hensel-lifted and recombined into its
+integer factors (Zassenhaus).
 
 An element of Q(q) is one tuple of Python ints ``(c_0, ..., c_{d-1}, den)``
 standing for ``sum(c_i q^i) / den``, with ``den > 0`` and the gcd of all

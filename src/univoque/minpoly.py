@@ -12,14 +12,14 @@ factor in four steps.
    L = deg P, is computed modulo the large prime and divided out of R once
    exact division confirms that it divides both.  This only saves time:
    step 3 finds whatever it misses.
-3. Irreducibility, then factorization.  Distinct-degree factorization modulo
-   up to six small primes, each keeping R squarefree, bounds the degrees an
-   integer factor can have; if the intersection of those sets is
-   {0, deg R}, R is irreducible (Musser 1978).  Otherwise the modular factors
-   of the prime with the fewest are split by Cantor-Zassenhaus, Hensel-lifted
-   modulo p^k > 2 x the Landau-Mignotte bound and recombined in subsets of
-   increasing size, each candidate checked by exact trial division
-   (Zassenhaus 1969).  At most ``RECOMBINATION_CAP`` subsets are tried.
+3. Factorization (Zassenhaus 1969).  Modulo the first small prime that
+   keeps R squarefree, distinct-degree factorization and Cantor-Zassenhaus
+   split R into its modular factors.  These are Hensel-lifted modulo
+   p^k > 2 x the Landau-Mignotte bound and recombined in subsets of
+   increasing size, up to half of them, each candidate checked by exact
+   trial division; what is left is irreducible.  One modular factor means
+   R is irreducible and nothing is recombined.  At most
+   ``RECOMBINATION_CAP`` subsets are tried.
 4. The one irreducible factor that changes sign over the isolating interval
    of q.
 
@@ -37,7 +37,6 @@ from .algebraic import (DegenerateInputError, _dyadic_eval, _pseudo_divmod, _sig
                         poly_sub, poly_trim)
 
 LARGE_PRIME = (1 << 61) - 1
-MUSSER_PRIMES = 6
 RECOMBINATION_CAP = 20_000
 _SMALL_PRIMES = [p for p in range(3, 1000, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
 
@@ -159,7 +158,7 @@ def _strip_cyclotomic(R, L):
     return R
 
 
-# --- step 3: Musser's degree sets, then Zassenhaus --------------------------
+# --- step 3: Zassenhaus ----------------------------------------------------
 
 def _ddf(f, p):
     """Distinct-degree factorization of a monic squarefree f modulo p: the
@@ -177,15 +176,6 @@ def _ddf(f, p):
     if len(f) > 1:
         out.append((len(f) - 1, f))
     return out
-
-
-def _degree_set(ddf):
-    """Bit set of the degrees of the products of modular factors."""
-    degrees = 1
-    for i, g in ddf:
-        for _ in range((len(g) - 1) // i):
-            degrees |= degrees << i
-    return degrees
 
 
 def _edf(g, i, p, rng):
@@ -235,9 +225,9 @@ def hensel_lift(f, factors, p, k):
     return hensel_lift(g, factors[:half], p, k) + hensel_lift(h, factors[half:], p, k)
 
 
-def _zassenhaus(R, p, ddf, degrees):
-    """The monic irreducible factors of R over Z, from its factorization
-    modulo p; ``degrees`` is the bit set of possible factor degrees."""
+def _zassenhaus(R, p, ddf):
+    """The monic irreducible factors of R over Z, from its distinct-degree
+    factorization modulo p."""
     rng = random.Random(0)
     modular = [f for i, g in ddf for f in _edf(g, i, p, rng)]
     bound = 2 * ((math.isqrt(sum(c * c for c in R)) + 1) << (len(R) - 1))
@@ -254,8 +244,6 @@ def _zassenhaus(R, p, ddf, degrees):
                 raise DegenerateInputError(
                     f"factor recombination stopped after {RECOMBINATION_CAP} subsets "
                     f"of {len(lifted)} modular factors of a degree-{len(R) - 1} polynomial")
-            if not degrees >> sum(len(lifted[j]) - 1 for j in subset) & 1:
-                continue
             c = 1
             for j in subset:
                 c = c * lifted[j][0] % m
@@ -279,29 +267,11 @@ def _zassenhaus(R, p, ddf, degrees):
 
 def _factors(R):
     """The monic irreducible factors of the monic squarefree R."""
-    n = len(R) - 1
-    if n == 1:
-        return [R]
-    degrees, best = -1, None
-    tested = 0
     for p in _SMALL_PRIMES:
         f = _mod(R, p)
-        if len(_gcd(f, _mod([k * c for k, c in enumerate(f)][1:], p), p)) > 1:
-            continue                                  # R is not squarefree mod p
-        ddf = _ddf(f, p)
-        degrees &= _degree_set(ddf)
-        if degrees == 1 | 1 << n:
-            return [R]
-        count = sum((len(g) - 1) // i for i, g in ddf)
-        if best is None or count < best[0]:
-            best = (count, p, ddf)
-        tested += 1
-        if tested == MUSSER_PRIMES:
-            break
-    if best is None:
-        raise DegenerateInputError("no small prime keeps the polynomial squarefree")
-    _count, p, ddf = best
-    return _zassenhaus(R, p, ddf, degrees)
+        if len(_gcd(f, _mod([k * c for k, c in enumerate(f)][1:], p), p)) == 1:
+            return _zassenhaus(R, p, _ddf(f, p))
+    raise DegenerateInputError("no small prime keeps the polynomial squarefree")
 
 
 def minimal_factor(P, n_lo, n_hi, e):

@@ -47,12 +47,22 @@ def corpus():
             ["dim", *base, "--per-scc"],
             ["graph", "connectivity", *base],
             ["graph", "verify", *base, "--theorem", "1.4"],
+            ["graph", "verify", *base, "--theorem", "1.3"],
             *(["expansions", "witness", *base, "-m", str(m)] for m in range(1, 5)),
             ["expansions", "count", *base, "--x", "1(01)"],
         ]
         L = "8" if M == 1 else "5"
         cmds += [["oracle", "words", *base, "-L", L],
                  ["oracle", "words", *base, "-L", L, "--mode", "u"]]
+    tri = ["-M", "1", "--beta", "111(0)"]
+    cmds += [["graph", "verify", *tri, "--theorem", t] for t in ("iso", "tower")]
+    cmds += [["graph", "build", *tri, "--variant", v] for v in ("full", "tilde1")]
+    cmds += [["graph", "scc", *tri, "--variant", v] for v in cli._VARIANTS]
+    cmds += [
+        ["expansions", "count", *tri, "--x", "1(01)", "--cap", "1"],
+        ["expansions", "witness", *tri, "-m", "2", "--tail", "(01)"],
+        ["oracle", "words", *tri, "-L", "8", "--mode", "v"],
+    ]
     cmds += [
         ["base", "classify", "-M", "0", "--beta", "1(0)"],
         ["base", "classify", "-M", "1", "--beta", "1a(0)"],
@@ -98,20 +108,35 @@ def test_cli_corpus():
     assert not faults, "output changed:\n" + "\n".join(faults)
 
 
-def subcommand_paths(parser, prefix=()):
-    """Every command path of the parser, e.g. ("graph", "scc") and ("dim",)."""
+def subcommand_parsers(parser, prefix=()):
+    """Every command path of the parser with its leaf parser, e.g.
+    (("graph", "scc"), <parser>) and (("dim",), <parser>)."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
-        return [prefix]
-    return [path for a in subs for name, p in a.choices.items()
-            for path in subcommand_paths(p, prefix + (name,))]
+        return [(prefix, parser)]
+    return [leaf for a in subs for name, p in a.choices.items()
+            for leaf in subcommand_parsers(p, prefix + (name,))]
 
 
 def test_corpus_covers_every_command():
-    paths = subcommand_paths(cli.make_parser())
-    assert len(paths) >= 12                       # the walk reaches the leaves
+    leaves = subcommand_parsers(cli.make_parser())
+    assert len(leaves) >= 12                      # the walk reaches the leaves
     argvs = list(corpus().values())
-    missing = [p for p in paths if not any(tuple(a[:len(p)]) == p for a in argvs)]
+    missing = []
+    for path, parser in leaves:
+        runs = [a for a in argvs if tuple(a[:len(path)]) == path]
+        if not runs:
+            missing.append(path)
+        for action in parser._actions:
+            flags = action.option_strings
+            if not flags or isinstance(action, argparse._HelpAction):
+                continue
+            if not any(f in a for a in runs for f in flags):
+                missing.append((*path, flags[0]))
+            for value in action.choices or ():
+                if not any(a[i] in flags and a[i + 1] == value
+                           for a in runs for i in range(len(a) - 1)):
+                    missing.append((*path, flags[0], value))
     assert not missing
 
 

@@ -63,6 +63,19 @@ def test_tribonacci_chain_matches_sympy():
     assert ctx.field.deg == 49
 
 
+def test_tribonacci_depth_six_is_irreducible():
+    # sympy's factor_list is too slow at this degree; its irreducibility
+    # test is not
+    import sympy
+
+    ctx = chain(1, "111(0)", 6)[-1]
+    m = ctx.field.min_poly
+    assert ctx.field.deg == 97
+    assert not univoque.algebraic._pseudo_divmod(ctx.defining_poly, m)[1]
+    t = sympy.Symbol("t")
+    assert sympy.Poly(list(reversed(m)), t).is_irreducible
+
+
 def test_long_word_chain_matches_sympy():
     # after two steps the defining polynomial has the repeated factor (t + 1)^2
     ctxs = chain(2, "222002000222002(0)", 3)
@@ -109,7 +122,8 @@ def spy(monkeypatch, name):
 
 
 def test_recombination_case(monkeypatch):
-    # cofactor t^3 - t + 1 is not cyclotomic: Musser cannot certify, Zassenhaus splits
+    # cofactor t^3 - t + 1 is not cyclotomic: it survives the strip, and
+    # recombination of the lifted modular factors splits it off
     calls = spy(monkeypatch, "_zassenhaus")
     ctx = new_base_context(7, "77041503(0)")
     assert calls
@@ -135,6 +149,20 @@ def test_integer_root_needs_no_factorization(monkeypatch):
 
     monkeypatch.setattr(minpoly, "minimal_factor", refuse)
     assert new_base_context(2, "2(0)").field.min_poly == (-2, 1)
+
+
+def test_one_ddf_per_context(monkeypatch, battery):
+    # one prime, one distinct-degree factorization: no search over primes
+    calls = spy(monkeypatch, "_ddf")
+    for M, beta in [(ctx.M, ctx.beta) for ctx in battery] + [(7, "77041503(0)")]:
+        calls.clear()
+        new_base_context(M, beta)
+        assert len(calls) == 1, dg.format_seq(beta)
+    ctx = new_base_context(1, "111(0)")
+    for depth in range(1, 6):
+        calls.clear()
+        ctx = v_successor(ctx)
+        assert len(calls) == 1, depth
 
 
 def test_factors_when_no_prime_certifies():
@@ -169,7 +197,7 @@ def test_recombination_cap_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(minpoly, "RECOMBINATION_CAP", 0)
     assert cli.main(["base", "classify", "-M", "7", "--beta", "77041503(0)"]) == 2
     assert "recombination" in capsys.readouterr().err
-    # a base certified irreducible by its degree sets never recombines
+    # a base with a single modular factor never recombines
     assert cli.main(["base", "classify", "-M", "1", "--beta", "111(0)"]) == 0
 
 
