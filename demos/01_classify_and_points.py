@@ -8,7 +8,7 @@ classes it lays out the partition points of the interval [0, M/(q-1)] in
 exact order, with every coincidence detected symbolically.
 """
 
-from univoque import new_base_context, golden_ratio_base, order_points, special_points
+from univoque import new_base_context, golden_ratio_base, order_points
 from univoque.digits import format_seq
 
 for M, beta in [(1, "11(0)"), (1, "111(0)"), (4, "322(0)"), (3, "331(0)"), (2, "2(0)")]:
@@ -26,8 +26,5 @@ print()
 trib = new_base_context(1, "111(0)")
 order = order_points(trib)
 print("partition points for beta=111(0):", order.chain())
-pts = special_points(trib)
-for k, cls in enumerate(order.classes):
-    key = pts.qg_key[cls[0]]
-    print(f"  {'='.join(cls):8s} value {order.values[k].decimal(10)}  "
-          f"expansion {format_seq(key)}")
+for cls, value, key in zip(order.classes, order.values, order.keys):
+    print(f"  {'='.join(cls):8s} value {value.decimal(10)}  expansion {format_seq(key)}")

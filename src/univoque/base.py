@@ -212,21 +212,13 @@ def chain_limit_alpha(ctx):
 
 # --- special points ---------------------------------------------------------
 
-POINT_KIND_RANK = {"a": 0, "b": 1, "th": 2, "et": 3}
-
-
-def point_sort_key(name):
-    for prefix in ("th", "et", "a", "b"):
-        if name.startswith(prefix):
-            return (POINT_KIND_RANK[prefix], int(name[len(prefix):]))
-    raise ValueError(f"unknown point name {name!r}")
-
-
 class SpecialPoints(namedtuple("SpecialPoints", "qg_key value")):
     """Quasi-greedy comparison keys and exact values of the partition points.
 
     Both map the point names "a1".."aN", "b1".."bN", "th0".."thM" and
     "et1".."etM+1": ``qg_key`` to EpSeq keys, ``value`` to the exact values.
+    The names are listed in that order, which is their precedence inside a
+    class of equal points.
     """
 
     __slots__ = ()
@@ -253,13 +245,13 @@ def _special_points(ctx):
     a = AlgebraicReal(ctx.field, ctx.field.one())
     for i, digit in enumerate(dg.word_plus(w, M), start=1):
         keys[f"a{i}"] = EpSeq(w[i - 1:], w)
-        keys[f"b{i}"] = dg.reflect(keys[f"a{i}"], M)
         values[f"a{i}"] = a
-        values[f"b{i}"] = kappa - a
         a = apply_digit_map(a, digit)
     if a.sign() != 0:
         raise InternalConsistencyError(f"the orbit of 1 does not close at 0 after {N} digits")
-
+    for i in range(1, N + 1):
+        keys[f"b{i}"] = dg.reflect(keys[f"a{i}"], M)
+        values[f"b{i}"] = kappa - values[f"a{i}"]
     for j in range(0, M + 1):
         keys[f"th{j}"] = dg.ZERO if j == 0 else EpSeq((j - 1,), w)
         values[f"th{j}"] = j * qinv
@@ -270,12 +262,13 @@ def _special_points(ctx):
     return SpecialPoints(qg_key=keys, value=values)
 
 
-class PointOrder(namedtuple("PointOrder", "classes values index_of")):
+class PointOrder(namedtuple("PointOrder", "classes values keys index_of")):
     """Sorted equality classes of the named partition points.
 
-    ``classes[k]`` is the list of names whose values coincide, sorted by the
-    fixed name precedence (a, b, th, et, then index); ``values[k]`` is the
-    common exact value.  ``index_of`` maps each name to its class index.
+    ``classes[k]`` is the list of names whose values coincide, in the name
+    precedence of ``SpecialPoints`` (a, b, th, et, then index); ``values[k]``
+    is the common exact value and ``keys[k]`` the common quasi-greedy key.
+    ``index_of`` maps each name to its class index.
     """
 
     __slots__ = ()
@@ -298,29 +291,29 @@ def order_points(ctx):
 
 def _order_points(ctx):
     pts = special_points(ctx)
-    names = sorted(pts.qg_key, key=point_sort_key)
+    # the sort is stable: equal keys keep the precedence order of the names
     lex_key = functools.cmp_to_key(dg.lex_cmp)
-    names.sort(key=lambda nm: lex_key(pts.qg_key[nm]))
-    classes, values = [], []
+    names = sorted(pts.qg_key, key=lambda nm: lex_key(pts.qg_key[nm]))
+    classes, keys, values = [], [], []
     for nm in names:
-        if classes and dg.lex_cmp(pts.qg_key[nm], values[-1][0]) == dg.EQ:
+        if classes and dg.lex_cmp(pts.qg_key[nm], keys[-1]) == dg.EQ:
             classes[-1].append(nm)
         else:
             classes.append([nm])
-            values.append((pts.qg_key[nm], pts.value[nm]))
-    for cls, (key, val) in zip(classes, values):
-        cls.sort(key=point_sort_key)
+            keys.append(pts.qg_key[nm])
+            values.append(pts.value[nm])
+    for cls, val in zip(classes, values):
         for nm in cls[1:]:
             if pts.value[nm].cmp(val) != 0:
                 raise InternalConsistencyError(
                     f"key order says {cls[0]} = {nm} but the values differ")
     for k in range(len(values) - 1):
-        if values[k][1].cmp(values[k + 1][1]) >= 0:
+        if values[k].cmp(values[k + 1]) >= 0:
             raise InternalConsistencyError(
                 f"key order says {classes[k][0]} < {classes[k+1][0]} but the values disagree")
     return PointOrder(
         classes=classes,
-        values=[v for _, v in values],
+        values=values,
+        keys=keys,
         index_of={nm: k for k, cls in enumerate(classes) for nm in cls},
     )
-

@@ -19,7 +19,7 @@ import sys
 
 from . import digits as dg
 from .base import (BaseClass, InternalConsistencyError, SearchBoundError, new_base_context,
-                   order_points, r_chain, special_points, v_successor)
+                   order_points, r_chain, v_successor)
 
 
 def _add_base_flags(p):
@@ -82,12 +82,11 @@ def cmd_base_chain(args):
 def cmd_base_points(args):
     ctx = _context(args)
     order = order_points(ctx)
-    pts = special_points(ctx)
     payload = {
         "chain": order.chain(),
         "classes": [
             {"names": cls, "value": order.values[k].to_json(),
-             "qg_key": dg.format_seq(pts.qg_key[cls[0]])}
+             "qg_key": dg.format_seq(order.keys[k])}
             for k, cls in enumerate(order.classes)
         ],
     }

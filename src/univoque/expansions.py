@@ -157,8 +157,10 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
 
     Returns EXACT(k) with all k expansions as witnesses when every reachable
     cycle is deterministic (each cycle state has a single feasible digit),
-    INFINITE_CYCLE when some branching state lies on or above a cycle, and
-    CAP_EXCEEDED when more than ``cap`` distinct remainders appear.
+    INFINITE_CYCLE when some branching state lies on a cycle, and
+    CAP_EXCEEDED when more than ``cap`` distinct remainders, or more than
+    ``cap`` expansions, appear.  A branching state above deterministic
+    cycles only leaves finitely many expansions.
     """
     if cap < 0:
         raise ValueError(f"state cap must be nonnegative, got {cap}")

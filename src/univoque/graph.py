@@ -36,8 +36,7 @@ from collections import namedtuple
 
 from . import digits as dg
 from .algebraic import apply_digit_map
-from .base import (BaseClass, InternalConsistencyError, memo, order_points, special_points,
-                   v_successor)
+from .base import BaseClass, InternalConsistencyError, memo, order_points, v_successor
 from .walk import count_words, cyclic, explore, orbit, tarjan, words
 
 FULL, TILDE, TILDE1 = "FULL", "TILDE", "TILDE1"
@@ -86,10 +85,9 @@ class UnivoqueGraph:
 
     def kinds(self, v):
         """The (possibly multiple) endpoint forms of a vertex."""
-        N = self.ctx.n_period
         lefts, rights = self.order.classes[v.left], self.order.classes[v.right]
-        a_right = any(nm[0] == "a" and int(nm[1:]) <= N for nm in rights)
-        b_left = any(nm[0] == "b" and int(nm[1:]) <= N for nm in lefts)
+        a_right = any(nm[0] == "a" for nm in rights)
+        b_left = any(nm[0] == "b" for nm in lefts)
         out = set()
         if a_right:
             out.add("A_RIGHT")
@@ -174,8 +172,7 @@ def _build_full(ctx):
     # every endpoint of a label-d vertex has a key s that starts with d, and
     # T_d carries it to the point whose key is shift(s, 1); the special points
     # are closed under the shift, so the image is a class, found by its key
-    keys = special_points(ctx).qg_key
-    key_of = [keys[cls[0]] for cls in order.classes]
+    key_of = order.keys
     class_of = {key: k for k, key in enumerate(key_of)}
     values = order.values
     images = {}
@@ -325,52 +322,40 @@ def check_isomorphic(g1, g2):
 # --- successor embedding and the tower decomposition ------------------------
 
 def _endpoint_image_names(small_ctx, names):
-    """Image names of the successor embedding, for one endpoint class.
+    """Image names of the successor embedding of an in-between base, for one
+    endpoint class.
 
-    Orbit points map to orbit points with the same position except that the
-    reflected half of the orbit is re-indexed, the switch endpoint riding on
-    a_n moves onto the new orbit point, and in the first step (periodic
-    alpha of odd length allowed) the reflected points b_i map into the upper
-    half of the doubled orbit.
+    The period has even length N = 2n.  The orbit points a_i with i < N and
+    i != n keep their names, the switch endpoint riding on a_n moves onto
+    the new orbit point a_n, and the other th and et points keep theirs;
+    the remaining names of the class give no image.
     """
-    ctx = small_ctx
-    N = ctx.n_period
-    first_step = ctx.base_class is BaseClass.IN_CLOSURE_U_NOT_U
-    w = ctx.alpha_word()
+    # periodic word is u+ reflect(u+) for the half word u; the incremented
+    # last digit of u is therefore the period's digit at position n
+    n = small_ctx.n_period // 2
+    alpha_n_plus = small_ctx.alpha_word()[n - 1]
     out = set()
-    if first_step:
-        for nm in names:
-            kind, idx = nm[0], int(nm[1:]) if nm[0] in "ab" else int(nm[2:])
-            if nm.startswith("th") or nm.startswith("et"):
+    for nm in names:
+        if nm == f"et{alpha_n_plus}":
+            out.add(f"a{n}")
+        elif nm.startswith("th") or nm.startswith("et"):
+            out.add(nm)
+        elif nm[0] == "a":
+            idx = int(nm[1:])
+            if 1 <= idx <= 2 * n - 1 and idx != n:
                 out.add(nm)
-            elif kind == "a" and 1 <= idx <= N - 1:
-                out.add(f"a{idx}")
-            elif kind == "b" and 1 <= idx <= N - 1:
-                out.add(f"a{N + idx}")
-    else:
-        # periodic word is u+ reflect(u+) for the half word u; the incremented
-        # last digit of u is therefore the period's digit at position n
-        n = N // 2
-        alpha_n_plus = w[n - 1]
-        for nm in names:
-            if nm == f"et{alpha_n_plus}":
-                out.add(f"a{n}")
-            elif nm.startswith("th") or nm.startswith("et"):
-                out.add(nm)
-            elif nm[0] == "a":
-                idx = int(nm[1:])
-                if 1 <= idx <= 2 * n - 1 and idx != n:
-                    out.add(nm)
     return out
 
 
 def embed_successor(g_small, g_big):
-    """The order isomorphism of a graph onto a subgraph of its successor's.
+    """The order isomorphism of an in-between base's graph onto a subgraph of
+    its successor's.
 
     Returns {vertex index in g_small -> vertex index in g_big}.  The map comes
     from the endpoint names; it must hit one vertex per left endpoint and be
     an order embedding onto an induced subgraph (``_order_embedding_fault``),
-    or StructuralError is raised.
+    or StructuralError is raised.  A limit base's graph needs no name rule:
+    it is order isomorphic to its successor's (``check_isomorphic``).
     """
     ctx = g_small.ctx
     mapping = {}
@@ -392,8 +377,7 @@ def embed_successor(g_small, g_big):
     return mapping
 
 
-class TowerDecomposition(namedtuple("TowerDecomposition",
-                                     "n graphs blocks residual cycles block_of")):
+class TowerDecomposition(namedtuple("TowerDecomposition", "n graphs blocks residual cycles")):
     """Cyclic tower of a successor-chain graph.
 
     ``graphs[j]`` is the full graph of the j-th chain element (j = 0 is the
@@ -404,8 +388,7 @@ class TowerDecomposition(namedtuple("TowerDecomposition",
     embedded vertices, so blocks + residual partition the top graph.
     ``cycles[j]`` gives each block as an ordered vertex list with its label
     word; blocks after the first span pure cycles (no stray in-block edge),
-    the first carries the orbit cycle plus chords.  ``block_of`` maps each
-    blocked vertex to its position in ``blocks``.
+    the first carries the orbit cycle plus chords.
     """
 
     __slots__ = ()
@@ -415,10 +398,12 @@ def tower_decompose(ctx0, m):
     """Decompose the m-th successor graph along the embedding chain.
 
     Takes the graphs of the first m successors of ``ctx0`` (the ones a chain
-    from ``ctx0`` already built, kept by ``base.memo``), embeds each in the
-    next, and verifies the announced structure: the new vertices at each
-    step form a single pure cycle of doubled length, and a path runs from
-    level j to level k exactly when j <= k.
+    from ``ctx0`` already built, kept by ``base.memo``) and embeds each in
+    the next: the seed's graph by the successor isomorphism
+    (``check_isomorphic``), each later one by ``embed_successor``.  It
+    verifies the announced structure: the new vertices at each step form a
+    single pure cycle of doubled length, and a path runs from level j to
+    level k exactly when j <= k.
     """
     if ctx0.base_class is not BaseClass.IN_CLOSURE_U_NOT_U:
         raise ValueError("tower decomposition starts from a limit-of-uniqueness base")
@@ -430,8 +415,12 @@ def tower_decompose(ctx0, m):
         ctxs.append(v_successor(ctxs[-1]))
     graphs = [build_graph(c, FULL) for c in ctxs]
 
-    # push-forward maps toward the top graph
-    maps = [embed_successor(graphs[j], graphs[j + 1]) for j in range(m)]
+    # push-forward maps toward the top graph; the first is the successor
+    # isomorphism, the pairing of the two vertex sets by interval rank
+    first = check_isomorphic(graphs[0], graphs[1])
+    if first is None:
+        raise StructuralError("the seed graph is not order isomorphic to its successor's")
+    maps = [first] + [embed_successor(graphs[j], graphs[j + 1]) for j in range(1, m)]
 
     def push_seq(idx_seq, level):
         cur = list(idx_seq)
@@ -446,7 +435,7 @@ def tower_decompose(ctx0, m):
     by_right_a = {}
     for v in graphs[0].vertices:
         for nm in graphs[0].order.classes[v.right]:
-            if nm[0] == "a" and int(nm[1:]) <= n:
+            if nm[0] == "a":
                 by_right_a[int(nm[1:])] = v.index
     if len(by_right_a) != n:
         raise StructuralError(f"seed orbit touches {len(by_right_a)} vertices, expected {n}")
@@ -456,7 +445,7 @@ def tower_decompose(ctx0, m):
         src, dst = seed_cycle[i], seed_cycle[(i + 1) % n]
         if (src, alpha[i], dst) not in seed_edges:
             raise StructuralError(f"seed orbit edge {i + 1} with digit {alpha[i]} is missing")
-    blocks = [push_seq([maps[0][v] for v in seed_cycle], 1)]
+    blocks = [push_seq(seed_cycle, 0)]
     cycles = [(blocks[0], tuple(alpha))]
 
     fresh_sets = []
@@ -481,10 +470,6 @@ def tower_decompose(ctx0, m):
         raise StructuralError(
             f"residual block has {len(residual)} vertices, expected {n + top.ctx.M - 1}")
 
-    block_of = {}
-    for pos, b in enumerate(blocks):
-        for v in b:
-            block_of[v] = pos
     block_sets = [set(b) for b in blocks]
     for i in range(len(blocks)):
         reach = explore(block_sets[i], top.out.__getitem__)
@@ -493,8 +478,7 @@ def tower_decompose(ctx0, m):
             if hits != (i <= j):
                 raise StructuralError(
                     f"level {i + 1} {'reaches' if hits else 'misses'} level {j + 1}")
-    return TowerDecomposition(n=n, graphs=graphs, blocks=blocks, residual=residual,
-                              cycles=cycles, block_of=block_of)
+    return TowerDecomposition(n=n, graphs=graphs, blocks=blocks, residual=residual, cycles=cycles)
 
 
 def _trace_cycle(g, cset, level):

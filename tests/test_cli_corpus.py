@@ -70,6 +70,12 @@ def corpus():
         ["graph", "build", "-M", "1", "--beta", "1010(0)"],
         ["base", "classify", "-M", "12", "--beta", "12,0,1(0)"],
     ]
+    # a periodic greedy expansion of 1: the periodic branch of base_polynomial
+    periodic = ["-M", "1", "--beta", "1(10)"]
+    for beta in ("1(10)", "1(010)"):
+        cmds += [["base", "classify", "-M", "1", "--beta", beta, *mode]
+                 for mode in ([], ["--json"])]
+    cmds += [["graph", "build", *periodic], ["expansions", "count", *periodic, "--x", "1(0)"]]
     return {shlex.join(a): a for a in cmds}
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 import signal
 from bisect import bisect_left, bisect_right
 from types import SimpleNamespace
@@ -234,6 +235,64 @@ def test_embedding_must_be_increasing(tribonacci, monkeypatch):
                         lambda ctx, names: set(classes[top - 1 - index_of[names[0]]]))
     with pytest.raises(graph.StructuralError, match="not increasing"):
         graph.embed_successor(g, rev)
+
+
+def split_name(name):
+    """A point name as its kind and numeric index: "th0" -> ("th", 0)."""
+    kind, idx = re.fullmatch(r"([a-z]+)(\d+)", name).groups()
+    return kind, int(idx)
+
+
+def point_precedence(name):
+    """Reference rank of a point name: a, b, th, et, then the numeric index."""
+    kind, idx = split_name(name)
+    return ("a", "b", "th", "et").index(kind), idx
+
+
+def test_point_classes_list_names_in_precedence_order(battery):
+    ctxs = list(battery) + [new_base_context(7, "761(0)"), new_base_context(9, "981(0)")]
+    rng = random.Random(13)
+    ctxs += [random_context(rng) for _ in range(100)]
+    ties = 0
+    for ctx in ctxs:
+        for cls in order_points(ctx).classes:
+            assert cls == sorted(cls, key=point_precedence), (ctx.M, ctx.beta, cls)
+            ties += len(cls) > 1
+    assert ties
+
+
+def paper_first_map(g0, g1):
+    """The successor isomorphism of a limit base written out by endpoint
+    names: a_i goes to a_i and b_i to a_{N+i} for i < N, and each th and et
+    point to itself.  Each left endpoint class must name exactly one left
+    endpoint of the successor graph."""
+    N = g0.ctx.n_period
+    big_by_left = {nm: v.index for v in g1.vertices for nm in g1.order.classes[v.left]}
+    mapping = {}
+    for v in g0.vertices:
+        images = set()
+        for nm in g0.order.classes[v.left]:
+            kind, idx = split_name(nm)
+            if kind in ("th", "et"):
+                images.add(nm)
+            elif idx < N:
+                images.add(f"a{idx}" if kind == "a" else f"a{N + idx}")
+        targets = {big_by_left[nm] for nm in images if nm in big_by_left}
+        assert len(targets) == 1, (g0.ctx.beta, g0.vertex_name(v), images)
+        mapping[v.index] = targets.pop()
+    return mapping
+
+
+def test_first_tower_map_is_the_paper_name_map(battery):
+    ctxs = list(battery)
+    rng = random.Random(17)
+    while len(ctxs) < len(battery) + 100:
+        ctx = random_context(rng)
+        if ctx.base_class is BaseClass.IN_CLOSURE_U_NOT_U:
+            ctxs.append(ctx)
+    for ctx in ctxs:
+        g0, g1 = build_graph(ctx, FULL), build_graph(v_successor(ctx), FULL)
+        assert paper_first_map(g0, g1) == check_isomorphic(g0, g1), (ctx.M, ctx.beta)
 
 
 def test_tower_tribonacci(tribonacci):
@@ -475,7 +534,6 @@ def test_full_build_confirms_every_image():
         build_graph(ctx, FULL)
     # the least class gets a key that does not start with its vertex label 0
     ctx = new_base_context(1, "111(0)")
-    name = order_points(ctx).classes[0][0]
-    special_points(ctx).qg_key[name] = dg.EpSeq((1,), (0,))
+    order_points(ctx).keys[0] = dg.EpSeq((1,), (0,))
     with pytest.raises(graph.StructuralError, match="does not start with the label 0"):
         build_graph(ctx, FULL)

@@ -63,6 +63,17 @@ def test_digits_imports_only_walk_from_the_package():
     assert all(name.startswith("univoque.walk.") for name in found - {"univoque.walk"}), found
 
 
+def test_graph_reads_the_points_only_through_their_order():
+    # classes, values and keys come from ``PointOrder``, one certified order
+    found = imported_modules(SRC / "graph.py")
+    assert "univoque.base.order_points" in found
+    assert "univoque.base.special_points" not in found
+    tree = ast.parse((SRC / "graph.py").read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "special_points" not in used
+
+
 PROCESS_MEMOS = {"functools.lru_cache", "functools.cache"}
 
 
