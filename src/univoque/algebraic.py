@@ -2,28 +2,39 @@
 
 A base q is specified symbolically as the unique root in (1, M+1] of an
 integer polynomial obtained by clearing denominators in the defining
-relation ``sum(beta_i / q^i) = 1``.  That polynomial may be reducible, so
-the field is built on its irreducible factor vanishing at q (the minimal
-polynomial).  ``minpoly.minimal_factor`` finds it in pure Python: the
-squarefree part, less its cyclotomic factors, is factored modulo one small
-prime, and the modular factors are Hensel-lifted and recombined into its
-integer factors (Zassenhaus).
+relation ``sum(beta_i / q^i) = 1``.  That polynomial may be reducible.  The
+field is built on its working polynomial R (``minpoly.working_polynomial``):
+its squarefree part less its cyclotomic factors, of which q is a simple root
+and the only root in the isolating interval.  Computing modulo R gives every
+value at q that computing modulo the minimal polynomial m_q gives; only the
+representation of an element is no longer unique when R has other factors.
+So m_q, the irreducible factor of R vanishing at q, is certified on demand
+(``minpoly.minimal_factor``: Zassenhaus factoring of R in pure Python) where
+a unique representation is needed: to hash or print an element, to decide a
+sign that enclosures leave open, and to invert a zero divisor of Z[t]/(R).
+This is dynamic evaluation (Della Dora, Dicrescenzo and Duval 1985).  For
+most bases R is m_q, and contexts and graphs never factor it.
 
 An element of Q(q) is one tuple of Python ints ``(c_0, ..., c_{d-1}, den)``
-standing for ``sum(c_i q^i) / den``, with ``den > 0`` and the gcd of all
-entries 1.  The representation is canonical, so equality and hashing are
-structural.  The minimal polynomial is monic, so products reduce over the
-integers; multiplying by q is a shift plus one reduction step, and dividing
-by q is one step with the constant term of the minimal polynomial.
+standing for ``sum(c_i q^i) / den``, with d = deg R, ``den > 0`` and the gcd
+of all entries 1.  ``NumberField.reduce`` takes the numerator modulo m_q,
+which makes the representation canonical; equality and hashing compare
+reduced tuples, and when R is m_q the reduction is the identity.  R is
+monic, so products reduce over the integers; multiplying by q is a shift
+plus one reduction step, and dividing by q is one step with the constant
+term of R.
 
 The root is isolated in a dyadic interval ``[n_lo, n_hi] / 2^e``: a scan of
 (1, M+1] at 64 marks finds the cell where the defining polynomial changes
 sign, ``NumberField.refine`` (the one bisection of q) narrows it to
 ``INITIAL_WIDTH`` = 1/10^12, and from then on it is refined only on demand.
 Sign determination runs interval Horner on the element's numerator in
-integers scaled by powers of two, refining the interval until the sign is
-constant.  This terminates for every nonzero element because nothing of
-degree below the minimal polynomial can vanish at q.
+integers scaled by powers of two.  When the first enclosure leaves the sign
+open, the numerator is reduced modulo m_q: a zero remainder means the element is 0,
+and otherwise the interval is refined until the sign is constant.  This
+terminates because a nonzero polynomial of degree below m_q does not vanish
+at q.  Without the reduction it would not: an element that vanishes at q
+but not modulo R has enclosures that straddle 0 forever.
 
 ``Q`` (fractions.Fraction) is used only at the edges: ``INITIAL_WIDTH``,
 tolerances and the rational endpoints ``NumberField.lo`` and
@@ -32,6 +43,7 @@ tolerances and the rational endpoints ``NumberField.lo`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction as Q
 
@@ -146,26 +158,55 @@ def _isolate_dyadic(P, M):
 
 
 class NumberField:
-    """Q(q) for the root q of a monic irreducible polynomial in the dyadic
-    isolating interval [n_lo, n_hi] / 2^e, with 0 < n_lo.
+    """Q(q), computed in Z[t]/(R) for a monic squarefree integer polynomial R
+    whose only root in the dyadic isolating interval [n_lo, n_hi] / 2^e,
+    0 < n_lo, is q.
 
-    Elements are int tuples of length ``deg + 1`` (numerators, then the
-    denominator; see the module docstring).  The isolating interval is
-    refined in place on demand; refinement only ever shrinks it, so
-    previously returned signs stay valid.  Share a field between threads
-    only if refinement is serialized (clone per thread otherwise).
+    R is the working polynomial ``working_poly``, of degree ``deg``; the
+    minimal polynomial ``min_poly`` of q divides it and is certified, once,
+    on first use (see the module docstring for what uses it).  Elements are
+    int tuples of length ``deg + 1`` (numerators, then the denominator).
+    The isolating interval is refined in place on demand; refinement only
+    ever shrinks it, so previously returned signs stay valid.  Share a field
+    between threads only if refinement and certification are serialized
+    (clone per thread otherwise).
     """
 
-    def __init__(self, min_poly, n_lo, n_hi, e):
-        min_poly = poly_trim(min_poly)
-        assert min_poly[-1] == 1 and len(min_poly) >= 2
+    def __init__(self, working_poly, n_lo, n_hi, e):
+        working_poly = poly_trim(working_poly)
+        assert working_poly[-1] == 1 and len(working_poly) >= 2
         assert 0 < n_lo <= n_hi
-        self.min_poly = min_poly
-        self.deg = len(min_poly) - 1
-        self._low = min_poly[:-1]
+        self.working_poly = working_poly
+        self.deg = len(working_poly) - 1
+        self._low = working_poly[:-1]
         self.n_lo, self.n_hi, self.e = n_lo, n_hi, e
-        self._slo = _sign(_dyadic_eval(min_poly, n_lo, e)) if n_lo != n_hi else 0
+        self._slo = _sign(_dyadic_eval(working_poly, n_lo, e)) if n_lo != n_hi else 0
         self._cyc_inv = {}
+
+    @functools.cached_property
+    def min_poly(self):
+        """The minimal polynomial of q: the irreducible factor of the working
+        polynomial that vanishes at q, found by factoring it on first use."""
+        R = self.working_poly
+        if self.deg == 1:
+            return R
+        from .minpoly import minimal_factor     # minpoly builds on this module's helpers
+
+        return minimal_factor(R, self.n_lo, self.n_hi, self.e)
+
+    @property
+    def reducible(self):
+        """Whether the working polynomial has factors besides ``min_poly``."""
+        return len(self.min_poly) < len(self.working_poly)
+
+    def reduce(self, a):
+        """The canonical form of ``a``: its numerator modulo ``min_poly``.  Two
+        elements are equal at q exactly when their canonical forms are equal.
+        ``a`` itself when the working polynomial is the minimal polynomial."""
+        if not self.reducible:
+            return a
+        _quo, rem = _pseudo_divmod(poly_trim(a[:-1]), self.min_poly)    # monic: exact
+        return self.element(list(rem) + [0] * (self.deg - len(rem)), a[-1])
 
     @property
     def lo(self):
@@ -247,25 +288,40 @@ class NumberField:
         return self.element(nums, a[-1])
 
     def div_gen(self, a):
-        """a / q: one step with the constant term m_0 of the minimal polynomial,
-        from 1/q = -(m_1 + m_2 q + ... + q^(d-1)) / m_0."""
+        """a / q: one step with the constant term r_0 of the working polynomial,
+        from 1/q = -(r_1 + r_2 q + ... + q^(d-1)) / r_0."""
         c = a[0]
         if not c:
             return a[1:-1] + (0, a[-1])
-        m0 = self._low[0]
-        nums = [x * m0 - c * m for x, m in zip(a[1:-1] + (0,), self.min_poly[1:])]
-        return self.element(nums, a[-1] * m0)
+        r0 = self._low[0]
+        nums = [x * r0 - c * r for x, r in zip(a[1:-1] + (0,), self.working_poly[1:])]
+        return self.element(nums, a[-1] * r0)
 
     def inv(self, a):
-        """Multiplicative inverse by the extended Euclidean algorithm over Q[t].
-
-        Each remainder is an integer polynomial over one denominator (the
-        quotients come from pseudo-division); each cofactor s is a field
-        element with remainder = s * a.
+        """Multiplicative inverse by the extended Euclidean algorithm over Q[t],
+        against the working polynomial.  A zero divisor of Z[t]/(R), where
+        that Euclid ends at a nonconstant gcd, is reduced and inverted
+        against ``min_poly`` instead.
         """
         if not any(a[:-1]):
             raise ZeroDivisionError("inverse of zero field element")
-        r0, d0 = self.min_poly, 1
+        out = self._inv_modulo(self.working_poly, a)
+        if out is None:
+            a = self.reduce(a)
+            if not any(a[:-1]):
+                raise ZeroDivisionError("inverse of a field element that is zero at q")
+            out = self._inv_modulo(self.min_poly, a)
+        return out
+
+    def _inv_modulo(self, modulus, a):
+        """1/a from Euclid on the numerator of a and a monic divisor ``modulus``
+        of the working polynomial; None when their gcd is not 1.
+
+        Each remainder is an integer polynomial over one denominator (the
+        quotients come from pseudo-division); each cofactor s is a field
+        element with remainder = s * a modulo ``modulus``.
+        """
+        r0, d0 = modulus, 1
         r1, d1 = poly_trim(a[:-1]), a[-1]
         s0, s1 = self.zero(), self.one()
         while len(r1) > 1:
@@ -276,6 +332,8 @@ class NumberField:
             s0, s1 = s1, self.sub(s0, self.mul(quo_elem, s1))
             g = math.gcd(f, *rem)
             r0, d0, r1, d1 = r1, d1, tuple(c // g for c in rem), f // g
+        if not r1:
+            return None
         # a * s1 = r1[0] / d1
         return self.element([c * d1 for c in s1[:-1]], s1[-1] * r1[0])
 
@@ -302,7 +360,7 @@ class NumberField:
         if self.n_lo == self.n_hi:
             return
         mid, e = self.n_lo + self.n_hi, self.e + 1
-        sm = _sign(_dyadic_eval(self.min_poly, mid, e))
+        sm = _sign(_dyadic_eval(self.working_poly, mid, e))
         if sm == 0:
             self.n_lo = self.n_hi = mid
         elif sm == self._slo:
@@ -323,19 +381,31 @@ class NumberField:
             shift += e
         return lo, hi
 
+    def _enclosed_sign(self, p):
+        """The sign of the numerator p over the isolating interval, None
+        while its interval Horner bounds contain 0 and differ."""
+        vlo, vhi = self._interval(p)
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        if vlo == vhi == 0:
+            return 0
+        return None
+
     def sign(self, a):
         if not any(a[1:-1]):
             return _sign(a[0])
-        p = poly_trim(a[:-1])
-        while True:
-            vlo, vhi = self._interval(p)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            if vlo == vhi == 0:
+        s = self._enclosed_sign(poly_trim(a[:-1]))
+        if s is None:
+            # refinement ends only on a numerator that is nonzero at q
+            p = poly_trim(self.reduce(a)[:-1])
+            if not p:
                 return 0
-            self.refine()
+            while s is None:
+                self.refine()
+                s = self._enclosed_sign(p)
+        return s
 
     def enclosure(self, a):
         """Bounds ``(lo, hi, D)`` with the value of ``a`` in [lo/D, hi/D], from
@@ -357,7 +427,7 @@ class NumberField:
 
     def decimal(self, a, places=12):
         scale = 10**places
-        vlo, vhi, D = self.bounds(a, Q(1, 10 * scale))
+        vlo, vhi, D = self.bounds(self.reduce(a), Q(1, 10 * scale))
         # round the midpoint times scale, half to even
         n, r = divmod((vlo + vhi) * scale, 2 * D)
         if r > D or (r == D and n % 2):
@@ -371,8 +441,10 @@ class AlgebraicReal:
     """An element of Q(q), carried as a field element over its field.
 
     Supports exact ring arithmetic, exact division, and exact comparison;
-    hashing and equality are structural on the canonical element tuple, so
-    these values serve directly as memoization keys.
+    hashing and equality are structural on the reduced element tuple
+    (``NumberField.reduce``), so these values serve directly as memoization
+    keys.  Equality compares the raw tuples first and reduces only when they
+    differ.
     """
 
     __slots__ = ("field", "elem")
@@ -433,11 +505,13 @@ class AlgebraicReal:
 
     def __eq__(self, other):
         if isinstance(other, AlgebraicReal):
-            return self.field is other.field and self.elem == other.elem
+            f = self.field
+            return f is other.field and (self.elem == other.elem
+                                         or f.reduce(self.elem) == f.reduce(other.elem))
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.elem)
+        return hash(self.field.reduce(self.elem))
 
     def __lt__(self, other):
         return self.cmp(other) < 0
@@ -452,7 +526,7 @@ class AlgebraicReal:
         return self.cmp(other) >= 0
 
     def __float__(self):
-        lo, hi, D = self.field.bounds(self.elem, Q(1, 10**17))
+        lo, hi, D = self.field.bounds(self.field.reduce(self.elem), Q(1, 10**17))
         return (lo + hi) / (2 * D)
 
     def __repr__(self):
@@ -462,8 +536,10 @@ class AlgebraicReal:
         return self.field.decimal(self.elem, places)
 
     def as_fraction(self):
-        """(integer numerator polynomial, positive integer denominator)."""
-        return poly_trim(self.elem[:-1]), self.elem[-1]
+        """(integer numerator polynomial, positive integer denominator) of the
+        reduced element."""
+        a = self.field.reduce(self.elem)
+        return poly_trim(a[:-1]), a[-1]
 
     def to_json(self):
         num, den = self.as_fraction()
@@ -508,19 +584,20 @@ def base_polynomial(M, beta):
 
 def field_for_base(P, M):
     """NumberField for the base whose defining polynomial ``P``
-    (``base_polynomial``) has it as its one root in (1, M+1], isolated to
-    a width of at most ``INITIAL_WIDTH``."""
+    (``base_polynomial``) has it as its one root in (1, M+1], built on the
+    working polynomial of P and isolated to a width of at most
+    ``INITIAL_WIDTH``; nothing is factored."""
     n_lo, n_hi, e = _isolate_dyadic(P, M)
     if n_lo == n_hi:
         r, frac = divmod(n_lo, 1 << e)
         assert frac == 0, "rational root of a monic polynomial is an integer"
-        m = (-r, 1)
+        R = (-r, 1)
     else:
-        from .minpoly import minimal_factor     # minpoly builds on this module's helpers
+        from .minpoly import working_polynomial     # minpoly builds on this module's helpers
 
         # q is the only root of P in (1, M+1], so the scan cell isolates it
-        m = minimal_factor(P, n_lo, n_hi, e)
-    field = NumberField(m, n_lo, n_hi, e)
+        R = working_polynomial(P)
+    field = NumberField(R, n_lo, n_hi, e)
     width = INITIAL_WIDTH
     while (field.n_hi - field.n_lo) * width.denominator > width.numerator << field.e:
         field.refine()

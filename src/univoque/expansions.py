@@ -4,7 +4,8 @@ Expansions of x are infinite paths in the digit-transition system whose
 states are exact remainders: from value v the digit d is feasible when
 q*v - d stays inside [0, M/(q-1)].  When q is a Pisot number, the
 remainders of a point of Q(q) form a finite set, and exhaustive exploration
-(``walk.explore``, with exact memoization) decides, from the cycles that
+(``walk.explore``, memoized on the remainders in their reduced form,
+``NumberField.reduce``) decides, from the cycles that
 ``walk.tarjan`` finds, whether the point has finitely many expansions (and
 then materializes all of them, each cycle word read by ``walk.orbit``) or
 reaches a branching cycle, which yields infinitely many.  For other bases
@@ -166,7 +167,15 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
         raise ValueError(f"state cap must be nonnegative, got {cap}")
     _check_range(ctx, x)
     field, kappa = x.field, ctx.kappa.elem
-    succ = explore([x.elem], lambda v: _feasible_moves(field, ctx.M, kappa, v), cap)
+    root = field.reduce(x.elem)
+    if field.reducible:
+        # remainders are hashed: equal values must be equal tuples
+        def moves(v):
+            return [(d, field.reduce(u)) for d, u in _feasible_moves(field, ctx.M, kappa, v)]
+    else:
+        def moves(v):
+            return _feasible_moves(field, ctx.M, kappa, v)
+    succ = explore([root], moves, cap)
     if succ is None:
         return ExpansionCount(CAP_EXCEEDED)
     on_cycle = {v for comp in tarjan(succ) if cyclic(succ, comp) for v in comp}
@@ -176,7 +185,7 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
         return ExpansionCount(INFINITE_CYCLE)
 
     witnesses = []
-    stack = [(x.elem, ())]
+    stack = [(root, ())]
     while stack:
         v, path = stack.pop()
         if v in on_cycle:

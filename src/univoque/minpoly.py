@@ -1,17 +1,20 @@
-"""The minimal polynomial of a base, by factoring its defining polynomial.
+"""The working and the minimal polynomial of a base.
 
 The defining polynomial P of a base (``algebraic.base_polynomial``) is a
 monic integer polynomial that may be reducible; the base q is a root of
-exactly one of its monic irreducible factors.  ``minimal_factor`` finds that
-factor in four steps.
+exactly one of its monic irreducible factors.  Steps 1 and 2
+(``working_polynomial``) give the working polynomial R, on which the field
+of the base is built; steps 3 and 4 (``minimal_factor``) find q's factor of
+R, and run only when the field certifies its minimal polynomial on demand
+(``algebraic.NumberField.min_poly``).
 
 1. Squarefree part.  If gcd(P, P') is 1 modulo a large prime, P is
    squarefree (the common case); otherwise the exact gcd, from a primitive
    PRS, is divided out.
 2. Cyclotomic strip.  The gcd of that squarefree part R and t^L - 1,
    L = deg P, is computed modulo the large prime and divided out of R once
-   exact division confirms that it divides both.  This only saves time:
-   step 3 finds whatever it misses.
+   exact division confirms that it divides both.  Factors it misses stay
+   in R: step 3 finds them when the minimal polynomial is certified.
 3. Factorization (Zassenhaus 1969).  Modulo the first small prime that
    keeps R squarefree, distinct-degree factorization and Cantor-Zassenhaus
    split R into its modular factors.  These are Hensel-lifted modulo
@@ -21,7 +24,7 @@ factor in four steps.
    R is irreducible and nothing is recombined.  At most
    ``RECOMBINATION_CAP`` subsets are tried.
 4. The one irreducible factor that changes sign over the isolating interval
-   of q.
+   of q, or vanishes at it if refinement has met q exactly.
 
 Polynomials are little-endian int tuples, as in ``algebraic``; modulo m
 their coefficients lie in [0, m).
@@ -274,15 +277,21 @@ def _factors(R):
     raise DegenerateInputError("no small prime keeps the polynomial squarefree")
 
 
-def minimal_factor(P, n_lo, n_hi, e):
-    """Monic irreducible factor of the monic P with a root in (n_lo, n_hi) / 2^e.
+def working_polynomial(P):
+    """Steps 1 and 2: the squarefree part of the monic P, less the cyclotomic
+    factors that exact division confirms."""
+    return _strip_cyclotomic(_squarefree_part(P), len(P) - 1)
 
-    Exactly one irreducible factor changes sign over an interval isolating
-    a simple root of P.
+
+def minimal_factor(R, n_lo, n_hi, e):
+    """Steps 3 and 4: the monic irreducible factor of the monic squarefree R
+    with a root in [n_lo, n_hi] / 2^e, an interval where R has one root.
+
+    Exactly one irreducible factor changes sign over the interval, or
+    vanishes at it when n_lo = n_hi; no root of R is an endpoint otherwise.
     """
-    R = _strip_cyclotomic(_squarefree_part(P), len(P) - 1)
     candidates = [f for f in _factors(R)
-                  if _sign(_dyadic_eval(f, n_lo, e)) * _sign(_dyadic_eval(f, n_hi, e)) < 0]
+                  if _sign(_dyadic_eval(f, n_lo, e)) * _sign(_dyadic_eval(f, n_hi, e)) <= 0]
     if len(candidates) != 1:
         raise DegenerateInputError("could not isolate a unique irreducible factor")
     return candidates[0]

@@ -1,5 +1,6 @@
 import functools
 import random
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import BATTERY, random_context
 from univoque import digits as dg
-from univoque.algebraic import (Q, AlgebraicReal, DegenerateInputError, apply_digit_map,
-                                base_polynomial, field_for_base, value_of_sequence)
+from univoque.algebraic import (Q, AlgebraicReal, DegenerateInputError, NumberField,
+                                _isolate_dyadic, _pseudo_divmod, apply_digit_map,
+                                base_polynomial, field_for_base, poly_mul, value_of_sequence)
 from univoque.base import new_base_context, special_points, v_successor
 
 
@@ -281,3 +283,35 @@ def test_element_ops_build_no_fraction(monkeypatch):
         f.sign(f.sub(f.add(x, f.mul(x, y)), f.div_gen(f.mul_gen(y))))
         f.sign(f.sub(x, y))
     assert made == []
+
+
+def _timeout(_signum, _frame):
+    raise TimeoutError("sign did not terminate")
+
+
+def test_sign_of_a_hidden_zero_terminates():
+    # on m_q (t^3 - t + 1) the element m_q(q) is 0, yet nonzero modulo the
+    # working polynomial: its enclosures contain 0 on every interval, and
+    # only the reduction modulo the certified m_q ends the refinement
+    m = (-3, -3, -8, -6, -7, 1)
+    cell = _isolate_dyadic(base_polynomial(7, seq("77041503(0)")), 7)
+    f = NumberField(poly_mul(m, (1, -1, 0, 1)), *cell)
+    hidden_zero = f.element(list(m) + [0, 0], 1)
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(10)
+    try:
+        assert f.sign(hidden_zero) == 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert f.min_poly == m and f.reducible
+
+
+def test_inverse_of_a_zero_divisor():
+    # t + 1 stays in the working polynomial of 1101011(0), so q^2 - 1 is a
+    # zero divisor there; its inverse is taken modulo the minimal polynomial
+    f = new_base_context(1, "1101011(0)").field
+    assert not _pseudo_divmod(f.working_poly, (1, 1))[1]
+    a = f.add_int(f.pow_gen(2), -1)
+    assert f.reduce(f.mul(f.cyc_inv(2), a)) == f.one()
+    assert AlgebraicReal(f, f.mul(f.cyc_inv(2), a)) == AlgebraicReal(f, f.one())

@@ -23,6 +23,7 @@ CORPUS = Path(__file__).with_name("cli_corpus.json")
 # the recurring battery of tests/conftest.py
 BATTERY = [(1, "111(0)"), (1, "11011(0)"), (4, "4331(0)"), (3, "331(0)"), (4, "322(0)"),
            (1, "111001010(0)")]
+REDUCIBLE = [(7, "77041503(0)"), (7, "744516145(0)"), (1, "1101011(0)")]
 
 
 def other_mode(argv):
@@ -76,6 +77,16 @@ def corpus():
         cmds += [["base", "classify", "-M", "1", "--beta", beta, *mode]
                  for mode in ([], ["--json"])]
     cmds += [["graph", "build", *periodic], ["expansions", "count", *periodic, "--x", "1(0)"]]
+    # bases whose defining polynomial keeps a factor besides the minimal one
+    # after the squarefree part and the cyclotomic strip
+    for M, beta in REDUCIBLE:
+        base = ["-M", str(M), "--beta", beta]
+        cmds += [
+            ["base", "points", *base, "--json"],
+            ["base", "classify", *base, "--json"],
+            ["dim", *base, "--per-scc"],
+            ["expansions", "count", *base, "--x", "1(01)"],
+        ]
     return {shlex.join(a): a for a in cmds}
 
 

@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 import univoque
 from univoque import cli, minpoly
 from univoque import digits as dg
+from univoque import expansions as ex
 from univoque.algebraic import (DegenerateInputError, _dyadic_eval, _sign, base_polynomial,
                                 field_for_base)
-from univoque.base import new_base_context, v_successor
+from univoque.base import new_base_context, order_points, v_successor
 from univoque.digits import EpSeq
+from univoque.graph import FULL, TILDE, TILDE1, build_graph, check_isomorphic, connectivity_report
+from univoque.spectral import component_dimensions, spectral_report
 
 
 def sympy_minimal_factor(P, field):
@@ -126,8 +129,8 @@ def test_recombination_case(monkeypatch):
     # recombination of the lifted modular factors splits it off
     calls = spy(monkeypatch, "_zassenhaus")
     ctx = new_base_context(7, "77041503(0)")
-    assert calls
     assert ctx.field.min_poly == (-3, -3, -8, -6, -7, 1)
+    assert calls
     assert_matches_sympy(ctx)
 
 
@@ -152,17 +155,55 @@ def test_integer_root_needs_no_factorization(monkeypatch):
 
 
 def test_one_ddf_per_context(monkeypatch, battery):
-    # one prime, one distinct-degree factorization: no search over primes
+    # building a context factors nothing; the first read of the minimal
+    # polynomial takes one prime, one distinct-degree factorization (no
+    # search over primes), and later reads none
     calls = spy(monkeypatch, "_ddf")
+
+    def certified_once(ctx, label):
+        assert not calls, label
+        ctx.field.min_poly
+        assert len(calls) == 1, label
+        ctx.field.min_poly
+        assert len(calls) == 1, label
+        calls.clear()
+
     for M, beta in [(ctx.M, ctx.beta) for ctx in battery] + [(7, "77041503(0)")]:
-        calls.clear()
-        new_base_context(M, beta)
-        assert len(calls) == 1, dg.format_seq(beta)
+        certified_once(new_base_context(M, beta), beta)
     ctx = new_base_context(1, "111(0)")
+    calls.clear()
     for depth in range(1, 6):
-        calls.clear()
         ctx = v_successor(ctx)
-        assert len(calls) == 1, depth
+        certified_once(ctx, depth)
+
+
+def test_graphs_factor_nothing_and_counts_factor_once(monkeypatch, battery):
+    # only hashing and printing need the minimal polynomial: contexts, point
+    # orders, graphs, isomorphisms and spectra of these bases run on the
+    # working polynomial, and an expansion count certifies its field once
+    calls = spy(monkeypatch, "_factors")
+    bases = [(ctx.M, ctx.beta) for ctx in battery]
+    for M, beta in bases:
+        ctx = new_base_context(M, beta)
+        order_points(ctx)
+        for variant in (FULL, TILDE, TILDE1):
+            build_graph(ctx, variant)
+        connectivity_report(ctx)
+        component_dimensions(ctx)
+        spectral_report(build_graph(ctx, TILDE), ctx)
+        succ = v_successor(ctx)
+        assert check_isomorphic(build_graph(ctx, FULL), build_graph(succ, FULL)) is not None
+    ctx = new_base_context(1, "111(0)")
+    for _ in range(4):
+        ctx = v_successor(ctx)
+    assert calls == []
+    x = dg.parse_seq("1(01)")
+    for M, beta in bases:
+        ctx = new_base_context(M, beta)
+        ex.count_expansions(ctx, ctx.value(x))
+        ex.count_expansions(ctx, ctx.kappa - ctx.value(x))
+        assert len(calls) == 1, beta
+        calls.clear()
 
 
 def test_factors_when_no_prime_certifies():
