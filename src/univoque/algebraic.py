@@ -10,8 +10,9 @@ value at q that computing modulo the minimal polynomial m_q gives; only the
 representation of an element is no longer unique when R has other factors.
 So m_q, the irreducible factor of R vanishing at q, is certified on demand
 (``minpoly.minimal_factor``: Zassenhaus factoring of R in pure Python) where
-a unique representation is needed: to hash or print an element, to decide a
-sign that enclosures leave open, and to invert a zero divisor of Z[t]/(R).
+a unique representation is needed: to hash or print an element, to decide
+the sign of an element whose numerator shares a factor with R, and to
+invert a zero divisor of Z[t]/(R).
 This is dynamic evaluation (Della Dora, Dicrescenzo and Duval 1985).  For
 most bases R is m_q, and contexts and graphs never factor it.
 
@@ -30,11 +31,13 @@ sign, ``NumberField.refine`` (the one bisection of q) narrows it to
 ``INITIAL_WIDTH`` = 1/10^12, and from then on it is refined only on demand.
 Sign determination runs interval Horner on the element's numerator in
 integers scaled by powers of two.  When the first enclosure leaves the sign
-open, the numerator is reduced modulo m_q: a zero remainder means the element is 0,
-and otherwise the interval is refined until the sign is constant.  This
-terminates because a nonzero polynomial of degree below m_q does not vanish
-at q.  Without the reduction it would not: an element that vanishes at q
-but not modulo R has enclosures that straddle 0 forever.
+open, the interval is refined until the sign is constant, on a numerator
+that is nonzero at q: either it is coprime to R modulo a large prime
+(``minpoly.coprime``), hence nonzero at every root of R, or it is reduced
+modulo m_q, where a zero remainder means the element is 0 and a nonzero
+one, of degree below m_q, does not vanish at q.  Without that test
+refinement need not end: an element that vanishes at q but not modulo R
+has enclosures that straddle 0 forever.
 
 ``Q`` (fractions.Fraction) is used only at the edges: ``INITIAL_WIDTH``,
 tolerances and the rational endpoints ``NumberField.lo`` and
@@ -194,7 +197,7 @@ class NumberField:
 
         return minimal_factor(R, self.n_lo, self.n_hi, self.e)
 
-    @property
+    @functools.cached_property
     def reducible(self):
         """Whether the working polynomial has factors besides ``min_poly``."""
         return len(self.min_poly) < len(self.working_poly)
@@ -396,12 +399,18 @@ class NumberField:
     def sign(self, a):
         if not any(a[1:-1]):
             return _sign(a[0])
-        s = self._enclosed_sign(poly_trim(a[:-1]))
+        p = poly_trim(a[:-1])
+        s = self._enclosed_sign(p)
         if s is None:
-            # refinement ends only on a numerator that is nonzero at q
-            p = poly_trim(self.reduce(a)[:-1])
-            if not p:
-                return 0
+            # refinement ends only on a numerator that is nonzero at q: one
+            # reduced modulo m_q, or, while m_q is not yet certified, one
+            # coprime to the working polynomial
+            from .minpoly import coprime     # minpoly builds on this module's helpers
+
+            if "min_poly" in vars(self) or not coprime(p, self.working_poly):
+                p = poly_trim(self.reduce(a)[:-1])
+                if not p:
+                    return 0
             while s is None:
                 self.refine()
                 s = self._enclosed_sign(p)
@@ -441,10 +450,11 @@ class AlgebraicReal:
     """An element of Q(q), carried as a field element over its field.
 
     Supports exact ring arithmetic, exact division, and exact comparison;
-    hashing and equality are structural on the reduced element tuple
+    hashing is structural on the reduced element tuple
     (``NumberField.reduce``), so these values serve directly as memoization
-    keys.  Equality compares the raw tuples first and reduces only when they
-    differ.
+    keys.  Equality compares the raw tuples first and, only when they
+    differ, decides by the sign of the difference, which certifies the
+    field only when that sign does (``NumberField.sign``).
     """
 
     __slots__ = ("field", "elem")
@@ -505,9 +515,8 @@ class AlgebraicReal:
 
     def __eq__(self, other):
         if isinstance(other, AlgebraicReal):
-            f = self.field
-            return f is other.field and (self.elem == other.elem
-                                         or f.reduce(self.elem) == f.reduce(other.elem))
+            return self.field is other.field and (self.elem == other.elem
+                                                  or self.cmp(other) == 0)
         return NotImplemented
 
     def __hash__(self):

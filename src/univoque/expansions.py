@@ -173,6 +173,7 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
         def moves(v):
             return [(d, field.reduce(u)) for d, u in _feasible_moves(field, ctx.M, kappa, v)]
     else:
+        # already canonical; a reduce call per move would slow counting by 5 %
         def moves(v):
             return _feasible_moves(field, ctx.M, kappa, v)
     succ = explore([root], moves, cap)

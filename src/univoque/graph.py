@@ -17,8 +17,8 @@ to b_1, and th_0 and et_{M+1} are fixed.  Each image is confirmed exactly,
 once per (class, label): by the first digit of the key, by the shifted key
 being a class key, and by equality of the digit map's value with the image
 class's value.  That equality compares element tuples; only a mismatch
-certifies the field's minimal polynomial and compares reduced tuples
-(``AlgebraicReal.__eq__``) before the build fails.
+decides by the sign of the difference (``AlgebraicReal.__eq__``) before the
+build fails.
 
 Three variants are built here: the full graph, its restriction to the
 central interval (b1, a1), and the further restriction to the vertices

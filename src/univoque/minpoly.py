@@ -26,6 +26,9 @@ R, and run only when the field certifies its minimal polynomial on demand
 4. The one irreducible factor that changes sign over the isolating interval
    of q, or vanishes at it if refinement has met q exactly.
 
+``coprime`` spares the field step 3 on a sign it must refine: a numerator
+whose gcd with R modulo the large prime is 1 is nonzero at q.
+
 Polynomials are little-endian int tuples, as in ``algebraic``; modulo m
 their coefficients lie in [0, m).
 """
@@ -281,6 +284,13 @@ def working_polynomial(P):
     """Steps 1 and 2: the squarefree part of the monic P, less the cyclotomic
     factors that exact division confirms."""
     return _strip_cyclotomic(_squarefree_part(P), len(P) - 1)
+
+
+def coprime(p, R):
+    """Whether the integer polynomial p is proved coprime to the monic R: their
+    gcd modulo ``LARGE_PRIME`` is 1.  R is monic, so a common factor over Q
+    survives the reduction; False proves nothing."""
+    return len(_gcd(_mod(R, LARGE_PRIME), _mod(p, LARGE_PRIME), LARGE_PRIME)) == 1
 
 
 def minimal_factor(R, n_lo, n_hi, e):

@@ -196,6 +196,14 @@ def test_graphs_factor_nothing_and_counts_factor_once(monkeypatch, battery):
     ctx = new_base_context(1, "111(0)")
     for _ in range(4):
         ctx = v_successor(ctx)
+    # unequal values, and a sign that refines a numerator coprime to the
+    # working polynomial, decide without certifying, on reducible R too
+    for M, beta in bases + [(7, "77041503(0)"), (1, "1101011(0)")]:
+        ctx = new_base_context(M, beta)
+        values = order_points(ctx).values
+        assert all(u != v and not u == v for u, v in zip(values, values[1:]))
+        f = ctx.field
+        assert f.sign(f.sub(f.gen(), f.rational(f.lo))) == 1
     assert calls == []
     x = dg.parse_seq("1(01)")
     for M, beta in bases:
