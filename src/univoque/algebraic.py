@@ -205,8 +205,12 @@ class NumberField:
     def reduce(self, a):
         """The canonical form of ``a``: its numerator modulo ``min_poly``.  Two
         elements are equal at q exactly when their canonical forms are equal.
-        ``a`` itself when the working polynomial is the minimal polynomial."""
-        if not self.reducible:
+        ``a`` itself when the working polynomial is the minimal polynomial, and
+        when the numerator has degree at most 1, with no factoring: q is an
+        algebraic integer, so deg m_q = 1 only for an integer q, whose working
+        polynomial is linear already (``k(0)`` for k <= M, ``(M)`` for M + 1);
+        otherwise deg m_q >= 2 and such a numerator is its own remainder."""
+        if not any(a[2:-1]) or not self.reducible:
             return a
         _quo, rem = _pseudo_divmod(poly_trim(a[:-1]), self.min_poly)    # monic: exact
         return self.element(list(rem) + [0] * (self.deg - len(rem)), a[-1])

@@ -28,7 +28,6 @@ one context, with its graphs, per base.  Nothing is cached at module level:
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 
 from . import digits as dg
@@ -280,7 +279,8 @@ class PointOrder(namedtuple("PointOrder", "classes values keys index_of")):
 def order_points(ctx):
     """Total order of the special points, cross-checked two ways.
 
-    Points are sorted by the lexicographic order of their quasi-greedy keys;
+    Points are sorted by the lexicographic order of their quasi-greedy keys,
+    read off prefix tuples of one common length (``digits.common_prefixes``);
     exact algebraic comparison then confirms every coincidence and every
     strict step.  A disagreement would falsify the order isomorphism between
     sequences and values and raises InternalConsistencyError.
@@ -291,12 +291,13 @@ def order_points(ctx):
 
 def _order_points(ctx):
     pts = special_points(ctx)
+    # prefix order is key order, and equal prefixes are equal keys
+    prefix = dict(zip(pts.qg_key, dg.common_prefixes(list(pts.qg_key.values()))))
     # the sort is stable: equal keys keep the precedence order of the names
-    lex_key = functools.cmp_to_key(dg.lex_cmp)
-    names = sorted(pts.qg_key, key=lambda nm: lex_key(pts.qg_key[nm]))
+    names = sorted(prefix, key=prefix.__getitem__)
     classes, keys, values = [], [], []
     for nm in names:
-        if classes and dg.lex_cmp(pts.qg_key[nm], keys[-1]) == dg.EQ:
+        if classes and prefix[nm] == prefix[classes[-1][0]]:
             classes[-1].append(nm)
         else:
             classes.append([nm])

@@ -19,7 +19,10 @@ infinite* if its digit-wise reflection ``c -> M - c`` is infinite as well.
 ``is_unique_expansion_seq`` decides unique expansions (UNIQUE) and unique
 doubly infinite expansions (DOUBLY_INFINITE).  All predicates here decide
 their condition over a finite window, which is sufficient because every
-input is eventually periodic.
+input is eventually periodic: past the longer preperiod, two sequences of
+periods p and r that agree on p + r - gcd(p, r) digits agree forever (Fine
+and Wilf 1965).  Comparisons run on prefix tuples of that length, and the
+shifted tails of a sequence are slices of one unrolled prefix.
 """
 
 from __future__ import annotations
@@ -91,12 +94,15 @@ class EpSeq:
         pre, per = tuple(pre), tuple(per)
         if not per:
             raise ValueError("period must be nonempty")
-        if any(d < 0 for d in pre + per):
+        if min(pre + per) < 0:
             raise ValueError("digits must be nonnegative")
         per = _primitive(per)
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = (per[-1],) + per[:-1]
+        # the k trailing digits of pre that repeat the period backwards move
+        # into it, which rotates the period right by k
+        n, k = len(per), 0
+        while k < len(pre) and pre[-1 - k] == per[-1 - k % n]:
+            k += 1
+        pre, per = pre[:len(pre) - k], per[n - k % n:] + per[:n - k % n]
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
 
@@ -152,21 +158,41 @@ def shift(s, n):
     return EpSeq((), s.per[k:] + s.per[:k])
 
 
+def prefix(s, n):
+    """The first ``n`` digits of an EpSeq as a tuple."""
+    return (s.pre + s.per * (n // len(s.per) + 1))[:n]
+
+
+def _fine_wilf(p, r):
+    """Fine and Wilf (1965): sequences of periods p and r that agree on
+    p + r - gcd(p, r) digits agree forever."""
+    return p + r - math.gcd(p, r)
+
+
 def _window(a, b):
-    return max(len(a.pre), len(b.pre)) + math.lcm(len(a.per), len(b.per))
+    """A prefix length that decides ``a`` against ``b``: past the longer
+    preperiod both sequences are periodic, so ``_fine_wilf`` digits more
+    decide them."""
+    return max(len(a.pre), len(b.pre)) + _fine_wilf(len(a.per), len(b.per))
+
+
+def common_prefixes(seqs):
+    """Prefix tuples of the EpSeq ``seqs``, all of one length: the longest
+    ``_window`` of any pair, so that comparing two prefixes as tuples
+    compares their sequences, equality included."""
+    periods = {len(s.per) for s in seqs}
+    n = max(len(s.pre) for s in seqs) + max(_fine_wilf(p, r) for p in periods for r in periods)
+    return [prefix(s, n) for s in seqs]
 
 
 def lex_cmp(a, b):
     """Lexicographic comparison of two EpSeq; returns -1, 0 or 1.
 
-    Decided over a window of length max preperiod + lcm of the periods,
-    which covers every (phase, phase) pair of the two sequences.
+    Decided by comparing their prefixes over ``_window(a, b)`` as tuples.
     """
-    for i in range(_window(a, b)):
-        da, db = a.digit(i), b.digit(i)
-        if da != db:
-            return LT if da < db else GT
-    return EQ
+    n = _window(a, b)
+    u, v = prefix(a, n), prefix(b, n)
+    return (u > v) - (u < v)
 
 
 def _shifts_bounded(s, bound, M, upper, lower, strict):
@@ -176,18 +202,22 @@ def _shifts_bounded(s, bound, M, upper, lower, strict):
     reflection of the tail after a positive digit when ``lower`` holds; a
     checked tail fails above ``bound``, and at equality too when ``strict``.
     Positions 1..|pre|+|per| exhaust all distinct (digit, shifted tail) pairs.
+    Every tail has the period of ``s`` and a preperiod no longer than that of
+    ``s``, so one ``_window`` decides them all: ``s`` is unrolled once, and
+    each tail is a slice of it (or of its reflection, in which the digit
+    before a reflected tail is below M exactly when it was positive in ``s``).
     """
-    fail = EQ if strict else GT
-    for n in range(1, len(s.pre) + len(s.per) + 1):
-        d = s.digit(n - 1)
-        up, low = upper and d < M, lower and d > 0
-        if up or low:
-            tail = shift(s, n)
-            if up and lex_cmp(tail, bound) >= fail:
-                return False
-            if low and lex_cmp(reflect(tail, M), bound) >= fail:
-                return False
-    return True
+    n = _window(s, bound)
+    end = len(s.pre) + len(s.per)
+    words = []
+    if upper:
+        words.append(prefix(s, end + n))
+    if lower:
+        words.append(prefix(reflect(s, M), end + n))
+    cap = prefix(bound, n)
+    fails = tuple.__ge__ if strict else tuple.__gt__
+    return not any(w[k - 1] < M and fails(w[k:k + n], cap)
+                   for w in words for k in range(1, end + 1))
 
 
 def is_greedy_beta(M, s):

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -217,6 +218,39 @@ def test_order_points_randomized_consistency():
         order = order_points(ctx)
         assert all(order.values[k].cmp(order.values[k + 1]) < 0
                    for k in range(len(order.values) - 1))
+
+
+def lex_sorted_classes(ctx):
+    """The point classes by a ``lex_cmp`` sort of the keys, stable on the
+    name precedence, with equal keys grouped."""
+    keys = special_points(ctx).qg_key
+    classes = []
+    for nm in sorted(keys, key=functools.cmp_to_key(lambda x, y: dg.lex_cmp(keys[x], keys[y]))):
+        if classes and dg.lex_cmp(keys[nm], keys[classes[-1][0]]) == dg.EQ:
+            classes[-1].append(nm)
+        else:
+            classes.append([nm])
+    return classes
+
+
+def test_order_points_sorts_on_prefixes(monkeypatch, battery, tribonacci):
+    contexts = list(battery)
+    rng = random.Random(31)
+    contexts += [random_context(rng) for _ in range(100)]
+    ctx = tribonacci
+    for _ in range(6):
+        ctx = v_successor(ctx)
+        contexts.append(ctx)
+    expected = [lex_sorted_classes(ctx) for ctx in contexts]
+
+    def no_lex_cmp(*args):
+        raise AssertionError("order_points called lex_cmp")
+
+    monkeypatch.setattr(dg, "lex_cmp", no_lex_cmp)
+    for ctx, classes in zip(contexts, expected):
+        # a fresh context: its point order is not memoised yet
+        ctx = new_base_context(ctx.M, ctx.beta)
+        assert order_points(ctx).classes == classes, dg.format_seq(ctx.beta)
 
 
 def test_special_points_match_tail_values(battery, tribonacci):

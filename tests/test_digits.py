@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -25,6 +26,20 @@ def test_canonical_preperiod_is_minimal():
     # canonicalizing twice changes nothing
     s = EpSeq((0, 1, 1, 0, 1), (1, 0, 1))
     assert EpSeq(s.pre, s.per) == s
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=6), st.lists(st.integers(0, 2), min_size=1, max_size=6),
+       st.integers(0, 14))
+def test_canonical_form_random(head, per, repeats):
+    # a preperiod ending in copies of the period folds into a rotated period
+    pre = head + (per * 3)[:repeats]
+    s = EpSeq(pre, per)
+    n = len(pre) + 3 * len(per)
+    assert dg.prefix(s, n) == tuple(pre + per * n)[:n]
+    assert not s.pre or s.pre[-1] != s.per[-1]
+    k = len(s.per)
+    assert all(s.per != s.per[:p] * (k // p) for p in range(1, k) if k % p == 0)
 
 
 def test_equality_is_structural():
@@ -94,6 +109,146 @@ def test_lex_cmp_total_order_and_reflection():
     ordered = sorted(pool, key=functools.cmp_to_key(dg.lex_cmp))
     for x, y in zip(ordered, ordered[1:]):
         assert dg.lex_cmp(x, y) != dg.GT
+
+
+# --- lex_cmp and the shifted-tail predicates against digit loops --------------
+
+def digit_at(s, i):
+    return s.pre[i] if i < len(s.pre) else s.per[(i - len(s.pre)) % len(s.per)]
+
+
+def loop_cmp(f, g, horizon):
+    """Lexicographic order of two digit functions, one digit at a time."""
+    for i in range(horizon):
+        if f(i) != g(i):
+            return -1 if f(i) < g(i) else 1
+    return 0
+
+
+def horizon(a, b):
+    """Twice the naive window: max preperiod plus the lcm of the periods."""
+    return 2 * (max(len(a.pre), len(b.pre)) + math.lcm(len(a.per), len(b.per)))
+
+
+def reference_cmp(a, b):
+    return loop_cmp(lambda i: digit_at(a, i), lambda i: digit_at(b, i), horizon(a, b))
+
+
+@st.composite
+def near_pairs(draw):
+    """Two EpSeq that share a long prefix: b repeats the k digits of a after
+    a common head as its period, possibly with one digit changed."""
+    M = draw(st.integers(1, 3))
+    digits = st.integers(0, M)
+    p = draw(st.sampled_from([1, 2, 3, 5, 8, 97, 100]))
+    a = EpSeq(draw(st.lists(digits, max_size=6)), draw(st.lists(digits, min_size=p, max_size=p)))
+    head = draw(st.integers(0, 8))
+    r = draw(st.sampled_from([1, 2, 3, 4, 7, 97, 100, 101]))
+    per = list(dg.prefix(a, head + r)[head:])
+    if draw(st.booleans()):
+        per[draw(st.integers(0, r - 1))] = draw(digits)
+    return a, EpSeq(dg.prefix(a, head), per)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_pairs())
+def test_lex_cmp_matches_digit_loop(pair):
+    a, b = pair
+    assert dg.lex_cmp(a, b) == reference_cmp(a, b), (a, b)
+    assert dg.lex_cmp(b, a) == reference_cmp(b, a), (a, b)
+    u, v = dg.common_prefixes([a, b, dg.ZERO])[:2]
+    assert (u > v) - (u < v) == reference_cmp(a, b), (a, b)
+
+
+def fine_wilf_word(p, r):
+    """A two-letter word of length p + r - 2 with periods p and r, for
+    coprime p, r: the positions joined by the two periods form two classes."""
+    n = p + r - 2
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i in range(n):
+        for j in (i + p, i + r):
+            if j < n:
+                root[find(j)] = find(i)
+    first = find(0)
+    return tuple(int(find(i) != first) for i in range(n))
+
+
+def test_lex_cmp_needs_the_whole_fine_wilf_window():
+    # periodic sequences of coprime periods p and r that agree on
+    # p + r - 2 digits and differ at the last digit of the window
+    for p, r in ((2, 3), (5, 8), (97, 100), (100, 97)):
+        w = fine_wilf_word(p, r)
+        a, b = EpSeq((), w[:p]), EpSeq((), w[:r])
+        assert len(a.per) == p and len(b.per) == r
+        assert dg.prefix(a, p + r - 2) == dg.prefix(b, p + r - 2)
+        assert dg.lex_cmp(a, b) == reference_cmp(a, b) != dg.EQ
+        u, v = dg.common_prefixes([a, b])
+        assert (u > v) - (u < v) == reference_cmp(a, b)
+        for head in ((0,), (2, 1, 0)):
+            c, d = EpSeq(head + w[:2], w[2:p] + w[:2]), EpSeq(head, w[:r])
+            assert dg.lex_cmp(c, d) == reference_cmp(c, d), (p, r, head)
+
+
+def reference_bounded(s, bound, M, upper, lower, strict):
+    """``_shifts_bounded`` by shifting and reflecting digit functions, over
+    every shift up to twice the preperiod plus period of ``s``."""
+    n_max = 2 * (len(s.pre) + len(s.per))
+    cap = horizon(s, bound)
+    for n in range(1, n_max + 1):
+        d = digit_at(s, n - 1)
+        tails = []
+        if upper and d < M:
+            tails.append(lambda i, n=n: digit_at(s, n + i))
+        if lower and d > 0:
+            tails.append(lambda i, n=n: M - digit_at(s, n + i))
+        for tail in tails:
+            c = loop_cmp(tail, lambda i: digit_at(bound, i), cap)
+            if c > 0 or (strict and c == 0):
+                return False
+    return True
+
+
+def reference_classify(M, s):
+    if not reference_bounded(s, s, M, upper=False, lower=True, strict=False):
+        return BaseClass.NOT_IN_V
+    if not reference_bounded(s, s, M, upper=False, lower=True, strict=True):
+        return BaseClass.IN_V_NOT_CLOSURE_U
+    beta = s
+    if not s.pre and s.per[-1] < M:
+        beta = EpSeq(s.per[:-1] + (s.per[-1] + 1,), (0,))
+    if reference_bounded(beta, beta, M, upper=False, lower=True, strict=True):
+        return BaseClass.IN_U
+    return BaseClass.IN_CLOSURE_U_NOT_U
+
+
+def test_predicates_match_digit_loops():
+    rng = random.Random(41)
+    seen = set()
+    for M in range(1, 10):
+        for _ in range(150):
+            pre, per = ([rng.randint(0, M) for _ in range(k)]
+                        for k in (rng.randint(0, 4), rng.randint(1, 6)))
+            s = EpSeq(pre, per)
+            greedy = not s.is_zero() and reference_bounded(s, s, M, True, False, True)
+            quasi = not s.is_finite() and reference_bounded(s, s, M, True, False, False)
+            assert dg.is_greedy_beta(M, s) == greedy, (M, s)
+            assert dg.is_quasigreedy_alpha(M, s) == quasi, (M, s)
+            # the greatest rotation of a period is quasi-greedy
+            per = s.per
+            alpha = EpSeq((), max(per[k:] + per[:k] for k in range(len(per))))
+            cls = dg.classify_alpha(M, alpha)
+            assert cls is reference_classify(M, alpha), (M, alpha)
+            for strict, mode in ((True, dg.UNIQUE), (False, dg.DOUBLY_INFINITE)):
+                assert dg.is_unique_expansion_seq(alpha, s, M, mode) == \
+                    reference_bounded(s, alpha, M, True, True, strict), (M, alpha, s, mode)
+            seen.update((greedy, quasi, cls))
+    assert {True, False, *BaseClass} <= seen
 
 
 def test_greedy_beta_predicate():

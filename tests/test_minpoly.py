@@ -204,6 +204,10 @@ def test_graphs_factor_nothing_and_counts_factor_once(monkeypatch, battery):
         assert all(u != v and not u == v for u, v in zip(values, values[1:]))
         f = ctx.field
         assert f.sign(f.sub(f.gen(), f.rational(f.lo))) == 1
+    # printing q reads a numerator of degree 1, which needs no reduction
+    for argv in (["base", "classify", "-M", "7", "--beta", "77041503(0)"],
+                 ["base", "chain", "-M", "1", "--beta", "111(0)", "--kind", "v", "--steps", "4"]):
+        assert cli.main(argv) == 0
     assert calls == []
     x = dg.parse_seq("1(01)")
     for M, beta in bases:
@@ -243,11 +247,13 @@ def test_hensel_lift_reproduces_known_factors():
 
 
 def test_recombination_cap_exits_2(monkeypatch, capsys):
+    # an expansion count hashes values, so it certifies m_q
     monkeypatch.setattr(minpoly, "RECOMBINATION_CAP", 0)
-    assert cli.main(["base", "classify", "-M", "7", "--beta", "77041503(0)"]) == 2
+    assert cli.main(["expansions", "count", "-M", "7", "--beta", "77041503(0)",
+                     "--x", "1(0)"]) == 2
     assert "recombination" in capsys.readouterr().err
     # a base with a single modular factor never recombines
-    assert cli.main(["base", "classify", "-M", "1", "--beta", "111(0)"]) == 0
+    assert cli.main(["expansions", "count", "-M", "1", "--beta", "111(0)", "--x", "1(0)"]) == 0
 
 
 def test_cli_imports_no_sympy():
