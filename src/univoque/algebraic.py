@@ -285,7 +285,7 @@ class NumberField:
         return self.element(prod[:d], a[-1] * b[-1])
 
     def mul_gen(self, a):
-        """q * a: a shift, then one reduction by the monic minimal polynomial."""
+        """q * a: a shift, then one reduction by the monic working polynomial R."""
         c = a[-2]
         nums = (0,) + a[:-2]
         if c:

@@ -176,6 +176,22 @@ def v_successor(ctx):
     return r_chain(ctx, 1)
 
 
+def check_chain_period(ctx, kind, steps, bound):
+    """Refuse a chain from ``ctx`` before building it when its ``steps`` bases
+    would have total alpha period above ``bound`` (SearchBoundError).  From
+    period N, the successor chain (kind "v") has periods 2N, 4N, ..., in all
+    N(2^(steps+1) - 2), and the r-chain (kind "r") has periods (k + 1)N for
+    k = 1..steps; the sum stops at the first step past the bound."""
+    n = ctx.n_period
+    total = k = 0
+    while k < steps and total <= bound:
+        k += 1
+        total += n * (2 ** k if kind == "v" else k + 1)
+    if total > bound:
+        raise SearchBoundError(f"{steps} {kind}-chain steps from period {n} pass the bound "
+                               f"{bound} on their total period: steps 1..{k} reach {total}")
+
+
 def r_chain(ctx, k):
     """The k-th base of the chain ``beta(r_k) = w+ reflect(w)^k 0^inf``.
 

@@ -18,8 +18,11 @@ import os
 import sys
 
 from . import digits as dg
-from .base import (BaseClass, InternalConsistencyError, SearchBoundError, new_base_context,
-                   order_points, r_chain, v_successor)
+from .base import (BaseClass, InternalConsistencyError, SearchBoundError, check_chain_period,
+                   new_base_context, order_points, r_chain, v_successor)
+
+# total alpha period the bases of one ``base chain`` run may have
+CHAIN_PERIOD_BOUND = 4096
 
 
 def _add_base_flags(p):
@@ -69,6 +72,7 @@ def cmd_base_chain(args):
     if args.steps < 0:
         raise ValueError(f"--steps must be nonnegative, got {args.steps}")
     ctx = _context(args)
+    check_chain_period(ctx, args.kind, args.steps, CHAIN_PERIOD_BOUND)
     chain = [ctx]
     for k in range(1, args.steps + 1):
         chain.append(v_successor(chain[-1]) if args.kind == "v" else r_chain(ctx, k))

@@ -6,7 +6,10 @@ digit-consumption map x -> q*x - k carries I over J.  All edges leaving a
 vertex share one label: the digit forced on every expansion passing through
 that interval.  The infinite label paths of the graph spell exactly the
 unique expansions (for the strictly-in-between base class) or the unique
-doubly infinite expansions (for limit-of-uniqueness bases).
+doubly infinite expansions (for limit-of-uniqueness bases).  A vertex is
+numbered by the index of its left endpoint's class in the context's
+``PointOrder``, so every graph of a context numbers its vertices alike, and
+vertex lists and edges read in interval order.
 
 The edges are read off the quasi-greedy keys of the special points, with no
 comparison in the field.  An endpoint of a label-d vertex has a key s that
@@ -33,27 +36,37 @@ automaton of the labels are walks of ``walk`` over the successor map ``out``
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 
 from . import digits as dg
 from .algebraic import apply_digit_map
-from .base import BaseClass, InternalConsistencyError, memo, order_points, v_successor
+from .base import (BaseClass, InternalConsistencyError, check_chain_period, memo, order_points,
+                   v_successor)
 from .walk import count_words, cyclic, explore, orbit, tarjan, words
 
 FULL, TILDE, TILDE1 = "FULL", "TILDE", "TILDE1"
+# total alpha period of the successors whose graphs one ``tower_decompose`` builds
+TOWER_PERIOD_BOUND = 384
 
 
 class StructuralError(InternalConsistencyError):
     """A structural guarantee of the construction failed verification."""
 
 
-class Vertex(namedtuple("Vertex", "index left right label")):
-    """An interval of the graph: ``index`` is its position in interval order
-    within the parent graph, ``left`` and ``right`` the class indices of its
-    endpoints, ``label`` the forced digit of the region containing it."""
+class Vertex(namedtuple("Vertex", "index label")):
+    """An interval of the graph: the gap from point class ``index`` of the
+    context's ``PointOrder`` to class ``index + 1`` (``left`` and ``right``),
+    and ``label`` the forced digit of the region containing it."""
 
     __slots__ = ()
+
+    @property
+    def left(self):
+        return self.index
+
+    @property
+    def right(self):
+        return self.index + 1
 
     def __repr__(self):
         return f"Vertex#{self.index}"
@@ -69,15 +82,12 @@ class UnivoqueGraph:
         self.ctx = ctx
         self.variant = variant
         self.order = order                  # PointOrder of the context
-        self.vertices = vertices
+        self.vertices = vertices            # in interval order
         self.edges = edges                  # (src index, label, dst index) triples
         self.out = out = {v.index: [] for v in vertices}
         for i, k, j in edges:
             out[i].append((k, j))
         self._cache = {}
-
-    def vertex_indices(self):
-        return [v.index for v in self.vertices]
 
     def class_name(self, class_idx):
         return self.order.classes[class_idx][0]
@@ -150,7 +160,8 @@ def _build_graph(ctx, variant):
         return _build_full(ctx)
     full = build_graph(ctx, FULL)
     if variant == TILDE:
-        return _restrict(full, _tilde_indices(full), TILDE)
+        b1, a1 = full.order.index_of["b1"], full.order.index_of["a1"]
+        return _restrict(full, {v.index for v in full.vertices if b1 <= v.index < a1}, TILDE)
     tilde = build_graph(ctx, TILDE)
     keep = {v.index for v in tilde.vertices if {"A_RIGHT", "B_LEFT"} & tilde.kinds(v)}
     return _restrict(full, keep, TILDE1)
@@ -164,13 +175,9 @@ def _build_full(ctx):
     for j in range(1, M + 1):
         if order.index_of[f"et{j}"] != order.index_of[f"th{j}"] + 1:
             raise StructuralError(f"switch interval {j} is not a single gap")
-    vertices = []
-    eta_idx = sorted(order.index_of[f"et{j}"] for j in range(1, M + 1))
-    for k in range(len(order.classes) - 1):
-        if k in switch_left:
-            continue
-        label = sum(1 for e in eta_idx if e <= k)
-        vertices.append(Vertex(index=len(vertices), left=k, right=k + 1, label=label))
+    eta_idx = [order.index_of[f"et{j}"] for j in range(1, M + 1)]
+    vertices = [Vertex(k, sum(1 for e in eta_idx if e <= k))
+                for k in range(len(order.classes) - 1) if k not in switch_left]
     # every endpoint of a label-d vertex has a key s that starts with d, and
     # T_d carries it to the point whose key is shift(s, 1); the special points
     # are closed under the shift, so the image is a class, found by its key
@@ -197,20 +204,12 @@ def _build_full(ctx):
         return j
 
     edges = []
-    lefts = [w.left for w in vertices]
     for v in vertices:
-        lo_class, hi_class = image(v.left, v.label), image(v.right, v.label)
-        # the targets lo_class <= w.left, w.left + 1 = w.right <= hi_class are
-        # one run of the vertices, which are sorted by left end
+        # the targets are the gaps between the two image classes
         edges.extend((v.index, v.label, j)
-                     for j in range(bisect_left(lefts, lo_class), bisect_left(lefts, hi_class)))
+                     for j in range(image(v.left, v.label), image(v.right, v.label))
+                     if j not in switch_left)
     return UnivoqueGraph(ctx=ctx, variant=FULL, order=order, vertices=vertices, edges=edges)
-
-
-def _tilde_indices(full):
-    order = full.order
-    b1, a1 = order.index_of["b1"], order.index_of["a1"]
-    return {v.index for v in full.vertices if v.left >= b1 and v.right <= a1}
 
 
 def _restrict(full, keep, variant):
@@ -260,7 +259,7 @@ def connectivity_report(ctx):
     tilde = build_graph(ctx, TILDE)
     core = build_graph(ctx, TILDE1)
     direct = is_strongly_connected(tilde)
-    reach = explore(core.vertex_indices(), tilde.out.__getitem__)
+    reach = explore(core.out, tilde.out.__getitem__)
     targets = [v for v in tilde.vertices if {"AB", "THETA_LEFT"} & tilde.kinds(v)]
     crit = all(v.index in reach for v in targets)
     if crit != direct:
@@ -291,10 +290,8 @@ def _order_embedding_fault(g_small, g_big, mapping):
     send every edge to an edge of the same label, and add no edge among its
     image.
     """
-    big_left = {v.index: v.left for v in g_big.vertices}
-    image_lefts = [big_left[mapping[v.index]]
-                   for v in sorted(g_small.vertices, key=lambda v: v.left)]
-    if any(a >= b for a, b in zip(image_lefts, image_lefts[1:])):
+    images = [mapping[v.index] for v in g_small.vertices]
+    if any(a >= b for a, b in zip(images, images[1:])):
         return "the map is not increasing in interval order"
     image = set(mapping.values())
     pushed = {(mapping[i], k, mapping[j]) for i, k, j in g_small.edges}
@@ -316,8 +313,7 @@ def check_isomorphic(g1, g2):
     """
     if len(g1.vertices) != len(g2.vertices):
         return None
-    by_order = [sorted(g.vertices, key=lambda v: v.left) for g in (g1, g2)]
-    mapping = {v.index: w.index for v, w in zip(*by_order)}
+    mapping = {v.index: w.index for v, w in zip(g1.vertices, g2.vertices)}
     return None if _order_embedding_fault(g1, g2, mapping) else mapping
 
 
@@ -360,14 +356,11 @@ def embed_successor(g_small, g_big):
     it is order isomorphic to its successor's (``check_isomorphic``).
     """
     ctx = g_small.ctx
+    index_of = g_big.order.index_of
     mapping = {}
-    big_by_left = {}
-    for v in g_big.vertices:
-        for nm in g_big.order.classes[v.left]:
-            big_by_left[nm] = v.index
     for v in g_small.vertices:
-        images = _endpoint_image_names(ctx, g_small.order.classes[v.left])
-        targets = {big_by_left[nm] for nm in images if nm in big_by_left}
+        images = _endpoint_image_names(ctx, g_small.order.classes[v.index])
+        targets = {index_of[nm] for nm in images} & g_big.out.keys()
         if len(targets) != 1:
             raise StructuralError(
                 f"left endpoint of {g_small.vertex_name(v)} maps to {sorted(images)} "
@@ -405,12 +398,14 @@ def tower_decompose(ctx0, m):
     (``check_isomorphic``), each later one by ``embed_successor``.  It
     verifies the announced structure: the new vertices at each step form a
     single pure cycle of doubled length, and a path runs from level j to
-    level k exactly when j <= k.
+    level k exactly when j <= k.  Successors of total period above
+    ``TOWER_PERIOD_BOUND`` are refused before any is built (SearchBoundError).
     """
     if ctx0.base_class is not BaseClass.IN_CLOSURE_U_NOT_U:
         raise ValueError("tower decomposition starts from a limit-of-uniqueness base")
     if m < 1:
         raise ValueError("need at least one successor step")
+    check_chain_period(ctx0, "v", m, TOWER_PERIOD_BOUND)
     n = ctx0.n_period
     ctxs = [ctx0]
     for _ in range(m):
@@ -434,14 +429,10 @@ def tower_decompose(ctx0, m):
 
     # ordered orbit cycle of the seed: vertices leaning on a_1, ..., a_n
     alpha = ctx0.alpha_word()
-    by_right_a = {}
-    for v in graphs[0].vertices:
-        for nm in graphs[0].order.classes[v.right]:
-            if nm[0] == "a":
-                by_right_a[int(nm[1:])] = v.index
-    if len(by_right_a) != n:
-        raise StructuralError(f"seed orbit touches {len(by_right_a)} vertices, expected {n}")
-    seed_cycle = [by_right_a[i] for i in range(1, n + 1)]
+    seed_cycle = [graphs[0].order.index_of[f"a{i}"] - 1 for i in range(1, n + 1)]
+    for i, v in enumerate(seed_cycle, 1):
+        if v not in graphs[0].out:
+            raise StructuralError(f"no vertex of the seed graph has a{i} as its right end")
     seed_edges = set(graphs[0].edges)
     for i in range(n):
         src, dst = seed_cycle[i], seed_cycle[(i + 1) % n]
@@ -452,8 +443,7 @@ def tower_decompose(ctx0, m):
 
     fresh_sets = []
     for j in range(2, m + 1):
-        prev_img = {maps[j - 1][v.index] for v in graphs[j - 1].vertices}
-        fresh = {v.index for v in graphs[j].vertices} - prev_img
+        fresh = graphs[j].out.keys() - maps[j - 1].values()
         if len(fresh) != 2 ** (j - 1) * n:
             raise StructuralError(
                 f"level {j} adds {len(fresh)} vertices, expected {2 ** (j - 1) * n}")
@@ -467,7 +457,7 @@ def tower_decompose(ctx0, m):
     covered = {v for b in blocks for v in b}
     if sum(len(b) for b in blocks) != len(covered):
         raise StructuralError("tower levels overlap")
-    residual = set(top.vertex_indices()) - covered
+    residual = set(top.out) - covered
     if len(residual) != n + top.ctx.M - 1:
         raise StructuralError(
             f"residual block has {len(residual)} vertices, expected {n + top.ctx.M - 1}")
@@ -515,7 +505,7 @@ def _label_dfa(g):
                 by_label.setdefault(k, set()).add(j)
         return [(k, frozenset(t)) for k, t in by_label.items()]
 
-    start = frozenset(g.vertex_indices())
+    start = frozenset(g.out)
     return start, explore([start], moves)
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from univoque import digits as dg
 from univoque.algebraic import apply_digit_map
-from univoque.base import (BaseClass, BaseContext, InternalConsistencyError, golden_ratio_base,
-                           new_base_context, order_points, r_chain, special_points, v_successor,
-                           chain_limit_alpha)
+from univoque.base import (BaseClass, BaseContext, InternalConsistencyError, SearchBoundError,
+                           check_chain_period, golden_ratio_base, new_base_context, order_points,
+                           r_chain, special_points, v_successor, chain_limit_alpha)
 from conftest import random_context
 
 
@@ -100,6 +100,23 @@ def test_r_chain_monotone_below_limit(tribonacci):
         assert dg.lex_cmp(prev, cur.beta) == dg.LT
         assert dg.lex_cmp(cur.alpha, limit) == dg.LT
         prev = cur.beta
+
+
+def test_chain_period_bound_is_the_total_period(battery):
+    # the bound admits a chain exactly up to the total period of the bases it
+    # would build: N(2^(s+1) - 2) along successors, N s(s+3)/2 along the r-chain
+    for ctx in battery:
+        N, succ, built = ctx.n_period, ctx, []
+        for _ in range(3):
+            succ = v_successor(succ)
+            built.append(succ.n_period)
+        assert sum(built) == N * (2 ** 4 - 2)
+        r_built = [r_chain(ctx, k).n_period for k in range(1, 5)]
+        assert sum(r_built) == N * 4 * 7 // 2
+        for kind, steps, total in (("v", 3, sum(built)), ("r", 4, sum(r_built))):
+            check_chain_period(ctx, kind, steps, total)
+            with pytest.raises(SearchBoundError, match=f"bound {total - 1} .* reach {total}"):
+                check_chain_period(ctx, kind, steps, total - 1)
 
 
 def test_golden_ratio_bases():

@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -293,6 +294,30 @@ def test_negative_bounds_exit_code(capsys, monkeypatch, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and not out
     assert err.startswith("error: ") and "nonnegative" in err
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (("base", "chain", "-M", "1", "--beta", "111(0)", "--kind", "v", "--steps", "12"),
+     cli.CHAIN_PERIOD_BOUND),
+    (("base", "chain", "-M", "1", "--beta", "111(0)", "--kind", "r", "--steps", "3000"),
+     cli.CHAIN_PERIOD_BOUND),
+    (("graph", "verify", "-M", "1", "--beta", "111(0)", "--theorem", "1.4", "--steps", "9"),
+     graph.TOWER_PERIOD_BOUND),
+])
+def test_long_chains_exit_2_at_once(capsys, argv, bound):
+    # unbounded, each of these runs for more than 25 s
+    def stalled(signum, frame):
+        raise TimeoutError("the chain was built before it was refused")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(1)
+    try:
+        rc, out, err = run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 2 and not out
+    assert err.startswith("error: ") and f"bound {bound} " in err
 
 
 @pytest.mark.parametrize("error,code", [

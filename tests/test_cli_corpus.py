@@ -87,6 +87,12 @@ def corpus():
             ["dim", *base, "--per-scc"],
             ["expansions", "count", *base, "--x", "1(01)"],
         ]
+    # chains refused before any base is built: their total period is too large
+    cmds += [
+        ["base", "chain", *tri, "--kind", "v", "--steps", "12"],
+        ["base", "chain", *tri, "--kind", "r", "--steps", "3000"],
+        ["graph", "verify", *tri, "--theorem", "1.4", "--steps", "9"],
+    ]
     return {shlex.join(a): a for a in cmds}
 
 

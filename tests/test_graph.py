@@ -39,13 +39,13 @@ def test_vertex_count_formulas(battery):
 def test_min_v_graphs():
     g2 = build_graph(golden_ratio_base(2), FULL)
     assert len(g2.vertices) == 2
-    assert sorted(g2.edges) == [(0, 0, 0), (1, 2, 1)]
+    assert sorted(g2.edges) == [(0, 0, 0), (3, 2, 3)]
     g1 = build_graph(golden_ratio_base(1), FULL)
-    assert sorted(g1.edges) == [(0, 0, 0), (1, 1, 1)]
+    assert sorted(g1.edges) == [(0, 0, 0), (2, 1, 2)]
     # odd alphabet: middle vertices only receive edges from the extremes
     g3 = build_graph(golden_ratio_base(3), FULL)
     assert len(g3.vertices) == 4
-    assert sorted(g3.edges) == [(0, 0, 0), (0, 0, 1), (3, 3, 2), (3, 3, 3)]
+    assert sorted(g3.edges) == [(0, 0, 0), (0, 0, 2), (6, 3, 4), (6, 3, 6)]
 
 
 def test_central_fixture_322(base322):
@@ -195,42 +195,59 @@ def test_isomorphism_pairs_vertices_by_interval_order(tribonacci):
     g = build_graph(ctx, FULL)
     assert len(g.vertices) == 96
     assert check_isomorphic(g, g) == {v.index: v.index for v in g.vertices}
-    # the same graph with its vertices renumbered: pairing by interval order
-    # finds the renumbering whatever the vertex indices and list positions
-    perm = list(range(len(g.vertices)))
-    random.Random(5).shuffle(perm)
-    moved = [graph.Vertex(perm[v.index], v.left, v.right, v.label) for v in g.vertices]
-    copy = graph.UnivoqueGraph(ctx, FULL, g.order, sorted(moved, key=lambda v: v.index),
-                               [(perm[i], k, perm[j]) for i, k, j in g.edges])
-    assert check_isomorphic(g, copy) == {v.index: perm[v.index] for v in g.vertices}
+
+
+def test_vertex_index_is_left_class_index(battery, tribonacci):
+    """A vertex is numbered by its left point class: FULL keeps every gap
+    but the switch gaps [th_j, et_j], TILDE the gaps of [b1, a1], and every
+    edge ends on a vertex."""
+    ctxs = list(battery)
+    rng = random.Random(23)
+    ctxs += [random_context(rng) for _ in range(100)]
+    ctx = tribonacci
+    for _ in range(5):
+        ctx = v_successor(ctx)
+        ctxs.append(ctx)
+    for ctx in ctxs:
+        full, tilde = build_graph(ctx, FULL), build_graph(ctx, TILDE)
+        classes, index_of = full.order.classes, full.order.index_of
+        switch = {index_of[f"th{j}"] for j in range(1, ctx.M + 1)}
+        expected = [k for k in range(len(classes) - 1) if k not in switch]
+        assert [v.index for v in full.vertices] == expected, (ctx.M, ctx.beta)
+        assert all(v.left == v.index and v.right == v.index + 1 for v in full.vertices)
+        assert all(index_of["b1"] <= v.index < index_of["a1"] for v in tilde.vertices)
+        for g in (full, tilde):
+            assert all(j in g.out for _i, _k, j in g.edges), (ctx.M, ctx.beta, g.variant)
 
 
 def reversed_copy(g):
-    """g with its interval order turned around: every vertex keeps its index,
-    label and edges, and moves to the mirror gap of the point order."""
-    top = len(g.order.classes) - 1
-    vertices = [graph.Vertex(v.index, top - v.right, top - v.left, v.label)
-                for v in g.vertices]
-    return graph.UnivoqueGraph(g.ctx, FULL, g.order, vertices, list(g.edges))
+    """g with its interval order turned around: every vertex keeps its label
+    and moves to the mirror gap of the point order, whose index it takes,
+    and the edges follow the vertices.  Returns the copy and the mirror map."""
+    top = len(g.order.classes) - 2
+    mirror = {v.index: top - v.index for v in g.vertices}
+    vertices = sorted(graph.Vertex(mirror[v.index], v.label) for v in g.vertices)
+    edges = [(mirror[i], k, mirror[j]) for i, k, j in g.edges]
+    return graph.UnivoqueGraph(g.ctx, FULL, g.order, vertices, edges), mirror
 
 
 def test_isomorphism_respects_interval_order(tribonacci):
     g = build_graph(tribonacci, FULL)
     assert len(g.vertices) == 6
-    rev = reversed_copy(g)
-    # the identity is a digraph isomorphism onto the copy, but it reverses
+    rev, mirror = reversed_copy(g)
+    # the mirror map is a digraph isomorphism onto the copy, but it reverses
     # the interval order, and the order-preserving pairing breaks labels
-    assert {(i, k, j) for i, k, j in rev.edges} == {(i, k, j) for i, k, j in g.edges}
+    assert {(mirror[i], k, mirror[j]) for i, k, j in g.edges} == set(rev.edges)
     assert check_isomorphic(g, rev) is None
 
 
 def test_embedding_must_be_increasing(tribonacci, monkeypatch):
     g = build_graph(tribonacci, FULL)
-    rev = reversed_copy(g)
+    rev, _mirror = reversed_copy(g)
     index_of, classes = g.order.index_of, g.order.classes
     top = len(classes) - 1
     # send each left endpoint to the mirror class: the map found is the
-    # identity on indices, which keeps every edge but reverses the order
+    # mirror map, which keeps every edge but reverses the order
     monkeypatch.setattr(graph, "_endpoint_image_names",
                         lambda ctx, names: set(classes[top - 1 - index_of[names[0]]]))
     with pytest.raises(graph.StructuralError, match="not increasing"):
@@ -461,13 +478,11 @@ def bisection_edges(g):
     image by binary search over the sorted class values, one exact
     comparison per step."""
     values = g.order.values
-    lefts = [w.left for w in g.vertices]
     edges = []
     for v in g.vertices:
         lo = bisect_left(values, apply_digit_map(values[v.left], v.label))
         hi = bisect_right(values, apply_digit_map(values[v.right], v.label)) - 1
-        edges += [(v.index, v.label, j)
-                  for j in range(bisect_left(lefts, lo), bisect_left(lefts, hi))]
+        edges += [(v.index, v.label, j) for j in range(lo, hi) if j in g.out]
     return edges
 
 
