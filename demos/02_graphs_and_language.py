@@ -14,10 +14,9 @@ from univoque.oracle import U_PREFIX, V_PREFIX
 
 trib = new_base_context(1, "111(0)")
 g = build_graph(trib, FULL)
-byidx = {v.index: g.vertex_name(v) for v in g.vertices}
 print(f"full graph of beta=111(0): {len(g.vertices)} vertices")
 for i, k, j in sorted(g.edges):
-    print(f"  {byidx[i]} --{k}--> {byidx[j]}")
+    print(f"  {g.gap_name(i)} --{k}--> {g.gap_name(j)}")
 
 print()
 for L in range(1, 9):

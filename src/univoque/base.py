@@ -181,7 +181,9 @@ def check_chain_period(ctx, kind, steps, bound):
     would have total alpha period above ``bound`` (SearchBoundError).  From
     period N, the successor chain (kind "v") has periods 2N, 4N, ..., in all
     N(2^(steps+1) - 2), and the r-chain (kind "r") has periods (k + 1)N for
-    k = 1..steps; the sum stops at the first step past the bound."""
+    k = 1..steps; the sum stops at the first step past the bound.  A base
+    with no graph (period 0) is refused first (UnsupportedClassError)."""
+    ctx.require_graph_class()
     n = ctx.n_period
     total = k = 0
     while k < steps and total <= bound:

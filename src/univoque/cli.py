@@ -114,12 +114,11 @@ def cmd_graph_build(args):
     if args.json_path:
         _write(args.json_path, json.dumps(g.to_json(), indent=2, sort_keys=True) + "\n")
     if not args.dot and not args.json_path:
-        byidx = {v.index: v for v in g.vertices}
         print(f"{len(g.vertices)} vertices, {len(g.edges)} edges")
         for v in g.vertices:
             print(f"  {g.vertex_name(v)}  digit {v.label}")
         for i, k, j in sorted(g.edges):
-            print(f"  {g.vertex_name(byidx[i])} --{k}--> {g.vertex_name(byidx[j])}")
+            print(f"  {g.gap_name(i)} --{k}--> {g.gap_name(j)}")
     return 0
 
 
@@ -128,15 +127,14 @@ def cmd_graph_scc(args):
     ctx = _context(args)
     g = build_graph(ctx, args.variant.upper())
     comps, cond = scc(g)
-    names = {v.index: g.vertex_name(v) for v in g.vertices}
     payload = {
-        "components": [[names[v] for v in c] for c in comps],
+        "components": [[g.gap_name(v) for v in c] for c in comps],
         "condensation": [list(e) for e in cond],
         "strongly_connected": len(comps) == 1,
     }
     lines = [f"{len(comps)} strongly connected component(s)"]
     for c in comps:
-        lines.append("  {" + ", ".join(names[v] for v in c) + "}")
+        lines.append("  {" + ", ".join(g.gap_name(v) for v in c) + "}")
     _emit(args, payload, lines)
     return 0
 

@@ -92,8 +92,12 @@ class UnivoqueGraph:
     def class_name(self, class_idx):
         return self.order.classes[class_idx][0]
 
+    def gap_name(self, i):
+        """The name of vertex index ``i``: the gap between classes i and i + 1."""
+        return f"({self.class_name(i)},{self.class_name(i + 1)})"
+
     def vertex_name(self, v):
-        return f"({self.class_name(v.left)},{self.class_name(v.right)})"
+        return self.gap_name(v.index)
 
     def kinds(self, v):
         """The (possibly multiple) endpoint forms of a vertex."""
@@ -115,15 +119,12 @@ class UnivoqueGraph:
         lines = ["digraph univoque {", "  rankdir=LR;"]
         for v in self.vertices:
             lines.append(f'  "{self.vertex_name(v)}";')
-        byidx = {v.index: v for v in self.vertices}
         for i, k, j in sorted(self.edges):
-            lines.append(f'  "{self.vertex_name(byidx[i])}" -> "{self.vertex_name(byidx[j])}" '
-                         f'[label="{k}"];')
+            lines.append(f'  "{self.gap_name(i)}" -> "{self.gap_name(j)}" [label="{k}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def to_json(self):
-        byidx = {v.index: v for v in self.vertices}
         return {
             "M": self.ctx.M,
             "beta": dg.format_seq(self.ctx.beta),
@@ -140,7 +141,7 @@ class UnivoqueGraph:
                 for v in self.vertices
             ],
             "edges": [
-                {"from": self.vertex_name(byidx[i]), "label": k, "to": self.vertex_name(byidx[j])}
+                {"from": self.gap_name(i), "label": k, "to": self.gap_name(j)}
                 for i, k, j in sorted(self.edges)
             ],
         }
@@ -482,8 +483,8 @@ def _trace_cycle(g, cset, level):
         inside = [(k, j) for k, j in g.out[v] if j in cset]
         if len(inside) != 1:
             raise StructuralError(
-                f"cycle vertex {g.vertex_name(next(x for x in g.vertices if x.index == v))} "
-                f"has {len(inside)} successors inside level {level + 1}")
+                f"cycle vertex {g.gap_name(v)} has {len(inside)} successors inside "
+                f"level {level + 1}")
         return inside[0]
 
     path, labels, k = orbit(min(cset), inside_move)

@@ -144,9 +144,8 @@ def _components(g):
 
 def _component_pass(g):
     comps, _ = scc(g)
-    names = {v.index: g.vertex_name(v) for v in g.vertices}
     radii = [_component_radius(g.out, comp) for comp in comps]
-    per = [([names[v] for v in comp], r) for comp, (r, _e) in zip(comps, radii)]
+    per = [([g.gap_name(v) for v in comp], r) for comp, (r, _e) in zip(comps, radii)]
     return comps, radii, per
 
 

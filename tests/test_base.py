@@ -7,7 +7,8 @@ from univoque import digits as dg
 from univoque.algebraic import apply_digit_map
 from univoque.base import (BaseClass, BaseContext, InternalConsistencyError, SearchBoundError,
                            check_chain_period, golden_ratio_base, new_base_context, order_points,
-                           r_chain, special_points, v_successor, chain_limit_alpha)
+                           UnsupportedClassError, r_chain, special_points, v_successor,
+                           chain_limit_alpha)
 from conftest import random_context
 
 
@@ -117,6 +118,16 @@ def test_chain_period_bound_is_the_total_period(battery):
             check_chain_period(ctx, kind, steps, total)
             with pytest.raises(SearchBoundError, match=f"bound {total - 1} .* reach {total}"):
                 check_chain_period(ctx, kind, steps, total - 1)
+
+
+@pytest.mark.parametrize("beta", ["1(10)", "101(0)"])
+def test_chain_period_refuses_a_base_without_graph(beta):
+    # period 0 would keep the sum at 0 for all of a huge step count
+    ctx = new_base_context(1, beta)
+    assert ctx.n_period == 0
+    for kind in "vr":
+        with pytest.raises(UnsupportedClassError, match="has no interval graph"):
+            check_chain_period(ctx, kind, 10 ** 10, 4096)
 
 
 def test_golden_ratio_bases():

@@ -296,15 +296,20 @@ def test_negative_bounds_exit_code(capsys, monkeypatch, argv):
     assert err.startswith("error: ") and "nonnegative" in err
 
 
-@pytest.mark.parametrize("argv,bound", [
+@pytest.mark.parametrize("argv,reason", [
     (("base", "chain", "-M", "1", "--beta", "111(0)", "--kind", "v", "--steps", "12"),
-     cli.CHAIN_PERIOD_BOUND),
+     f"bound {cli.CHAIN_PERIOD_BOUND} "),
     (("base", "chain", "-M", "1", "--beta", "111(0)", "--kind", "r", "--steps", "3000"),
-     cli.CHAIN_PERIOD_BOUND),
+     f"bound {cli.CHAIN_PERIOD_BOUND} "),
     (("graph", "verify", "-M", "1", "--beta", "111(0)", "--theorem", "1.4", "--steps", "9"),
-     graph.TOWER_PERIOD_BOUND),
-])
-def test_long_chains_exit_2_at_once(capsys, argv, bound):
+     f"bound {graph.TOWER_PERIOD_BOUND} "),
+    # a base with no graph has period 0: refused for its class, not summed
+    (("base", "chain", "-M", "1", "--beta", "1(10)", "--kind", "v", "--steps", "10000000000"),
+     "has no interval graph"),
+    (("base", "chain", "-M", "1", "--beta", "1(10)", "--kind", "r", "--steps", "10000000000"),
+     "has no interval graph"),
+], ids=["v", "r", "tower", "v-no-graph", "r-no-graph"])
+def test_long_chains_exit_2_at_once(capsys, argv, reason):
     # unbounded, each of these runs for more than 25 s
     def stalled(signum, frame):
         raise TimeoutError("the chain was built before it was refused")
@@ -317,7 +322,7 @@ def test_long_chains_exit_2_at_once(capsys, argv, bound):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert rc == 2 and not out
-    assert err.startswith("error: ") and f"bound {bound} " in err
+    assert err.startswith("error: ") and reason in err
 
 
 @pytest.mark.parametrize("error,code", [

@@ -23,8 +23,7 @@ def names_of(g):
 
 
 def edges_by_name(g):
-    byidx = {v.index: g.vertex_name(v) for v in g.vertices}
-    return {(byidx[i], k, byidx[j]) for i, k, j in g.edges}
+    return {(g.gap_name(i), k, g.gap_name(j)) for i, k, j in g.edges}
 
 
 def test_vertex_count_formulas(battery):
@@ -63,8 +62,7 @@ def test_central_fixture_322(base322):
         ("(a2,b2)", 2, "(b2,th3)"),
     }
     comps, cond = scc(g)
-    byidx = {v.index: g.vertex_name(v) for v in g.vertices}
-    comp_names = [sorted(byidx[v] for v in c) for c in comps]
+    comp_names = [sorted(g.gap_name(v) for v in c) for c in comps]
     assert ["(a2,b2)"] in comp_names
     assert sorted(len(c) for c in comps) == [1, 4]
     core = build_graph(base322, TILDE1)
