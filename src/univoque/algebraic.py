@@ -29,18 +29,22 @@ The root is isolated in a dyadic interval ``[n_lo, n_hi] / 2^e``: a scan of
 (1, M+1] at 64 marks finds the cell where the defining polynomial changes
 sign, ``NumberField.refine`` (the one bisection of q) narrows it to
 ``INITIAL_WIDTH`` = 1/10^12, and from then on it is refined only on demand.
-Sign determination runs interval Horner on the element's numerator in
-integers scaled by powers of two.  When the first enclosure leaves the sign
-open, the interval is refined until the sign is constant, on a numerator
-that is nonzero at q: either it is coprime to R modulo a large prime
-(``minpoly.coprime``), hence nonzero at every root of R, or it is reduced
-modulo m_q, where a zero remainder means the element is 0 and a nonzero
-one, of degree below m_q, does not vanish at q.  Without that test
-refinement need not end: an element that vanishes at q but not modulo R
-has enclosures that straddle 0 forever.
+Every value is decided one way, by ``NumberField.settle``: interval Horner
+on the element's numerator, in integers scaled by powers of two, encloses
+its value, and q is refined until a monotone step function (the sign, the
+rounding to some decimal places, the nearest double) agrees on both ends of
+the enclosure.  That ends unless the value sits on a step.  A sign settles
+only on a numerator that is nonzero at q: either it is coprime to R modulo
+a large prime (``minpoly.coprime``), hence nonzero at every root of R, or
+it is reduced modulo m_q, where a zero remainder means the element is 0 and
+a nonzero one, of degree below m_q, does not vanish at q.  Without that
+test refinement need not end: an element that vanishes at q but not modulo
+R has enclosures that straddle 0 forever.  Decimals and floats settle on
+the reduced element, which is irrational unless its numerator is constant,
+and then its enclosure is exact.
 
 ``Q`` (fractions.Fraction) is used only at the edges: ``INITIAL_WIDTH``,
-tolerances and the rational endpoints ``NumberField.lo`` and
+decimal rounding and the rational endpoints ``NumberField.lo`` and
 ``NumberField.hi``.
 """
 
@@ -53,8 +57,8 @@ from fractions import Fraction as Q
 from .digits import EpSeq, format_seq, is_greedy_beta
 
 
-# width of the isolating interval of q when a field is built; every
-# comparison refines it further as far as it needs
+# width of the isolating interval of q when a field is built; every sign,
+# decimal and float refines it further as far as it needs (``settle``)
 INITIAL_WIDTH = Q(1, 10**12)
 
 
@@ -93,13 +97,6 @@ def poly_mul(p, r):
             for j, b in enumerate(r):
                 out[i + j] += a * b
     return poly_trim(out)
-
-
-def poly_eval(p, x):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _pseudo_divmod(p, r):
@@ -169,10 +166,11 @@ class NumberField:
     minimal polynomial ``min_poly`` of q divides it and is certified, once,
     on first use (see the module docstring for what uses it).  Elements are
     int tuples of length ``deg + 1`` (numerators, then the denominator).
-    The isolating interval is refined in place on demand; refinement only
-    ever shrinks it, so previously returned signs stay valid.  Share a field
-    between threads only if refinement and certification are serialized
-    (clone per thread otherwise).
+    The isolating interval is refined in place on demand, by ``settle``
+    (signs, decimals, floats) alone once the field is built; refinement
+    only ever shrinks it, so previously returned answers stay valid.
+    Share a field between threads only if refinement and certification
+    are serialized (clone per thread otherwise).
     """
 
     def __init__(self, working_poly, n_lo, n_hi, e):
@@ -388,38 +386,6 @@ class NumberField:
             shift += e
         return lo, hi
 
-    def _enclosed_sign(self, p):
-        """The sign of the numerator p over the isolating interval, None
-        while its interval Horner bounds contain 0 and differ."""
-        vlo, vhi = self._interval(p)
-        if vlo > 0:
-            return 1
-        if vhi < 0:
-            return -1
-        if vlo == vhi == 0:
-            return 0
-        return None
-
-    def sign(self, a):
-        if not any(a[1:-1]):
-            return _sign(a[0])
-        p = poly_trim(a[:-1])
-        s = self._enclosed_sign(p)
-        if s is None:
-            # refinement ends only on a numerator that is nonzero at q: one
-            # reduced modulo m_q, or, while m_q is not yet certified, one
-            # coprime to the working polynomial
-            from .minpoly import coprime     # minpoly builds on this module's helpers
-
-            if "min_poly" in vars(self) or not coprime(p, self.working_poly):
-                p = poly_trim(self.reduce(a)[:-1])
-                if not p:
-                    return 0
-            while s is None:
-                self.refine()
-                s = self._enclosed_sign(p)
-        return s
-
     def enclosure(self, a):
         """Bounds ``(lo, hi, D)`` with the value of ``a`` in [lo/D, hi/D], from
         one interval Horner pass on the current isolating interval (no
@@ -428,23 +394,48 @@ class NumberField:
         vlo, vhi = self._interval(p)
         return vlo, vhi, a[-1] << (self.e * max(len(p) - 1, 0))
 
-    def bounds(self, a, eps):
-        """Bounds ``(lo, hi, D)`` with the value of ``a`` in [lo/D, hi/D] and
-        (hi - lo)/D <= eps."""
-        eps = Q(eps)
+    def settle(self, a, f):
+        """``f(n, D)`` for the value n/D of ``a``: refines q until ``f`` agrees
+        on both ends of the enclosure of ``a``.  For a monotone step function
+        ``f`` that answer holds on the whole enclosure, hence at q.  It ends
+        unless the value of ``a`` sits on a step of ``f``: a canonical element
+        (``reduce``) is rational only with a constant numerator, whose
+        enclosure is exact, and the steps of sign, rounding and float
+        conversion lie at rationals."""
         while True:
             vlo, vhi, D = self.enclosure(a)
-            if (vhi - vlo) * eps.denominator <= eps.numerator * D:
-                return vlo, vhi, D
+            out = f(vlo, D)
+            if vlo == vhi or f(vhi, D) == out:
+                return out
             self.refine()
 
+    def sign(self, a):
+        """The sign of ``a``: from one enclosure on the current interval when
+        it excludes 0, else ``settle`` on a numerator nonzero at q."""
+        if not any(a[1:-1]):
+            return _sign(a[0])
+        p = poly_trim(a[:-1])
+        vlo, vhi = self._interval(p)
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        # a sign settles only on a numerator that is nonzero at q (0 is a
+        # step of sign): one reduced modulo m_q, or, while m_q is not yet
+        # certified, one coprime to the working polynomial
+        from .minpoly import coprime     # minpoly builds on this module's helpers
+
+        if "min_poly" in vars(self) or not coprime(p, self.working_poly):
+            a = self.reduce(a)
+            if not any(a[:-1]):
+                return 0
+        return self.settle(a, lambda n, D: _sign(n))
+
     def decimal(self, a, places=12):
+        """The value of ``a`` to ``places`` decimals, correctly rounded half to
+        even."""
         scale = 10**places
-        vlo, vhi, D = self.bounds(self.reduce(a), Q(1, 10 * scale))
-        # round the midpoint times scale, half to even
-        n, r = divmod((vlo + vhi) * scale, 2 * D)
-        if r > D or (r == D and n % 2):
-            n += 1
+        n = self.settle(self.reduce(a), lambda n, D: round(Q(n * scale, D)))
         sign = "-" if n < 0 else ""
         n = abs(n)
         return f"{sign}{n // scale}.{n % scale:0{places}d}"
@@ -539,8 +530,9 @@ class AlgebraicReal:
         return self.cmp(other) >= 0
 
     def __float__(self):
-        lo, hi, D = self.field.bounds(self.field.reduce(self.elem), Q(1, 10**17))
-        return (lo + hi) / (2 * D)
+        """The nearest double: int division rounds correctly, and rounding is
+        monotone."""
+        return self.field.settle(self.field.reduce(self.elem), int.__truediv__)
 
     def __repr__(self):
         return f"<{self.field.decimal(self.elem, 6)}...>"
@@ -568,8 +560,8 @@ def base_polynomial(M, beta):
     """Integer polynomial with the base as its unique root in (1, M+1].
 
     For a finite greedy expansion ``d1..dK`` this is
-    ``t^K - d1 t^(K-1) - ... - dK``; in general the defining relation is
-    cleared of denominators and spurious roots at t = 1 are removed.  This
+    ``t^K - d1 t^(K-1) - ... - dK``; for ``w(p)`` it is the defining relation
+    cleared of denominators, which does not vanish at t = 1.  This
     is where an input expansion is validated: ValueError unless it is a
     greedy expansion of 1 over 0..M of a base above 1.
     """
@@ -583,16 +575,11 @@ def base_polynomial(M, beta):
     w, p = beta.pre, beta.per
     W = tuple(reversed(w))          # digit polynomial of the preperiod
     P = tuple(reversed(p))          # digit polynomial of the period
-    tp = (0,) * len(p) + (1,)       # t^|p|
     tw = (0,) * len(w) + (1,)       # t^|w|
-    cyc = poly_sub(tp, (1,))
-    poly = poly_sub(poly_add(poly_mul(W, cyc), P), poly_mul(tw, cyc))
-    while poly and poly_eval(poly, 1) == 0:
-        poly, rem = _pseudo_divmod(poly, (-1, 1))    # monic divisor: exact
-        assert not rem, "t = 1 is a root but (t - 1) leaves a remainder"
-    if poly and poly[-1] < 0:
-        poly = poly_neg(poly)
-    return poly_trim(poly)
+    cyc = (-1,) + (0,) * (len(p) - 1) + (1,)        # t^|p| - 1
+    # t^|w| (t^|p| - 1) = W (t^|p| - 1) + P, cleared and monic; at t = 1 it
+    # is minus the digit sum of the period, which is not 0
+    return poly_sub(poly_mul(poly_sub(tw, W), cyc), P)
 
 
 def field_for_base(P, M):

@@ -47,6 +47,7 @@ CAP_EXCEEDED = "CAP_EXCEEDED"
 DEFAULT_STATE_CAP = 10_000
 TAIL_NODE_BUDGET = 200_000       # search nodes of one default_tail call
 QUASI_GREEDY_STEP_BOUND = 4096   # greedy digits before a remainder must repeat
+WITNESS_ZERO_BOUND = 1000        # zeros (m - 1) N after the leading 1 of a witness
 
 
 class RangeError(ValueError):
@@ -313,17 +314,22 @@ def build_witness_xm(ctx, m, c=None):
 
     The point is the value of ``1 0^((m-1)N) c``; its other expansions
     trade the leading 1 for j full alpha periods, the incremented period,
-    and a shortened zero block, j = 0..m-2.
+    and a shortened zero block, j = 0..m-2.  The m expansions hold about
+    m^2 N / 2 digits, so a zero block (m - 1) N longer than
+    ``WITNESS_ZERO_BOUND`` is refused (SearchBoundError) before any is built.
     """
     ctx.require_graph_class()
     if m < 1:
         raise ValueError("need m >= 1")
+    N = ctx.n_period
+    if (m - 1) * N > WITNESS_ZERO_BOUND:
+        raise SearchBoundError(f"a witness with {m} expansions needs {(m - 1) * N} zeros after "
+                               f"its leading 1, more than {WITNESS_ZERO_BOUND}")
     if c is None:
         c = default_tail(ctx)
     if not f_family_filter(ctx, c, WEAK):
         raise ValueError(f"tail {dg.format_seq(c)} fails the admissibility filter")
     w = ctx.alpha_word()
-    N = len(w)
     given = EpSeq((1,) + (0,) * ((m - 1) * N) + c.pre, c.per)
     x = value_of_sequence(ctx.field, given)
     expansions = [given]

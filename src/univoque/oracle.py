@@ -20,11 +20,13 @@ a simple cycle that passes its strict periodic-run check.
 
 from __future__ import annotations
 
+from .base import SearchBoundError
 from .digits import LexAutomaton
 from .walk import explore, orbit, words
 
 U_PREFIX = "U_PREFIX"    # prefixes of unique expansions (strict bounds)
 V_PREFIX = "V_PREFIX"    # prefixes of unique doubly infinite expansions (weak bounds)
+BRUTE_NODE_BUDGET = 200_000  # nodes of the feasible-prefix tree below its root
 
 
 def enumerate_admissible_words(ctx, L, mode=V_PREFIX):
@@ -57,6 +59,8 @@ def brute_count_expansions(ctx, x, depth):
     provably pinned to a unique tail (the forced-digit walk from it closes a
     cycle without ever meeting a second feasible digit).  The true count
     lies in between when every branching of x resolves within the depth.
+    A tree of more than ``BRUTE_NODE_BUDGET`` nodes below its root raises
+    SearchBoundError once the walk has met that many.
     """
     if depth < 0:
         raise ValueError(f"oracle depth must be nonnegative, got {depth}")
@@ -86,7 +90,7 @@ def brute_count_expansions(ctx, x, depth):
             pinned_cache.update(dict.fromkeys(run, k is not None))
         return pinned_cache[v]
 
-    lower = upper = 0
+    lower = upper = nodes = 0
     stack = [(x, 0)]
     while stack:
         v, k = stack.pop()
@@ -95,6 +99,10 @@ def brute_count_expansions(ctx, x, depth):
             if pinned(v):
                 lower += 1
             continue
-        for _d, nxt in feasible(v):
-            stack.append((nxt, k + 1))
+        moves = feasible(v)
+        nodes += len(moves)
+        if nodes > BRUTE_NODE_BUDGET:
+            raise SearchBoundError(f"the feasible-prefix tree to depth {depth} has more than "
+                                   f"{BRUTE_NODE_BUDGET} nodes; ask for a smaller depth")
+        stack.extend((nxt, k + 1) for _d, nxt in moves)
     return lower, upper

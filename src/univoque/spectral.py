@@ -33,7 +33,6 @@ from .base import BaseClass, memo
 from .graph import TILDE, TILDE1, build_graph, scc
 
 RADIUS_TOL = 1e-12
-DIM_TOL = 1e-8
 ITERATION_CAP = 10**5
 
 
@@ -112,25 +111,23 @@ def dimension_of(g, ctx, radius=None):
 
     The enclosure takes the radius interval [r - err, r + err] over the
     isolating interval of q, with every logarithm and quotient rounded
-    outward.  q is refined only while the enclosure is at least DIM_TOL wide
-    and the q interval's share of that width, ``log_r_hi / log_q_lo -
-    log_r_hi / log_q_hi``, is at least DIM_TOL / 2; the rest of the width
-    is the radius error's, which refining q cannot narrow.  ``radius`` is
-    the graph's (radius, error) pair when the caller has it.
+    outward.  It reads q's isolating interval as it stands and does not
+    ``settle``: a field is built with q to a width of 1/10^12
+    (``algebraic.INITIAL_WIDTH``) and every base with a graph has q at
+    least the golden ratio, so q's share of the width, at most
+    width(q) / (q log q) for a dimension at most 1, is below 1.3 * 10^-12;
+    the rest is the radius error's.  ``radius`` is the graph's (radius,
+    error) pair when the caller has it.
     """
     r, err = radius if radius is not None else spectral_radius(g)
     if r <= 1.0:
         return 0.0, 0.0
     log_r_lo = math.nextafter(math.log(max(math.nextafter(r - err, 0.0), 1.0)), -math.inf)
     log_r_hi = math.nextafter(math.log(math.nextafter(r + err, math.inf)), math.inf)
-    while True:
-        log_q_lo = math.nextafter(math.log(_round_down(ctx.field.lo)), -math.inf)
-        log_q_hi = math.nextafter(math.log(_round_up(ctx.field.hi)), math.inf)
-        lo = math.nextafter(max(log_r_lo, 0.0) / log_q_hi, -math.inf)
-        hi = math.nextafter(log_r_hi / log_q_lo, math.inf)
-        if hi - lo < DIM_TOL or log_r_hi / log_q_lo - log_r_hi / log_q_hi < DIM_TOL / 2:
-            break
-        ctx.field.refine()
+    log_q_lo = math.nextafter(math.log(_round_down(ctx.field.lo)), -math.inf)
+    log_q_hi = math.nextafter(math.log(_round_up(ctx.field.hi)), math.inf)
+    lo = math.nextafter(max(log_r_lo, 0.0) / log_q_hi, -math.inf)
+    hi = math.nextafter(log_r_hi / log_q_lo, math.inf)
     mid = (lo + hi) / 2
     return mid, math.nextafter(max(hi - mid, mid - lo), math.inf)
 

@@ -153,7 +153,8 @@ def words(succ, start, L):
     """
     total = count_words(succ, start, L)
     if total > WORD_CAP:
-        raise ValueError(f"{total} words of length {L} exceed the enumeration cap of {WORD_CAP}")
+        raise ValueError(f"more than {WORD_CAP} words of length {L}: "
+                         "they exceed the enumeration cap")
     out = set()
     stack = [(start, ())]
     while stack:

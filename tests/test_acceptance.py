@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from univoque import digits as dg
 from univoque import expansions as ex
-from univoque.algebraic import Q, field_for_base
+from univoque.algebraic import AlgebraicReal, field_for_base
 from univoque.base import (BaseClass, golden_ratio_base, new_base_context, order_points,
                            r_chain, special_points, v_successor)
 from univoque.digits import EpSeq
@@ -36,9 +36,8 @@ def test_criterion_01_base_constants():
     ]
     for poly, ref in targets:
         field = field_for_base(poly, 1)
-        lo, hi, D = field.bounds(field.gen(), Q(1, 10**8))
-        mid = float(Q(lo + hi, 2 * D))
-        assert abs(mid - ref) <= 1e-5, (poly, mid, ref)
+        q = float(AlgebraicReal(field, field.gen()))
+        assert abs(q - ref) <= 1e-5, (poly, q, ref)
     report(1, "four reference roots isolated to 1e-5")
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BATTERY, random_context
+from test_reducible import REDUCIBLE
 from univoque import digits as dg
 from univoque.algebraic import (Q, AlgebraicReal, DegenerateInputError, NumberField,
                                 _isolate_dyadic, _pseudo_divmod, apply_digit_map,
@@ -33,9 +34,8 @@ def test_base_polynomial_examples():
 
 def _root_close(poly, M, target, tol=1e-5):
     field = field_for_base(poly, M)
-    lo, hi, D = field.bounds(field.gen(), Q(1, 10**7))
-    mid = float(Q(lo + hi, 2 * D))
-    assert abs(mid - target) <= tol, (mid, target)
+    q = float(AlgebraicReal(field, field.gen()))
+    assert abs(q - target) <= tol, (q, target)
 
 
 def test_isolated_roots_match_reference_values():
@@ -54,7 +54,7 @@ def test_isolate_root_degenerate_inputs():
 
 def test_isolate_root_exact_rational():
     field = field_for_base((-2, 1), 2)
-    lo, hi, D = field.bounds(field.gen(), Q(1, 10**5))
+    lo, hi, D = field.enclosure(field.gen())
     assert Q(lo, D) == Q(hi, D) == 2
     assert field.lo == field.hi == 2
 
@@ -315,3 +315,20 @@ def test_inverse_of_a_zero_divisor():
     a = f.add_int(f.pow_gen(2), -1)
     assert f.reduce(f.mul(f.cyc_inv(2), a)) == f.one()
     assert AlgebraicReal(f, f.mul(f.cyc_inv(2), a)) == AlgebraicReal(f, f.one())
+
+
+def test_decimals_and_floats_are_correctly_rounded():
+    # every point value printed to 12 places is its 40-place value rounded
+    # half to even, reads the same on a fresh context as after q has been
+    # refined for 40 places, and converts to the double nearest that value
+    rng = random.Random(23)
+    contexts = [new_base_context(M, beta) for M, beta in BATTERY + REDUCIBLE]
+    contexts += [random_context(rng) for _ in range(100)]
+    for ctx in contexts:
+        values = list(special_points(ctx).value.items())
+        fresh = {name: x.decimal(12) for name, x in values}
+        for name, x in values:
+            exact = Fraction(x.decimal(40))
+            assert Fraction(fresh[name]) == round(exact, 12), (ctx.beta, name)
+            assert x.decimal(12) == fresh[name], (ctx.beta, name)
+            assert float(x) == float(exact), (ctx.beta, name)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import univoque
-from univoque import cli, graph, oracle
+from univoque import cli, graph, oracle, walk
 from univoque import digits as dg
 from univoque import expansions as ex
 from univoque.algebraic import AlgebraicReal, DegenerateInputError
@@ -323,6 +323,31 @@ def test_long_chains_exit_2_at_once(capsys, argv, reason):
         signal.signal(signal.SIGALRM, previous)
     assert rc == 2 and not out
     assert err.startswith("error: ") and reason in err
+
+
+def test_long_witness_exits_2_at_once(capsys):
+    # unbounded, m = 10000 on 111(0) prints 300 MB over several minutes
+    def stalled(signum, frame):
+        raise TimeoutError("the witness was built before it was refused")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(1)
+    try:
+        rc, out, err = run(capsys, "expansions", "witness", "-M", "1", "--beta", "111(0)",
+                           "-m", "10000")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rc == 2 and not out
+    assert err.startswith("error: ") and f"more than {ex.WITNESS_ZERO_BOUND}" in err
+
+
+def test_too_many_words_names_the_cap(capsys):
+    # the count has over 4300 digits, more than Python converts to a string
+    rc, out, err = run(capsys, "oracle", "words", "-M", "1", "--beta", "111(0)", "-L", "40000")
+    assert rc == 2 and not out
+    assert err == f"error: more than {walk.WORD_CAP} words of length 40000: they exceed " \
+                  "the enumeration cap\n"
 
 
 @pytest.mark.parametrize("error,code", [

@@ -93,6 +93,13 @@ def corpus():
         ["base", "chain", *tri, "--kind", "r", "--steps", "3000"],
         ["graph", "verify", *tri, "--theorem", "1.4", "--steps", "9"],
     ]
+    # searches refused at their bounds: a prefix tree past its node budget,
+    # a witness past its zero block bound, more words than the listing cap
+    cmds += [
+        ["oracle", "brute-count", "-M", "9", "--beta", "2(0)", "--x", "1(0)"],
+        ["expansions", "witness", *tri, "-m", "10000"],
+        ["oracle", "words", *tri, "-L", "40000"],
+    ]
     return {shlex.join(a): a for a in cmds}
 
 

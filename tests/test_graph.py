@@ -550,3 +550,115 @@ def test_full_build_confirms_every_image():
     order_points(ctx).keys[0] = dg.EpSeq((1,), (0,))
     with pytest.raises(graph.StructuralError, match="does not start with the label 0"):
         build_graph(ctx, FULL)
+
+
+def test_full_build_needs_shifted_keys_among_the_points():
+    # the least class keeps its label 0, but its shifted key 1111(0) is no
+    # special point's key
+    ctx = new_base_context(1, "111(0)")
+    order_points(ctx).keys[0] = dg.EpSeq((0, 1, 1, 1, 1), (0,))
+    with pytest.raises(graph.StructuralError, match="the shifted key of .* is not a special point"):
+        build_graph(ctx, FULL)
+
+
+def regraph(g, order=None, vertices=None, edges=None):
+    """A copy of ``g`` with some of its parts replaced."""
+    return graph.UnivoqueGraph(g.ctx, g.variant, order or g.order,
+                               vertices if vertices is not None else g.vertices,
+                               edges if edges is not None else g.edges)
+
+
+def with_index(g, **names):
+    """``g`` whose point order puts the given names at other class indices."""
+    return regraph(g, order=g.order._replace(index_of={**g.order.index_of, **names}))
+
+
+def with_end_vertex(g):
+    """``g`` plus an isolated vertex at the top class, after every other."""
+    return regraph(g, vertices=g.vertices + [graph.Vertex(len(g.order.classes) - 1, 0)])
+
+
+def doctored_tower(monkeypatch, m, doctor):
+    """``tower_decompose`` of a fresh ``111(0)`` to depth m, each full graph
+    of the chain passed through ``doctor(level, graph)`` first."""
+    real = graph.build_graph
+
+    def build(ctx, variant=FULL):
+        g = real(ctx, variant)
+        # the chain element of level j has period 3 * 2^j
+        return doctor((ctx.n_period // 3).bit_length() - 1, g)
+
+    monkeypatch.setattr(graph, "build_graph", build)
+    return tower_decompose(new_base_context(1, "111(0)"), m)
+
+
+def test_embedding_adds_no_edge_among_its_image():
+    # the in-between graph less one edge: the map still hits every vertex
+    # and keeps every edge, but its image carries the dropped one
+    ctx = v_successor(new_base_context(1, "111(0)"))
+    small, big = build_graph(ctx, FULL), build_graph(v_successor(ctx), FULL)
+    graph.embed_successor(small, big)
+    doctored = regraph(small, edges=small.edges[1:])
+    with pytest.raises(graph.StructuralError, match="the image has an extra internal edge"):
+        graph.embed_successor(doctored, big)
+
+
+def test_tower_seed_vertex_must_exist(monkeypatch):
+    # a1 moved to the least class: the seed vertex below it is no vertex
+    with pytest.raises(graph.StructuralError,
+                       match="no vertex of the seed graph has a1 as its right end"):
+        doctored_tower(monkeypatch, 1, lambda lv, g: with_index(g, a1=0) if lv == 0 else g)
+
+
+def test_tower_seed_orbit_edges_must_exist(monkeypatch):
+    # a1 and a2 trade classes: the orbit cycle runs through the wrong edges
+    def swap(lv, g):
+        at = g.order.index_of
+        return with_index(g, a1=at["a2"], a2=at["a1"]) if lv == 0 else g
+
+    with pytest.raises(graph.StructuralError, match=r"seed orbit edge \d with digit \d is missing"):
+        doctored_tower(monkeypatch, 1, swap)
+
+
+def test_tower_level_adds_its_size(monkeypatch):
+    with pytest.raises(graph.StructuralError, match="level 2 adds 7 vertices, expected 6"):
+        doctored_tower(monkeypatch, 2, lambda lv, g: with_end_vertex(g) if lv == 2 else g)
+
+
+def test_tower_levels_must_not_overlap(monkeypatch):
+    # a2 moved onto a1's class, and the seed graph and its successor given
+    # the edges of the orbit cycle a1 -> a1 -> a3 -> a1 it then reads: the
+    # seed block holds one vertex twice
+    seed = build_graph(new_base_context(1, "111(0)"), FULL)
+    rank = {v.index: r for r, v in enumerate(seed.vertices)}
+    at = seed.order.index_of
+    v1, v3 = rank[at["a1"] - 1], rank[at["a3"] - 1]
+    cycle = [(v1, 1, v1), (v1, 1, v3), (v3, 0, v1)]        # alpha = (110)
+
+    def doctor(lv, g):
+        if lv == 0:
+            g = with_index(g, a2=at["a1"])
+        idx = [v.index for v in g.vertices]
+        extra = {(idx[i], k, idx[j]) for i, k, j in cycle} - set(g.edges)
+        return regraph(g, edges=g.edges + sorted(extra))
+
+    with pytest.raises(graph.StructuralError, match="tower levels overlap"):
+        doctored_tower(monkeypatch, 1, doctor)
+
+
+def test_tower_residual_has_its_size(monkeypatch):
+    # one more vertex in the seed graph and in its successor: they stay
+    # order isomorphic, and the extra one lands in the residual block
+    with pytest.raises(graph.StructuralError, match="residual block has 4 vertices, expected 3"):
+        doctored_tower(monkeypatch, 1, lambda lv, g: with_end_vertex(g))
+
+
+def test_tower_later_level_must_not_reach_an_earlier_one(monkeypatch):
+    blocks = tower_decompose(new_base_context(1, "111(0)"), 2).blocks
+    back = (blocks[1][0], 0, blocks[0][0])
+
+    def doctor(lv, g):
+        return regraph(g, edges=g.edges + [back]) if lv == 2 else g
+
+    with pytest.raises(graph.StructuralError, match="level 2 reaches level 1"):
+        doctored_tower(monkeypatch, 2, doctor)

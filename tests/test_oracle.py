@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import random_context
 from univoque import digits as dg
-from univoque.base import golden_ratio_base, new_base_context, v_successor
+from univoque import oracle
+from univoque.base import SearchBoundError, golden_ratio_base, new_base_context, v_successor
 from univoque.graph import FULL, build_graph, path_words
 from univoque.oracle import (U_PREFIX, V_PREFIX, brute_count_expansions,
                              enumerate_admissible_words)
@@ -183,3 +184,24 @@ def test_brute_lower_bound_grows_for_infinite():
     assert lo12 >= 12
     lo16, _ = brute_count_expansions(q2, one, 16)
     assert lo16 > lo12
+
+
+def tree_nodes(ctx, x, depth):
+    """Nodes below the root of the feasible-prefix tree, level by level."""
+    level, nodes = [x], 0
+    for _ in range(depth):
+        level = [y for v in level for d in range(ctx.M + 1)
+                 if 0 <= (y := v.mul_gen() - d) <= ctx.kappa]
+        nodes += len(level)
+    return nodes
+
+
+def test_brute_count_stops_past_its_node_budget(monkeypatch):
+    ctx = new_base_context(3, "2(0)")
+    one = ctx.value(seq("1(0)"))
+    nodes = tree_nodes(ctx, one, 6)
+    monkeypatch.setattr(oracle, "BRUTE_NODE_BUDGET", nodes)
+    brute_count_expansions(ctx, one, 6)
+    monkeypatch.setattr(oracle, "BRUTE_NODE_BUDGET", nodes - 1)
+    with pytest.raises(SearchBoundError, match=f"to depth 6 has more than {nodes - 1} nodes"):
+        brute_count_expansions(ctx, one, 6)

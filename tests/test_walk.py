@@ -119,7 +119,7 @@ def test_words_cap(monkeypatch):
         words(succ, 0, 20)                        # 2^20 > WORD_CAP, counted only
     monkeypatch.setattr(walk, "WORD_CAP", 8)
     assert len(words(succ, 0, 3)) == 8
-    with pytest.raises(ValueError, match="16 words of length 4"):
+    with pytest.raises(ValueError, match="more than 8 words of length 4"):
         words(succ, 0, 4)
 
 
