@@ -425,11 +425,15 @@ class NumberField:
         # certified, one coprime to the working polynomial
         from .minpoly import coprime     # minpoly builds on this module's helpers
 
+        b = a
         if "min_poly" in vars(self) or not coprime(p, self.working_poly):
-            a = self.reduce(a)
-            if not any(a[:-1]):
+            b = self.reduce(a)
+            if not any(b[:-1]):
                 return 0
-        return self.settle(a, lambda n, D: _sign(n))
+        if b == a:
+            # the enclosure above left this numerator open: settle starts narrower
+            self.refine()
+        return self.settle(b, lambda n, D: _sign(n))
 
     def decimal(self, a, places=12):
         """The value of ``a`` to ``places`` decimals, correctly rounded half to

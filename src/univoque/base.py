@@ -71,7 +71,10 @@ class BaseContext:
 
     ``_cache`` holds what ``memo`` derived from the context: kappa, the
     special points and their order, the r-chain contexts and the interval
-    graphs.  Successor contexts kept there live as long as this one.
+    graphs.  Successor contexts kept there live as long as this one.  Next
+    to them ``expansions.count_expansions`` keeps the moves of every
+    remainder it has counted, emptied by a count that leaves more than
+    ``DEFAULT_STATE_CAP`` of them.
     """
 
     __slots__ = ("M", "beta", "alpha", "base_class", "defining_poly", "field", "n_period", "_cache")

@@ -12,11 +12,15 @@ reaches a branching cycle, which yields infinitely many.  For other bases
 the remainders may never repeat; the state cap then bounds the search and
 the answer is CAP_EXCEEDED.
 
-Exact arithmetic runs only where it can change the answer: the feasible
-digits of a remainder are read from one interval enclosure of q*v and one of
-q*v - M/(q-1) on the field's current isolating interval, and an exact sign
-is computed only for a digit that an enclosure leaves undecided.  The greedy
-digit is the largest of them.
+Exact arithmetic runs only where it can change the answer, and once: the
+feasible digits of a remainder are read from one interval enclosure of q*v
+on the field's current isolating interval and one enclosure of M/(q-1)
+taken per count (refining q only narrows it), and q*v - M/(q-1) is formed,
+and an exact sign computed, only for a digit that these leave undecided.
+The greedy digit is the largest of them.  A remainder's moves are facts
+about the base, so the context keeps those of every remainder it has
+counted, next to what ``base.memo`` derives, and a count that leaves more
+than ``DEFAULT_STATE_CAP`` of them there empties the map.
 
 The witness constructor produces, for any admissible tail sequence, a point
 with exactly m expansions for each m >= 1, by prefixing the tail with
@@ -79,7 +83,8 @@ def greedy_digit(ctx, x):
     also the largest d with q*x - d >= 0, since q*kappa - M = kappa and
     kappa >= 1.
     """
-    moves = _feasible_moves(x.field, ctx.M, ctx.kappa.elem, x.elem)
+    field, kappa = x.field, ctx.kappa.elem
+    moves = _feasible_moves(field, ctx.M, kappa, field.enclosure(kappa), x.elem)
     if not moves:
         raise RangeError("value outside the expandable interval has no expansion digit")
     d, v = moves[-1]
@@ -132,25 +137,28 @@ class ExpansionCount(namedtuple("ExpansionCount", "kind count witnesses",
         return f"ExpansionCount({self.kind})"
 
 
-def _feasible_moves(field, M, kappa, v):
+def _feasible_moves(field, M, kappa, kbox, v):
     """The moves ``(d, q*v - d)`` with 0 <= q*v - d <= kappa, d increasing.
 
-    The feasible digits are the integers in [q*v - kappa, q*v].  Enclosures
-    of q*v and of q*v - kappa on the field's current isolating interval
-    settle every digit outside both of them; only a digit inside one costs
-    an exact sign.
+    The feasible digits are the integers in [q*v - kappa, q*v].  An
+    enclosure of q*v on the field's current isolating interval and ``kbox``,
+    an enclosure ``field.enclosure(kappa)`` taken on it or on an earlier
+    (wider) one, settle every digit outside both bounds; only a digit inside
+    one costs an exact sign, and only such a digit forms q*v - d - kappa.
     """
     qv = field.mul_gen(v)
-    qvk = field.sub(qv, kappa)
     alo, ahi, ad = field.enclosure(qv)
-    blo, bhi, bd = field.enclosure(qvk)
+    klo, khi, kd = kbox
+    # q*v - kappa lies in [lo/D, hi/D]
+    lo, hi, D = alo * kd - khi * ad, ahi * kd - klo * ad, ad * kd
     moves = []
-    for d in range(max(0, -(-blo // bd)), min(M, ahi // ad) + 1):
-        if d * ad > alo and field.sign(field.add_int(qv, -d)) < 0:
+    for d in range(max(0, -(-lo // D)), min(M, ahi // ad) + 1):
+        u = field.add_int(qv, -d)
+        if d * ad > alo and field.sign(u) < 0:
             continue
-        if d * bd < bhi and field.sign(field.add_int(qvk, -d)) > 0:
+        if d * D < hi and field.sign(field.sub(u, kappa)) > 0:
             continue
-        moves.append((d, field.add_int(qv, -d)))
+        moves.append((d, u))
     return moves
 
 
@@ -168,16 +176,23 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
         raise ValueError(f"state cap must be nonnegative, got {cap}")
     _check_range(ctx, x)
     field, kappa = x.field, ctx.kappa.elem
+    kbox = field.enclosure(kappa)
+    known = ctx._cache.setdefault(_feasible_moves, {})
+
+    def moves(v):
+        out = known.get(v)
+        if out is None:
+            out = _feasible_moves(field, ctx.M, kappa, kbox, v)
+            if field.reducible:
+                # remainders are hashed: equal values must be equal tuples
+                out = [(d, field.reduce(u)) for d, u in out]
+            known[v] = out
+        return out
+
     root = field.reduce(x.elem)
-    if field.reducible:
-        # remainders are hashed: equal values must be equal tuples
-        def moves(v):
-            return [(d, field.reduce(u)) for d, u in _feasible_moves(field, ctx.M, kappa, v)]
-    else:
-        # already canonical; a reduce call per move would slow counting by 5 %
-        def moves(v):
-            return _feasible_moves(field, ctx.M, kappa, v)
     succ = explore([root], moves, cap)
+    if len(known) > DEFAULT_STATE_CAP:
+        known.clear()
     if succ is None:
         return ExpansionCount(CAP_EXCEEDED)
     on_cycle = {v for comp in tarjan(succ) if cyclic(succ, comp) for v in comp}

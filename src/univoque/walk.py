@@ -19,6 +19,8 @@ are its runs: ``count_words`` counts them node by node for any length, and
 
 from __future__ import annotations
 
+import math
+
 WORD_CAP = 10**6         # words ``words`` will list
 
 
@@ -129,30 +131,32 @@ def alive(succ, accept=cyclic):
     return live
 
 
-def count_words(succ, start, L):
+def count_words(succ, start, L, cap=None):
     """Number of length-L label words read from ``start`` in the
-    deterministic map ``succ``: its runs, counted node by node."""
+    deterministic map ``succ``: its runs, counted node by node.  With
+    ``cap``, counts saturate at cap + 1, which still decides "more than
+    cap" and keeps every sum small."""
     if L < 0:
         raise ValueError(f"word length must be nonnegative, got {L}")
+    top = math.inf if cap is None else cap + 1
     counts = {start: 1}
     for _ in range(L):
         nxt = {}
         for v, c in counts.items():
             for _k, w in succ[v]:
-                nxt[w] = nxt.get(w, 0) + c
+                nxt[w] = min(nxt.get(w, 0) + c, top)
         counts = nxt
-    return sum(counts.values())
+    return min(sum(counts.values()), top)
 
 
 def words(succ, start, L):
     """The set of length-L label words read from ``start`` in the
     deterministic map ``succ``, listed depth-first.
 
-    The words are counted first; more than ``WORD_CAP`` of them raise
-    ValueError before any is listed.
+    The words are counted first, saturating past ``WORD_CAP``; more than
+    ``WORD_CAP`` of them raise ValueError before any is listed.
     """
-    total = count_words(succ, start, L)
-    if total > WORD_CAP:
+    if count_words(succ, start, L, WORD_CAP) > WORD_CAP:
         raise ValueError(f"more than {WORD_CAP} words of length {L}: "
                          "they exceed the enumeration cap")
     out = set()

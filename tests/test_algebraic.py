@@ -307,6 +307,27 @@ def test_sign_of_a_hidden_zero_terminates():
     assert f.min_poly == m and f.reducible
 
 
+def test_sign_repeats_no_enclosure(monkeypatch):
+    # q - r for dyadic r within 1e-12 of q is open on the root-scan cell;
+    # each interval-Horner pass of its sign must see a new interval, whether
+    # the numerator is proved coprime to R or m_q is already certified
+    passes = []
+    interval = NumberField._interval
+    monkeypatch.setattr(NumberField, "_interval", lambda f, p: passes.append(
+        (f.n_lo, f.n_hi, f.e, tuple(p))) or interval(f, p))
+    for M, beta in BATTERY[:3]:
+        ctx = new_base_context(M, beta)
+        for certified in (False, True):
+            for r, expect in ((ctx.field.lo, 1), (ctx.field.hi, -1)):
+                f = NumberField(ctx.field.working_poly, *_isolate_dyadic(ctx.defining_poly, M))
+                if certified:
+                    assert not f.reducible
+                n, D = r.numerator, r.denominator
+                passes.clear()
+                assert f.sign(f.element([-n, D] + [0] * (f.deg - 2), D)) == expect
+                assert len(passes) > 2 and len(set(passes)) == len(passes)
+
+
 def test_inverse_of_a_zero_divisor():
     # t + 1 stays in the working polynomial of 1101011(0), so q^2 - 1 is a
     # zero divisor there; its inverse is taken modulo the minimal polynomial

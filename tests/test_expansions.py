@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import BATTERY, random_context
+from test_reducible import REDUCIBLE
 from univoque import digits as dg
 from univoque import expansions as ex
-from univoque.algebraic import NumberField, _isolate_dyadic
+from univoque.algebraic import AlgebraicReal, NumberField, _isolate_dyadic
 from univoque.base import new_base_context, r_chain, special_points
 from univoque.digits import EpSeq
 from univoque.walk import tarjan
@@ -493,3 +494,83 @@ def test_count_witnesses_need_few_exact_signs(monkeypatch):
     counts = [ex.count_expansions(ctx, x) for x in points]
     assert [(r.kind, r.count) for r in counts] == [(ex.EXACT, m) for m in range(1, 11)]
     assert len(calls) < 100       # two per digit and state made 4,590
+
+
+# --- the remainder map kept by the context ------------------------------------
+
+def count_triple(res):
+    return res.kind, res.count, res.witnesses
+
+
+@pytest.mark.parametrize("M, beta", BATTERY + REDUCIBLE)
+def test_shared_remainder_map_matches_fresh_contexts(M, beta, monkeypatch):
+    # the witnesses x_1..x_6 share their tails, so a shared map is read
+    # many times; the random points and their reflections add other orbits
+    rng = random.Random(f"{M} {beta}")
+    ctx = new_base_context(M, beta)
+    tail = ex.default_tail(ctx)
+    seqs = []
+    for _ in range(3):
+        pre = tuple(rng.randint(0, M) for _ in range(rng.randint(0, 3)))
+        per = tuple(rng.randint(0, M) for _ in range(rng.randint(1, 3)))
+        seqs += [EpSeq(pre, per), EpSeq(dg.word_reflect(pre, M), dg.word_reflect(per, M))]
+    points = [lambda c, m=m: ex.build_witness_xm(c, m, tail)[0] for m in range(1, 7)]
+    points += [lambda c, s=s: c.value(s) for s in seqs]
+    calls = []
+    moves = ex._feasible_moves
+    monkeypatch.setattr(ex, "_feasible_moves", lambda *a: calls.append(a) or moves(*a))
+    # some of these bases are not Pisot: a point may hit the cap
+    shared = [count_triple(ex.count_expansions(ctx, point(ctx), cap=500)) for point in points]
+    shared_calls = len(calls)
+    fresh = []
+    for point in points:
+        c = new_base_context(M, beta)
+        fresh.append(count_triple(ex.count_expansions(c, point(c), cap=500)))
+    assert shared == fresh
+    assert [r[:2] for r in shared[:6]] == [(ex.EXACT, m) for m in range(1, 7)]
+    assert shared_calls < len(calls) - shared_calls       # the map was read
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), digit_words(3), digit_words(3).filter(bool), st.integers(0, 6),
+       st.booleans())
+def test_feasible_moves_match_exact_signs(seed, pre, per, steps, coarse):
+    # kappa is enclosed on the interval of the root scan (when coarse) and
+    # stays valid while q is refined; every remainder along the greedy orbit
+    # of the point is checked against exact signs alone
+    base = random_context(random.Random(seed))
+    ctx = fresh_context(base, coarse)
+    field, M = ctx.field, ctx.M
+    s = EpSeq([d % (M + 1) for d in pre], [d % (M + 1) for d in per])
+    kappa = ctx.kappa
+    kbox = field.enclosure(kappa.elem)
+    v = ctx.value(s)
+    for _ in range(steps + 1):
+        qv = v.mul_gen()
+        expect = [(d, (qv - d).elem) for d in range(M + 1)
+                  if (qv - d).sign() >= 0 and (qv - d - kappa).sign() <= 0]
+        assert ex._feasible_moves(field, M, kappa.elem, kbox, v.elem) == expect
+        v = AlgebraicReal(field, expect[-1][1])
+        field.refine()
+
+
+def test_remainder_map_is_bounded(monkeypatch):
+    monkeypatch.setattr(ex, "DEFAULT_STATE_CAP", 40)
+    ctx = new_base_context(1, "111001010(0)")
+    known = lambda: ctx._cache.get(ex._feasible_moves, {})      # noqa: E731
+    x = ctx.value(seq("(01)"))
+    first = ex.count_expansions(ctx, x, cap=40)
+    assert 0 < len(known()) <= 40
+    assert ex.count_expansions(ctx, x, cap=40) == first          # read from the map
+    # the remainders of 011(10) need not repeat: a count past the cap
+    # leaves more than 40 of them, and the map is emptied
+    assert ex.count_expansions(ctx, ctx.value(seq("011(10)")), cap=300).kind == ex.CAP_EXCEEDED
+    assert len(known()) == 0
+    tribonacci = new_base_context(1, "111(0)")
+    tail = ex.default_tail(tribonacci)
+    held = []
+    for m in range(1, 11):
+        x = ex.build_witness_xm(tribonacci, m, tail)[0]
+        assert ex.count_expansions(tribonacci, x, cap=1000).count == m
+        held.append(len(tribonacci._cache[ex._feasible_moves]))
+    assert 0 < max(held) <= 40 and 0 in held

@@ -14,7 +14,7 @@ from univoque.base import (BaseClass, golden_ratio_base, new_base_context, order
 from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
                             connectivity_report, count_label_paths, is_strongly_connected,
                             path_words, scc, tower_decompose)
-from univoque.walk import tarjan
+from univoque.walk import WORD_CAP, count_words, tarjan
 from conftest import BATTERY, mirror_map, random_context
 
 
@@ -392,6 +392,17 @@ def test_path_words_past_length_14():
     g2 = build_graph(golden_ratio_base(2), FULL)
     assert path_words(g2, 15) == {(0,) * 15, (2,) * 15}
     assert count_label_paths(g2, 15) == 2
+
+
+def test_saturated_word_counts_match_exact_counts(battery):
+    # below the cap the saturated count is the exact one, past it cap + 1
+    for ctx in battery:
+        start, succ = graph._label_dfa(build_graph(ctx, FULL))
+        for L in range(14):
+            exact = count_words(succ, start, L)
+            assert exact == count_label_paths(build_graph(ctx, FULL), L)
+            for cap in {0, 1, exact - 1, exact, exact + 1, WORD_CAP} - {-1}:
+                assert count_words(succ, start, L, cap) == min(exact, cap + 1), (ctx.beta, L, cap)
 
 
 def test_dot_and_json_exports_deterministic(base322):

@@ -140,6 +140,12 @@ def test_words_past_length_12():
             assert enumerate_admissible_words(ctx, L, mode) == path_words(g, L), (ctx.beta, L)
 
 
+def test_word_refusal_at_length_100000(tribonacci):
+    # counts saturate past the cap, so the refusal sums small ints per level
+    with pytest.raises(ValueError, match="exceed the enumeration cap"):
+        enumerate_admissible_words(tribonacci, 100_000)
+
+
 class Untouchable:
     def __getattr__(self, name):
         raise AssertionError(f"search started: {name} read")

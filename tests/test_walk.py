@@ -105,6 +105,7 @@ def path_labels(succ, start, L):
 def test_words_match_literal_paths(succ, L):
     literal = path_labels(succ, 0, L)
     assert count_words(succ, 0, L) == len(literal)
+    assert all(count_words(succ, 0, L, cap) == min(len(literal), cap + 1) for cap in range(9))
     assert words(succ, 0, L) == set(literal)
     assert len(set(literal)) == len(literal)      # deterministic: one path per word
 
