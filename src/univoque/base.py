@@ -72,8 +72,9 @@ class BaseContext:
     ``_cache`` holds what ``memo`` derived from the context: kappa, the
     special points and their order, the r-chain contexts and the interval
     graphs.  Successor contexts kept there live as long as this one.  Next
-    to them ``expansions.count_expansions`` keeps the moves of every
-    remainder it has counted, emptied by a count that leaves more than
+    to them the expansion layer keeps its move function, with the one
+    enclosure of kappa it reads, and the moves of every remainder that a
+    count or a greedy run has met, emptied by a run that leaves more than
     ``DEFAULT_STATE_CAP`` of them.
     """
 

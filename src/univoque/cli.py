@@ -25,10 +25,15 @@ from .base import (BaseClass, InternalConsistencyError, SearchBoundError, check_
 CHAIN_PERIOD_BOUND = 4096
 
 
-def _add_base_flags(p):
+def _command(group, name, fn, **kwargs):
+    """The subcommand ``name`` of ``group`` (``kwargs`` go to ``add_parser``),
+    which runs ``fn`` on the base its flags give."""
+    p = group.add_parser(name, **kwargs)
     p.add_argument("-M", type=int, required=True, help="alphabet bound")
     p.add_argument("--beta", required=True,
                    help='greedy expansion of 1 in digit-string form, e.g. "111(0)"')
+    p.set_defaults(fn=fn)
+    return p
 
 
 def _context(args):
@@ -267,84 +272,58 @@ def make_parser():
 
     base = sub.add_parser("base", help="base classification and chains")
     bsub = base.add_subparsers(dest="subcommand", required=True)
-    b1 = bsub.add_parser("classify")
-    _add_base_flags(b1)
-    b1.add_argument("--json", action="store_true")
-    b1.set_defaults(fn=cmd_base_classify)
-    b2 = bsub.add_parser("chain")
-    _add_base_flags(b2)
+    _command(bsub, "classify", cmd_base_classify).add_argument("--json", action="store_true")
+    b2 = _command(bsub, "chain", cmd_base_chain)
     b2.add_argument("--kind", choices=("v", "r"), required=True,
                     help="v: successor chain, r: reflected-block chain")
     b2.add_argument("--steps", type=int, required=True)
     b2.add_argument("--json", action="store_true")
-    b2.set_defaults(fn=cmd_base_chain)
-    b3 = bsub.add_parser("points")
-    _add_base_flags(b3)
-    b3.add_argument("--json", action="store_true")
-    b3.set_defaults(fn=cmd_base_points)
+    _command(bsub, "points", cmd_base_points).add_argument("--json", action="store_true")
 
     graph = sub.add_parser("graph", help="interval graph construction and analysis")
     gsub = graph.add_subparsers(dest="subcommand", required=True)
-    g1 = gsub.add_parser("build")
-    _add_base_flags(g1)
+    g1 = _command(gsub, "build", cmd_graph_build)
     g1.add_argument("--variant", choices=_VARIANTS, default="full")
     g1.add_argument("--dot", metavar="PATH", help="write DOT to PATH (- for stdout)")
     g1.add_argument("--json", dest="json_path", metavar="PATH",
                     help="write JSON to PATH (- for stdout)")
-    g1.set_defaults(fn=cmd_graph_build)
-    g2 = gsub.add_parser("scc")
-    _add_base_flags(g2)
+    g2 = _command(gsub, "scc", cmd_graph_scc)
     g2.add_argument("--variant", choices=_VARIANTS, default="tilde")
     g2.add_argument("--json", action="store_true")
-    g2.set_defaults(fn=cmd_graph_scc)
-    g3 = gsub.add_parser("verify")
-    _add_base_flags(g3)
+    g3 = _command(gsub, "verify", cmd_graph_verify)
     g3.add_argument("--theorem", choices=("1.3", "1.4", "iso", "tower"), required=True,
                     help="1.3/iso: successor isomorphism; 1.4/tower: tower decomposition")
     g3.add_argument("--steps", type=int, default=2)
     g3.add_argument("--json", action="store_true")
-    g3.set_defaults(fn=cmd_graph_verify)
-    g4 = gsub.add_parser("connectivity")
-    _add_base_flags(g4)
+    g4 = _command(gsub, "connectivity", cmd_graph_connectivity)
     g4.add_argument("--json", action="store_true")
-    g4.set_defaults(fn=cmd_graph_connectivity)
 
-    d = sub.add_parser("dim", help="spectral radius, entropy, dimension")
-    _add_base_flags(d)
+    d = _command(sub, "dim", cmd_dim, help="spectral radius, entropy, dimension")
     d.add_argument("--per-scc", dest="per_scc", action="store_true")
     d.add_argument("--json", action="store_true")
-    d.set_defaults(fn=cmd_dim)
 
     ex = sub.add_parser("expansions", help="expansion generation and counting")
     esub = ex.add_subparsers(dest="subcommand", required=True)
-    e1 = esub.add_parser("count")
-    _add_base_flags(e1)
+    e1 = _command(esub, "count", cmd_expansions_count)
     e1.add_argument("--x", required=True, help="point given by a digit sequence")
     e1.add_argument("--cap", type=int, default=None)
     e1.add_argument("--json", action="store_true")
-    e1.set_defaults(fn=cmd_expansions_count)
-    e2 = esub.add_parser("witness")
-    _add_base_flags(e2)
+    e2 = _command(esub, "witness", cmd_expansions_witness)
     e2.add_argument("-m", type=int, required=True, dest="m")
     e2.add_argument("--tail", help="periodic tail (defaults to the least strict one)")
     e2.add_argument("--json", action="store_true")
-    e2.set_defaults(fn=cmd_expansions_witness)
 
     orc = sub.add_parser("oracle", help="brute-force reference computations")
     osub = orc.add_subparsers(dest="subcommand", required=True)
-    o1 = osub.add_parser("words")
-    _add_base_flags(o1)
+    o1 = _command(osub, "words", cmd_oracle_words)
     o1.add_argument("-L", type=int, required=True, dest="L")
     o1.add_argument("--mode", choices=("u", "v"), default=None,
                     help="default: u for in-between bases, v for limit bases")
     o1.add_argument("--json", action="store_true")
-    o1.set_defaults(fn=cmd_oracle_words)
-    o2 = osub.add_parser("brute-count")
-    _add_base_flags(o2)
+    o2 = _command(osub, "brute-count", cmd_oracle_brute)
     o2.add_argument("--x", required=True)
     o2.add_argument("--depth", type=int, default=18)
     o2.add_argument("--json", action="store_true")
-    o2.set_defaults(fn=cmd_oracle_brute)
 
     return p
 

@@ -14,13 +14,15 @@ the answer is CAP_EXCEEDED.
 
 Exact arithmetic runs only where it can change the answer, and once: the
 feasible digits of a remainder are read from one interval enclosure of q*v
-on the field's current isolating interval and one enclosure of M/(q-1)
-taken per count (refining q only narrows it), and q*v - M/(q-1) is formed,
-and an exact sign computed, only for a digit that these leave undecided.
-The greedy digit is the largest of them.  A remainder's moves are facts
-about the base, so the context keeps those of every remainder it has
-counted, next to what ``base.memo`` derives, and a count that leaves more
-than ``DEFAULT_STATE_CAP`` of them there empties the map.
+on the field's current isolating interval and one enclosure of M/(q-1),
+taken once per context (refining q only narrows it), and q*v - M/(q-1) is
+formed, and an exact sign computed, only for a digit that these leave
+undecided.  A remainder's moves are facts about the base, so the context
+keeps those of every remainder it has met, next to what ``base.memo``
+derives, and one move function built on that map serves counts and greedy
+runs alike: the greedy digit is the largest move, and a point lies in
+[0, M/(q-1)] exactly when it has a move.  A run that leaves more than
+``DEFAULT_STATE_CAP`` remainders there empties the map.
 
 The witness constructor produces, for any admissible tail sequence, a point
 with exactly m expansions for each m >= 1, by prefixing the tail with
@@ -39,8 +41,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import digits as dg
-from .algebraic import AlgebraicReal, value_of_sequence
-from .base import SearchBoundError
+from .algebraic import value_of_sequence
+from .base import SearchBoundError, memo
 from .digits import EpSeq, LexAutomaton
 from .walk import cyclic, explore, orbit, tarjan
 
@@ -71,72 +73,6 @@ class TailSearchBudgetError(SearchBoundError):
         self.nodes, self.period, self.max_period = nodes, period, max_period
 
 
-def _check_range(ctx, x):
-    if x.sign() < 0 or (x - ctx.kappa).sign() > 0:
-        raise RangeError("value outside the expandable interval")
-
-
-def greedy_digit(ctx, x):
-    """Largest digit d with 0 <= q*x - d <= kappa, and that remainder.
-
-    It is the largest move of ``_feasible_moves``; for x in [0, kappa] it is
-    also the largest d with q*x - d >= 0, since q*kappa - M = kappa and
-    kappa >= 1.
-    """
-    field, kappa = x.field, ctx.kappa.elem
-    moves = _feasible_moves(field, ctx.M, kappa, field.enclosure(kappa), x.elem)
-    if not moves:
-        raise RangeError("value outside the expandable interval has no expansion digit")
-    d, v = moves[-1]
-    return d, AlgebraicReal(x.field, v)
-
-
-def greedy_expand(ctx, x, L):
-    """First L digits of the lexicographically largest expansion of x."""
-    _check_range(ctx, x)
-    out = []
-    for _ in range(L):
-        d, x = greedy_digit(ctx, x)
-        out.append(d)
-    return tuple(out)
-
-
-def quasi_greedy_expand(ctx, x):
-    """The lexicographically largest infinite expansion of x, as an EpSeq.
-
-    ``walk.orbit`` follows the exact greedy remainders until one vanishes
-    (finite greedy expansion: decrement the last digit and append the
-    expansion of 1) or one repeats (the greedy expansion itself is
-    eventually periodic).  Points whose remainders do not close up within
-    ``QUASI_GREEDY_STEP_BOUND`` digits raise, never truncate.
-    """
-    _check_range(ctx, x)
-    if x.sign() == 0:
-        return dg.ZERO
-    bound = QUASI_GREEDY_STEP_BOUND
-    # a run that closes by a repeat has one node per digit, one that ends
-    # at a zero remainder has one more
-    run = orbit(x, lambda v: None if v.sign() == 0 else greedy_digit(ctx, v), bound + 1)
-    if run is None or len(run[1]) > bound:
-        raise PeriodicityBoundError(f"no periodic remainder within {bound} steps")
-    _remainders, digits, k = run
-    if k is None:
-        return EpSeq(dg.word_minus(tuple(digits)) + ctx.alpha.pre, ctx.alpha.per)
-    return EpSeq(tuple(digits[:k]), tuple(digits[k:]))
-
-
-class ExpansionCount(namedtuple("ExpansionCount", "kind count witnesses",
-                                defaults=(None, ()))):
-    """A count's ``kind``; for EXACT also the ``count`` and its witnesses."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        if self.kind == EXACT:
-            return f"ExpansionCount(EXACT({self.count}))"
-        return f"ExpansionCount({self.kind})"
-
-
 def _feasible_moves(field, M, kappa, kbox, v):
     """The moves ``(d, q*v - d)`` with 0 <= q*v - d <= kappa, d increasing.
 
@@ -154,12 +90,99 @@ def _feasible_moves(field, M, kappa, kbox, v):
     moves = []
     for d in range(max(0, -(-lo // D)), min(M, ahi // ad) + 1):
         u = field.add_int(qv, -d)
-        if d * ad > alo and field.sign(u) < 0:
-            continue
+        if d * ad > alo:
+            if not d:       # u is q*v, whose enclosure just taken left its sign open
+                field.refine()
+            if field.sign(u) < 0:
+                continue
         if d * D < hi and field.sign(field.sub(u, kappa)) > 0:
             continue
         moves.append((d, u))
     return moves
+
+
+def _move_map(ctx):
+    """The context's move function ``moves(v)`` for a reduced element v, and
+    the map ``ctx._cache[_feasible_moves]`` in which it keeps the moves of
+    each remainder, computed once from one enclosure of kappa and reduced on
+    a reducible field, where remainders are hashed.  Built once (``memo``)."""
+    field, M, kappa = ctx.field, ctx.M, ctx.kappa.elem
+    kbox = field.enclosure(kappa)
+    known = ctx._cache.setdefault(_feasible_moves, {})
+
+    def moves(v):
+        if v not in known:
+            out = _feasible_moves(field, M, kappa, kbox, v)
+            known[v] = [(d, field.reduce(u)) for d, u in out] if field.reducible else out
+        return known[v]
+
+    return moves, known
+
+
+def _walk(ctx, x, run):
+    """``run(root, moves)`` for the reduced element of x and the context's
+    move function.  Since q <= M + 1, kappa >= 1 and the digit ranges
+    [d, d + kappa] cover [0, q*kappa] = [0, M + kappa]: x lies in [0, kappa]
+    exactly when it has a move, and RangeError is raised when it has none.
+    A run that leaves more than ``DEFAULT_STATE_CAP`` remainders in the map
+    empties it."""
+    moves, known = memo(ctx, _move_map)
+    root = ctx.field.reduce(x.elem)
+    if not moves(root):
+        raise RangeError("value outside the expandable interval")
+    out = run(root, moves)
+    if len(known) > DEFAULT_STATE_CAP:
+        known.clear()
+    return out
+
+
+def greedy_expand(ctx, x, L):
+    """First L digits of the lexicographically largest expansion of x: each
+    is the largest move of its remainder v, which for v in [0, kappa] is the
+    largest d with q*v - d >= 0, since q*kappa - M = kappa >= 1."""
+    def run(v, moves):
+        out = []
+        for _ in range(L):
+            d, v = moves(v)[-1]
+            out.append(d)
+        return tuple(out)
+
+    return _walk(ctx, x, run)
+
+
+def quasi_greedy_expand(ctx, x):
+    """The lexicographically largest infinite expansion of x, as an EpSeq.
+
+    ``walk.orbit`` follows the greedy remainders until one repeats.  Zero
+    is its own greedy remainder, and the only one (v = q*v forces v = 0): a
+    run whose cycle is (0) is a finite greedy expansion, whose last digit is
+    decremented and followed by the expansion of 1.  Points with more than
+    ``QUASI_GREEDY_STEP_BOUND`` nonzero greedy remainders raise, never
+    truncate.
+    """
+    bound = QUASI_GREEDY_STEP_BOUND
+    run = _walk(ctx, x, lambda root, moves: orbit(root, lambda v: moves(v)[-1], bound + 1))
+    if run is not None:
+        _remainders, digits, k = run
+        pre, per = tuple(digits[:k]), tuple(digits[k:])
+        # one remainder per digit; 0, the cycle exactly when per == (0,), is not counted
+        if len(digits) - (per == (0,)) <= bound:
+            if per == (0,) and pre:
+                return EpSeq(dg.word_minus(pre) + ctx.alpha.pre, ctx.alpha.per)
+            return EpSeq(pre, per)
+    raise PeriodicityBoundError(f"no periodic remainder within {bound} steps")
+
+
+class ExpansionCount(namedtuple("ExpansionCount", "kind count witnesses",
+                                defaults=(None, ()))):
+    """A count's ``kind``; for EXACT also the ``count`` and its witnesses."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        if self.kind == EXACT:
+            return f"ExpansionCount(EXACT({self.count}))"
+        return f"ExpansionCount({self.kind})"
 
 
 def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
@@ -174,25 +197,7 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
     """
     if cap < 0:
         raise ValueError(f"state cap must be nonnegative, got {cap}")
-    _check_range(ctx, x)
-    field, kappa = x.field, ctx.kappa.elem
-    kbox = field.enclosure(kappa)
-    known = ctx._cache.setdefault(_feasible_moves, {})
-
-    def moves(v):
-        out = known.get(v)
-        if out is None:
-            out = _feasible_moves(field, ctx.M, kappa, kbox, v)
-            if field.reducible:
-                # remainders are hashed: equal values must be equal tuples
-                out = [(d, field.reduce(u)) for d, u in out]
-            known[v] = out
-        return out
-
-    root = field.reduce(x.elem)
-    succ = explore([root], moves, cap)
-    if len(known) > DEFAULT_STATE_CAP:
-        known.clear()
+    root, succ = _walk(ctx, x, lambda root, moves: (root, explore([root], moves, cap)))
     if succ is None:
         return ExpansionCount(CAP_EXCEEDED)
     on_cycle = {v for comp in tarjan(succ) if cyclic(succ, comp) for v in comp}
@@ -324,10 +329,11 @@ def default_tail(ctx, strictness=STRICT):
     return best
 
 
-def build_witness_xm(ctx, m, c=None):
+def build_witness_xm(ctx, m, c):
     """A point with exactly m expansions, plus the m expansions themselves.
 
-    The point is the value of ``1 0^((m-1)N) c``; its other expansions
+    The point is the value of ``1 0^((m-1)N) c``, for a tail c that passes
+    ``f_family_filter`` (``default_tail`` is one); its other expansions
     trade the leading 1 for j full alpha periods, the incremented period,
     and a shortened zero block, j = 0..m-2.  The m expansions hold about
     m^2 N / 2 digits, so a zero block (m - 1) N longer than
@@ -340,8 +346,6 @@ def build_witness_xm(ctx, m, c=None):
     if (m - 1) * N > WITNESS_ZERO_BOUND:
         raise SearchBoundError(f"a witness with {m} expansions needs {(m - 1) * N} zeros after "
                                f"its leading 1, more than {WITNESS_ZERO_BOUND}")
-    if c is None:
-        c = default_tail(ctx)
     if not f_family_filter(ctx, c, WEAK):
         raise ValueError(f"tail {dg.format_seq(c)} fails the admissibility filter")
     w = ctx.alpha_word()

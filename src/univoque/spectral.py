@@ -67,7 +67,12 @@ def _component_radius(succ, comp):
     den = max(d for _n, d in parts)
     X = [n * (den // d) for n, d in parts]
     cw = [Fraction(X[i] + sum(X[j] for j in row), X[i]) for i, row in enumerate(rows)]
-    lo, hi = min(cw) - 1, max(cw) - 1
+    return _centred(min(cw) - 1, max(cw) - 1)
+
+
+def _centred(lo, hi):
+    """A (radius, error) pair for the rational interval [lo, hi]: its float
+    midpoint r, and the distance from r to either end, rounded up."""
     r = float((lo + hi) / 2)
     return r, _round_up(max(hi - Fraction(r), Fraction(r) - lo))
 
@@ -91,8 +96,10 @@ class SpectralReport(namedtuple("SpectralReport",
 
 
 def _max_radius(radii):
-    """The first (radius, error) pair of largest radius; (0, 0) for none."""
-    return max(radii, key=lambda pair: pair[0], default=(0.0, 0.0))
+    """A (radius, error) pair enclosing the largest radius of the (radius,
+    error) pairs ``radii``: [max(r - e), max(r + e)]; (0, 0) for none."""
+    return _centred(max((Fraction(r) - Fraction(e) for r, e in radii), default=0),
+                    max((Fraction(r) + Fraction(e) for r, e in radii), default=0))
 
 
 def spectral_radius(g):

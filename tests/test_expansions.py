@@ -502,23 +502,42 @@ def count_triple(res):
     return res.kind, res.count, res.witnesses
 
 
-@pytest.mark.parametrize("M, beta", BATTERY + REDUCIBLE)
-def test_shared_remainder_map_matches_fresh_contexts(M, beta, monkeypatch):
-    # the witnesses x_1..x_6 share their tails, so a shared map is read
-    # many times; the random points and their reflections add other orbits
+def count_points(M, beta):
+    """x_1..x_10 of the default tail and three random points with their
+    reflections, each as a function of a context of the base."""
     rng = random.Random(f"{M} {beta}")
-    ctx = new_base_context(M, beta)
-    tail = ex.default_tail(ctx)
+    tail = ex.default_tail(new_base_context(M, beta))
     seqs = []
     for _ in range(3):
         pre = tuple(rng.randint(0, M) for _ in range(rng.randint(0, 3)))
         per = tuple(rng.randint(0, M) for _ in range(rng.randint(1, 3)))
         seqs += [EpSeq(pre, per), EpSeq(dg.word_reflect(pre, M), dg.word_reflect(per, M))]
-    points = [lambda c, m=m: ex.build_witness_xm(c, m, tail)[0] for m in range(1, 7)]
-    points += [lambda c, s=s: c.value(s) for s in seqs]
+    points = [lambda c, m=m: ex.build_witness_xm(c, m, tail)[0] for m in range(1, 11)]
+    return points + [lambda c, s=s: c.value(s) for s in seqs]
+
+
+def record_calls(monkeypatch, owner, name, key=lambda *a: a):
+    """``key`` of the arguments of every call of ``owner.name`` from now on,
+    read when the call is made."""
     calls = []
-    moves = ex._feasible_moves
-    monkeypatch.setattr(ex, "_feasible_moves", lambda *a: calls.append(a) or moves(*a))
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a: calls.append(key(*a)) or fn(*a))
+    return calls
+
+
+def record_passes(monkeypatch):
+    """Field, isolating interval and numerator of every interval-Horner pass."""
+    return record_calls(monkeypatch, NumberField, "_interval",
+                        lambda f, p: (f, f.n_lo, f.n_hi, f.e, tuple(p)))
+
+
+@pytest.mark.parametrize("M, beta", BATTERY + REDUCIBLE)
+def test_shared_remainder_map_matches_fresh_contexts(M, beta, monkeypatch):
+    # the witnesses x_1..x_10 share their tails, so a shared map is read
+    # many times; the random points and their reflections add other orbits
+    ctx = new_base_context(M, beta)
+    points = count_points(M, beta)
+    calls = record_calls(monkeypatch, ex, "_feasible_moves")
     # some of these bases are not Pisot: a point may hit the cap
     shared = [count_triple(ex.count_expansions(ctx, point(ctx), cap=500)) for point in points]
     shared_calls = len(calls)
@@ -527,8 +546,57 @@ def test_shared_remainder_map_matches_fresh_contexts(M, beta, monkeypatch):
         c = new_base_context(M, beta)
         fresh.append(count_triple(ex.count_expansions(c, point(c), cap=500)))
     assert shared == fresh
-    assert [r[:2] for r in shared[:6]] == [(ex.EXACT, m) for m in range(1, 7)]
+    assert [r[:2] for r in shared[:10]] == [(ex.EXACT, m) for m in range(1, 11)]
     assert shared_calls < len(calls) - shared_calls       # the map was read
+
+
+@pytest.mark.parametrize("M, beta", BATTERY)
+def test_counts_repeat_no_interval_pass(M, beta, monkeypatch):
+    # an interval-Horner pass of the numerator, field and interval of the
+    # pass just before it can only repeat its answer; the remainders of
+    # x_8..x_10 come close enough to 0 to leave the sign of q*v open
+    ctx = new_base_context(M, beta)
+    points = [point(ctx) for point in count_points(M, beta)]
+    passes = record_passes(monkeypatch)
+    for x in points:
+        ex.count_expansions(ctx, x, cap=500)
+    assert passes and not [a for a, b in zip(passes, passes[1:]) if a == b]
+
+
+@pytest.mark.parametrize("M, beta", BATTERY)
+def test_counted_points_are_read_from_the_map(M, beta, monkeypatch):
+    # a recount takes no enclosure at all, and a greedy run from a point
+    # whose remainders were all explored computes no move
+    ctx = new_base_context(M, beta)
+    points = [point(ctx) for point in count_points(M, beta)]
+    first = [ex.count_expansions(ctx, x, cap=500) for x in points]
+    passes = record_passes(monkeypatch)
+    calls = record_calls(monkeypatch, ex, "_feasible_moves")
+    assert [ex.count_expansions(ctx, x, cap=500) for x in points] == first
+    for x, res in zip(points, first):
+        if res.kind != ex.CAP_EXCEEDED:
+            assert ctx.value(ex.quasi_greedy_expand(ctx, x)) == x
+    assert passes == [] and calls == []
+
+
+@pytest.mark.parametrize("M, beta", BATTERY)
+def test_range_error_exactly_outside_the_interval(M, beta):
+    ctx = new_base_context(M, beta)
+    kappa = ctx.kappa
+    runs = [lambda x: ex.count_expansions(ctx, x, cap=500), lambda x: ex.greedy_expand(ctx, x, 4),
+            ex.quasi_greedy_expand.__get__(ctx)]
+    zero = ctx.value(dg.ZERO)
+    assert [run(zero) for run in runs] == [ex.ExpansionCount(ex.EXACT, 1, (dg.ZERO,)),
+                                           (0, 0, 0, 0), dg.ZERO]
+    top = EpSeq((), (M,))
+    assert [run(kappa) for run in runs] == [ex.ExpansionCount(ex.EXACT, 1, (top,)),
+                                            (M, M, M, M), top]
+    for k in (1, 3, 10, 40):
+        eps = ctx.value(EpSeq((0,) * (k - 1) + (1,), (0,)))      # 1/q^k
+        for x in (kappa + eps, -eps):
+            for run in runs:
+                with pytest.raises(ex.RangeError, match="outside the expandable interval"):
+                    run(x)
 
 
 @settings(max_examples=40, deadline=None)

@@ -261,3 +261,30 @@ def test_repeated_dimension_calls_leave_q_alone():
     assert dims[0] == dims[1] == dims[2]
     dimension_of(g, ctx)
     assert ctx.field.e == e
+
+
+@pytest.mark.parametrize("radii", [
+    [(1.0, 0.5), (1.1, 0.0)],           # the widest enclosure reaches highest
+    [(1.1, 0.0), (1.0, 0.5)],
+    [(2.0, 1e-9), (2.0, 1e-3), (1.5, 0.4)],
+    [(0.3, 0.1)],
+    [(1.0, 0.25), (1.25, 0.0), (0.5, 0.75)],
+])
+def test_max_radius_encloses_every_possible_maximum(radii):
+    # the largest radius lies in [max(r - e), max(r + e)], whichever
+    # component carries it; the pair returned must cover that interval
+    r, err = spectral._max_radius(radii)
+    lo = max(Fraction(x) - Fraction(e) for x, e in radii)
+    hi = max(Fraction(x) + Fraction(e) for x, e in radii)
+    assert Fraction(r) - Fraction(err) <= lo and hi <= Fraction(r) + Fraction(err)
+    assert Fraction(err) - (hi - lo) / 2 < Fraction(1, 10**15)
+
+
+def test_max_radius_pairs():
+    # (1.1, 0.0) has the larger midpoint, yet the first radius may be 1.5
+    r, err = spectral._max_radius([(1.0, 0.5), (1.1, 0.0)])
+    assert r == 1.3 and r + err >= 1.5
+    assert spectral._max_radius([]) == (0.0, 0.0)
+    # a lone enclosure, or one with both ends highest, comes back unchanged
+    assert spectral._max_radius([(1.7, 0.125)]) == (1.7, 0.125)
+    assert spectral._max_radius([(1.7, 0.125), (1.5, 0.0)]) == (1.7, 0.125)
