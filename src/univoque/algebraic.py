@@ -4,15 +4,20 @@ A base q is specified symbolically as the unique root in (1, M+1] of an
 integer polynomial obtained by clearing denominators in the defining
 relation ``sum(beta_i / q^i) = 1``.  That polynomial may be reducible.  The
 field is built on its working polynomial R (``minpoly.working_polynomial``):
-its squarefree part less its cyclotomic factors, of which q is a simple root
-and the only root in the isolating interval.  Computing modulo R gives every
-value at q that computing modulo the minimal polynomial m_q gives; only the
-representation of an element is no longer unique when R has other factors.
+the defining polynomial less its cyclotomic factors Phi_k, k | deg P, found
+by exact division.  R need not be squarefree, but q is a simple root of it
+(``minpoly`` gives the argument) and its only root in the isolating
+interval, which is all this module needs: ``refine`` bisects on the sign
+change of R at q, a numerator coprime to R is nonzero at q, and Euclid
+against R inverts an element or ends at a common factor.  Computing modulo
+R gives every value at q that computing modulo the minimal polynomial m_q
+gives; only the representation of an element is no longer unique when R
+has other factors.
 So m_q, the irreducible factor of R vanishing at q, is certified on demand
-(``minpoly.minimal_factor``: Zassenhaus factoring of R in pure Python) where
-a unique representation is needed: to hash or print an element, to decide
-the sign of an element whose numerator shares a factor with R, and to
-invert a zero divisor of Z[t]/(R).
+(``minpoly.minimal_factor``: Zassenhaus factoring of the squarefree part of
+R in pure Python) where a unique representation is needed: to hash or
+print an element, to decide the sign of an element whose numerator shares a
+factor with R, and to invert a zero divisor of Z[t]/(R).
 This is dynamic evaluation (Della Dora, Dicrescenzo and Duval 1985).  For
 most bases R is m_q, and contexts and graphs never factor it.
 
@@ -101,8 +106,10 @@ def poly_mul(p, r):
 
 def _pseudo_divmod(p, r):
     """Pseudo-division over Z: ``l^k p = quo r + rem`` with l the leading
-    coefficient of r and k = len(p) - len(r) + 1."""
+    coefficient of r and k = len(p) - len(r) + 1, at a cost of len(p) times
+    the number of nonzero terms of r when r is monic."""
     lead, n = r[-1], len(r) - 1
+    terms = [(j, rj) for j, rj in enumerate(r) if rj]
     p = list(p)
     quo = [0] * (len(p) - n)
     for i in range(len(p) - 1 - n, -1, -1):
@@ -112,7 +119,7 @@ def _pseudo_divmod(p, r):
             quo = [x * lead for x in quo]
         quo[i] = c
         if c:
-            for j, rj in enumerate(r):
+            for j, rj in terms:
                 p[i + j] -= c * rj
     return quo, poly_trim(p[:n])
 
@@ -158,9 +165,10 @@ def _isolate_dyadic(P, M):
 
 
 class NumberField:
-    """Q(q), computed in Z[t]/(R) for a monic squarefree integer polynomial R
-    whose only root in the dyadic isolating interval [n_lo, n_hi] / 2^e,
-    0 < n_lo, is q.
+    """Q(q), computed in Z[t]/(R) for a monic integer polynomial R of which q
+    is a simple root and the only root in the dyadic isolating interval
+    [n_lo, n_hi] / 2^e, 0 < n_lo.  R need not be squarefree: its other roots
+    play no part (see the module docstring).
 
     R is the working polynomial ``working_poly``, of degree ``deg``; the
     minimal polynomial ``min_poly`` of q divides it and is certified, once,
@@ -589,18 +597,23 @@ def base_polynomial(M, beta):
 def field_for_base(P, M):
     """NumberField for the base whose defining polynomial ``P``
     (``base_polynomial``) has it as its one root in (1, M+1], built on the
-    working polynomial of P and isolated to a width of at most
-    ``INITIAL_WIDTH``; nothing is factored."""
-    n_lo, n_hi, e = _isolate_dyadic(P, M)
+    working polynomial R of P, isolated on R and narrowed to a width of at
+    most ``INITIAL_WIDTH``; nothing is factored.  P/R is a product of
+    cyclotomic polynomials, positive on (1, M+1], so the root scan of R
+    finds the cell that the root scan of P finds; R has lost t - 1, so
+    P(1) = 0 is refused on P itself.  A linear P is its own R."""
+    R = P
+    if len(P) > 2:
+        if not sum(P):
+            raise DegenerateInputError("polynomial vanishes at 1")
+        from .minpoly import working_polynomial     # minpoly builds on this module's helpers
+
+        R = working_polynomial(P)
+    n_lo, n_hi, e = _isolate_dyadic(R, M)
     if n_lo == n_hi:
         r, frac = divmod(n_lo, 1 << e)
         assert frac == 0, "rational root of a monic polynomial is an integer"
         R = (-r, 1)
-    else:
-        from .minpoly import working_polynomial     # minpoly builds on this module's helpers
-
-        # q is the only root of P in (1, M+1], so the scan cell isolates it
-        R = working_polynomial(P)
     field = NumberField(R, n_lo, n_hi, e)
     width = INITIAL_WIDTH
     while (field.n_hi - field.n_lo) * width.denominator > width.numerator << field.e:

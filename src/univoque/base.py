@@ -265,7 +265,7 @@ def _special_points(ctx):
     keys, values = {}, {}
     a = AlgebraicReal(ctx.field, ctx.field.one())
     for i, digit in enumerate(dg.word_plus(w, M), start=1):
-        keys[f"a{i}"] = EpSeq(w[i - 1:], w)
+        keys[f"a{i}"] = dg.shift(ctx.alpha, i - 1)
         values[f"a{i}"] = a
         a = apply_digit_map(a, digit)
     if a.sign() != 0:

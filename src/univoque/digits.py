@@ -106,6 +106,15 @@ class EpSeq:
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
 
+    @classmethod
+    def _canonical(cls, pre, per):
+        """The EpSeq of a (pre, per) pair already in canonical form, built
+        without the checks of ``__init__``."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "pre", pre)
+        object.__setattr__(s, "per", per)
+        return s
+
     def __setattr__(self, *a):
         raise AttributeError("EpSeq is immutable")
 
@@ -142,20 +151,24 @@ ZERO = EpSeq((), (0,))
 
 
 def reflect(s, M):
-    """Digit-wise complement ``c -> M - c`` of a word or EpSeq."""
+    """Digit-wise complement ``c -> M - c`` of a word or EpSeq.  The
+    reflection of a canonical EpSeq is canonical: a period stays primitive,
+    and two last digits that differ still differ."""
     if isinstance(s, EpSeq):
-        return EpSeq(word_reflect(s.pre, M), word_reflect(s.per, M))
+        return EpSeq._canonical(word_reflect(s.pre, M), word_reflect(s.per, M))
     return word_reflect(s, M)
 
 
 def shift(s, n):
-    """Drop the first ``n`` digits of an EpSeq."""
+    """Drop the first ``n`` digits of an EpSeq.  The result is canonical: it
+    keeps the end of the preperiod, or has none, and its period is a
+    rotation of a primitive one."""
     if n < 0:
         raise ValueError("shift amount must be nonnegative")
     if n <= len(s.pre):
-        return EpSeq(s.pre[n:], s.per)
+        return EpSeq._canonical(s.pre[n:], s.per)
     k = (n - len(s.pre)) % len(s.per)
-    return EpSeq((), s.per[k:] + s.per[:k])
+    return EpSeq._canonical((), s.per[k:] + s.per[:k])
 
 
 def prefix(s, n):

@@ -2,32 +2,44 @@
 
 The defining polynomial P of a base (``algebraic.base_polynomial``) is a
 monic integer polynomial that may be reducible; the base q is a root of
-exactly one of its monic irreducible factors.  Steps 1 and 2
-(``working_polynomial``) give the working polynomial R, on which the field
-of the base is built; steps 3 and 4 (``minimal_factor``) find q's factor of
+exactly one of its monic irreducible factors.  Step 1
+(``working_polynomial``) gives the working polynomial R, on which the field
+of the base is built; steps 2 to 4 (``minimal_factor``) find q's factor of
 R, and run only when the field certifies its minimal polynomial on demand
 (``algebraic.NumberField.min_poly``).
 
-1. Squarefree part.  If gcd(P, P') is 1 modulo a large prime, P is
+1. Cyclotomic strip.  For each k dividing L = deg P, the cyclotomic
+   polynomial Phi_k divides P exactly when it divides P folded modulo
+   t^k - 1 (coefficient i added into slot i mod k), of degree below k;
+   while it does, Phi_k is divided out.  Phi_k is built exactly
+   (``_cyclotomic``) and is sparse along successor chains, so each division
+   costs about the length of P.  No gcd is taken.  Other factors stay in
+   R, repeated ones and any Phi_k with k not dividing L among them: steps 2
+   and 3 deal with them when the minimal polynomial is certified.
+2. Squarefree part.  If gcd(R, R') is 1 modulo a large prime, R is
    squarefree (the common case); otherwise the exact gcd, from a primitive
    PRS, is divided out.
-2. Cyclotomic strip.  The gcd of that squarefree part R and t^L - 1,
-   L = deg P, is computed modulo the large prime and divided out of R once
-   exact division confirms that it divides both.  Factors it misses stay
-   in R: step 3 finds them when the minimal polynomial is certified.
 3. Factorization (Zassenhaus 1969).  Modulo the first small prime that
-   keeps R squarefree, distinct-degree factorization and Cantor-Zassenhaus
-   split R into its modular factors.  These are Hensel-lifted modulo
-   p^k > 2 x the Landau-Mignotte bound and recombined in subsets of
-   increasing size, up to half of them, each candidate checked by exact
-   trial division; what is left is irreducible.  One modular factor means
-   R is irreducible and nothing is recombined.  At most
-   ``RECOMBINATION_CAP`` subsets are tried.
+   keeps that squarefree part squarefree, distinct-degree factorization and
+   Cantor-Zassenhaus split it into its modular factors.  These are
+   Hensel-lifted modulo p^k > 2 x the Landau-Mignotte bound and recombined
+   in subsets of increasing size, up to half of them, each candidate
+   checked by exact trial division; what is left is irreducible.  One
+   modular factor means it is irreducible and nothing is recombined.  At
+   most ``RECOMBINATION_CAP`` subsets are tried.
 4. The one irreducible factor that changes sign over the isolating interval
    of q, or vanishes at it if refinement has met q exactly.
 
+R need not be squarefree; everything but step 3 needs only that q is a
+simple root of R.  It is one of P: P is t^K, or t^|w| (t^|p| - 1) for a
+periodic beta = w(p), times 1 - f(t) with f(t) = sum(beta_i t^-i); that
+first factor is positive at q > 1 and f is strictly decreasing on t > 0,
+so P'(q) != 0.  The cofactor P/R is a product of cyclotomic polynomials,
+which are positive on (1, M+1], so P and R have the same signs there and
+isolating q on R gives the cell that isolating it on P gives.
+
 ``coprime`` spares the field step 3 on a sign it must refine: a numerator
-whose gcd with R modulo the large prime is 1 is nonzero at q.
+whose gcd with R modulo the large prime is 1 is nonzero at every root of R.
 
 Polynomials are little-endian int tuples, as in ``algebraic``; modulo m
 their coefficients lie in [0, m).
@@ -124,7 +136,31 @@ def _powmod(a, k, f, m):
     return out
 
 
-# --- steps 1 and 2: squarefree part and cyclotomic strip --------------------
+# --- step 1: cyclotomic strip ----------------------------------------------
+
+def _stretch(a, s):
+    """a(t^s)."""
+    out = [0] * ((len(a) - 1) * s + 1)
+    out[::s] = a
+    return tuple(out)
+
+
+def _cyclotomic(k):
+    """Phi_k, exactly: Phi_1 = t - 1, Phi_mp(t) = Phi_m(t^p) / Phi_m(t) for
+    each prime p of the radical m of k, then t -> t^(k/m)."""
+    phi, m, n, p = (-1, 1), 1, k, 2
+    while n > 1:
+        if p * p > n:
+            p = n                                # what is left is prime
+        if n % p == 0:
+            phi, m = _pseudo_divmod(_stretch(phi, p), phi)[0], m * p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return _stretch(phi, k // m)
+
+
+# --- step 2: squarefree part ------------------------------------------------
 
 def _primitive(a):
     """a divided by its content, with a positive leading coefficient."""
@@ -148,20 +184,6 @@ def _squarefree_part(P):
     quo, rem = _pseudo_divmod(P, b)
     assert not rem, "gcd(P, P') does not divide P"
     return poly_trim(quo)
-
-
-def _strip_cyclotomic(R, L):
-    cyc = (-1,) + (0,) * (L - 1) + (1,)      # t^L - 1
-    while len(R) > 1:
-        g = _gcd(_mod(R, LARGE_PRIME), _mod(cyc, LARGE_PRIME), LARGE_PRIME)
-        if len(g) == 1:
-            break
-        g = _symmetric(g, LARGE_PRIME)
-        quo, rem = _pseudo_divmod(R, g)
-        if rem or _pseudo_divmod(cyc, g)[1]:
-            break
-        R = poly_trim(quo)
-    return R
 
 
 # --- step 3: Zassenhaus ----------------------------------------------------
@@ -281,26 +303,37 @@ def _factors(R):
 
 
 def working_polynomial(P):
-    """Steps 1 and 2: the squarefree part of the monic P, less the cyclotomic
-    factors that exact division confirms."""
-    return _strip_cyclotomic(_squarefree_part(P), len(P) - 1)
+    """Step 1: the monic P less each cyclotomic factor Phi_k, k | deg P, as
+    often as it divides P exactly."""
+    L, R = len(P) - 1, P
+    for k in range(1, L + 1):
+        if L % k:
+            continue
+        phi = _cyclotomic(k)
+        # Phi_k divides t^k - 1, so R is Phi_k times a polynomial exactly when
+        # R folded modulo t^k - 1 is
+        while len(R) > 1 and not _pseudo_divmod([sum(R[j::k]) for j in range(k)], phi)[1]:
+            R = tuple(_pseudo_divmod(R, phi)[0])
+    return R
 
 
 def coprime(p, R):
     """Whether the integer polynomial p is proved coprime to the monic R: their
     gcd modulo ``LARGE_PRIME`` is 1.  R is monic, so a common factor over Q
-    survives the reduction; False proves nothing."""
+    survives the reduction; then p is nonzero at every root of R.  False
+    proves nothing."""
     return len(_gcd(_mod(R, LARGE_PRIME), _mod(p, LARGE_PRIME), LARGE_PRIME)) == 1
 
 
 def minimal_factor(R, n_lo, n_hi, e):
-    """Steps 3 and 4: the monic irreducible factor of the monic squarefree R
-    with a root in [n_lo, n_hi] / 2^e, an interval where R has one root.
+    """Steps 2 to 4: the monic irreducible factor of the monic R with a root
+    in [n_lo, n_hi] / 2^e, an interval where R has one root, and a simple
+    one.
 
     Exactly one irreducible factor changes sign over the interval, or
     vanishes at it when n_lo = n_hi; no root of R is an endpoint otherwise.
     """
-    candidates = [f for f in _factors(R)
+    candidates = [f for f in _factors(_squarefree_part(R))
                   if _sign(_dyadic_eval(f, n_lo, e)) * _sign(_dyadic_eval(f, n_hi, e)) <= 0]
     if len(candidates) != 1:
         raise DegenerateInputError("could not isolate a unique irreducible factor")

@@ -66,15 +66,25 @@ def brute_count_expansions(ctx, x, depth):
         raise ValueError(f"oracle depth must be nonnegative, got {depth}")
     if depth > 24:
         raise ValueError("oracle depth is capped at 24")
-    kappa = ctx.kappa
+    field, kappa = ctx.field, ctx.kappa
+    # an enclosure of kappa, still valid once q is refined further
+    klo, khi, kd = field.enclosure(kappa.elem)
 
     def feasible(v):
-        out = []
+        # the digits d with 0 <= q*v - d <= kappa; q*v lies in [lo/D, hi/D],
+        # and only a bound that this enclosure leaves open takes an exact sign
         qv = v.mul_gen()
-        for d in range(ctx.M + 1):
+        lo, hi, D = field.enclosure(qv.elem)
+        out = []
+        for d in range(min(ctx.M, hi // D) + 1):
+            if (lo - d * D) * kd > khi * D:
+                continue
             nxt = qv - d
-            if nxt.sign() >= 0 and (nxt - kappa).sign() <= 0:
-                out.append((d, nxt))
+            if d * D > lo and nxt.sign() < 0:
+                continue
+            if (hi - d * D) * kd > klo * D and (nxt - kappa).sign() > 0:
+                continue
+            out.append((d, nxt))
         return out
 
     def forced(v):

@@ -83,6 +83,32 @@ def test_shift_examples():
     assert dg.shift(s, 0) == s
 
 
+def assert_canonical(s):
+    assert dg._primitive(s.per) == s.per
+    assert not s.pre or s.pre[-1] != s.per[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_shift_and_reflect_stay_canonical(M, data):
+    # a nonempty preperiod and a period passed as a power of a shorter word
+    digits = st.integers(0, M)
+    pre = data.draw(st.lists(digits, min_size=1, max_size=6))
+    per = data.draw(st.lists(digits, min_size=1, max_size=4)) * data.draw(st.integers(1, 3))
+    s = EpSeq(pre, per)
+    n = data.draw(st.integers(0, len(pre) + 2 * len(per)))
+    # past the preperiod and n digits, the tail of s is a rotation of its
+    # period, passed here twice over
+    m = n + len(s.pre) + len(per)
+    k = (m - len(s.pre)) % len(s.per)
+    shifted = dg.shift(s, n)
+    assert shifted == EpSeq(dg.prefix(s, m)[n:], (s.per[k:] + s.per[:k]) * 2)
+    assert_canonical(shifted)
+    reflected = dg.reflect(s, M)
+    assert reflected == EpSeq([M - d for d in pre], [M - d for d in per])
+    assert_canonical(reflected)
+
+
 def test_lex_cmp_examples():
     assert dg.lex_cmp(seq("(10)"), seq("(1100)")) == dg.LT
     s = seq("11(01)")

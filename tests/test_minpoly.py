@@ -15,8 +15,8 @@ import univoque
 from univoque import cli, minpoly
 from univoque import digits as dg
 from univoque import expansions as ex
-from univoque.algebraic import (DegenerateInputError, _dyadic_eval, _sign, base_polynomial,
-                                field_for_base)
+from univoque.algebraic import (DegenerateInputError, _dyadic_eval, _isolate_dyadic, _sign,
+                                base_polynomial, field_for_base)
 from univoque.base import new_base_context, order_points, v_successor
 from univoque.digits import EpSeq
 from univoque.graph import FULL, TILDE, TILDE1, build_graph, check_isomorphic, connectivity_report
@@ -227,13 +227,85 @@ def test_factors_when_no_prime_certifies():
     assert sorted(minpoly._factors(product)) == sorted([sd, cubic])
 
 
-def test_cyclotomic_strip_keeps_only_exact_divisors(monkeypatch):
+def test_cyclotomic_strip_keeps_only_exact_divisors():
+    mul = univoque.algebraic.poly_mul
     # (t + 1) divides t^2 - 1 and is stripped; (t - 8) is not cyclotomic
-    R = univoque.algebraic.poly_mul((-8, 1), (1, 1))
-    assert minpoly._strip_cyclotomic(R, 2) == (-8, 1)
-    # modulo 7, t - 8 is t - 1, a divisor of t^1 - 1; exact division refuses it
-    monkeypatch.setattr(minpoly, "LARGE_PRIME", 7)
-    assert minpoly._strip_cyclotomic((-8, 1), 1) == (-8, 1)
+    assert minpoly.working_polynomial(mul((-8, 1), (1, 1))) == (-8, 1)
+    # a linear P with no cyclotomic factor is its own R
+    assert minpoly.working_polynomial((-8, 1)) == (-8, 1)
+    # a repeated cyclotomic factor leaves completely
+    assert minpoly.working_polynomial(mul((-8, 0, 1), mul((1, 1), (1, 1)))) == (-8, 0, 1)
+    # Phi_2 does not divide t^3 - 1, so only divisors k of deg P are tried
+    P = mul((-8, 1), mul((1, 1), (1, 1)))
+    assert minpoly.working_polynomial(P) == P
+
+
+def gcd_working_polynomial(P):
+    """The working polynomial by gcds modulo the large prime: the squarefree
+    part of P, less its gcd with t^L - 1, L = deg P, once exact division
+    confirms that gcd.  A reference for ``minpoly.working_polynomial``."""
+    m = minpoly.LARGE_PRIME
+    R = minpoly._squarefree_part(P)
+    cyc = (-1,) + (0,) * (len(P) - 2) + (1,)
+    while len(R) > 1:
+        g = minpoly._gcd(minpoly._mod(R, m), minpoly._mod(cyc, m), m)
+        if len(g) == 1:
+            break
+        g = minpoly._symmetric(g, m)
+        quo, rem = univoque.algebraic._pseudo_divmod(R, g)
+        if rem or univoque.algebraic._pseudo_divmod(cyc, g)[1]:
+            break
+        R = univoque.algebraic.poly_trim(quo)
+    return R
+
+
+def assert_strip_matches_gcds(ctx):
+    P, R = ctx.defining_poly, ctx.field.working_poly
+    assert R == gcd_working_polynomial(P), dg.format_seq(ctx.beta)
+    assert _isolate_dyadic(R, ctx.M) == _isolate_dyadic(P, ctx.M), dg.format_seq(ctx.beta)
+
+
+def test_strip_matches_gcds_along_chains(battery):
+    for ctx in battery:
+        for succ in chain(ctx.M, ctx.beta, 4):
+            assert_strip_matches_gcds(succ)
+    for ctx in chain(1, "111(0)", 8):
+        assert_strip_matches_gcds(ctx)
+    # after two steps P has the repeated factor (t + 1)^2, and R loses both copies
+    for ctx in chain(2, "222002000222002(0)", 3):
+        assert_strip_matches_gcds(ctx)
+        assert _dyadic_eval(ctx.field.working_poly, -1, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(greedy_betas())
+def test_strip_matches_gcds_on_random_bases(case):
+    M, beta = case
+    P = base_polynomial(M, beta)
+    R = minpoly.working_polynomial(P)
+    assert R == gcd_working_polynomial(P)
+    try:
+        cell = _isolate_dyadic(P, M)
+    except DegenerateInputError:
+        return
+    assert _isolate_dyadic(R, M) == cell
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    import sympy
+
+    t = sympy.Symbol("t")
+    for k in list(range(1, 201)) + [3 << j for j in range(11)]:
+        coeffs = sympy.Poly(sympy.cyclotomic_poly(k, t), t).all_coeffs()
+        assert minpoly._cyclotomic(k) == tuple(int(c) for c in reversed(coeffs)), k
+
+
+def test_deep_context_takes_no_gcd(monkeypatch):
+    # the strip divides exactly; only certifying m_q needs a squarefree R
+    beta = chain(1, "111(0)", 8)[-1].beta
+    gcds, squarefree = spy(monkeypatch, "_gcd"), spy(monkeypatch, "_squarefree_part")
+    assert new_base_context(1, beta).field.deg == 385
+    assert gcds == [] and squarefree == []
 
 
 def test_hensel_lift_reproduces_known_factors():

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_context
+from conftest import BATTERY, random_context
 from univoque import digits as dg
 from univoque import oracle
+from univoque.algebraic import NumberField, _isolate_dyadic
 from univoque.base import SearchBoundError, golden_ratio_base, new_base_context, v_successor
 from univoque.graph import FULL, build_graph, path_words
 from univoque.oracle import (U_PREFIX, V_PREFIX, brute_count_expansions,
@@ -211,3 +212,40 @@ def test_brute_count_stops_past_its_node_budget(monkeypatch):
     monkeypatch.setattr(oracle, "BRUTE_NODE_BUDGET", nodes - 1)
     with pytest.raises(SearchBoundError, match=f"to depth 6 has more than {nodes - 1} nodes"):
         brute_count_expansions(ctx, one, 6)
+
+
+def feasible_level(ctx, x, depth):
+    """The remainders of the feasible prefixes of length ``depth``, by two
+    exact comparisons per digit."""
+    level = [x]
+    for _ in range(depth):
+        level = [y for v in level for d in range(ctx.M + 1)
+                 if 0 <= (y := v.mul_gen() - d) <= ctx.kappa]
+    return level
+
+
+def open_points(ctx, seed):
+    """1/q - 1/q^30, whose q-multiple lies just below 1, and three random
+    points, all in [0, kappa]."""
+    rng = random.Random(seed)
+    M = ctx.M
+    out = [ctx.value(seq("1(0)")) - ctx.value(dg.EpSeq((0,) * 29 + (1,), (0,)))]
+    for _ in range(3):
+        out.append(ctx.value(dg.EpSeq([rng.randint(0, M) for _ in range(rng.randint(0, 3))],
+                                      [rng.randint(0, M) for _ in range(rng.randint(1, 3))])))
+    return out
+
+
+def test_brute_count_decides_open_digits_exactly():
+    # left on the cell of the root scan, the field's enclosures of q*v leave
+    # digits open, which only exact signs decide
+    for seed, (M, beta) in enumerate(BATTERY):
+        for i in range(4):
+            coarse = new_base_context(M, beta)
+            coarse.field = NumberField(coarse.field.working_poly,
+                                       *_isolate_dyadic(coarse.defining_poly, M))
+            fine = new_base_context(M, beta)
+            x, y = open_points(coarse, seed)[i], open_points(fine, seed)[i]
+            bounds = brute_count_expansions(coarse, x, 5)
+            assert bounds == brute_count_expansions(fine, y, 5), (beta, i)
+            assert bounds[1] == len(feasible_level(fine, y, 5)), (beta, i)
