@@ -1,25 +1,40 @@
 """Exact arithmetic in the field generated by the base.
 
 A base q is specified symbolically as the unique root in (1, M+1] of an
-integer polynomial obtained by clearing denominators in the defining
-relation ``sum(beta_i / q^i) = 1``.  That polynomial may be reducible.  The
-field is built on its working polynomial R (``minpoly.working_polynomial``):
-the defining polynomial less its cyclotomic factors Phi_k, k | deg P, found
-by exact division.  R need not be squarefree, but q is a simple root of it
-(``minpoly`` gives the argument) and its only root in the isolating
-interval, which is all this module needs: ``refine`` bisects on the sign
-change of R at q, a numerator coprime to R is nonzero at q, and Euclid
-against R inverts an element or ends at a common factor.  Computing modulo
-R gives every value at q that computing modulo the minimal polynomial m_q
-gives; only the representation of an element is no longer unique when R
-has other factors.
+integer polynomial P obtained by clearing denominators in the defining
+relation ``sum(beta_i / q^i) = 1`` (``base_polynomial``).  P may be
+reducible.  The field is built on its working polynomial R
+(``working_polynomial``): P less its cyclotomic factors Phi_k, k | deg P,
+found by exact division.  For each such k, Phi_k divides P exactly when it
+divides P folded modulo t^k - 1 (coefficient i added into slot i mod k), of
+degree below k; while it does, Phi_k is divided out.  Phi_k is built
+exactly (``_cyclotomic``) and is sparse along successor chains, so each
+division costs about the length of P.  Other factors stay in R, repeated
+ones and any Phi_k with k not dividing deg P among them.
+
+R need not be squarefree, but q is a simple root of it and its only root in
+(1, M+1].  P is t^K, or t^|w| (t^|p| - 1) for a periodic beta = w(p), a
+factor positive for t > 1, times 1 - f(t) with f(t) = sum(beta_i t^-i).
+f is strictly decreasing on t > 0, so q is P's one root on t > 1, and
+P'(q) != 0.  P(1) < 0: for a finite beta it is 1 - f(1), where f(1), the
+digit sum, is at least 2 because ``1(0)`` is refused; for a periodic one it
+is minus the digit sum of the period.  And f(M+1) <= 1, so P(M+1) >= 0.
+P/R is a product of cyclotomic polynomials Phi_k, k >= 2 (Phi_1 = t - 1
+does not divide P, as P(1) != 0), which are positive on [1, M+1].  So R(1) < 0 <= R(M+1), and q
+is the one root of R in that bracket, a simple one.  That is all this
+module needs: ``refine`` bisects on the sign change of R at q, a numerator
+coprime to R is nonzero at q, and Euclid against R inverts an element or
+ends at a common factor.  Computing modulo R gives every value at q that
+computing modulo the minimal polynomial m_q gives; only the representation
+of an element is no longer unique when R has other factors.
 So m_q, the irreducible factor of R vanishing at q, is certified on demand
 (``minpoly.minimal_factor``: Zassenhaus factoring of the squarefree part of
 R in pure Python) where a unique representation is needed: to hash or
 print an element, to decide the sign of an element whose numerator shares a
 factor with R, and to invert a zero divisor of Z[t]/(R).
 This is dynamic evaluation (Della Dora, Dicrescenzo and Duval 1985).  For
-most bases R is m_q, and contexts and graphs never factor it.
+most bases R is m_q, and contexts and graphs never factor it: ``minpoly``
+is imported only to certify m_q or to test a numerator coprime to R.
 
 An element of Q(q) is one tuple of Python ints ``(c_0, ..., c_{d-1}, den)``
 standing for ``sum(c_i q^i) / den``, with d = deg R, ``den > 0`` and the gcd
@@ -30,10 +45,12 @@ monic, so products reduce over the integers; multiplying by q is a shift
 plus one reduction step, and dividing by q is one step with the constant
 term of R.
 
-The root is isolated in a dyadic interval ``[n_lo, n_hi] / 2^e``: a scan of
-(1, M+1] at 64 marks finds the cell where the defining polynomial changes
-sign, ``NumberField.refine`` (the one bisection of q) narrows it to
-``INITIAL_WIDTH`` = 1/10^12, and from then on it is refined only on demand.
+The root is isolated in a dyadic interval ``[n_lo, n_hi] / 2^e``: the
+bracket [1, M+1] at e = 0, where R changes sign, is narrowed by
+``NumberField.refine`` (the one bisection of q) to ``INITIAL_WIDTH`` =
+1/10^12, and from then on it is refined only on demand.  The k-th bisection
+of the bracket has the cells (2^k + M j) / 2^k; refinement stops early on a
+midpoint that is q, and an integer q = M + 1 starts as the point [M+1, M+1].
 Every value is decided one way, by ``NumberField.settle``: interval Horner
 on the element's numerator, in integers scaled by powers of two, encloses
 its value, and q is refined until a monotone step function (the sign, the
@@ -68,7 +85,8 @@ INITIAL_WIDTH = Q(1, 10**12)
 
 
 class DegenerateInputError(ValueError):
-    """Root isolation did not find exactly one root in the target interval."""
+    """The polynomial does not isolate one root in the bracket [1, M+1], or
+    the minimal polynomial of that root could not be certified."""
 
 
 # --- integer polynomials as little-endian coefficient tuples --------------
@@ -109,7 +127,8 @@ def _pseudo_divmod(p, r):
     coefficient of r and k = len(p) - len(r) + 1, at a cost of len(p) times
     the number of nonzero terms of r when r is monic."""
     lead, n = r[-1], len(r) - 1
-    terms = [(j, rj) for j, rj in enumerate(r) if rj]
+    # the leading term cancels p[i + n], which is never read again
+    terms = [(j, rj) for j, rj in enumerate(r[:-1]) if rj]
     p = list(p)
     quo = [0] * (len(p) - n)
     for i in range(len(p) - 1 - n, -1, -1):
@@ -134,34 +153,6 @@ def _dyadic_eval(p, n, e):
 
 def _sign(x):
     return (x > 0) - (x < 0)
-
-
-def _isolate_dyadic(P, M):
-    """The cell ``(n_lo, n_hi, e)``, i.e. [n_lo, n_hi] / 2^e, of a 64-mark
-    scan of (1, M+1] in which ``P`` changes sign; [r, r] when a mark is the
-    root.  Raises DegenerateInputError unless the scan sees exactly one sign
-    change."""
-    P = poly_trim(P)
-    if not P:
-        raise DegenerateInputError("zero polynomial")
-    grid, e = 64, 6                  # marks 1 + M i / 64 = (64 + M i) / 2^6
-    marks = [grid + M * i for i in range(grid + 1)]
-    signs = [_sign(_dyadic_eval(P, x, e)) for x in marks]
-    if signs[0] == 0:
-        raise DegenerateInputError("polynomial vanishes at 1")
-    changes = []
-    for i in range(grid):
-        if signs[i + 1] == 0:
-            if i + 1 < grid and signs[i + 2] == 0:
-                raise DegenerateInputError("polynomial vanishes on a subinterval")
-            changes.append((marks[i + 1], marks[i + 1]))
-        elif signs[i] != 0 and signs[i] != signs[i + 1]:
-            changes.append((marks[i], marks[i + 1]))
-    if len(changes) != 1:
-        raise DegenerateInputError(
-            f"expected exactly one root in (1, {M + 1}], found {len(changes)} sign changes")
-    lo, hi = changes[0]
-    return lo, hi, e
 
 
 class NumberField:
@@ -281,14 +272,8 @@ class NumberField:
             if x:
                 for j, y in enumerate(b[:-1]):
                     prod[i + j] += x * y
-        low = self._low
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i]
-            if c:
-                base = i - d
-                for j, m in enumerate(low):
-                    prod[base + j] -= c * m
-        return self.element(prod[:d], a[-1] * b[-1])
+        rem = _pseudo_divmod(prod, self.working_poly)[1]       # monic: exact
+        return self.element(list(rem) + [0] * (d - len(rem)), a[-1] * b[-1])
 
     def mul_gen(self, a):
         """q * a: a shift, then one reduction by the monic working polynomial R."""
@@ -594,27 +579,60 @@ def base_polynomial(M, beta):
     return poly_sub(poly_mul(poly_sub(tw, W), cyc), P)
 
 
+def _stretch(a, s):
+    """a(t^s)."""
+    out = [0] * ((len(a) - 1) * s + 1)
+    out[::s] = a
+    return tuple(out)
+
+
+def _cyclotomic(k):
+    """Phi_k, exactly: Phi_1 = t - 1, Phi_mp(t) = Phi_m(t^p) / Phi_m(t) for
+    each prime p of the radical m of k, then t -> t^(k/m)."""
+    phi, m, n, p = (-1, 1), 1, k, 2
+    while n > 1:
+        if p * p > n:
+            p = n                                # what is left is prime
+        if n % p == 0:
+            phi, m = _pseudo_divmod(_stretch(phi, p), phi)[0], m * p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return _stretch(phi, k // m)
+
+
+def working_polynomial(P):
+    """The monic P less each cyclotomic factor Phi_k, k | deg P, as often as
+    it divides P exactly (see the module docstring)."""
+    L, R = len(P) - 1, P
+    for k in range(1, L + 1):
+        if L % k:
+            continue
+        phi = _cyclotomic(k)
+        # Phi_k divides t^k - 1, so R is Phi_k times a polynomial exactly when
+        # R folded modulo t^k - 1 is
+        while len(R) > 1 and not _pseudo_divmod([sum(R[j::k]) for j in range(k)], phi)[1]:
+            R = tuple(_pseudo_divmod(R, phi)[0])
+    return R
+
+
 def field_for_base(P, M):
     """NumberField for the base whose defining polynomial ``P``
     (``base_polynomial``) has it as its one root in (1, M+1], built on the
-    working polynomial R of P, isolated on R and narrowed to a width of at
-    most ``INITIAL_WIDTH``; nothing is factored.  P/R is a product of
-    cyclotomic polynomials, positive on (1, M+1], so the root scan of R
-    finds the cell that the root scan of P finds; R has lost t - 1, so
-    P(1) = 0 is refused on P itself.  A linear P is its own R."""
-    R = P
-    if len(P) > 2:
-        if not sum(P):
-            raise DegenerateInputError("polynomial vanishes at 1")
-        from .minpoly import working_polynomial     # minpoly builds on this module's helpers
-
-        R = working_polynomial(P)
-    n_lo, n_hi, e = _isolate_dyadic(R, M)
-    if n_lo == n_hi:
-        r, frac = divmod(n_lo, 1 << e)
-        assert frac == 0, "rational root of a monic polynomial is an integer"
-        R = (-r, 1)
-    field = NumberField(R, n_lo, n_hi, e)
+    working polynomial R of P and narrowed from the bracket [1, M+1] to a
+    width of at most ``INITIAL_WIDTH``; nothing is factored.  R changes sign
+    over the bracket (see the module docstring).  A root at its end,
+    q = M + 1, starts as the point [M+1, M+1], which bisection never
+    reaches.  DegenerateInputError for a P that vanishes at 1 (checked on P:
+    the strip takes t - 1 out of R) or whose R keeps one sign over the
+    bracket, a constant P among them."""
+    if not sum(P):
+        raise DegenerateInputError("polynomial vanishes at 1")
+    R = working_polynomial(P)
+    top = _sign(_dyadic_eval(R, M + 1, 0))
+    if _sign(_dyadic_eval(R, 1, 0)) == top:
+        raise DegenerateInputError(f"polynomial does not change sign over [1, {M + 1}]")
+    field = NumberField(R, 1 if top else M + 1, M + 1, 0)
     width = INITIAL_WIDTH
     while (field.n_hi - field.n_lo) * width.denominator > width.numerator << field.e:
         field.refine()

@@ -57,7 +57,9 @@ def memo(owner, fn, *args):
     The key is the function with its arguments, so callers pass normalised
     arguments (defaults filled in) and run their argument and class checks
     before calling: a check belongs to every call, not only to the first.
-    Every caller gets the same object, which must not be mutated.
+    Every caller gets the same object, which must not be mutated; the one
+    exception is the remainder map of ``expansions._move_map``, which grows
+    by design and which its one reader bounds.
     """
     cache = owner._cache
     key = (fn, *args)

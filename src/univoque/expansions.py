@@ -18,11 +18,11 @@ on the field's current isolating interval and one enclosure of M/(q-1),
 taken once per context (refining q only narrows it), and q*v - M/(q-1) is
 formed, and an exact sign computed, only for a digit that these leave
 undecided.  A remainder's moves are facts about the base, so the context
-keeps those of every remainder it has met, next to what ``base.memo``
-derives, and one move function built on that map serves counts and greedy
-runs alike: the greedy digit is the largest move, and a point lies in
-[0, M/(q-1)] exactly when it has a move.  A run that leaves more than
-``DEFAULT_STATE_CAP`` remainders there empties the map.
+keeps those of every remainder it has met in one map, memoized with the
+move function that fills it (``base.memo``), and that function serves
+counts and greedy runs alike: the greedy digit is the largest move, and a
+point lies in [0, M/(q-1)] exactly when it has a move.  A run that leaves
+more than ``DEFAULT_STATE_CAP`` remainders there empties the map.
 
 The witness constructor produces, for any admissible tail sequence, a point
 with exactly m expansions for each m >= 1, by prefixing the tail with
@@ -103,12 +103,13 @@ def _feasible_moves(field, M, kappa, kbox, v):
 
 def _move_map(ctx):
     """The context's move function ``moves(v)`` for a reduced element v, and
-    the map ``ctx._cache[_feasible_moves]`` in which it keeps the moves of
-    each remainder, computed once from one enclosure of kappa and reduced on
-    a reducible field, where remainders are hashed.  Built once (``memo``)."""
+    the map ``known`` in which it keeps the moves of each remainder,
+    computed once from one enclosure of kappa and reduced on a reducible
+    field, where remainders are hashed.  Built once (``memo``); the map is
+    the one part of a memoized value that grows, and ``_walk`` bounds it."""
     field, M, kappa = ctx.field, ctx.M, ctx.kappa.elem
     kbox = field.enclosure(kappa)
-    known = ctx._cache.setdefault(_feasible_moves, {})
+    known = {}
 
     def moves(v):
         if v not in known:

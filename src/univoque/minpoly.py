@@ -1,25 +1,17 @@
-"""The working and the minimal polynomial of a base.
+"""The minimal polynomial of a base.
 
-The defining polynomial P of a base (``algebraic.base_polynomial``) is a
-monic integer polynomial that may be reducible; the base q is a root of
-exactly one of its monic irreducible factors.  Step 1
-(``working_polynomial``) gives the working polynomial R, on which the field
-of the base is built; steps 2 to 4 (``minimal_factor``) find q's factor of
-R, and run only when the field certifies its minimal polynomial on demand
+The field of a base q is built on its working polynomial R
+(``algebraic.working_polynomial``), a monic integer polynomial that may be
+reducible; q is a simple root of exactly one of its monic irreducible
+factors, m_q.  ``minimal_factor`` finds that factor, and runs only when the
+field certifies its minimal polynomial on demand
 (``algebraic.NumberField.min_poly``).
 
-1. Cyclotomic strip.  For each k dividing L = deg P, the cyclotomic
-   polynomial Phi_k divides P exactly when it divides P folded modulo
-   t^k - 1 (coefficient i added into slot i mod k), of degree below k;
-   while it does, Phi_k is divided out.  Phi_k is built exactly
-   (``_cyclotomic``) and is sparse along successor chains, so each division
-   costs about the length of P.  No gcd is taken.  Other factors stay in
-   R, repeated ones and any Phi_k with k not dividing L among them: steps 2
-   and 3 deal with them when the minimal polynomial is certified.
-2. Squarefree part.  If gcd(R, R') is 1 modulo a large prime, R is
+1. Squarefree part.  R need not be squarefree, and step 2 needs a
+   squarefree polynomial.  If gcd(R, R') is 1 modulo a large prime, R is
    squarefree (the common case); otherwise the exact gcd, from a primitive
    PRS, is divided out.
-3. Factorization (Zassenhaus 1969).  Modulo the first small prime that
+2. Factorization (Zassenhaus 1969).  Modulo the first small prime that
    keeps that squarefree part squarefree, distinct-degree factorization and
    Cantor-Zassenhaus split it into its modular factors.  These are
    Hensel-lifted modulo p^k > 2 x the Landau-Mignotte bound and recombined
@@ -27,19 +19,12 @@ R, and run only when the field certifies its minimal polynomial on demand
    checked by exact trial division; what is left is irreducible.  One
    modular factor means it is irreducible and nothing is recombined.  At
    most ``RECOMBINATION_CAP`` subsets are tried.
-4. The one irreducible factor that changes sign over the isolating interval
+3. The one irreducible factor that changes sign over the isolating interval
    of q, or vanishes at it if refinement has met q exactly.
 
-R need not be squarefree; everything but step 3 needs only that q is a
-simple root of R.  It is one of P: P is t^K, or t^|w| (t^|p| - 1) for a
-periodic beta = w(p), times 1 - f(t) with f(t) = sum(beta_i t^-i); that
-first factor is positive at q > 1 and f is strictly decreasing on t > 0,
-so P'(q) != 0.  The cofactor P/R is a product of cyclotomic polynomials,
-which are positive on (1, M+1], so P and R have the same signs there and
-isolating q on R gives the cell that isolating it on P gives.
-
-``coprime`` spares the field step 3 on a sign it must refine: a numerator
-whose gcd with R modulo the large prime is 1 is nonzero at every root of R.
+``coprime`` spares the field these steps on a sign it must refine: a
+numerator whose gcd with R modulo the large prime is 1 is nonzero at every
+root of R.
 
 Polynomials are little-endian int tuples, as in ``algebraic``; modulo m
 their coefficients lie in [0, m).
@@ -136,31 +121,7 @@ def _powmod(a, k, f, m):
     return out
 
 
-# --- step 1: cyclotomic strip ----------------------------------------------
-
-def _stretch(a, s):
-    """a(t^s)."""
-    out = [0] * ((len(a) - 1) * s + 1)
-    out[::s] = a
-    return tuple(out)
-
-
-def _cyclotomic(k):
-    """Phi_k, exactly: Phi_1 = t - 1, Phi_mp(t) = Phi_m(t^p) / Phi_m(t) for
-    each prime p of the radical m of k, then t -> t^(k/m)."""
-    phi, m, n, p = (-1, 1), 1, k, 2
-    while n > 1:
-        if p * p > n:
-            p = n                                # what is left is prime
-        if n % p == 0:
-            phi, m = _pseudo_divmod(_stretch(phi, p), phi)[0], m * p
-            while n % p == 0:
-                n //= p
-        p += 1
-    return _stretch(phi, k // m)
-
-
-# --- step 2: squarefree part ------------------------------------------------
+# --- step 1: squarefree part ------------------------------------------------
 
 def _primitive(a):
     """a divided by its content, with a positive leading coefficient."""
@@ -186,7 +147,7 @@ def _squarefree_part(P):
     return poly_trim(quo)
 
 
-# --- step 3: Zassenhaus ----------------------------------------------------
+# --- step 2: Zassenhaus ----------------------------------------------------
 
 def _ddf(f, p):
     """Distinct-degree factorization of a monic squarefree f modulo p: the
@@ -302,21 +263,6 @@ def _factors(R):
     raise DegenerateInputError("no small prime keeps the polynomial squarefree")
 
 
-def working_polynomial(P):
-    """Step 1: the monic P less each cyclotomic factor Phi_k, k | deg P, as
-    often as it divides P exactly."""
-    L, R = len(P) - 1, P
-    for k in range(1, L + 1):
-        if L % k:
-            continue
-        phi = _cyclotomic(k)
-        # Phi_k divides t^k - 1, so R is Phi_k times a polynomial exactly when
-        # R folded modulo t^k - 1 is
-        while len(R) > 1 and not _pseudo_divmod([sum(R[j::k]) for j in range(k)], phi)[1]:
-            R = tuple(_pseudo_divmod(R, phi)[0])
-    return R
-
-
 def coprime(p, R):
     """Whether the integer polynomial p is proved coprime to the monic R: their
     gcd modulo ``LARGE_PRIME`` is 1.  R is monic, so a common factor over Q
@@ -326,7 +272,7 @@ def coprime(p, R):
 
 
 def minimal_factor(R, n_lo, n_hi, e):
-    """Steps 2 to 4: the monic irreducible factor of the monic R with a root
+    """Steps 1 to 3: the monic irreducible factor of the monic R with a root
     in [n_lo, n_hi] / 2^e, an interval where R has one root, and a simple
     one.
 

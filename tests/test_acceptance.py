@@ -15,7 +15,7 @@ from univoque.algebraic import AlgebraicReal, field_for_base
 from univoque.base import (BaseClass, golden_ratio_base, new_base_context, order_points,
                            r_chain, special_points, v_successor)
 from univoque.digits import EpSeq
-from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
+from univoque.graph import (FULL, TILDE, TILDE1, UnivoqueGraph, build_graph, check_isomorphic,
                             connectivity_report, is_strongly_connected, path_words, scc,
                             tower_decompose, _label_dfa)
 from univoque.oracle import LexAutomaton, U_PREFIX, V_PREFIX
@@ -238,6 +238,22 @@ def test_criterion_09_language_oracle(battery):
             for ell in range(1, L + 1):
                 assert g_levels[ell] == o_levels[ell], (c.beta, mode, ell)
     report(9, "graph languages equal oracle prefixes for every length, both classes")
+
+
+def test_language_check_rejects_a_missing_edge(battery):
+    # the check on a wrong graph: each FULL graph of criterion 9 less any one
+    # of its edges reads a language other than the oracle's
+    mutants = 0
+    for ctx in battery:
+        for c, mode in ((ctx, V_PREFIX), (v_successor(ctx), U_PREFIX)):
+            g = build_graph(c, FULL)
+            for cut in range(len(g.edges)):
+                edges = g.edges[:cut] + g.edges[cut + 1:]
+                mutant = UnivoqueGraph(c, FULL, g.order, g.vertices, edges)
+                agree, _level = _language_check(mutant, c, mode)
+                assert not agree, (dg.format_seq(c.beta), mode, g.edges[cut])
+                mutants += 1
+    assert mutants > 100
 
 
 def test_language_check_along_successor_chain(tribonacci):

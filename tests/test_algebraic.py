@@ -1,7 +1,10 @@
 import functools
+import importlib.util
 import random
 import signal
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,8 @@ from conftest import BATTERY, random_context
 from test_reducible import REDUCIBLE
 from univoque import digits as dg
 from univoque.algebraic import (Q, AlgebraicReal, DegenerateInputError, NumberField,
-                                _isolate_dyadic, _pseudo_divmod, apply_digit_map,
-                                base_polynomial, field_for_base, poly_mul, value_of_sequence)
+                                _pseudo_divmod, apply_digit_map, base_polynomial,
+                                field_for_base, poly_mul, value_of_sequence)
 from univoque.base import new_base_context, special_points, v_successor
 
 
@@ -50,6 +53,8 @@ def test_isolate_root_degenerate_inputs():
         field_for_base((1,), 1)                      # constant, no roots
     with pytest.raises(DegenerateInputError):
         field_for_base((2, -3, 1), 2)                # roots at 1 and 2... vanishes at 1
+    with pytest.raises(DegenerateInputError):
+        field_for_base((-5, 0, 1), 1)                # sqrt(5) lies outside (1, 2]
 
 
 def test_isolate_root_exact_rational():
@@ -66,18 +71,9 @@ def _scaled_sign(P, n, e):
     return (v > 0) - (v < 0)
 
 
-def bisected_interval(P, M):
-    """Reference isolating interval ``(n_lo, n_hi, e)`` of the root of P in
-    (1, M+1]: the sign-change cell of a scan at the 64 marks (64 + M i) / 2^6,
-    bisected on P itself to width at most 1/10^12, or [r, r] once a mark or a
-    midpoint is the root."""
-    e = 6
-    marks = [64 + M * i for i in range(65)]
-    roots = [n for n in marks if _scaled_sign(P, n, e) == 0]
-    if roots:
-        return roots[0], roots[0], e
-    lo, hi = next((a, b) for a, b in zip(marks, marks[1:])
-                  if _scaled_sign(P, a, e) != _scaled_sign(P, b, e))
+def _narrowed(P, lo, hi, e):
+    """[lo, hi] / 2^e, where P changes sign, bisected on P itself to width
+    at most 1/10^12, or [r, r] once a midpoint is the root r."""
     slo = _scaled_sign(P, lo, e)
     while (hi - lo) * 10**12 > 1 << e:
         mid, e = lo + hi, e + 1
@@ -92,20 +88,110 @@ def bisected_interval(P, M):
     return lo, hi, e
 
 
+def bisected_interval(P, M):
+    """Reference isolating interval ``(n_lo, n_hi, e)`` of the root of P in
+    (1, M+1]: the bracket [1, M+1] bisected on P, or [M+1, M+1] when M + 1
+    is the root."""
+    if _scaled_sign(P, M + 1, 0) == 0:
+        return M + 1, M + 1, 0
+    return _narrowed(P, 1, M + 1, 0)
+
+
+def scanned_interval(P, M):
+    """The isolating interval of a 64-mark scan of (1, M+1]: the cell
+    between the marks (64 + M i) / 2^6 where P changes sign, bisected on P,
+    or [r, r] once a mark is the root."""
+    e = 6
+    marks = [64 + M * i for i in range(65)]
+    roots = [n for n in marks if _scaled_sign(P, n, e) == 0]
+    if roots:
+        return roots[0], roots[0], e
+    lo, hi = next((a, b) for a, b in zip(marks, marks[1:])
+                  if _scaled_sign(P, a, e) != _scaled_sign(P, b, e))
+    return _narrowed(P, lo, hi, e)
+
+
+def drawn_betas(rng, n):
+    """n random greedy expansions of 1 (M <= 9, length <= 12), every
+    second one with a nonzero period."""
+    out = []
+    while len(out) < n:
+        M, k = rng.randint(1, 9), rng.randint(1, 12)
+        word = (M,) + tuple(rng.randint(0, M) for _ in range(k - 1))
+        cut = rng.randint(1, k) if len(out) % 2 else k
+        beta = dg.EpSeq(word[:cut], word[cut:] or (0,))
+        if (bool(any(beta.per)) == bool(len(out) % 2) and beta != dg.EpSeq((1,), (0,))
+                and dg.is_greedy_beta(M, beta)):
+            out.append((M, beta))
+    return out
+
+
+def scan_inputs(seed):
+    """The bases of the benchmark's ``scan`` workload for one seed."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(M, seq(text)) for M, text in module.scan_inputs(seed)]
+
+
+def v_chain(M, beta, depth):
+    ctx = new_base_context(M, beta)
+    out = []
+    for _ in range(depth):
+        ctx = v_successor(ctx)
+        out.append((ctx.M, ctx.beta))
+    return out
+
+
+INTEGER_BASES = ([(M, f"({M})") for M in range(1, 10)]
+                 + [(M, f"{k}(0)") for M in range(2, 10) for k in range(2, M + 1)])
+
+
 def test_field_starts_on_the_bisected_interval():
-    # base 2 is a scan mark for M = 2 but not for M = 3, where the field's
-    # generator is rational and q's interval must still be narrowed
-    bases = list(BATTERY) + [(2, "2(0)"), (3, "2(0)")]
+    # base 2 is a midpoint of [1, 3] for M = 2 but never one of [1, 4] for
+    # M = 3, where the field's generator is rational and q's interval must
+    # still be narrowed; q = M + 1 is the bracket's end
+    bases = list(BATTERY) + INTEGER_BASES
     rng = random.Random(7)
     bases += [(c.M, c.beta) for c in (random_context(rng) for _ in range(100))]
-    ctx = new_base_context(1, "111(0)")
-    for _ in range(4):
-        ctx = v_successor(ctx)
-        bases.append((ctx.M, ctx.beta))
+    bases += v_chain(1, "111(0)", 4)
     for M, beta in bases:
         ctx = new_base_context(M, beta)
         f = ctx.field
         assert (f.n_lo, f.n_hi, f.e) == bisected_interval(ctx.defining_poly, M), (M, beta)
+
+
+def test_bracket_gives_the_cells_of_the_scan():
+    # the sixth bisection of [1, M+1] is the scan's grid, so a non-integer
+    # base gets the scan's cell, narrowed alike
+    bases = list(BATTERY) + scan_inputs(7) + drawn_betas(random.Random(2024), 200)
+    bases += v_chain(1, "111(0)", 6)
+    checked = 0
+    for M, beta in bases:
+        ctx = new_base_context(M, beta)
+        f = ctx.field
+        if f.deg > 1:         # integer bases: the next test
+            checked += 1
+            assert (f.n_lo, f.n_hi, f.e) == scanned_interval(ctx.defining_poly, M), (M, beta)
+    assert checked > len(bases) // 2
+
+
+def test_integer_bases_are_exact_where_the_scan_was():
+    # an integer q that the scan met exactly is met by bisection too, at the
+    # same value and maybe a coarser level; the other cells are the scan's
+    for M, beta in INTEGER_BASES:
+        P = base_polynomial(M, seq(beta))
+        q = -P[0]
+        f = field_for_base(P, M)
+        assert f.working_poly == P == (-q, 1)
+        lo, hi, e = scanned_interval(P, M)
+        if lo == hi:
+            assert f.n_lo == f.n_hi and f.lo == q == Q(lo, 1 << e), (M, beta)
+        else:
+            assert (f.n_lo, f.n_hi, f.e) == (lo, hi, e) and f.lo < q < f.hi, (M, beta)
+        if q == M + 1:          # the bracket's end, which bisection never reaches
+            assert (f.n_lo, f.n_hi, f.e) == (q, q, 0), (M, beta)
 
 
 def test_value_of_sequence_basics(tribonacci):
@@ -294,8 +380,7 @@ def test_sign_of_a_hidden_zero_terminates():
     # working polynomial: its enclosures contain 0 on every interval, and
     # only the reduction modulo the certified m_q ends the refinement
     m = (-3, -3, -8, -6, -7, 1)
-    cell = _isolate_dyadic(base_polynomial(7, seq("77041503(0)")), 7)
-    f = NumberField(poly_mul(m, (1, -1, 0, 1)), *cell)
+    f = NumberField(poly_mul(m, (1, -1, 0, 1)), 1, 8, 0)          # the bracket of M = 7
     hidden_zero = f.element(list(m) + [0, 0], 1)
     previous = signal.signal(signal.SIGALRM, _timeout)
     signal.alarm(10)
@@ -308,7 +393,7 @@ def test_sign_of_a_hidden_zero_terminates():
 
 
 def test_sign_repeats_no_enclosure(monkeypatch):
-    # q - r for dyadic r within 1e-12 of q is open on the root-scan cell;
+    # q - r for dyadic r within 1e-12 of q is open on the bracket [1, M+1];
     # each interval-Horner pass of its sign must see a new interval, whether
     # the numerator is proved coprime to R or m_q is already certified
     passes = []
@@ -319,7 +404,7 @@ def test_sign_repeats_no_enclosure(monkeypatch):
         ctx = new_base_context(M, beta)
         for certified in (False, True):
             for r, expect in ((ctx.field.lo, 1), (ctx.field.hi, -1)):
-                f = NumberField(ctx.field.working_poly, *_isolate_dyadic(ctx.defining_poly, M))
+                f = NumberField(ctx.field.working_poly, 1, M + 1, 0)
                 if certified:
                     assert not f.reducible
                 n, D = r.numerator, r.denominator

@@ -393,33 +393,34 @@ with contextlib.redirect_stdout(out):
 print(json.dumps([rc, out.getvalue(), sorted(set(sys.modules) - bare)]))
 """
 
-# the minimal polynomial of q is needed only when q is irrational
+# minpoly loads only where a field certifies m_q or proves a numerator
+# coprime to its working polynomial, which building a field never does
 OPTIONAL = {"graph", "spectral", "expansions", "oracle", "minpoly"}
 
 
 @pytest.mark.parametrize("argv,loaded", [
     pytest.param(("base", "classify", "-M", "1", "--beta", "111(0)", "--json"),
-                 {"minpoly"}, id="base_classify"),
+                 set(), id="base_classify"),
     pytest.param(("base", "chain", "-M", "1", "--beta", "11(0)", "--kind", "v", "--steps", "3",
-                  "--json"), {"minpoly"}, id="base_chain"),
+                  "--json"), set(), id="base_chain"),
     pytest.param(("base", "points", "-M", "4", "--beta", "322(0)", "--json"),
                  {"minpoly"}, id="base_points"),
     pytest.param(("graph", "build", "-M", "4", "--beta", "322(0)", "--variant", "tilde",
-                  "--dot", "-"), {"graph", "minpoly"}, id="graph_build"),
+                  "--dot", "-"), {"graph"}, id="graph_build"),
     pytest.param(("graph", "scc", "-M", "4", "--beta", "322(0)", "--json"),
-                 {"graph", "minpoly"}, id="graph_scc"),
+                 {"graph"}, id="graph_scc"),
     pytest.param(("graph", "verify", "-M", "1", "--beta", "111(0)", "--theorem", "1.4",
-                  "--steps", "3", "--json"), {"graph", "minpoly"}, id="graph_verify"),
+                  "--steps", "3", "--json"), {"graph"}, id="graph_verify"),
     pytest.param(("graph", "connectivity", "-M", "1", "--beta", "111001010(0)", "--json"),
-                 {"graph", "minpoly"}, id="graph_connectivity"),
+                 {"graph"}, id="graph_connectivity"),
     pytest.param(("dim", "-M", "1", "--beta", "111001000111001(0)", "--per-scc", "--json"),
-                 {"graph", "spectral", "minpoly"}, id="dim"),
+                 {"graph", "spectral"}, id="dim"),
     pytest.param(("expansions", "count", "-M", "2", "--beta", "2(0)", "--x", "(1)", "--json"),
                  {"expansions"}, id="expansions_count"),
     pytest.param(("expansions", "witness", "-M", "1", "--beta", "111(0)", "-m", "3", "--json"),
                  {"expansions", "minpoly"}, id="expansions_witness"),
     pytest.param(("oracle", "words", "-M", "1", "--beta", "11(0)", "-L", "4", "--json"),
-                 {"oracle", "minpoly"}, id="oracle_words"),
+                 {"oracle"}, id="oracle_words"),
     pytest.param(("oracle", "brute-count", "-M", "1", "--beta", "111(0)", "--x",
                   "1000000(00101)", "--depth", "15", "--json"),
                  {"oracle", "minpoly"}, id="oracle_brute_count"),

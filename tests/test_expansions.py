@@ -9,7 +9,7 @@ from conftest import BATTERY, random_context
 from test_reducible import REDUCIBLE
 from univoque import digits as dg
 from univoque import expansions as ex
-from univoque.algebraic import AlgebraicReal, NumberField, _isolate_dyadic
+from univoque.algebraic import AlgebraicReal, NumberField
 from univoque.base import new_base_context, r_chain, special_points
 from univoque.digits import EpSeq
 from univoque.walk import tarjan
@@ -455,10 +455,10 @@ def digit_words(max_len):
 
 def fresh_context(base, coarse):
     """A new context of ``base``; with ``coarse``, its field is put back on
-    the cell of the root scan, before any narrowing."""
+    the bracket [1, M+1], before any narrowing."""
     ctx = new_base_context(base.M, base.beta)
     if coarse:
-        ctx.field = NumberField(ctx.field.min_poly, *_isolate_dyadic(ctx.defining_poly, ctx.M))
+        ctx.field = NumberField(ctx.field.min_poly, 1, ctx.M + 1, 0)
     return ctx
 
 
@@ -466,7 +466,7 @@ def fresh_context(base, coarse):
 @given(st.integers(0, 2**32), digit_words(3), digit_words(3).filter(bool), st.integers(1, 4),
        st.booleans())
 def test_count_matches_per_digit_signs(seed, pre, per, m, coarse):
-    # the coarse isolating interval of the root scan leaves digits
+    # the coarse isolating interval of the bracket leaves digits
     # undecided by the enclosures, so that the exact signs run
     base = random_context(random.Random(seed))
     s = EpSeq([d % (base.M + 1) for d in pre], [d % (base.M + 1) for d in per])
@@ -603,7 +603,7 @@ def test_range_error_exactly_outside_the_interval(M, beta):
 @given(st.integers(0, 2**32), digit_words(3), digit_words(3).filter(bool), st.integers(0, 6),
        st.booleans())
 def test_feasible_moves_match_exact_signs(seed, pre, per, steps, coarse):
-    # kappa is enclosed on the interval of the root scan (when coarse) and
+    # kappa is enclosed on the bracket [1, M+1] (when coarse) and
     # stays valid while q is refined; every remainder along the greedy orbit
     # of the point is checked against exact signs alone
     base = random_context(random.Random(seed))
@@ -625,7 +625,7 @@ def test_feasible_moves_match_exact_signs(seed, pre, per, steps, coarse):
 def test_remainder_map_is_bounded(monkeypatch):
     monkeypatch.setattr(ex, "DEFAULT_STATE_CAP", 40)
     ctx = new_base_context(1, "111001010(0)")
-    known = lambda: ctx._cache.get(ex._feasible_moves, {})      # noqa: E731
+    known = lambda: ctx._cache.get((ex._move_map,), (None, {}))[1]      # noqa: E731
     x = ctx.value(seq("(01)"))
     first = ex.count_expansions(ctx, x, cap=40)
     assert 0 < len(known()) <= 40
@@ -640,5 +640,5 @@ def test_remainder_map_is_bounded(monkeypatch):
     for m in range(1, 11):
         x = ex.build_witness_xm(tribonacci, m, tail)[0]
         assert ex.count_expansions(tribonacci, x, cap=1000).count == m
-        held.append(len(tribonacci._cache[ex._feasible_moves]))
+        held.append(len(tribonacci._cache[(ex._move_map,)][1]))
     assert 0 < max(held) <= 40 and 0 in held

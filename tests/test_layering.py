@@ -3,17 +3,23 @@
 The oracles check the graph and expansion code, so they must not depend on
 it, and no library module may depend on an oracle.  The walks over successor
 maps sit below everything: ``walk`` imports nothing from the package, and the
-digit layer imports nothing else from it.  The package itself declares no
-runtime dependency, and keeps no process-wide memo: what is derived from a
-context or a graph is kept on it by ``base.memo``.
+digit layer imports nothing else from it.  Building a number field loads
+no factoring: ``minpoly`` is imported only to certify a minimal polynomial.
+The package itself declares no runtime dependency, and keeps no
+process-wide memo: what is derived from a context or a graph is kept on it
+by ``base.memo``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import univoque
+from conftest import BATTERY
 
 SRC = Path(univoque.__file__).parent
 
@@ -72,6 +78,25 @@ def test_graph_reads_the_points_only_through_their_order():
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "special_points" not in used
+
+
+BUILD_CONTEXTS = """
+import sys
+from univoque.base import new_base_context, v_successor
+for M, beta in {battery!r}:
+    new_base_context(M, beta)
+ctx = new_base_context(1, "111(0)")
+for _ in range(6):
+    ctx = v_successor(ctx)
+print(ctx.field.deg, "univoque.minpoly" in sys.modules)
+"""
+
+
+def test_building_fields_loads_no_factoring():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", BUILD_CONTEXTS.format(battery=BATTERY)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["97", "False"]
 
 
 PROCESS_MEMOS = {"functools.lru_cache", "functools.cache"}

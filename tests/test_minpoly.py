@@ -15,8 +15,8 @@ import univoque
 from univoque import cli, minpoly
 from univoque import digits as dg
 from univoque import expansions as ex
-from univoque.algebraic import (DegenerateInputError, _dyadic_eval, _isolate_dyadic, _sign,
-                                base_polynomial, field_for_base)
+from univoque.algebraic import (DegenerateInputError, NumberField, _cyclotomic, _dyadic_eval,
+                                _sign, base_polynomial, field_for_base, working_polynomial)
 from univoque.base import new_base_context, order_points, v_successor
 from univoque.digits import EpSeq
 from univoque.graph import FULL, TILDE, TILDE1, build_graph, check_isomorphic, connectivity_report
@@ -230,20 +230,20 @@ def test_factors_when_no_prime_certifies():
 def test_cyclotomic_strip_keeps_only_exact_divisors():
     mul = univoque.algebraic.poly_mul
     # (t + 1) divides t^2 - 1 and is stripped; (t - 8) is not cyclotomic
-    assert minpoly.working_polynomial(mul((-8, 1), (1, 1))) == (-8, 1)
+    assert working_polynomial(mul((-8, 1), (1, 1))) == (-8, 1)
     # a linear P with no cyclotomic factor is its own R
-    assert minpoly.working_polynomial((-8, 1)) == (-8, 1)
+    assert working_polynomial((-8, 1)) == (-8, 1)
     # a repeated cyclotomic factor leaves completely
-    assert minpoly.working_polynomial(mul((-8, 0, 1), mul((1, 1), (1, 1)))) == (-8, 0, 1)
+    assert working_polynomial(mul((-8, 0, 1), mul((1, 1), (1, 1)))) == (-8, 0, 1)
     # Phi_2 does not divide t^3 - 1, so only divisors k of deg P are tried
     P = mul((-8, 1), mul((1, 1), (1, 1)))
-    assert minpoly.working_polynomial(P) == P
+    assert working_polynomial(P) == P
 
 
 def gcd_working_polynomial(P):
     """The working polynomial by gcds modulo the large prime: the squarefree
     part of P, less its gcd with t^L - 1, L = deg P, once exact division
-    confirms that gcd.  A reference for ``minpoly.working_polynomial``."""
+    confirms that gcd.  A reference for ``algebraic.working_polynomial``."""
     m = minpoly.LARGE_PRIME
     R = minpoly._squarefree_part(P)
     cyc = (-1,) + (0,) * (len(P) - 2) + (1,)
@@ -259,10 +259,19 @@ def gcd_working_polynomial(P):
     return R
 
 
+def bisected(poly, M):
+    """The isolating cell of a field on the monic ``poly`` after 40
+    bisections of the bracket [1, M+1]."""
+    f = NumberField(poly, 1, M + 1, 0)
+    for _ in range(40):
+        f.refine()
+    return f.n_lo, f.n_hi, f.e
+
+
 def assert_strip_matches_gcds(ctx):
     P, R = ctx.defining_poly, ctx.field.working_poly
     assert R == gcd_working_polynomial(P), dg.format_seq(ctx.beta)
-    assert _isolate_dyadic(R, ctx.M) == _isolate_dyadic(P, ctx.M), dg.format_seq(ctx.beta)
+    assert bisected(R, ctx.M) == bisected(P, ctx.M), dg.format_seq(ctx.beta)
 
 
 def test_strip_matches_gcds_along_chains(battery):
@@ -282,13 +291,9 @@ def test_strip_matches_gcds_along_chains(battery):
 def test_strip_matches_gcds_on_random_bases(case):
     M, beta = case
     P = base_polynomial(M, beta)
-    R = minpoly.working_polynomial(P)
+    R = working_polynomial(P)
     assert R == gcd_working_polynomial(P)
-    try:
-        cell = _isolate_dyadic(P, M)
-    except DegenerateInputError:
-        return
-    assert _isolate_dyadic(R, M) == cell
+    assert bisected(R, M) == bisected(P, M)
 
 
 def test_cyclotomic_polynomials_match_sympy():
@@ -297,7 +302,7 @@ def test_cyclotomic_polynomials_match_sympy():
     t = sympy.Symbol("t")
     for k in list(range(1, 201)) + [3 << j for j in range(11)]:
         coeffs = sympy.Poly(sympy.cyclotomic_poly(k, t), t).all_coeffs()
-        assert minpoly._cyclotomic(k) == tuple(int(c) for c in reversed(coeffs)), k
+        assert _cyclotomic(k) == tuple(int(c) for c in reversed(coeffs)), k
 
 
 def test_deep_context_takes_no_gcd(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import BATTERY, random_context
 from univoque import digits as dg
 from univoque import oracle
-from univoque.algebraic import NumberField, _isolate_dyadic
+from univoque.algebraic import NumberField
 from univoque.base import SearchBoundError, golden_ratio_base, new_base_context, v_successor
 from univoque.graph import FULL, build_graph, path_words
 from univoque.oracle import (U_PREFIX, V_PREFIX, brute_count_expansions,
@@ -237,13 +237,12 @@ def open_points(ctx, seed):
 
 
 def test_brute_count_decides_open_digits_exactly():
-    # left on the cell of the root scan, the field's enclosures of q*v leave
+    # left on the bracket [1, M+1], the field's enclosures of q*v leave
     # digits open, which only exact signs decide
     for seed, (M, beta) in enumerate(BATTERY):
         for i in range(4):
             coarse = new_base_context(M, beta)
-            coarse.field = NumberField(coarse.field.working_poly,
-                                       *_isolate_dyadic(coarse.defining_poly, M))
+            coarse.field = NumberField(coarse.field.working_poly, 1, M + 1, 0)
             fine = new_base_context(M, beta)
             x, y = open_points(coarse, seed)[i], open_points(fine, seed)[i]
             bounds = brute_count_expansions(coarse, x, 5)
