@@ -34,7 +34,7 @@ print an element, to decide the sign of an element whose numerator shares a
 factor with R, and to invert a zero divisor of Z[t]/(R).
 This is dynamic evaluation (Della Dora, Dicrescenzo and Duval 1985).  For
 most bases R is m_q, and contexts and graphs never factor it: ``minpoly``
-is imported only to certify m_q or to test a numerator coprime to R.
+is imported only to certify m_q.
 
 An element of Q(q) is one tuple of Python ints ``(c_0, ..., c_{d-1}, den)``
 standing for ``sum(c_i q^i) / den``, with d = deg R, ``den > 0`` and the gcd
@@ -56,10 +56,12 @@ on the element's numerator, in integers scaled by powers of two, encloses
 its value, and q is refined until a monotone step function (the sign, the
 rounding to some decimal places, the nearest double) agrees on both ends of
 the enclosure.  That ends unless the value sits on a step.  A sign settles
-only on a numerator that is nonzero at q: either it is coprime to R modulo
-a large prime (``minpoly.coprime``), hence nonzero at every root of R, or
+only on a numerator that is nonzero at q: either it is coprime to R, or
 it is reduced modulo m_q, where a zero remainder means the element is 0 and
-a nonzero one, of degree below m_q, does not vanish at q.  Without that
+a nonzero one, of degree below m_q, does not vanish at q.  The field runs
+its own coprimality test (``coprime``), which spares it the factoring on
+most signs it must refine: a numerator whose gcd with R modulo the large
+prime ``LARGE_PRIME`` is 1 is nonzero at every root of R.  Without that
 test refinement need not end: an element that vanishes at q but not modulo
 R has enclosures that straddle 0 forever.  Decimals and floats settle on
 the reduced element, which is irrational unless its numerator is constant,
@@ -153,6 +155,47 @@ def _dyadic_eval(p, n, e):
 
 def _sign(x):
     return (x > 0) - (x < 0)
+
+
+# --- polynomials modulo a prime ---------------------------------------------
+
+LARGE_PRIME = (1 << 61) - 1
+
+
+def _mod(a, m):
+    return poly_trim([c % m for c in a])
+
+
+def _divmod(a, b, m):
+    """Quotient and remainder of a by b modulo m; b's leading coefficient
+    must be invertible modulo m."""
+    n = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    low = b[:-1]
+    a = list(a)
+    quo = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] * inv % m
+        quo[i - n] = c
+        if c:
+            a[i - n:i] = [x - c * y for x, y in zip(a[i - n:i], low)]
+    return poly_trim(quo), _mod(a[:n], m)
+
+
+def _gcd(a, b, m):
+    """Monic gcd modulo a prime m."""
+    while b:
+        a, b = b, _divmod(a, b, m)[1]
+    inv = pow(a[-1], -1, m)
+    return tuple(c * inv % m for c in a)
+
+
+def coprime(p, R):
+    """Whether the integer polynomial p is proved coprime to the monic R: their
+    gcd modulo ``LARGE_PRIME`` is 1.  R is monic, so a common factor over Q
+    survives the reduction; then p is nonzero at every root of R.  False
+    proves nothing."""
+    return len(_gcd(_mod(R, LARGE_PRIME), _mod(p, LARGE_PRIME), LARGE_PRIME)) == 1
 
 
 class NumberField:
@@ -416,8 +459,6 @@ class NumberField:
         # a sign settles only on a numerator that is nonzero at q (0 is a
         # step of sign): one reduced modulo m_q, or, while m_q is not yet
         # certified, one coprime to the working polynomial
-        from .minpoly import coprime     # minpoly builds on this module's helpers
-
         b = a
         if "min_poly" in vars(self) or not coprime(p, self.working_poly):
             b = self.reduce(a)

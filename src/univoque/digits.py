@@ -7,11 +7,14 @@ eventually periodic infinite sequences -- together with reflection, shifting,
 the lexicographic admissibility predicates for greedy / quasi-greedy
 sequences and for the base classes, and the follower automaton
 :class:`LexAutomaton` of the two-sided tail conditions against alpha, which
-the word oracle and the witness-tail search both run on.  Its reachable
-states form one successor map built with ``walk.explore``; the alive states
-and the good states both come from one sinks-first pass of ``walk.alive``,
-the good ones with a component test built on the automaton's strict
-periodic-run check ``LexAutomaton.periodic_ok``.
+the word oracle and the witness-tail search both run on.  The automaton
+reads finite words; its admissible part ``LexAutomaton.admissible`` is the
+successor map of its reachable states restricted to the alive states (weak)
+or the good states (strict), found by one sinks-first pass of
+``walk.alive``.  An infinite tail is judged one way throughout: a periodic
+tail after a run is compared with alpha over the Fine-Wilf window, by
+``lex_cmp`` for the run's ties and ``_shifts_bounded`` for the tails that
+start inside its period (``LexAutomaton.periodic_ok``).
 
 A sequence over the alphabet ``{0, ..., M}`` is *finite* if it has a last
 nonzero digit (``EpSeq.is_finite``) and *infinite* otherwise; it is *doubly
@@ -367,51 +370,37 @@ class LexAutomaton:
     def periodic_ok(self, state, per, strict):
         """Whether ``per`` repeated forever is admissible from ``state``.
 
-        The state at a period boundary determines the rest of the run, so
-        ``walk.orbit`` follows the boundary states, one period per move, until
-        one repeats and closes a cycle.  Weak admissibility holds iff the run
-        never dies.  Strict also rejects a tie that survives the cycle: an
-        upper tie i with ``(per) == shift(alpha, i)``, or a lower tie i with
-        the reflection of ``(per)`` equal to ``shift(alpha, i)``.
+        Each tie of ``state`` compares the tail ``(per)`` itself with alpha:
+        an upper tie i needs ``(per) <= shift(alpha, i)``, a lower tie i the
+        same of the reflection of ``(per)``.  The tails that start inside the
+        period are ``_shifts_bounded``'s.  Strict takes < for <=, so a tie
+        that survives forever is plain equality.
         """
-        boundaries, _periods, k = orbit(
-            state, lambda s: None if (t := self.run(s, per)) is None else (per, t))
-        if k is None:
+        tail, alpha = EpSeq((), per), EpSeq((), self.alpha)
+        fail = EQ if strict else GT
+        if any(lex_cmp(bound, shift(alpha, i)) >= fail
+               for ties, bound in zip(state, (tail, reflect(tail, self.M))) for i in ties):
             return False
-        if not strict:
-            return True
-        cycle = boundaries[k:]
-        tail = EpSeq((), per)
-        bounds = (tail, reflect(tail, self.M))       # (upper, lower)
-        return not any(EpSeq((), self.alpha[i:] + self.alpha[:i]) == bound
-                       for s in cycle for ties, bound in zip(s, bounds) for i in ties)
+        return _shifts_bounded(tail, alpha, self.M, upper=True, lower=True, strict=strict)
 
-    # --- reachable state space and acceptance sets --------------------------
+    def admissible(self, strict, *roots):
+        """The admissible part of the automaton: the successor map of the
+        states reachable from ``start()`` or from ``roots``, restricted to the
+        alive states (weak) or to the good states (strict).
 
-    def _succ(self, roots):
-        """The successor map of the states reachable from ``start()`` or
-        from ``roots``."""
-        return explore((self.start(), *roots),
+        A state is alive when it admits some infinite violation-free
+        continuation, and good when it admits one along which every tie
+        breaks.  A tie that survives forever makes the rest of the run
+        periodic, so a run that is not eventually periodic breaks every tie.
+        A state is therefore good iff it reaches a cyclic component that
+        either has a state with two moves inside it (runs within it need not
+        be eventually periodic), or is one simple cycle whose word passes the
+        strict ``periodic_ok``.  ``start()`` is in both parts: its 0s run to
+        the good cycle ({0}, {}).
+        """
+        succ = explore((self.start(), *roots),
                        lambda s: [(d, t) for d in range(self.M + 1)
                                   if (t := self.step(s, d)) is not None])
-
-    def alive_states(self, *roots):
-        """States admitting some infinite violation-free continuation, among
-        those reachable from ``start()`` or from ``roots``."""
-        return alive(self._succ(roots))
-
-    def good_states(self, *roots):
-        """States admitting a continuation along which every tie breaks,
-        among those reachable from ``start()`` or from ``roots``.
-
-        A tie that survives forever makes the rest of the run periodic, so a
-        run that is not eventually periodic breaks every tie.  A state is
-        therefore good iff it reaches a cyclic component that either has a
-        state with two moves inside it (runs within it need not be
-        eventually periodic), or is one simple cycle whose word passes the
-        strict periodic check.
-        """
-        succ = self._succ(roots)
 
         def breaks_ties(succ, comp):
             if not cyclic(succ, comp):
@@ -423,7 +412,8 @@ class LexAutomaton:
             _cycle, word, _k = orbit(comp[0], lambda s: moves[s][0])
             return self.periodic_ok(comp[0], word, strict=True)
 
-        return alive(succ, breaks_ties)
+        part = alive(succ, breaks_ties if strict else cyclic)
+        return {s: [(d, t) for d, t in out if t in part] for s, out in succ.items() if s in part}
 
 
 # ---------------------------------------------------------------------------

@@ -324,7 +324,7 @@ def default_tail(ctx, strictness=STRICT):
                 if nxt is not None:
                     stack.append((word + (d,), nxt, tied and d == top))
     if best is None:
-        if state not in (auto.good_states(state) if strict else auto.alive_states(state)):
+        if state not in auto.admissible(strict, state):
             raise ValueError(none_exists)
         raise ValueError("no admissible periodic tail within the period cap")
     return best

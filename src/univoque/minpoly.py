@@ -5,12 +5,13 @@ The field of a base q is built on its working polynomial R
 reducible; q is a simple root of exactly one of its monic irreducible
 factors, m_q.  ``minimal_factor`` finds that factor, and runs only when the
 field certifies its minimal polynomial on demand
-(``algebraic.NumberField.min_poly``).
+(``algebraic.NumberField.min_poly``): ``minpoly`` is imported only to
+certify m_q.
 
 1. Squarefree part.  R need not be squarefree, and step 2 needs a
-   squarefree polynomial.  If gcd(R, R') is 1 modulo a large prime, R is
-   squarefree (the common case); otherwise the exact gcd, from a primitive
-   PRS, is divided out.
+   squarefree polynomial.  If R' is coprime to R (``algebraic.coprime``:
+   their gcd modulo a large prime is 1), R is squarefree (the common case);
+   otherwise the exact gcd, from a primitive PRS, is divided out.
 2. Factorization (Zassenhaus 1969).  Modulo the first small prime that
    keeps that squarefree part squarefree, distinct-degree factorization and
    Cantor-Zassenhaus split it into its modular factors.  These are
@@ -22,12 +23,9 @@ field certifies its minimal polynomial on demand
 3. The one irreducible factor that changes sign over the isolating interval
    of q, or vanishes at it if refinement has met q exactly.
 
-``coprime`` spares the field these steps on a sign it must refine: a
-numerator whose gcd with R modulo the large prime is 1 is nonzero at every
-root of R.
-
-Polynomials are little-endian int tuples, as in ``algebraic``; modulo m
-their coefficients lie in [0, m).
+Polynomials are little-endian int tuples, as in ``algebraic``, whose
+arithmetic modulo a prime this module extends; modulo m their coefficients
+lie in [0, m).
 """
 
 from __future__ import annotations
@@ -36,19 +34,14 @@ import math
 import random
 from itertools import combinations
 
-from .algebraic import (DegenerateInputError, _dyadic_eval, _pseudo_divmod, _sign, poly_add,
-                        poly_sub, poly_trim)
+from .algebraic import (DegenerateInputError, _divmod, _dyadic_eval, _gcd, _mod, _pseudo_divmod,
+                        _sign, coprime, poly_add, poly_sub, poly_trim)
 
-LARGE_PRIME = (1 << 61) - 1
 RECOMBINATION_CAP = 20_000
 _SMALL_PRIMES = [p for p in range(3, 1000, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
 
 
 # --- polynomials modulo m ----------------------------------------------------
-
-def _mod(a, m):
-    return poly_trim([c % m for c in a])
-
 
 def _symmetric(a, m):
     """The integer polynomial with coefficients in (-m/2, m/2] congruent to a."""
@@ -73,30 +66,6 @@ def _mul(a, b, m):
     raw = (x * y).to_bytes(size * (len(a) + len(b)), "little")
     return poly_trim([int.from_bytes(raw[i:i + size], "little") % m
                       for i in range(0, size * (len(a) + len(b) - 1), size)])
-
-
-def _divmod(a, b, m):
-    """Quotient and remainder of a by b modulo m; b's leading coefficient
-    must be invertible modulo m."""
-    n = len(b) - 1
-    inv = pow(b[-1], -1, m)
-    low = b[:-1]
-    a = list(a)
-    quo = [0] * max(len(a) - n, 0)
-    for i in range(len(a) - 1, n - 1, -1):
-        c = a[i] * inv % m
-        quo[i - n] = c
-        if c:
-            a[i - n:i] = [x - c * y for x, y in zip(a[i - n:i], low)]
-    return poly_trim(quo), _mod(a[:n], m)
-
-
-def _gcd(a, b, m):
-    """Monic gcd modulo a prime m."""
-    while b:
-        a, b = b, _divmod(a, b, m)[1]
-    inv = pow(a[-1], -1, m)
-    return tuple(c * inv % m for c in a)
 
 
 def _xgcd(a, b, m):
@@ -131,7 +100,7 @@ def _primitive(a):
 
 def _squarefree_part(P):
     dP = poly_trim([k * c for k, c in enumerate(P)][1:])
-    if len(_gcd(_mod(P, LARGE_PRIME), _mod(dP, LARGE_PRIME), LARGE_PRIME)) == 1:
+    if coprime(dP, P):
         return P
     a, b = _primitive(P), _primitive(dP)     # primitive PRS
     while len(b) > 1:
@@ -261,14 +230,6 @@ def _factors(R):
         if len(_gcd(f, _mod([k * c for k, c in enumerate(f)][1:], p), p)) == 1:
             return _zassenhaus(R, p, _ddf(f, p))
     raise DegenerateInputError("no small prime keeps the polynomial squarefree")
-
-
-def coprime(p, R):
-    """Whether the integer polynomial p is proved coprime to the monic R: their
-    gcd modulo ``LARGE_PRIME`` is 1.  R is monic, so a common factor over Q
-    survives the reduction; then p is nonzero at every root of R.  False
-    proves nothing."""
-    return len(_gcd(_mod(R, LARGE_PRIME), _mod(p, LARGE_PRIME), LARGE_PRIME)) == 1
 
 
 def minimal_factor(R, n_lo, n_hi, e):

@@ -13,16 +13,17 @@ automaton; the oracle checks the graphs, which it never imports.  A word is
 a valid prefix if some infinite continuation never violates a constraint
 (weak mode), respectively additionally breaks every tie at some finite time
 (strict mode, where a tie surviving forever would mean equality with the
-bound).  The automaton decides both from its components: a state is alive
-when it reaches a cycle, and good when it reaches a branching component or
-a simple cycle that passes its strict periodic-run check.
+bound).  One exploration of the automaton decides both from its components
+(``LexAutomaton.admissible``): a state is alive when it reaches a cycle, and
+good when it reaches a branching component or a simple cycle that passes
+its strict periodic-run check.
 """
 
 from __future__ import annotations
 
 from .base import SearchBoundError
 from .digits import LexAutomaton
-from .walk import explore, orbit, words
+from .walk import orbit, words
 
 U_PREFIX = "U_PREFIX"    # prefixes of unique expansions (strict bounds)
 V_PREFIX = "V_PREFIX"    # prefixes of unique doubly infinite expansions (weak bounds)
@@ -36,19 +37,16 @@ def enumerate_admissible_words(ctx, L, mode=V_PREFIX):
     most alpha, at triggered positions) -- the quasi-greedy expansions of
     points with a unique doubly infinite expansion.  U_PREFIX: the strict
     bounds -- unique expansions.  Enumeration is a pruned DFS over the
-    follower automaton; no graph machinery is involved.  The automaton is
-    deterministic, so its runs are the words, and ``walk.words`` lists them
-    (ValueError past its ``WORD_CAP``), the same walk that lists the label
-    words of a graph.
+    follower automaton's admissible part; no graph machinery is involved.
+    The automaton is deterministic, so its runs are the words, and
+    ``walk.words`` lists them (ValueError past its ``WORD_CAP``), the same
+    walk that lists the label words of a graph.
     """
     if L < 0:
         raise ValueError(f"word length must be nonnegative, got {L}")
     ctx.require_graph_class()
     auto = LexAutomaton(ctx.M, ctx.alpha.per)
-    accept = auto.good_states() if mode == U_PREFIX else auto.alive_states()
-    succ = explore([auto.start()], lambda s: [(d, t) for d in range(ctx.M + 1)
-                                              if (t := auto.step(s, d)) in accept])
-    return words(succ, auto.start(), L)
+    return words(auto.admissible(mode == U_PREFIX), auto.start(), L)
 
 
 def brute_count_expansions(ctx, x, depth):

@@ -168,11 +168,11 @@ def _graph_words_by_level(g, L):
 
 def _oracle_accept(ctx, mode):
     auto = LexAutomaton(ctx.M, ctx.alpha.per)
-    return auto, auto.good_states() if mode == U_PREFIX else auto.alive_states()
+    return auto, auto.admissible(mode == U_PREFIX)
 
 
 def _oracle_words_by_level(ctx, L, mode):
-    auto, accept = _oracle_accept(ctx, mode)
+    auto, part = _oracle_accept(ctx, mode)
     levels = [set() for _ in range(L + 1)]
     stack = [(auto.start(), ())]
     while stack:
@@ -180,10 +180,8 @@ def _oracle_words_by_level(ctx, L, mode):
         levels[len(w)].add(w)
         if len(w) == L:
             continue
-        for d in range(ctx.M + 1):
-            t = auto.step(s, d)
-            if t is not None and t in accept:
-                stack.append((t, w + (d,)))
+        for d, t in part[s]:
+            stack.append((t, w + (d,)))
     return levels
 
 
@@ -191,8 +189,8 @@ def _language_check(g, ctx, mode):
     """Compare the graph's label language with the oracle's prefixes, for all
     lengths at once.
 
-    Breadth-first over pairs (subset-automaton state of the graph, follower
-    automaton state restricted to its accept set), from the pair of start
+    Breadth-first over pairs (subset-automaton state of the graph, state of
+    the follower automaton's admissible part), from the pair of start
     states.  Both automata are deterministic and both languages are closed
     under prefixes, so the languages agree on every length up to L exactly
     when the enabled digit sets agree at every pair reached in fewer than L
@@ -201,7 +199,7 @@ def _language_check(g, ctx, mode):
     (False, the least length on which the languages differ).
     """
     start, trans = _label_dfa(g)
-    auto, accept = _oracle_accept(ctx, mode)
+    auto, part = _oracle_accept(ctx, mode)
     frontier = [(start, auto.start())]
     seen = set(frontier)
     level = 0
@@ -209,8 +207,7 @@ def _language_check(g, ctx, mode):
         level += 1
         nxt = []
         for gs, os in frontier:
-            omoves = {d: t for d in range(ctx.M + 1)
-                      if (t := auto.step(os, d)) is not None and t in accept}
+            omoves = dict(part[os])
             if {k for k, _t in trans[gs]} != set(omoves):
                 return False, level
             for d, gt in trans[gs]:

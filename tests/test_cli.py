@@ -393,8 +393,9 @@ with contextlib.redirect_stdout(out):
 print(json.dumps([rc, out.getvalue(), sorted(set(sys.modules) - bare)]))
 """
 
-# minpoly loads only where a field certifies m_q or proves a numerator
-# coprime to its working polynomial, which building a field never does
+# minpoly loads only where a field certifies m_q, which building a field
+# never does; the field tests a numerator coprime to its working polynomial
+# itself
 OPTIONAL = {"graph", "spectral", "expansions", "oracle", "minpoly"}
 
 
@@ -409,6 +410,8 @@ OPTIONAL = {"graph", "spectral", "expansions", "oracle", "minpoly"}
                   "--dot", "-"), {"graph"}, id="graph_build"),
     pytest.param(("graph", "scc", "-M", "4", "--beta", "322(0)", "--json"),
                  {"graph"}, id="graph_scc"),
+    pytest.param(("graph", "scc", "-M", "3", "--beta", "331003002331002330331003(0)", "--json"),
+                 {"graph"}, id="graph_scc_deep"),
     pytest.param(("graph", "verify", "-M", "1", "--beta", "111(0)", "--theorem", "1.4",
                   "--steps", "3", "--json"), {"graph"}, id="graph_verify"),
     pytest.param(("graph", "connectivity", "-M", "1", "--beta", "111001010(0)", "--json"),

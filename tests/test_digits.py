@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_context
 from univoque import digits as dg
 from univoque.digits import EpSeq, BaseClass, LexAutomaton
-from univoque.walk import alive, explore
+from univoque.walk import alive, explore, orbit
 
 
 def seq(text):
@@ -360,12 +360,17 @@ def test_beta_alpha_conversion():
 
 # --- the follower automaton against literal references -----------------------
 
+def reachable(auto, *roots):
+    """The successor map of every state reachable from start() or roots."""
+    return explore((auto.start(), *roots),
+                   lambda s: [(d, t) for d in range(auto.M + 1)
+                              if (t := auto.step(s, d)) is not None])
+
+
 def fixpoint_good_states(auto, *roots):
     """Reference: the greatest fixpoint of "some finite continuation through
     good states breaks every tie held now", started from the alive states."""
-    succ = explore((auto.start(), *roots),
-                   lambda s: [(d, t) for d in range(auto.M + 1)
-                              if (t := auto.step(s, d)) is not None])
+    succ = reachable(auto, *roots)
 
     def can_discharge(s, allowed):
         seen = {(s, s[0], s[1])}
@@ -399,7 +404,7 @@ def fixpoint_good_states(auto, *roots):
 def assert_good_states_match(M, w, *roots):
     auto = LexAutomaton(M, w)
     for rs in ((), roots):
-        assert auto.good_states(*rs) == fixpoint_good_states(auto, *rs), (M, w, rs)
+        assert set(auto.admissible(True, *rs)) == fixpoint_good_states(auto, *rs), (M, w, rs)
 
 
 BOTH_ZERO_TIES = (frozenset({0}), frozenset({0}))
@@ -451,9 +456,106 @@ def alpha_and_sequence(draw):
     return M, alpha, EpSeq(pre, c_per)
 
 
+def orbit_periodic_ok(auto, state, per, strict):
+    """Reference: the period-boundary check the window check replaced.  The
+    state at a period boundary determines the rest of the run, so the
+    boundary states are followed, one period per move, until one repeats and
+    closes a cycle.  Weak admissibility holds iff the run never dies; strict
+    also rejects a tie that survives the cycle."""
+    boundaries, _periods, k = orbit(
+        state, lambda s: None if (t := auto.run(s, per)) is None else (per, t))
+    if k is None:
+        return False
+    if not strict:
+        return True
+    tail = EpSeq((), per)
+    bounds = (tail, dg.reflect(tail, auto.M))       # (upper, lower)
+    return not any(EpSeq((), auto.alpha[i:] + auto.alpha[:i]) == bound
+                   for s in boundaries[k:] for ties, bound in zip(s, bounds) for i in ties)
+
+
+def random_ties(rng, N):
+    return tuple(frozenset(rng.sample(range(N), rng.randint(0, min(3, N)))) for _ in "ul")
+
+
+def alpha_rotations(M, w):
+    """Every rotation of alpha's period and of its reflection: the periods
+    along which ties survive forever."""
+    return [p[k:] + p[:k] for p in (w, dg.word_reflect(w, M)) for k in range(len(p))]
+
+
+def sweep_periods(rng, M, w):
+    """The rotations of alpha and four random words of length 1..2N."""
+    lengths = [rng.randint(1, 2 * len(w)) for _ in range(4)]
+    return alpha_rotations(M, w) + [tuple(rng.randint(0, M) for _ in range(n)) for n in lengths]
+
+
+def assert_periodic_ok_matches_orbit(M, w, rng, state_cap=60):
+    auto = LexAutomaton(M, w)
+    states = list(reachable(auto))
+    if len(states) > state_cap:
+        states = rng.sample(states, state_cap)
+    states += [random_ties(rng, len(w)) for _ in range(5)]
+    for per in sweep_periods(rng, M, w):
+        for state in states:
+            for strict in (True, False):
+                assert auto.periodic_ok(state, per, strict) == \
+                    orbit_periodic_ok(auto, state, per, strict), (M, w, state, per, strict)
+
+
+def test_periodic_ok_matches_orbit_reference(battery):
+    # the battery, the 111(0) chain to depth 4, 30 random bases and alpha =
+    # (M): reachable and random tie sets against rotations of alpha and
+    # random periods
+    bases = [(ctx.M, ctx.alpha_word()) for ctx in battery]
+    w = (1, 1, 0)                                       # alpha period of 111(0)
+    for _depth in range(5):
+        bases.append((1, w))
+        wp = dg.word_plus(w, 1)
+        w = wp + dg.word_reflect(wp, 1)
+    contexts = random.Random(3)
+    bases += [(ctx.M, ctx.alpha_word()) for ctx in (random_context(contexts) for _ in range(30))]
+    # alpha = (M) is the one alpha that ends in M; elsewhere a tie that
+    # survives forever also puts a tail equal to alpha inside the period
+    bases += [(1, (1,)), (2, (2,))]
+    rng = random.Random(1)
+    for M, w in bases:
+        assert_periodic_ok_matches_orbit(M, w, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_periodic_ok_matches_orbit_reference_random(seed, data):
+    ctx = random_context(random.Random(seed))
+    M, w = ctx.M, ctx.alpha_word()
+    auto = LexAutomaton(M, w)
+    offsets = st.frozensets(st.integers(0, len(w) - 1), max_size=3)
+    state = data.draw(st.sampled_from(list(reachable(auto))) | st.tuples(offsets, offsets))
+    per = data.draw(st.sampled_from(alpha_rotations(M, w)) |
+                    st.lists(st.integers(0, M), min_size=1, max_size=2 * len(w)).map(tuple))
+    for strict in (True, False):
+        assert auto.periodic_ok(state, per, strict) == orbit_periodic_ok(auto, state, per, strict)
+
+
+def test_start_is_in_both_admissible_parts(battery):
+    # reading 0s from start() runs to the good cycle ({0}, {}); every target
+    # of a part is one of its keys
+    rng = random.Random(4)
+    contexts = list(battery) + [random_context(rng) for _ in range(100)]
+    for ctx in contexts:
+        auto = LexAutomaton(ctx.M, ctx.alpha_word())
+        for strict in (True, False):
+            part = auto.admissible(strict)
+            assert auto.start() in part, (ctx.beta, strict)
+            assert all(t in part for out in part.values() for _d, t in out), (ctx.beta, strict)
+        assert set(auto.admissible(True)) <= set(auto.admissible(False))
+
+
 @settings(max_examples=300, deadline=None)
 @given(alpha_and_sequence())
 def test_automaton_run_matches_window_predicate(case):
+    # periodic_ok judges the period by the window predicate itself, so this
+    # checks the run over the preperiod and the ties it hands over
     M, alpha, c = case
     auto = LexAutomaton(M, alpha.per)
     state = auto.run(auto.start(), c.pre)

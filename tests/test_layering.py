@@ -3,8 +3,9 @@
 The oracles check the graph and expansion code, so they must not depend on
 it, and no library module may depend on an oracle.  The walks over successor
 maps sit below everything: ``walk`` imports nothing from the package, and the
-digit layer imports nothing else from it.  Building a number field loads
-no factoring: ``minpoly`` is imported only to certify a minimal polynomial.
+digit layer imports nothing else from it.  Building a number field, and
+ordering its points or building and measuring its graphs, loads no
+factoring: ``minpoly`` is imported only to certify a minimal polynomial.
 The package itself declares no runtime dependency, and keeps no
 process-wide memo: what is derived from a context or a graph is kept on it
 by ``base.memo``.
@@ -97,6 +98,29 @@ def test_building_fields_loads_no_factoring():
     out = subprocess.run([sys.executable, "-c", BUILD_CONTEXTS.format(battery=BATTERY)],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["97", "False"]
+
+
+POINTS_GRAPHS_AND_RADII = """
+import sys
+from univoque.base import new_base_context, order_points, v_successor
+from univoque.graph import TILDE, build_graph
+from univoque.spectral import spectral_report
+for M, beta, depth in (1, "111(0)", 5), (3, "331(0)", 3):
+    ctx = new_base_context(M, beta)
+    for _ in range(depth):
+        ctx = v_successor(ctx)
+        order_points(ctx)
+        spectral_report(build_graph(ctx, TILDE), ctx)
+print("univoque.minpoly" in sys.modules)
+"""
+
+
+def test_points_graphs_and_radii_load_no_factoring():
+    # the exact signs of the point order take the field's own coprimality test
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", POINTS_GRAPHS_AND_RADII],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
 
 
 PROCESS_MEMOS = {"functools.lru_cache", "functools.cache"}

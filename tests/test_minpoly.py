@@ -112,15 +112,15 @@ def test_random_bases_match_sympy(case):
     assert field.min_poly == sympy_minimal_factor(base_polynomial(M, beta), field)
 
 
-def spy(monkeypatch, name):
+def spy(monkeypatch, name, module=minpoly):
     calls = []
-    inner = getattr(minpoly, name)
+    inner = getattr(module, name)
 
     def wrapped(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(minpoly, name, wrapped)
+    monkeypatch.setattr(module, name, wrapped)
     return calls
 
 
@@ -244,7 +244,7 @@ def gcd_working_polynomial(P):
     """The working polynomial by gcds modulo the large prime: the squarefree
     part of P, less its gcd with t^L - 1, L = deg P, once exact division
     confirms that gcd.  A reference for ``algebraic.working_polynomial``."""
-    m = minpoly.LARGE_PRIME
+    m = univoque.algebraic.LARGE_PRIME
     R = minpoly._squarefree_part(P)
     cyc = (-1,) + (0,) * (len(P) - 2) + (1,)
     while len(R) > 1:
@@ -309,8 +309,9 @@ def test_deep_context_takes_no_gcd(monkeypatch):
     # the strip divides exactly; only certifying m_q needs a squarefree R
     beta = chain(1, "111(0)", 8)[-1].beta
     gcds, squarefree = spy(monkeypatch, "_gcd"), spy(monkeypatch, "_squarefree_part")
+    field_gcds = spy(monkeypatch, "_gcd", univoque.algebraic)      # the field's coprimality test
     assert new_base_context(1, beta).field.deg == 385
-    assert gcds == [] and squarefree == []
+    assert gcds == [] and squarefree == [] and field_gcds == []
 
 
 def test_hensel_lift_reproduces_known_factors():

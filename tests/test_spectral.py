@@ -11,9 +11,11 @@ import pytest
 import univoque
 from univoque import spectral
 from univoque.base import golden_ratio_base, new_base_context, r_chain, v_successor
+from univoque.digits import LexAutomaton
 from univoque.graph import FULL, TILDE, build_graph, count_label_paths, scc
 from univoque.spectral import (component_dimensions, dimension_of, spectral_radius,
                                spectral_report)
+from univoque.walk import cyclic, tarjan
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -288,3 +290,34 @@ def test_max_radius_pairs():
     # a lone enclosure, or one with both ends highest, comes back unchanged
     assert spectral._max_radius([(1.7, 0.125)]) == (1.7, 0.125)
     assert spectral._max_radius([(1.7, 0.125), (1.5, 0.0)]) == (1.7, 0.125)
+
+
+def automaton_radius(ctx):
+    """The certified radius of the follower automaton's weak admissible part:
+    the largest over its cyclic components, parallel edges counted."""
+    part = LexAutomaton(ctx.M, ctx.alpha_word()).admissible(False)
+    return spectral._max_radius([spectral._component_radius(part, comp)
+                                 for comp in tarjan(part) if cyclic(part, comp)])
+
+
+def overlap(a, b):
+    (r, e), (s, f) = a, b
+    return abs(Fraction(r) - Fraction(s)) <= Fraction(e) + Fraction(f)
+
+
+def test_automaton_radius_matches_tilde_radius(battery):
+    # the admissible part of the follower automaton grows as fast as the
+    # TILDE graph: the two certified enclosures overlap
+    for ctx in battery:
+        auto, tilde = automaton_radius(ctx), spectral_radius(build_graph(ctx, TILDE))
+        assert overlap(auto, tilde), (ctx.beta, auto, tilde)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_automaton_radius_at_the_golden_ratio_base(M):
+    # the two differ at the smallest base: its central graph is empty,
+    # radius 0, while the automaton keeps the constant runs, radius 1
+    ctx = golden_ratio_base(M)
+    assert not build_graph(ctx, TILDE).vertices
+    assert spectral_radius(build_graph(ctx, TILDE)) == (0.0, 0.0)
+    assert automaton_radius(ctx) == (1.0, 0.0)
