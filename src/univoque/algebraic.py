@@ -145,6 +145,24 @@ def _pseudo_divmod(p, r):
     return quo, poly_trim(p[:n])
 
 
+def _low_terms(r):
+    """The nonzero terms ``(j, r_j)`` of a monic r below its leading one."""
+    return tuple((j, c) for j, c in enumerate(r[:-1]) if c)
+
+
+def _monic_rem(p, terms, n):
+    """The remainder of the integer polynomial p, a list of length n or more,
+    modulo the monic polynomial of degree n whose lower nonzero terms are
+    ``terms`` (``_low_terms``), as a list of length n; p is reduced in place."""
+    for i in range(len(p) - 1, n - 1, -1):
+        c = p[i]
+        if c:
+            for j, rj in terms:
+                p[i - n + j] -= c * rj
+    del p[n:]
+    return p
+
+
 def _dyadic_eval(p, n, e):
     """``2^(e deg p) * p(n / 2^e)`` exactly, for an integer polynomial p."""
     acc = 0
@@ -222,6 +240,7 @@ class NumberField:
         self.working_poly = working_poly
         self.deg = len(working_poly) - 1
         self._low = working_poly[:-1]
+        self._terms = _low_terms(working_poly)
         self.n_lo, self.n_hi, self.e = n_lo, n_hi, e
         self._slo = _sign(_dyadic_eval(working_poly, n_lo, e)) if n_lo != n_hi else 0
         self._cyc_inv = {}
@@ -238,6 +257,10 @@ class NumberField:
         return minimal_factor(R, self.n_lo, self.n_hi, self.e)
 
     @functools.cached_property
+    def _min_terms(self):
+        return _low_terms(self.min_poly)
+
+    @functools.cached_property
     def reducible(self):
         """Whether the working polynomial has factors besides ``min_poly``."""
         return len(self.min_poly) < len(self.working_poly)
@@ -252,8 +275,8 @@ class NumberField:
         otherwise deg m_q >= 2 and such a numerator is its own remainder."""
         if not any(a[2:-1]) or not self.reducible:
             return a
-        _quo, rem = _pseudo_divmod(poly_trim(a[:-1]), self.min_poly)    # monic: exact
-        return self.element(list(rem) + [0] * (self.deg - len(rem)), a[-1])
+        rem = _monic_rem(list(a[:-1]), self._min_terms, len(self.min_poly) - 1)
+        return self.element(rem + [0] * (self.deg - len(rem)), a[-1])
 
     @property
     def lo(self):
@@ -315,8 +338,7 @@ class NumberField:
             if x:
                 for j, y in enumerate(b[:-1]):
                     prod[i + j] += x * y
-        rem = _pseudo_divmod(prod, self.working_poly)[1]       # monic: exact
-        return self.element(list(rem) + [0] * (d - len(rem)), a[-1] * b[-1])
+        return self.element(_monic_rem(prod, self._terms, d), a[-1] * b[-1])
 
     def mul_gen(self, a):
         """q * a: a shift, then one reduction by the monic working polynomial R."""

@@ -58,7 +58,7 @@ def memo(owner, fn, *args):
     arguments (defaults filled in) and run their argument and class checks
     before calling: a check belongs to every call, not only to the first.
     Every caller gets the same object, which must not be mutated; the one
-    exception is the remainder map of ``expansions._move_map``, which grows
+    exception is the remainder map ``expansions._RemainderMap``, which grows
     by design and which its one reader bounds.
     """
     cache = owner._cache
@@ -74,10 +74,12 @@ class BaseContext:
     ``_cache`` holds what ``memo`` derived from the context: kappa, the
     special points and their order, the r-chain contexts and the interval
     graphs.  Successor contexts kept there live as long as this one.  Next
-    to them the expansion layer keeps its move function, with the one
-    enclosure of kappa it reads, and the moves of every remainder that a
-    count or a greedy run has met, emptied by a run that leaves more than
-    ``DEFAULT_STATE_CAP`` of them.
+    to them the expansion layer keeps its remainder map, with the one
+    enclosure of kappa it reads: every remainder that a count or a greedy
+    run has met, under an int id, with its moves and, once a count has
+    decided it, its number of expansions, its reachable set and, on a
+    cycle, its tail.  A run that leaves more than ``DEFAULT_STATE_CAP``
+    remainders there empties it.
     """
 
     __slots__ = ("M", "beta", "alpha", "base_class", "defining_poly", "field", "n_period", "_cache")

@@ -4,25 +4,31 @@ Expansions of x are infinite paths in the digit-transition system whose
 states are exact remainders: from value v the digit d is feasible when
 q*v - d stays inside [0, M/(q-1)].  When q is a Pisot number, the
 remainders of a point of Q(q) form a finite set, and exhaustive exploration
-(``walk.explore``, memoized on the remainders in their reduced form,
-``NumberField.reduce``) decides, from the cycles that
-``walk.tarjan`` finds, whether the point has finitely many expansions (and
-then materializes all of them, each cycle word read by ``walk.orbit``) or
-reaches a branching cycle, which yields infinitely many.  For other bases
-the remainders may never repeat; the state cap then bounds the search and
-the answer is CAP_EXCEEDED.
+(``walk.explore``, on remainders in their reduced form,
+``NumberField.reduce``) decides, from the strongly connected components
+that ``walk.tarjan`` lists, whether the point has finitely many expansions
+(and then materializes all of them, each cycle word read by
+``walk.orbit``) or reaches a branching cycle, which yields infinitely many.
+For other bases the remainders may never repeat; the state cap then bounds
+the search and the answer is CAP_EXCEEDED.
 
 Exact arithmetic runs only where it can change the answer, and once: the
 feasible digits of a remainder are read from one interval enclosure of q*v
 on the field's current isolating interval and one enclosure of M/(q-1),
 taken once per context (refining q only narrows it), and q*v - M/(q-1) is
 formed, and an exact sign computed, only for a digit that these leave
-undecided.  A remainder's moves are facts about the base, so the context
-keeps those of every remainder it has met in one map, memoized with the
-move function that fills it (``base.memo``), and that function serves
-counts and greedy runs alike: the greedy digit is the largest move, and a
-point lies in [0, M/(q-1)] exactly when it has a move.  A run that leaves
-more than ``DEFAULT_STATE_CAP`` remainders there empties the map.
+undecided.  A remainder's moves, and what they imply, are facts about the
+base, so the context keeps every remainder it has met in one map
+(``_RemainderMap``, memoized by ``base.memo``), where it is a small int id
+and its moves are ``(digit, id)`` pairs.  The map serves counts and greedy
+runs alike: the greedy digit is the largest move, and a point lies in
+[0, M/(q-1)] exactly when it has a move.  A count decides each remainder it
+reaches, once: its number of expansions (or infinitely many), its reachable
+set and, on a deterministic cycle, its tail word.  A later count explores
+and splits into components only the remainders no count has decided, so
+points that share tails, such as the witnesses x_m, walk each remainder
+once.  A run that leaves more than ``DEFAULT_STATE_CAP`` remainders there
+empties the map.
 
 The witness constructor produces, for any admissible tail sequence, a point
 with exactly m expansions for each m >= 1, by prefixing the tail with
@@ -38,6 +44,7 @@ its good states are built on.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from . import digits as dg
@@ -101,39 +108,92 @@ def _feasible_moves(field, M, kappa, kbox, v):
     return moves
 
 
-def _move_map(ctx):
-    """The context's move function ``moves(v)`` for a reduced element v, and
-    the map ``known`` in which it keeps the moves of each remainder,
-    computed once from one enclosure of kappa and reduced on a reducible
-    field, where remainders are hashed.  Built once (``memo``); the map is
-    the one part of a memoized value that grows, and ``_walk`` bounds it."""
-    field, M, kappa = ctx.field, ctx.M, ctx.kappa.elem
-    kbox = field.enclosure(kappa)
-    known = {}
+class _RemainderMap:
+    """The remainders a context has met, as a graph on small int ids.
 
-    def moves(v):
-        if v not in known:
-            out = _feasible_moves(field, M, kappa, kbox, v)
-            known[v] = [(d, field.reduce(u)) for d, u in out] if field.reducible else out
-        return known[v]
+    ``intern(v)`` gives the reduced element v an id the first time it is
+    met, and ``moves(i)`` the ``(digit, id)`` moves of id i, computed once
+    from one enclosure of kappa and reduced on a reducible field, where
+    remainders are hashed.  A count decides each id it reaches, once: its
+    number of expansions in ``count`` (``math.inf`` when a branching cycle
+    is reachable), its reachable ids in ``reach``, one bit each, and, for an
+    id on a deterministic cycle, the tail word read from it in ``tails``.
+    Built once per context (``memo``); the map is the one part of a memoized
+    value that grows, and ``_walk`` bounds it.
+    """
 
-    return moves, known
+    __slots__ = ("field", "M", "kappa", "kbox", "ids", "elems", "out", "count", "reach", "tails")
+
+    def __init__(self, ctx):
+        self.field, self.M, self.kappa = ctx.field, ctx.M, ctx.kappa.elem
+        self.kbox = self.field.enclosure(self.kappa)
+        self.ids, self.elems, self.out = {}, [], []
+        self.count, self.reach, self.tails = {}, {}, {}
+
+    def intern(self, v):
+        i = self.ids.get(v)
+        if i is None:
+            i = self.ids[v] = len(self.elems)
+            self.elems.append(v)
+            self.out.append(None)
+        return i
+
+    def moves(self, i):
+        out = self.out[i]
+        if out is None:
+            field = self.field
+            out = _feasible_moves(field, self.M, self.kappa, self.kbox, self.elems[i])
+            if field.reducible:
+                out = [(d, field.reduce(u)) for d, u in out]
+            out = self.out[i] = [(d, self.intern(u)) for d, u in out]
+        return out
+
+    def decide(self, succ):
+        """Decide every id of ``succ``, the successor map of undecided ids
+        (decided targets dropped).  Tarjan lists components sinks first, so
+        each component is decided from decided successors: counts add,
+        infinity absorbs and reach sets are joined.  A cyclic component is
+        one deterministic cycle, one expansion from each of its ids, when
+        each of its ids has a single move, and infinitely many otherwise."""
+        moves, count, reach, tails = self.moves, self.count, self.reach, self.tails
+        for comp in tarjan(succ):
+            if not cyclic(succ, comp):
+                ks = [count[w] for _d, w in moves(comp[0])]
+                k = math.inf if math.inf in ks else sum(ks)
+            elif all(len(moves(v)) == 1 for v in comp):
+                cycle, tail, _k = orbit(comp[0], lambda v: moves(v)[0])
+                for i, v in enumerate(cycle):
+                    tails[v] = tuple(tail[i:] + tail[:i])
+                k = 1
+            else:
+                k = math.inf
+            bits = 0
+            for v in comp:
+                bits |= 1 << v
+                for _d, w in moves(v):
+                    if w in reach:
+                        bits |= reach[w]
+            for v in comp:
+                count[v], reach[v] = k, bits
+
+    def clear(self):
+        for table in (self.ids, self.elems, self.out, self.count, self.reach, self.tails):
+            table.clear()
 
 
 def _walk(ctx, x, run):
-    """``run(root, moves)`` for the reduced element of x and the context's
-    move function.  Since q <= M + 1, kappa >= 1 and the digit ranges
-    [d, d + kappa] cover [0, q*kappa] = [0, M + kappa]: x lies in [0, kappa]
-    exactly when it has a move, and RangeError is raised when it has none.
-    A run that leaves more than ``DEFAULT_STATE_CAP`` remainders in the map
-    empties it."""
-    moves, known = memo(ctx, _move_map)
-    root = ctx.field.reduce(x.elem)
-    if not moves(root):
+    """``run(root, rmap)`` for the id of x in the context's remainder map.
+    Since q <= M + 1, kappa >= 1 and the digit ranges [d, d + kappa] cover
+    [0, q*kappa] = [0, M + kappa]: x lies in [0, kappa] exactly when it has
+    a move, and RangeError is raised when it has none.  A run that leaves
+    more than ``DEFAULT_STATE_CAP`` remainders in the map empties it."""
+    rmap = memo(ctx, _RemainderMap)
+    root = rmap.intern(ctx.field.reduce(x.elem))
+    if not rmap.moves(root):
         raise RangeError("value outside the expandable interval")
-    out = run(root, moves)
-    if len(known) > DEFAULT_STATE_CAP:
-        known.clear()
+    out = run(root, rmap)
+    if len(rmap.ids) > DEFAULT_STATE_CAP:
+        rmap.clear()
     return out
 
 
@@ -141,10 +201,10 @@ def greedy_expand(ctx, x, L):
     """First L digits of the lexicographically largest expansion of x: each
     is the largest move of its remainder v, which for v in [0, kappa] is the
     largest d with q*v - d >= 0, since q*kappa - M = kappa >= 1."""
-    def run(v, moves):
+    def run(v, rmap):
         out = []
         for _ in range(L):
-            d, v = moves(v)[-1]
+            d, v = rmap.moves(v)[-1]
             out.append(d)
         return tuple(out)
 
@@ -162,7 +222,7 @@ def quasi_greedy_expand(ctx, x):
     truncate.
     """
     bound = QUASI_GREEDY_STEP_BOUND
-    run = _walk(ctx, x, lambda root, moves: orbit(root, lambda v: moves(v)[-1], bound + 1))
+    run = _walk(ctx, x, lambda root, rmap: orbit(root, lambda v: rmap.moves(v)[-1], bound + 1))
     if run is not None:
         _remainders, digits, k = run
         pre, per = tuple(digits[:k]), tuple(digits[k:])
@@ -195,33 +255,52 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
     CAP_EXCEEDED when more than ``cap`` distinct remainders, or more than
     ``cap`` expansions, appear.  A branching state above deterministic
     cycles only leaves finitely many expansions.
+
+    The remainders that earlier counts on the context decided are not
+    walked again: the count explores the undecided ones alone (more than
+    ``cap`` of them are CAP_EXCEEDED at once), decides them from the
+    decided ones below, and reads the number of remainders and of
+    expansions of x from the map.
     """
     if cap < 0:
         raise ValueError(f"state cap must be nonnegative, got {cap}")
-    root, succ = _walk(ctx, x, lambda root, moves: (root, explore([root], moves, cap)))
-    if succ is None:
-        return ExpansionCount(CAP_EXCEEDED)
-    on_cycle = {v for comp in tarjan(succ) if cyclic(succ, comp) for v in comp}
-    # every state was reached from x, so a branching state on a cycle is
-    # reached too: infinitely many expansions
-    if any(len(succ[v]) > 1 for v in on_cycle):
-        return ExpansionCount(INFINITE_CYCLE)
 
-    witnesses = []
-    stack = [(root, ())]
-    while stack:
-        v, path = stack.pop()
-        if v in on_cycle:
-            # the deterministic cycle through v: its forced digits until v recurs
-            _cycle, tail, _k = orbit(v, lambda u: succ[u][0])
-            witnesses.append(EpSeq(path, tuple(tail)))
-            if len(witnesses) > cap:
+    def run(root, rmap):
+        count, moves, tails = rmap.count, rmap.moves, rmap.tails
+        if root not in count:
+            succ = explore([root], lambda v: [(d, w) for d, w in moves(v) if w not in count], cap)
+            if succ is None:
                 return ExpansionCount(CAP_EXCEEDED)
-            continue
-        for d, nxt in reversed(succ[v]):
-            stack.append((nxt, path + (d,)))
-    witnesses.sort(key=lambda s: (s.pre, s.per))
-    return ExpansionCount(EXACT, len(witnesses), tuple(witnesses))
+            rmap.decide(succ)
+        if rmap.reach[root].bit_count() > cap:
+            return ExpansionCount(CAP_EXCEEDED)
+        k = count[root]
+        if k == math.inf:
+            return ExpansionCount(INFINITE_CYCLE)
+        if k > cap:
+            return ExpansionCount(CAP_EXCEEDED)
+        # depth first, least digit first, down to the cycle ids, so no path
+        # is a prefix of another and the witnesses come out sorted.  Each is
+        # in canonical form: its path's last digit enters the cycle from off
+        # it, so differs from the cycle's digit into that id (the move back
+        # from v by d is (v + d)/q), and a cycle of distinct remainders reads
+        # a primitive word
+        witnesses = []
+        stack = [(root, ())]
+        while stack:
+            v, head = stack.pop()
+            path = list(head)
+            while v not in tails:
+                out = moves(v)
+                if len(out) > 1:
+                    head = tuple(path)
+                    stack.extend((w, head + (d,)) for d, w in reversed(out[1:]))
+                d, v = out[0]
+                path.append(d)
+            witnesses.append(EpSeq._canonical(tuple(path), tails[v]))
+        return ExpansionCount(EXACT, k, tuple(witnesses))
+
+    return _walk(ctx, x, run)
 
 
 # --- admissibility filters for tail families ---------------------------------

@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 
@@ -397,8 +398,9 @@ def test_default_tail_budget(tribonacci, monkeypatch):
 
 # --- feasible digits from enclosures against per-digit signs ------------------
 
-def per_digit_count(ctx, x, cap):
-    """Reference: count_expansions with two exact signs per digit and state."""
+def per_digit_graph(ctx, x, cap):
+    """Reference: the remainder graph of x, with two exact signs per digit
+    and state; None once it holds more than ``cap`` remainders."""
     kappa = ctx.kappa
     succ = {}
     frontier = [x]
@@ -410,8 +412,16 @@ def per_digit_count(ctx, x, cap):
         succ[v] = moves = [(d, qv - d) for d in range(ctx.M + 1)
                            if (qv - d).sign() >= 0 and (qv - d - kappa).sign() <= 0]
         if len(succ) > cap:
-            return ex.ExpansionCount(ex.CAP_EXCEEDED)
+            return None
         frontier += [nxt for _d, nxt in moves if nxt not in succ]
+    return succ
+
+
+def per_digit_count(ctx, x, cap):
+    """Reference: count_expansions with two exact signs per digit and state."""
+    succ = per_digit_graph(ctx, x, cap)
+    if succ is None:
+        return ex.ExpansionCount(ex.CAP_EXCEEDED)
     on_cycle = set()
     for comp in tarjan(succ):
         if len(comp) > 1 or any(w == comp[0] for _d, w in succ[comp[0]]):
@@ -579,6 +589,71 @@ def test_counted_points_are_read_from_the_map(M, beta, monkeypatch):
     assert passes == [] and calls == []
 
 
+def test_cap_holds_on_decided_remainders(monkeypatch):
+    # once x_10 is decided, a count at a smaller cap reads the size of its
+    # reachable set from the map and still stops at the cap
+    ctx = new_base_context(1, "111(0)")
+    x = ex.build_witness_xm(ctx, 10, ex.default_tail(ctx))[0]
+    assert ex.count_expansions(ctx, x, cap=1000)[:2] == (ex.EXACT, 10)
+    n = len(per_digit_graph(ctx, x, 1000))
+    nodes = record_calls(monkeypatch, ex, "tarjan", len)
+    below, at = ex.count_expansions(ctx, x, cap=n - 1), ex.count_expansions(ctx, x, cap=n)
+    assert nodes == []
+    assert below == per_digit_count(ctx, x, n - 1) == ex.ExpansionCount(ex.CAP_EXCEEDED)
+    assert at == per_digit_count(ctx, x, n) and at[:2] == (ex.EXACT, 10)
+
+
+def test_infinity_absorbs_decided_successors():
+    # on 331(0), 0(3) moves by 0 to kappa = (3) and by 1 onto a branching
+    # cycle, and 3(0) by 3 to 0 and by 2 onto one, neither on a cycle
+    # itself: with 0 and kappa decided first, each count joins a decided
+    # finite successor with an infinite one
+    ctx = new_base_context(3, "331(0)")
+    for s in ("(0)", "(3)"):
+        assert ex.count_expansions(ctx, ctx.value(seq(s)))[:2] == (ex.EXACT, 1)
+    for s in ("0(3)", "3(0)"):
+        x = ctx.value(seq(s))
+        assert ex.count_expansions(ctx, x) == per_digit_count(ctx, x, 500)
+        assert ex.count_expansions(ctx, x).kind == ex.INFINITE_CYCLE
+
+
+@functools.cache
+def battery_points(M, beta):
+    return count_points(M, beta)
+
+
+@functools.cache
+def battery_reference(M, beta, i, cap):
+    ctx = new_base_context(M, beta)
+    return per_digit_count(ctx, battery_points(M, beta)[i](ctx), cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BATTERY), st.permutations(range(16)), st.lists(st.sampled_from((2, 12, 60)),
+                                                                     min_size=16, max_size=16))
+def test_counts_in_any_order_match_per_digit_signs(base, order, caps):
+    # one shared context: each count finds some of its remainders decided
+    # by the counts before it, under another cap
+    M, beta = base
+    ctx = new_base_context(M, beta)
+    points = battery_points(M, beta)
+    for i in order:
+        got = ex.count_expansions(ctx, points[i](ctx), cap=caps[i])
+        assert got == battery_reference(M, beta, i, caps[i])
+
+
+@pytest.mark.parametrize("M, beta", COUNT_BASES)
+def test_each_remainder_is_decided_once(M, beta, monkeypatch):
+    ctx = new_base_context(M, beta)
+    points = [point(ctx) for point in count_points(M, beta)]
+    nodes = record_calls(monkeypatch, ex, "tarjan", len)
+    kinds = {ex.count_expansions(ctx, x, cap=500).kind for x in points}
+    rmap = ctx._cache[(ex._RemainderMap,)]
+    assert sum(nodes) == len(rmap.count)
+    if ex.CAP_EXCEEDED not in kinds:
+        assert sum(nodes) == len(rmap.ids)
+
+
 @pytest.mark.parametrize("M, beta", BATTERY)
 def test_range_error_exactly_outside_the_interval(M, beta):
     ctx = new_base_context(M, beta)
@@ -622,23 +697,29 @@ def test_feasible_moves_match_exact_signs(seed, pre, per, steps, coarse):
         field.refine()
 
 
+def held_ids(ctx):
+    """The number of remainders in the context's remainder map."""
+    rmap = ctx._cache.get((ex._RemainderMap,))
+    return 0 if rmap is None else len(rmap.ids)
+
+
 def test_remainder_map_is_bounded(monkeypatch):
     monkeypatch.setattr(ex, "DEFAULT_STATE_CAP", 40)
     ctx = new_base_context(1, "111001010(0)")
-    known = lambda: ctx._cache.get((ex._move_map,), (None, {}))[1]      # noqa: E731
+    known = lambda: held_ids(ctx)       # noqa: E731
     x = ctx.value(seq("(01)"))
     first = ex.count_expansions(ctx, x, cap=40)
-    assert 0 < len(known()) <= 40
+    assert 0 < known() <= 40
     assert ex.count_expansions(ctx, x, cap=40) == first          # read from the map
     # the remainders of 011(10) need not repeat: a count past the cap
     # leaves more than 40 of them, and the map is emptied
     assert ex.count_expansions(ctx, ctx.value(seq("011(10)")), cap=300).kind == ex.CAP_EXCEEDED
-    assert len(known()) == 0
+    assert known() == 0
     tribonacci = new_base_context(1, "111(0)")
     tail = ex.default_tail(tribonacci)
     held = []
     for m in range(1, 11):
         x = ex.build_witness_xm(tribonacci, m, tail)[0]
         assert ex.count_expansions(tribonacci, x, cap=1000).count == m
-        held.append(len(tribonacci._cache[(ex._move_map,)][1]))
+        held.append(held_ids(tribonacci))
     assert 0 < max(held) <= 40 and 0 in held
