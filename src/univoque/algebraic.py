@@ -504,12 +504,14 @@ class NumberField:
 class AlgebraicReal:
     """An element of Q(q), carried as a field element over its field.
 
-    Supports exact ring arithmetic, exact division, and exact comparison;
-    hashing is structural on the reduced element tuple
-    (``NumberField.reduce``), so these values serve directly as memoization
-    keys.  Equality compares the raw tuples first and, only when they
-    differ, decides by the sign of the difference, which certifies the
-    field only when that sign does (``NumberField.sign``).
+    Supports exact ring arithmetic, exact division, and exact comparison,
+    with ints and Fractions too; hashing is structural on the reduced
+    element tuple (``NumberField.reduce``), or on its Fraction when that
+    tuple is constant, so these values serve directly as memoization keys
+    and hash as an equal int or Fraction.  Equality compares the raw tuples
+    first and, only when they differ, decides by the sign of the
+    difference, which certifies the field only when that sign does
+    (``NumberField.sign``).
     """
 
     __slots__ = ("field", "elem")
@@ -569,13 +571,16 @@ class AlgebraicReal:
         return (self - other).sign()
 
     def __eq__(self, other):
-        if isinstance(other, AlgebraicReal):
-            return self.field is other.field and (self.elem == other.elem
-                                                  or self.cmp(other) == 0)
-        return NotImplemented
+        if not isinstance(other, AlgebraicReal):
+            if not isinstance(other, (int, Q)):
+                return NotImplemented
+            other = self._lift(other)
+        return self.field is other.field and (self.elem == other.elem
+                                              or self.cmp(other) == 0)
 
     def __hash__(self):
-        return hash(self.field.reduce(self.elem))
+        a = self.field.reduce(self.elem)
+        return hash(Q(a[0], a[-1]) if not any(a[1:-1]) else a)
 
     def __lt__(self, other):
         return self.cmp(other) < 0

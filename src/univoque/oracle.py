@@ -2,7 +2,8 @@
 
 Nothing here touches the graph or the expansion-search machinery; words are
 enumerated straight from the lexicographic conditions, and expansion counts
-are bounded by exhaustive prefix enumeration with exact arithmetic.  The
+are bounded by counting feasible digit prefixes level by level, merged by
+remainder, each digit read from its definition with exact arithmetic.  The
 shared dependencies are the exact-arithmetic layer, the digit layer and the
 successor-map walks of ``walk``, whose word listing serves the graphs too.
 
@@ -57,60 +58,51 @@ def brute_count_expansions(ctx, x, depth):
     provably pinned to a unique tail (the forced-digit walk from it closes a
     cycle without ever meeting a second feasible digit).  The true count
     lies in between when every branching of x resolves within the depth.
-    A tree of more than ``BRUTE_NODE_BUDGET`` nodes below its root raises
-    SearchBoundError once the walk has met that many.
+    The feasible digits of a remainder v are, by definition, the d in 0..M
+    from ceil(q*v - kappa) to floor(q*v), each bound settled on a canonical
+    element (rational only when constant, and then enclosed exactly).
+    Prefixes are counted by remainder one level at a time, as
+    ``walk.count_words`` counts words, so the work follows the distinct
+    remainders of each level.  A tree of more than ``BRUTE_NODE_BUDGET``
+    nodes below its root raises SearchBoundError once the count meets that
+    many.
     """
     if depth < 0:
         raise ValueError(f"oracle depth must be nonnegative, got {depth}")
     if depth > 24:
         raise ValueError("oracle depth is capped at 24")
-    field, kappa = ctx.field, ctx.kappa
-    # an enclosure of kappa, still valid once q is refined further
-    klo, khi, kd = field.enclosure(kappa.elem)
+    field, M = ctx.field, ctx.M
+    kappa = field.reduce(ctx.kappa.elem)
+
+    def floor(a):
+        return field.settle(a, lambda n, D: n // D)
 
     def feasible(v):
-        # the digits d with 0 <= q*v - d <= kappa; q*v lies in [lo/D, hi/D],
-        # and only a bound that this enclosure leaves open takes an exact sign
-        qv = v.mul_gen()
-        lo, hi, D = field.enclosure(qv.elem)
-        out = []
-        for d in range(min(ctx.M, hi // D) + 1):
-            if (lo - d * D) * kd > khi * D:
-                continue
-            nxt = qv - d
-            if d * D > lo and nxt.sign() < 0:
-                continue
-            if (hi - d * D) * kd > klo * D and (nxt - kappa).sign() > 0:
-                continue
-            out.append((d, nxt))
-        return out
+        # v and kappa are canonical, so are q*v once reduced and each q*v - d
+        qv = field.reduce(field.mul_gen(v))
+        lo, hi = max(0, -floor(field.sub(kappa, qv))), min(M, floor(qv))
+        return [(d, field.add_int(qv, -d)) for d in range(lo, hi + 1)]
 
     def forced(v):
         moves = feasible(v)
         return moves[0] if len(moves) == 1 else None
 
-    pinned_cache = {}
-
-    def pinned(v):
+    level, nodes = {field.reduce(x.elem): 1}, 0
+    for _ in range(depth):
+        nxt = {}
+        for v, c in level.items():
+            moves = feasible(v)
+            nodes += c * len(moves)
+            if nodes > BRUTE_NODE_BUDGET:
+                raise SearchBoundError(f"the feasible-prefix tree to depth {depth} has more than "
+                                       f"{BRUTE_NODE_BUDGET} nodes; ask for a smaller depth")
+            for _d, w in moves:
+                nxt[w] = nxt.get(w, 0) + c
+        level = nxt
+    pinned = {}
+    for v in level:
         # the forced-digit run from v closes a cycle, or stops at a branching
-        if v not in pinned_cache:
+        if v not in pinned:
             run, _digits, k = orbit(v, forced)
-            pinned_cache.update(dict.fromkeys(run, k is not None))
-        return pinned_cache[v]
-
-    lower = upper = nodes = 0
-    stack = [(x, 0)]
-    while stack:
-        v, k = stack.pop()
-        if k == depth:
-            upper += 1
-            if pinned(v):
-                lower += 1
-            continue
-        moves = feasible(v)
-        nodes += len(moves)
-        if nodes > BRUTE_NODE_BUDGET:
-            raise SearchBoundError(f"the feasible-prefix tree to depth {depth} has more than "
-                                   f"{BRUTE_NODE_BUDGET} nodes; ask for a smaller depth")
-        stack.extend((nxt, k + 1) for _d, nxt in moves)
-    return lower, upper
+            pinned.update(dict.fromkeys(run, k is not None))
+    return sum(c for v, c in level.items() if pinned[v]), sum(level.values())

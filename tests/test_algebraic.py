@@ -272,6 +272,26 @@ def test_hashable_memo_keys(tribonacci):
     assert len({one, also_one}) == 1
 
 
+
+@pytest.mark.parametrize("M, beta", [BATTERY[0], (1, "1101011(0)")])
+def test_rational_values_equal_and_hash_as_numbers(M, beta):
+    ctx = new_base_context(M, beta)
+    one, zero = ctx.q * ctx.value(seq("1(0)")), ctx.value(seq("(0)"))
+    assert one <= 1 and one >= 1 and one == 1 and 1 == one and zero == 0
+    assert one != 2 and ctx.q != 1 and one != Q(1, 2) and one / 2 == Q(1, 2)
+    assert 1 in {one} and 0 in {zero} and Q(3, 2) in {one + one / 2}
+    assert {one, zero, one / 2} == {1, 0, Q(1, 2)}
+
+
+def test_nonconstant_tuple_of_a_rational_hashes_as_its_value():
+    # the minimal polynomial of 1101011(0), of degree below the working
+    # polynomial, is a nonconstant numerator of 0 there
+    f = new_base_context(1, "1101011(0)").field
+    hidden = AlgebraicReal(f, f.element(list(f.min_poly) + [0] * (f.deg - len(f.min_poly)), 3))
+    assert f.reducible and any(hidden.elem[1:-1])
+    assert hidden == 0 and hidden + 1 == 1 and hash(hidden + 1) == hash(1)
+    assert hash(hidden - Q(1, 3)) == hash(Q(-1, 3)) and Q(-1, 3) in {hidden - Q(1, 3)}
+
 def test_json_rendering(tribonacci):
     payload = tribonacci.q.to_json()
     assert payload["den"] == [1]

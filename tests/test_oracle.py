@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BATTERY, random_context
+from test_expansions import record_passes
+from test_reducible import REDUCIBLE
 from univoque import digits as dg
 from univoque import oracle
 from univoque.algebraic import NumberField
@@ -13,6 +15,7 @@ from univoque.graph import FULL, build_graph, path_words
 from univoque.oracle import (U_PREFIX, V_PREFIX, brute_count_expansions,
                              enumerate_admissible_words)
 from univoque import expansions as ex
+from univoque.walk import orbit
 
 
 def seq(text):
@@ -238,7 +241,7 @@ def open_points(ctx, seed):
 
 def test_brute_count_decides_open_digits_exactly():
     # left on the bracket [1, M+1], the field's enclosures of q*v leave
-    # digits open, which only exact signs decide
+    # digits open, which only refining q decides
     for seed, (M, beta) in enumerate(BATTERY):
         for i in range(4):
             coarse = new_base_context(M, beta)
@@ -248,3 +251,61 @@ def test_brute_count_decides_open_digits_exactly():
             bounds = brute_count_expansions(coarse, x, 5)
             assert bounds == brute_count_expansions(fine, y, 5), (beta, i)
             assert bounds[1] == len(feasible_level(fine, y, 5)), (beta, i)
+
+
+def unmerged_bounds(ctx, x, depth):
+    """The bounds with one entry per feasible prefix: ``upper`` counts the
+    entries of ``feasible_level``, ``lower`` those whose forced run, each
+    digit decided by exact comparisons, closes a cycle."""
+    def forced(v):
+        moves = [(d, y) for d in range(ctx.M + 1) if 0 <= (y := v.mul_gen() - d) <= ctx.kappa]
+        return moves[0] if len(moves) == 1 else None
+
+    level = feasible_level(ctx, x, depth)
+    return sum(orbit(v, forced)[2] is not None for v in level), len(level)
+
+
+contexts = st.one_of(st.integers(0, 2**32).map(lambda seed: random_context(random.Random(seed))),
+                     st.sampled_from(REDUCIBLE).map(lambda base: new_base_context(*base)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(contexts, st.lists(st.tuples(digit_words(6), digit_words(3).filter(bool)),
+                          min_size=2, max_size=2))
+def test_merging_by_remainder_is_exact(ctx, words):
+    # the midpoint of two points branches more often than either point;
+    # only a point with finitely many remainders is counted, so that every
+    # forced run ends
+    s, t = (dg.EpSeq([d % (ctx.M + 1) for d in pre], [d % (ctx.M + 1) for d in per])
+            for pre, per in words)
+    x = (ctx.value(s) + ctx.value(t)) / 2
+    if ex.count_expansions(ctx, x, cap=300).kind == ex.CAP_EXCEEDED:
+        return
+    depth = brute_depth(ctx, x)
+    assert brute_count_expansions(ctx, x, depth) == unmerged_bounds(ctx, x, depth), \
+        (ctx.M, ctx.beta, s, t, depth)
+
+
+@pytest.mark.parametrize("M, beta, point, depth", [
+    (7, "77041503(0)", "(377)", 8), (2, "22021(0)", "022(10)", 14),
+    (6, "6624122(0)", "300(23)", 10), (4, "41123(0)", "(003)", 7),
+    (1, "1101011(0)", "01(110)", 10)])
+def test_different_tuples_of_one_remainder_merge(M, beta, point, depth):
+    # in the working polynomial's field two prefixes reach one remainder as
+    # two different tuples, which the count merges as one value
+    ctx = new_base_context(M, beta)
+    x = ctx.value(seq(point))
+    level = feasible_level(ctx, x, depth)
+    assert len({v.elem for v in level}) > len(set(level))
+    assert brute_count_expansions(ctx, x, depth) == unmerged_bounds(ctx, x, depth)
+
+
+def test_brute_count_work_follows_distinct_remainders(monkeypatch):
+    # 97,666 prefixes of 1/2 in base 2 with digits 0..9 end on at most ten
+    # remainders a level, the integers 0..9; walking the prefixes one at a
+    # time takes about 24,000 passes
+    ctx = new_base_context(9, "2(0)")
+    x = ctx.value(seq("1(0)"))
+    passes = record_passes(monkeypatch)
+    assert brute_count_expansions(ctx, x, 9) == (19540, 97666)
+    assert len(passes) <= 1000
