@@ -326,7 +326,16 @@ class NumberField:
         return (a[0] + k * a[-1],) + a[1:]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        da, db = a[-1], b[-1]
+        if da == db:
+            return self.element([x - y for x, y in zip(a[:-1], b)], da)
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        return self.element([x * fa - y * fb for x, y in zip(a[:-1], b)], da * fa)
+
+    def mul_int(self, a, k):
+        """k * a for an integer k; the result needs no reduction."""
+        return self.element([k * x for x in a[:-1]], a[-1])
 
     def neg(self, a):
         return tuple(-x for x in a[:-1]) + (a[-1],)
@@ -545,6 +554,8 @@ class AlgebraicReal:
         return -self + other
 
     def __mul__(self, other):
+        if isinstance(other, int):
+            return AlgebraicReal(self.field, self.field.mul_int(self.elem, other))
         other = self._lift(other)
         return AlgebraicReal(self.field, self.field.mul(self.elem, other.elem))
 

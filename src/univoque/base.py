@@ -274,8 +274,10 @@ def _special_points(ctx):
         a = apply_digit_map(a, digit)
     if a.sign() != 0:
         raise InternalConsistencyError(f"the orbit of 1 does not close at 0 after {N} digits")
+    # b_i's key reflects a_i's: shift and reflection commute
+    reflected = dg.reflect(ctx.alpha, M)
     for i in range(1, N + 1):
-        keys[f"b{i}"] = dg.reflect(keys[f"a{i}"], M)
+        keys[f"b{i}"] = dg.shift(reflected, i - 1)
         values[f"b{i}"] = kappa - values[f"a{i}"]
     for j in range(0, M + 1):
         keys[f"th{j}"] = dg.ZERO if j == 0 else EpSeq((j - 1,), w)
@@ -308,7 +310,12 @@ def order_points(ctx):
     Points are sorted by the lexicographic order of their quasi-greedy keys,
     read off prefix tuples of one common length (``digits.common_prefixes``);
     exact algebraic comparison then confirms every coincidence and every
-    strict step.  A disagreement would falsify the order isomorphism between
+    strict step.  Each coincidence is checked by exact equality.  Each class
+    value is enclosed once (``NumberField.enclosure``, rigorous on the
+    current isolating interval of q); a strict step whose two enclosures are
+    disjoint in the right order is certified by them, and one whose
+    enclosures overlap by the exact ``cmp``, which refines q as far as it
+    needs.  A disagreement would falsify the order isomorphism between
     sequences and values and raises InternalConsistencyError.
     """
     ctx.require_graph_class()
@@ -331,13 +338,18 @@ def _order_points(ctx):
             values.append(pts.value[nm])
     for cls, val in zip(classes, values):
         for nm in cls[1:]:
-            if pts.value[nm].cmp(val) != 0:
+            if pts.value[nm] != val:
                 raise InternalConsistencyError(
                     f"key order says {cls[0]} = {nm} but the values differ")
+    enclose = ctx.field.enclosure
+    _lo, hi, D = enclose(values[0].elem)
     for k in range(len(values) - 1):
-        if values[k].cmp(values[k + 1]) >= 0:
+        lo_next, hi_next, D_next = enclose(values[k + 1].elem)
+        # hi/D < lo_next/D_next puts the two enclosures in order, apart
+        if hi * D_next >= lo_next * D and values[k].cmp(values[k + 1]) >= 0:
             raise InternalConsistencyError(
                 f"key order says {classes[k][0]} < {classes[k+1][0]} but the values disagree")
+        hi, D = hi_next, D_next
     return PointOrder(
         classes=classes,
         values=values,

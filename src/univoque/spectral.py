@@ -18,6 +18,16 @@ certificate, whatever its size (there is no size cutoff); when the
 iteration cap is hit the enclosure is wider but still exact.  Only Python
 floats, ints and Fractions are used, no array library.
 
+Each step of the iteration reads a row's successors with one
+``operator.itemgetter`` gather (a lone successor directly), and adds every
+float sum left to right with ``functools.reduce(operator.add, ...)``.  The
+built-in ``sum`` is not used on floats: from Python 3.12 on it compensates
+the rounding of a float sum, so the iterates, and the radius printed from
+them, would change in their last bits with the interpreter.  Left-to-right
+sums give the same bits on every version.  The Collatz-Wielandt quotients
+are compared by integer cross-multiplication, so only the two ends of the
+enclosure become Fractions.
+
 The pass over a graph's components runs once per graph (``_components``,
 kept on the graph by ``base.memo``); ``spectral_radius``,
 ``spectral_report`` and ``component_dimensions`` all read it.
@@ -28,6 +38,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
+from operator import add, itemgetter, truediv
 
 from .base import BaseClass, memo
 from .graph import TILDE, TILDE1, build_graph, scc
@@ -48,26 +60,46 @@ def _round_down(q):
     return f if Fraction(f) <= q else math.nextafter(f, -math.inf)
 
 
+def _row_sum(row):
+    """The function that takes a vector x to the sum of x[j] over ``row``,
+    added left to right: a lone entry is read directly, and a vertex with no
+    edge in its component sums to 0."""
+    if len(row) == 1:
+        return itemgetter(row[0])
+    if not row:
+        return lambda _x: 0
+    gather = itemgetter(*row)
+    return lambda x: reduce(add, gather(x))
+
+
 def _component_radius(succ, comp):
     """Perron radius of one component of the successor map ``succ`` with a
     certified bound: the true radius lies in [r - err, r + err]."""
     pos = {v: p for p, v in enumerate(comp)}
     rows = [sorted(pos[j] for _k, j in succ[v] if j in pos) for v in comp]
+    sums = [_row_sum(row) for row in rows]
     x = [1.0] * len(comp)
     for _ in range(ITERATION_CAP):
-        y = [x[i] + sum(x[j] for j in row) for i, row in enumerate(rows)]
-        ratios = [b / a for a, b in zip(x, y)]
+        y = [xi + s(x) for xi, s in zip(x, sums)]
+        ratios = list(map(truediv, y, x))
         lo, hi = min(ratios), max(ratios)
         if hi - lo <= RADIUS_TOL * hi:
             break
-        total = sum(y)
+        total = reduce(add, y)
         x = [b / total for b in y]
     # x exactly, as integers over the largest of its power-of-two denominators
     parts = [xi.as_integer_ratio() for xi in x]
     den = max(d for _n, d in parts)
     X = [n * (den // d) for n, d in parts]
-    cw = [Fraction(X[i] + sum(X[j] for j in row), X[i]) for i, row in enumerate(rows)]
-    return _centred(min(cw) - 1, max(cw) - 1)
+    B = [xi + sum(map(X.__getitem__, row)) for xi, row in zip(X, rows)]
+    # the least and greatest quotient B_i / X_i, by cross-multiplication
+    lo = hi = 0
+    for i in range(1, len(X)):
+        if B[i] * X[lo] < B[lo] * X[i]:
+            lo = i
+        elif B[i] * X[hi] > B[hi] * X[i]:
+            hi = i
+    return _centred(Fraction(B[lo], X[lo]) - 1, Fraction(B[hi], X[hi]) - 1)
 
 
 def _centred(lo, hi):

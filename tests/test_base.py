@@ -1,14 +1,17 @@
 import functools
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
+from univoque import base
 from univoque import digits as dg
-from univoque.algebraic import apply_digit_map
+from univoque.algebraic import AlgebraicReal, NumberField, apply_digit_map
 from univoque.base import (BaseClass, BaseContext, InternalConsistencyError, SearchBoundError,
-                           check_chain_period, golden_ratio_base, new_base_context, order_points,
-                           UnsupportedClassError, r_chain, special_points, v_successor,
-                           chain_limit_alpha)
+                           SpecialPoints, check_chain_period, golden_ratio_base, new_base_context,
+                           order_points, UnsupportedClassError, r_chain, special_points,
+                           v_successor, chain_limit_alpha)
 from conftest import random_context
 
 
@@ -279,6 +282,73 @@ def test_order_points_sorts_on_prefixes(monkeypatch, battery, tribonacci):
         # a fresh context: its point order is not memoised yet
         ctx = new_base_context(ctx.M, ctx.beta)
         assert order_points(ctx).classes == classes, dg.format_seq(ctx.beta)
+
+
+def patch_point_values(monkeypatch, change):
+    """Make ``special_points`` hand out its values after ``change(values)``."""
+    inner = base._special_points
+
+    def patched(ctx):
+        pts = inner(ctx)
+        values = dict(pts.value)
+        change(values)
+        return SpecialPoints(pts.qg_key, values)
+
+    monkeypatch.setattr(base, "_special_points", patched)
+
+
+def tiny(k):
+    return Fraction(k, 10**40)
+
+
+@pytest.mark.parametrize("change", [
+    # b1 < b2 swapped: two enclosures apart, in the wrong order
+    lambda v: v.update(b1=v["b2"], b2=v["b1"]),
+    # b2 just below b1: the enclosures overlap and the exact cmp decides
+    lambda v: v.update(b2=v["b1"] - tiny(1)),
+])
+def test_order_points_refuses_a_reversed_step(monkeypatch, change):
+    # 111(0): th0<b1<b2<a3=th1<b3=et1<a2<a1<et2
+    patch_point_values(monkeypatch, change)
+    with pytest.raises(InternalConsistencyError, match="b1 < b2 but the values disagree"):
+        order_points(new_base_context(1, "111(0)"))
+
+
+def test_order_points_refuses_a_broken_tie(monkeypatch):
+    patch_point_values(monkeypatch, lambda v: v.update(th1=v["th1"] + tiny(1)))
+    with pytest.raises(InternalConsistencyError, match="a3 = th1 but the values differ"):
+        order_points(new_base_context(1, "111(0)"))
+
+
+def test_order_points_falls_back_to_exact_comparison(monkeypatch, battery, tribonacci):
+    contexts = list(battery)
+    ctx = tribonacci
+    for _ in range(3):
+        ctx = v_successor(ctx)
+        contexts.append(ctx)
+    expected = [order_points(ctx).classes for ctx in contexts]
+    enclosure, cmp = NumberField.enclosure, AlgebraicReal.cmp
+    steps = []
+
+    def wide(self, a):
+        # the point order's enclosures cover [-2^20, 2^20], which holds
+        # every point, so no two classes are apart; settle's stay as they are
+        lo, hi, D = enclosure(self, a)
+        if sys._getframe(1).f_code is base._order_points.__code__:
+            return lo - (D << 20), hi + (D << 20), D
+        return lo, hi, D
+
+    def counted(self, other):
+        if sys._getframe(1).f_code is base._order_points.__code__:
+            steps.append(1)
+        return cmp(self, other)
+
+    monkeypatch.setattr(NumberField, "enclosure", wide)
+    monkeypatch.setattr(AlgebraicReal, "cmp", counted)
+    for ctx, classes in zip(contexts, expected):
+        steps.clear()
+        assert order_points(new_base_context(ctx.M, ctx.beta)).classes == classes
+        assert len(steps) == len(classes) - 1, dg.format_seq(ctx.beta)
 
 
 def test_special_points_match_tail_values(battery, tribonacci):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BATTERY, random_context
@@ -253,16 +253,20 @@ def test_brute_count_decides_open_digits_exactly():
             assert bounds[1] == len(feasible_level(fine, y, 5)), (beta, i)
 
 
+def forced_move(ctx, v):
+    """The one feasible ``(digit, remainder)`` move of v, each digit decided
+    by exact comparisons, or None when v has two or more."""
+    moves = [(d, y) for d in range(ctx.M + 1) if 0 <= (y := v.mul_gen() - d) <= ctx.kappa]
+    return moves[0] if len(moves) == 1 else None
+
+
 def unmerged_bounds(ctx, x, depth):
     """The bounds with one entry per feasible prefix: ``upper`` counts the
-    entries of ``feasible_level``, ``lower`` those whose forced run, each
-    digit decided by exact comparisons, closes a cycle."""
-    def forced(v):
-        moves = [(d, y) for d in range(ctx.M + 1) if 0 <= (y := v.mul_gen() - d) <= ctx.kappa]
-        return moves[0] if len(moves) == 1 else None
-
+    entries of ``feasible_level``, ``lower`` those whose forced run closes a
+    cycle."""
     level = feasible_level(ctx, x, depth)
-    return sum(orbit(v, forced)[2] is not None for v in level), len(level)
+    return (sum(orbit(v, lambda u: forced_move(ctx, u))[2] is not None for v in level),
+            len(level))
 
 
 contexts = st.one_of(st.integers(0, 2**32).map(lambda seed: random_context(random.Random(seed))),
@@ -284,6 +288,73 @@ def test_merging_by_remainder_is_exact(ctx, words):
     depth = brute_depth(ctx, x)
     assert brute_count_expansions(ctx, x, depth) == unmerged_bounds(ctx, x, depth), \
         (ctx.M, ctx.beta, s, t, depth)
+
+
+def check_count_on_branching_point(ctx, x):
+    """Check the count of x against the brute-force bounds at the deepest
+    depth within the node budget, up to the oracle's cap of 24; the number
+    of feasible prefixes there, or 0 for a point past the count's cap.
+
+    Every remainder in [0, kappa] has a move, so every feasible prefix
+    extends to an expansion, and a prefix that is not pinned reaches a
+    remainder with two feasible digits.  For EXACT(j) the upper bound
+    therefore counts the distinct prefixes of the j expansions: once every
+    prefix is pinned, lower = j = upper; before, lower <= j and upper < j.
+    An infinite count never resolves: at every depth some prefix has
+    infinitely many expansions, so it is not pinned, and the upper bound
+    never falls.  It grows from half the depth to the depth when a forced
+    run from half the depth meets two feasible digits before the depth.
+    """
+    res = ex.count_expansions(ctx, x, cap=300)
+    if res.kind == ex.CAP_EXCEEDED:
+        return 0
+    depth = brute_depth(ctx, x, 24)
+    lo, hi = brute_count_expansions(ctx, x, depth)
+    label = (ctx.M, dg.format_seq(ctx.beta), x, depth, lo, hi)
+    if res.kind == ex.EXACT:
+        if lo == hi:
+            assert lo <= res.count <= hi, (label, res)
+        else:
+            assert lo <= res.count and hi < res.count, (label, res)
+        return hi
+    bounds = [brute_count_expansions(ctx, x, d) for d in range(depth)] + [(lo, hi)]
+    assert all(b < c for b, c in bounds), (label, bounds)
+    upper = [c for _b, c in bounds]
+    assert upper == sorted(upper), (label, bounds)
+    half = depth // 2
+    runs = [orbit(v, lambda u: forced_move(ctx, u), depth - half)
+            for v in feasible_level(ctx, x, half)]
+    if any(run is not None and run[2] is None for run in runs):
+        assert upper[depth] > upper[half], (label, bounds)
+    return hi
+
+
+def test_count_on_branching_points():
+    # midpoints of two points branch more often than either point, and the
+    # witnesses x_m have m expansions, which part within (m - 1) N + 1 digits;
+    # the explicit example's midpoints alone leave thousands of prefixes at
+    # their depths, so that every run checks many branching points
+    prefixes = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(contexts, st.lists(st.tuples(digit_words(6), digit_words(3).filter(bool)),
+                              min_size=4, max_size=4))
+    @example(new_base_context(4, "322(0)"),
+             [([0, 0, 0], [3]), ([3, 4, 2, 1, 1, 4], [2]), ([], [3, 1]), ([3, 0, 4, 1], [1, 1])])
+    def check(ctx, words):
+        v = [ctx.value(dg.EpSeq([d % (ctx.M + 1) for d in pre], [d % (ctx.M + 1) for d in per]))
+             for pre, per in words]
+        points = [(a + b) / 2 for i, a in enumerate(v) for b in v[i + 1:]]
+        try:
+            tail = ex.default_tail(ctx)
+        except ValueError:                  # no admissible tail for this base
+            tail = None
+        if tail is not None:
+            points += [ex.build_witness_xm(ctx, m, tail)[0] for m in range(2, 7)]
+        prefixes.extend(check_count_on_branching_point(ctx, x) for x in points)
+
+    check()
+    assert sum(prefixes) >= 1000
 
 
 @pytest.mark.parametrize("M, beta, point, depth", [

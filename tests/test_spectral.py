@@ -16,6 +16,7 @@ from univoque.graph import FULL, TILDE, build_graph, count_label_paths, scc
 from univoque.spectral import (component_dimensions, dimension_of, spectral_radius,
                                spectral_report)
 from univoque.walk import cyclic, tarjan
+from test_reducible import REDUCIBLE
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -263,6 +264,55 @@ def test_repeated_dimension_calls_leave_q_alone():
     assert dims[0] == dims[1] == dims[2]
     dimension_of(g, ctx)
     assert ctx.field.e == e
+
+
+def left_to_right_radius(succ, comp):
+    """``_component_radius`` with every float sum a plain loop, left to
+    right: the sums built-in ``sum`` made before Python 3.12."""
+    pos = {v: p for p, v in enumerate(comp)}
+    rows = [sorted(pos[j] for _k, j in succ[v] if j in pos) for v in comp]
+    x = [1.0] * len(comp)
+    for _ in range(spectral.ITERATION_CAP):
+        y = []
+        for xi, row in zip(x, rows):
+            s = 0
+            for j in row:
+                s = s + x[j]
+            y.append(xi + s)
+        ratios = [b / a for a, b in zip(x, y)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= spectral.RADIUS_TOL * hi:
+            break
+        total = 0
+        for b in y:
+            total = total + b
+        x = [b / total for b in y]
+    parts = [xi.as_integer_ratio() for xi in x]
+    den = max(d for _n, d in parts)
+    X = [n * (den // d) for n, d in parts]
+    cw = [Fraction(X[i] + sum(X[j] for j in row), X[i]) for i, row in enumerate(rows)]
+    return spectral._centred(min(cw) - 1, max(cw) - 1)
+
+
+def test_component_radius_sums_left_to_right(battery):
+    # the same bits on every Python: from 3.12 on, built-in sum compensates
+    # float sums, which moves the last bits of many radii
+    contexts = list(battery) + [new_base_context(M, beta) for M, beta in REDUCIBLE]
+    ctx = new_base_context(1, "111(0)")
+    for _ in range(4):
+        ctx = v_successor(ctx)
+        contexts.append(ctx)
+    checked = 0
+    for ctx in contexts:
+        for variant in (FULL, TILDE):
+            g = build_graph(ctx, variant)
+            for comp in scc(g)[0]:
+                got = spectral._component_radius(g.out, comp)
+                want = left_to_right_radius(g.out, comp)
+                assert [f.hex() for f in got] == [f.hex() for f in want], \
+                    (ctx.beta, variant, comp)
+                checked += len(comp) > 1
+    assert checked >= 50
 
 
 @pytest.mark.parametrize("radii", [
