@@ -128,14 +128,14 @@ def cmd_graph_build(args):
 
 
 def cmd_graph_scc(args):
-    from .graph import build_graph, scc
+    from .graph import build_graph, is_strongly_connected, scc
     ctx = _context(args)
     g = build_graph(ctx, args.variant.upper())
     comps, cond = scc(g)
     payload = {
         "components": [[g.gap_name(v) for v in c] for c in comps],
         "condensation": [list(e) for e in cond],
-        "strongly_connected": len(comps) == 1,
+        "strongly_connected": is_strongly_connected(g),
     }
     lines = [f"{len(comps)} strongly connected component(s)"]
     for c in comps:

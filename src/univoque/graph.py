@@ -24,14 +24,13 @@ decides by the sign of the difference (``AlgebraicReal.__eq__``) before the
 build fails.
 
 Three variants are built here: the full graph, its restriction to the
-central interval (b1, a1), and the further restriction to the vertices
-leaning on the orbit points a_i / b_i.  On top of those live the structural
-operations: strong-connectedness criteria, the order isomorphism between a
-base and its successor, and the tower decomposition along successor chains.
-Components, reachability, the cycle of a tower level and the subset
-automaton of the labels are walks of ``walk`` over the successor map ``out``
-(vertex -> [(label, target)]); the label words are counted and listed by
-``walk`` on that automaton.
+central interval (b1, a1), and the core, the vertices leaning on the orbit
+points a_i / b_i.  The core, the connectivity criteria and the switch gaps
+test a vertex's ends against the class sets of the a-, b- and switch points.
+A graph's components are found once (``scc``); ``is_strongly_connected`` is
+the one verdict on them.  The successor isomorphism and the tower
+decomposition follow.  Components, reachability, tower cycles and the label
+automaton are walks of ``walk`` over ``out`` (vertex -> [(label, target)]).
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class Vertex(namedtuple("Vertex", "index label")):
 
 class UnivoqueGraph:
     """A labeled interval graph; ``_cache`` holds what ``base.memo`` derived
-    from it (the spectral layer's pass over its components)."""
+    from it (its components, and the spectral layer's pass over them)."""
 
     __slots__ = ("ctx", "variant", "order", "vertices", "edges", "out", "_cache")
 
@@ -98,22 +97,6 @@ class UnivoqueGraph:
 
     def vertex_name(self, v):
         return self.gap_name(v.index)
-
-    def kinds(self, v):
-        """The (possibly multiple) endpoint forms of a vertex."""
-        lefts, rights = self.order.classes[v.left], self.order.classes[v.right]
-        a_right = any(nm[0] == "a" for nm in rights)
-        b_left = any(nm[0] == "b" for nm in lefts)
-        out = set()
-        if a_right:
-            out.add("A_RIGHT")
-        if b_left:
-            out.add("B_LEFT")
-        if any(nm[0] == "a" for nm in lefts) and any(nm[0] == "b" for nm in rights):
-            out.add("AB")
-        if any(nm.startswith("th") and int(nm[2:]) >= 1 for nm in rights):
-            out.add("THETA_LEFT")
-        return out
 
     def to_dot(self):
         lines = ["digraph univoque {", "  rankdir=LR;"]
@@ -163,21 +146,26 @@ def _build_graph(ctx, variant):
     if variant == TILDE:
         b1, a1 = full.order.index_of["b1"], full.order.index_of["a1"]
         return _restrict(full, {v.index for v in full.vertices if b1 <= v.index < a1}, TILDE)
-    tilde = build_graph(ctx, TILDE)
-    keep = {v.index for v in tilde.vertices if {"A_RIGHT", "B_LEFT"} & tilde.kinds(v)}
+    a, b, _th = _point_classes(ctx)
+    keep = {v.index for v in build_graph(ctx, TILDE).vertices if v.right in a or v.left in b}
     return _restrict(full, keep, TILDE1)
+
+
+def _point_classes(ctx):
+    """The class indices of the a-points, the b-points and th_1..th_M."""
+    at, M, N = order_points(ctx).index_of, ctx.M, ctx.n_period
+    return ({at[f"a{i}"] for i in range(1, N + 1)}, {at[f"b{i}"] for i in range(1, N + 1)},
+            {at[f"th{j}"] for j in range(1, M + 1)})
 
 
 def _build_full(ctx):
     order = order_points(ctx)
-    M = ctx.M
     # gaps between consecutive classes; drop the switch gaps [th_j, et_j]
-    switch_left = {order.index_of[f"th{j}"] for j in range(1, M + 1)}
-    for j in range(1, M + 1):
+    _a, _b, switch_left = _point_classes(ctx)
+    for j in range(1, ctx.M + 1):
         if order.index_of[f"et{j}"] != order.index_of[f"th{j}"] + 1:
             raise StructuralError(f"switch interval {j} is not a single gap")
-    eta_idx = [order.index_of[f"et{j}"] for j in range(1, M + 1)]
-    vertices = [Vertex(k, sum(1 for e in eta_idx if e <= k))
+    vertices = [Vertex(k, sum(1 for t in switch_left if t < k))
                 for k in range(len(order.classes) - 1) if k not in switch_left]
     # every endpoint of a label-d vertex has a key s that starts with d, and
     # T_d carries it to the point whose key is shift(s, 1); the special points
@@ -223,12 +211,17 @@ def _restrict(full, keep, variant):
 # --- strongly connected components -----------------------------------------
 
 def scc(g):
-    """Tarjan components in deterministic order, plus the condensation edges.
+    """Tarjan components in deterministic order, plus the condensation edges,
+    found once per graph (``base.memo``): callers must not mutate them.
 
     Components are listed with their vertex indices sorted; the component
     list itself is sorted by smallest vertex index.  Condensation edges are
     pairs of component positions in that listing.
     """
+    return memo(g, _scc)
+
+
+def _scc(g):
     comps = sorted(sorted(comp) for comp in tarjan(g.out))
     comp_of = {v: pos for pos, comp in enumerate(comps) for v in comp}
     cond = {(comp_of[i], comp_of[j]) for i, _k, j in g.edges if comp_of[i] != comp_of[j]}
@@ -236,14 +229,12 @@ def scc(g):
 
 
 def is_strongly_connected(g):
-    comps = tarjan(g.out)
+    """The one definition: ``scc`` finds one component, and it carries a
+    cycle; a graph with no vertex, or one loopless vertex, is not."""
+    comps, _cond = scc(g)
     return len(comps) == 1 and cyclic(g.out, comps[0])
 
 
-# strongly_connected: direct verdict on the central subgraph; reach_criterion:
-# every AB / THETA_LEFT vertex reachable from the core; sufficient_b2: b2 below
-# every middle a_i (sufficient only); m1_ab_criterion: alphabet {0,1}
-# specialization of the criterion, None for other alphabets
 ConnectivityReport = namedtuple(
     "ConnectivityReport", "strongly_connected reach_criterion sufficient_b2 m1_ab_criterion")
 
@@ -251,27 +242,26 @@ ConnectivityReport = namedtuple(
 def connectivity_report(ctx):
     """Connectivity of the central subgraph, by three routes at once.
 
-    The direct component count must agree with the reachability criterion
-    (core subgraph to every crossing or switch-edge vertex); the coarser
-    endpoint test (b2 below all middle a_i) is sufficient but not necessary.
+    ``strongly_connected`` is the one definition, ``is_strongly_connected``
+    (an empty graph is not).  It must equal ``reach_criterion``, the core
+    reaching every crossing and switch-edge vertex, and for M = 1 also
+    ``m1_ab_criterion``, the core reaching every crossing vertex.  The
+    endpoint test ``sufficient_b2`` is sufficient but not necessary.
     """
     if ctx.base_class is not BaseClass.IN_CLOSURE_U_NOT_U:
         raise ValueError("connectivity criteria apply to limit-of-uniqueness bases only")
     tilde = build_graph(ctx, TILDE)
-    core = build_graph(ctx, TILDE1)
     direct = is_strongly_connected(tilde)
-    reach = explore(core.out, tilde.out.__getitem__)
-    targets = [v for v in tilde.vertices if {"AB", "THETA_LEFT"} & tilde.kinds(v)]
-    crit = all(v.index in reach for v in targets)
+    reach = explore(build_graph(ctx, TILDE1).out, tilde.out.__getitem__).keys()
+    a, b, th = _point_classes(ctx)
+    ab = {v.index for v in tilde.vertices if v.left in a and v.right in b}
+    crit = reach >= ab | {v.index for v in tilde.vertices if v.right in th}
     if crit != direct:
         raise InternalConsistencyError(
             "reachability criterion and component count disagree on strong connectedness")
-    m1 = None
-    if ctx.M == 1:
-        ab = [v for v in tilde.vertices if "AB" in tilde.kinds(v)]
-        m1 = all(v.index in reach for v in ab)
-        if m1 != direct:
-            raise InternalConsistencyError("two-digit criterion disagrees with component count")
+    m1 = reach >= ab if ctx.M == 1 else None
+    if m1 is not None and m1 != direct:
+        raise InternalConsistencyError("two-digit criterion disagrees with component count")
     # order_points has certified every strict step and every tie of the
     # special points, so their class indices compare them exactly
     at = tilde.order.index_of
@@ -439,21 +429,15 @@ def tower_decompose(ctx0, m):
         src, dst = seed_cycle[i], seed_cycle[(i + 1) % n]
         if (src, alpha[i], dst) not in seed_edges:
             raise StructuralError(f"seed orbit edge {i + 1} with digit {alpha[i]} is missing")
-    blocks = [push_seq(seed_cycle, 0)]
-    cycles = [(blocks[0], tuple(alpha))]
+    cycles = [(push_seq(seed_cycle, 0), tuple(alpha))]
 
-    fresh_sets = []
     for j in range(2, m + 1):
         fresh = graphs[j].out.keys() - maps[j - 1].values()
         if len(fresh) != 2 ** (j - 1) * n:
             raise StructuralError(
                 f"level {j} adds {len(fresh)} vertices, expected {2 ** (j - 1) * n}")
-        fresh_sets.append((j, fresh))
-    for j, fresh in fresh_sets:
-        pushed = set(push_seq(sorted(fresh), j))
-        path, labels = _trace_cycle(top, pushed, j - 1)
-        blocks.append(path)
-        cycles.append((path, labels))
+        cycles.append(_trace_cycle(top, set(push_seq(sorted(fresh), j)), j - 1))
+    blocks = [path for path, _labels in cycles]
 
     covered = {v for b in blocks for v in b}
     if sum(len(b) for b in blocks) != len(covered):

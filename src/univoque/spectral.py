@@ -29,8 +29,9 @@ are compared by integer cross-multiplication, so only the two ends of the
 enclosure become Fractions.
 
 The pass over a graph's components runs once per graph (``_components``,
-kept on the graph by ``base.memo``); ``spectral_radius``,
-``spectral_report`` and ``component_dimensions`` all read it.
+kept on the graph by ``base.memo``, over the components ``graph.scc`` found
+once); ``spectral_radius``, ``spectral_report`` and
+``component_dimensions`` all read it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from functools import reduce
 from operator import add, itemgetter, truediv
 
 from .base import BaseClass, memo
-from .graph import TILDE, TILDE1, build_graph, scc
+from .graph import TILDE, TILDE1, build_graph, is_strongly_connected, scc
 
 RADIUS_TOL = 1e-12
 ITERATION_CAP = 10**5
@@ -212,7 +213,9 @@ def component_dimensions(ctx):
 
     The hypothesis holds when the components lying inside the core subgraph
     (vertices leaning on the orbit points) already achieve the full radius;
-    a strongly connected central graph satisfies it vacuously.
+    a central graph that ``is_strongly_connected``, the one definition (one
+    component carrying a cycle; an empty graph is not), satisfies it
+    vacuously.
     """
     if ctx.base_class is not BaseClass.IN_CLOSURE_U_NOT_U:
         raise ValueError("component dimensions apply to limit-of-uniqueness bases only")
@@ -221,7 +224,7 @@ def component_dimensions(ctx):
     comps, radii, per = _components(tilde)
     inside = [r for comp, (r, _e) in zip(comps, radii) if set(comp) <= core]
     overall, _err = _max_radius(radii)
-    if len(comps) == 1:
+    if is_strongly_connected(tilde):
         hypothesis = True
         core_max = per[0][1]
     else:

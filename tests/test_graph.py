@@ -1,3 +1,5 @@
+import copy
+import json
 import random
 import re
 import signal
@@ -6,16 +8,19 @@ from types import SimpleNamespace
 
 import pytest
 
+from univoque import cli, graph, spectral
 from univoque import digits as dg
-from univoque import graph
 from univoque.algebraic import NumberField, apply_digit_map
 from univoque.base import (BaseClass, golden_ratio_base, new_base_context, order_points,
                            special_points, v_successor)
 from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
                             connectivity_report, count_label_paths, is_strongly_connected,
                             path_words, scc, tower_decompose)
-from univoque.walk import WORD_CAP, count_words, tarjan
+from univoque.spectral import component_dimensions, spectral_report
+from univoque.walk import WORD_CAP, count_words, explore, tarjan
 from conftest import BATTERY, mirror_map, random_context
+from test_expansions import record_calls
+from test_reducible import REDUCIBLE
 
 
 def names_of(g):
@@ -168,6 +173,134 @@ def test_connectivity_patterns_differ_by_alphabet():
     # same digit pattern, opposite verdicts for alphabets {0,1} and {0,..,2}
     assert not connectivity_report(new_base_context(1, "111001000111001(0)")).strongly_connected
     assert connectivity_report(new_base_context(2, "222002000222002(0)")).strongly_connected
+
+
+def graph_bases(battery, seed):
+    """The battery, the ``REDUCIBLE`` bases and 100 graph bases drawn from
+    ``seed``."""
+    rng = random.Random(seed)
+    return (list(battery) + [new_base_context(M, beta) for M, beta in REDUCIBLE]
+            + [random_context(rng) for _ in range(100)])
+
+
+def scc_json_verdict(monkeypatch, capsys, g):
+    """``strongly_connected`` as ``graph scc --json`` prints it for ``g``."""
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_context", lambda _args: g.ctx)
+        mp.setattr(graph, "build_graph", lambda _ctx, _variant: g)
+        assert cli.main(["graph", "scc", "-M", str(g.ctx.M), "--beta",
+                         dg.format_seq(g.ctx.beta), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["strongly_connected"]
+
+
+def test_one_strongly_connected_verdict(battery, tribonacci, monkeypatch, capsys):
+    """``graph scc --json``, ``connectivity_report`` and the vacuous case of
+    ``component_dimensions`` all give the verdict of ``is_strongly_connected``."""
+    asked = record_calls(monkeypatch, spectral, "is_strongly_connected",
+                         lambda g: (g, is_strongly_connected(g)))
+    verdicts = set()
+    for ctx in graph_bases(battery, 41):
+        tilde = build_graph(ctx, TILDE)
+        for g in (build_graph(ctx, FULL), tilde, build_graph(ctx, TILDE1)):
+            sc = is_strongly_connected(g)
+            assert scc_json_verdict(monkeypatch, capsys, g) == sc, (ctx.M, ctx.beta, g.variant)
+            verdicts.add((g.variant, sc))
+        if ctx.base_class is not BaseClass.IN_CLOSURE_U_NOT_U:
+            continue
+        sc = is_strongly_connected(tilde)
+        assert connectivity_report(ctx).strongly_connected == sc, (ctx.M, ctx.beta)
+        asked.clear()
+        dims = component_dimensions(ctx)
+        assert asked == [(tilde, sc)], (ctx.M, ctx.beta)
+        if sc:
+            assert dims.core_equals_overall
+            assert dims.core_components_max == dims.per_scc[0][1]
+    assert {(FULL, False), (TILDE, True), (TILDE, False), (TILDE1, True)} <= verdicts
+    # one vertex is one component, but without a loop it carries no cycle
+    g = build_graph(tribonacci, FULL)
+    v = g.vertices[0]
+    assert (v.index, v.label, v.index) in g.edges
+    for edges, sc in (([], False), ([(v.index, v.label, v.index)], True)):
+        lone = graph.UnivoqueGraph(g.ctx, FULL, g.order, [v], edges)
+        assert len(scc(lone)[0]) == 1
+        assert is_strongly_connected(lone) is sc
+        assert scc_json_verdict(monkeypatch, capsys, lone) is sc
+
+
+def test_one_component_pass(battery, monkeypatch):
+    """Tarjan runs once per graph across every reader of its components,
+    and every reader shares the one unmutated result of ``scc``."""
+    walked = record_calls(monkeypatch, graph, "tarjan", id)
+    for M, beta in BATTERY:
+        ctx = new_base_context(M, beta)
+        assert ctx.base_class is BaseClass.IN_CLOSURE_U_NOT_U
+        graphs = [build_graph(ctx, variant) for variant in (FULL, TILDE, TILDE1)]
+        first = [scc(g) for g in graphs]
+        kept = copy.deepcopy(first)
+        for g in graphs:
+            is_strongly_connected(g)
+        connectivity_report(ctx)
+        component_dimensions(ctx)
+        spectral_report(graphs[1], ctx)
+        assert all(scc(g) is f for g, f in zip(graphs, first)), beta
+        assert first == kept, beta
+        assert sorted(walked) == sorted(id(g.out) for g in graphs), beta
+        walked.clear()
+
+
+def name_kinds(g, v):
+    """Reference: the endpoint forms of a vertex, read from the point names
+    of its two end classes, as the graph read them before the point-class
+    sets.  A_RIGHT / B_LEFT: an a-point at its right end, a b-point at its
+    left end; AB: an a-point at its left end and a b-point at its right end;
+    THETA_LEFT: a switch point th_j (j >= 1) at its right end."""
+    lefts, rights = g.order.classes[v.left], g.order.classes[v.right]
+    out = set()
+    if any(nm[0] == "a" for nm in rights):
+        out.add("A_RIGHT")
+    if any(nm[0] == "b" for nm in lefts):
+        out.add("B_LEFT")
+    if any(nm[0] == "a" for nm in lefts) and any(nm[0] == "b" for nm in rights):
+        out.add("AB")
+    if any(nm.startswith("th") and int(nm[2:]) >= 1 for nm in rights):
+        out.add("THETA_LEFT")
+    return out
+
+
+def test_point_kinds_by_class_match_the_names(battery, tribonacci, base331):
+    """The core, the criterion targets and the switch gaps, read from the
+    point-class sets, are the ones the point names give."""
+    ctxs = graph_bases(battery, 43)
+    for ctx in (tribonacci, base331):
+        for _ in range(4):
+            ctx = v_successor(ctx)
+            ctxs.append(ctx)
+    for ctx in ctxs:
+        full, tilde, core = (build_graph(ctx, variant) for variant in (FULL, TILDE, TILDE1))
+        a, b, th = graph._point_classes(ctx)
+        kinds = {v.index: name_kinds(tilde, v) for v in tilde.vertices}
+
+        def having(*forms):
+            return {i for i, ks in kinds.items() if ks & set(forms)}
+
+        where = (ctx.M, ctx.beta)
+        assert {v.index for v in core.vertices} == having("A_RIGHT", "B_LEFT"), where
+        ab = {v.index for v in tilde.vertices if v.left in a and v.right in b}
+        assert ab == having("AB"), where
+        assert {v.index for v in tilde.vertices if v.right in th} == having("THETA_LEFT"), where
+        classes = full.order.classes
+        switch = {k for k, names in enumerate(classes)
+                  if any(split_name(nm)[0] == "th" and split_name(nm)[1] >= 1 for nm in names)}
+        assert th == switch, where
+        assert [v.index for v in full.vertices] == [k for k in range(len(classes) - 1)
+                                                    if k not in switch], where
+        if ctx.base_class is BaseClass.IN_CLOSURE_U_NOT_U:
+            # the criteria, on the targets the names give
+            reach = explore(core.out, tilde.out.__getitem__)
+            rep = connectivity_report(ctx)
+            assert rep.reach_criterion == (having("AB", "THETA_LEFT") <= reach.keys()), where
+            if ctx.M == 1:
+                assert rep.m1_ab_criterion == (having("AB") <= reach.keys()), where
 
 
 def test_isomorphism_chain(tribonacci, base331):
