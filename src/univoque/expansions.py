@@ -314,18 +314,16 @@ def _start_ties(ctx):
     Checked tails start at offset 0, upper and lower.  A splice condition
     ``w+[k:] c <= alpha`` (w the alpha period, w[k-1] < M) is settled by its
     fixed head unless the head equals alpha's prefix; then it is one more
-    upper tie, at offset N-k.  None when a splice head exceeds alpha.
+    upper tie, at offset N-k.  No head exceeds that prefix: the base's
+    greedy word is beta = w+ 0^inf, the head is beta[k:N] and the prefix
+    w[:N-k] is beta's, so a larger head would make shift(beta, k) > beta.
     """
     M, w = ctx.M, ctx.alpha_word()
     N = len(w)
     upper = {0}
     for k in range(1, N):
-        if w[k - 1] < M:
-            head, ref = dg.word_plus(w[k:], M), w[:N - k]
-            if head > ref:
-                return None
-            if head == ref:
-                upper.add(N - k)
+        if w[k - 1] < M and dg.word_plus(w[k:], M) == w[:N - k]:
+            upper.add(N - k)
     return frozenset(upper), frozenset({0})
 
 

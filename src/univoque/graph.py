@@ -29,7 +29,9 @@ points a_i / b_i.  The core, the connectivity criteria and the switch gaps
 test a vertex's ends against the class sets of the a-, b- and switch points.
 A graph's components are found once (``scc``); ``is_strongly_connected`` is
 the one verdict on them.  The successor isomorphism and the tower
-decomposition follow.  Components, reachability, tower cycles and the label
+decomposition follow; the embedding of an in-between base's graph in its
+successor's reads the paper's point map from one table of (point, image
+point) name pairs.  Components, reachability, tower cycles and the label
 automaton are walks of ``walk`` over ``out`` (vertex -> [(label, target)]).
 """
 
@@ -310,52 +312,46 @@ def check_isomorphic(g1, g2):
 
 # --- successor embedding and the tower decomposition ------------------------
 
-def _endpoint_image_names(small_ctx, names):
-    """Image names of the successor embedding of an in-between base, for one
-    endpoint class.
+def _successor_point_pairs(ctx):
+    """The paper's map of the special points of an in-between base onto its
+    successor's, as (point, image point) name pairs.
 
-    The period has even length N = 2n.  The orbit points a_i with i < N and
-    i != n keep their names, the switch endpoint riding on a_n moves onto
-    the new orbit point a_n, and the other th and et points keep theirs;
-    the remaining names of the class give no image.
+    The period has even length N = 2n and is u+ reflect(u+) for a half word
+    u, so c = alpha_n is the incremented last digit of u.  Each a_i with
+    i < N and i != n, each th_j and each et_j but et_c keeps its name, and
+    et_c, the switch endpoint riding on a_n, goes to the new orbit point
+    a_n.  a_n, a_N and the b-points have no image.
     """
-    # periodic word is u+ reflect(u+) for the half word u; the incremented
-    # last digit of u is therefore the period's digit at position n
-    n = small_ctx.n_period // 2
-    alpha_n_plus = small_ctx.alpha_word()[n - 1]
-    out = set()
-    for nm in names:
-        if nm == f"et{alpha_n_plus}":
-            out.add(f"a{n}")
-        elif nm.startswith("th") or nm.startswith("et"):
-            out.add(nm)
-        elif nm[0] == "a":
-            idx = int(nm[1:])
-            if 1 <= idx <= 2 * n - 1 and idx != n:
-                out.add(nm)
-    return out
+    n = ctx.n_period // 2
+    c = ctx.alpha_word()[n - 1]
+    return ([(f"a{i}", f"a{i}") for i in range(1, 2 * n) if i != n]
+            + [(f"th{j}", f"th{j}") for j in range(ctx.M + 1)]
+            + [(f"et{j}", f"a{n}" if j == c else f"et{j}") for j in range(1, ctx.M + 2)])
 
 
 def embed_successor(g_small, g_big):
     """The order isomorphism of an in-between base's graph onto a subgraph of
     its successor's.
 
-    Returns {vertex index in g_small -> vertex index in g_big}.  The map comes
-    from the endpoint names; it must hit one vertex per left endpoint and be
-    an order embedding onto an induced subgraph (``_order_embedding_fault``),
-    or StructuralError is raised.  A limit base's graph needs no name rule:
-    it is order isomorphic to its successor's (``check_isomorphic``).
+    Returns {vertex index in g_small -> vertex index in g_big}.  The map is
+    read from the pair table ``_successor_point_pairs`` through the two point
+    orders: a vertex goes to the successor vertex whose left class holds an
+    image of a point of its own left class.  There must be exactly one, and
+    the map must be an order embedding onto an induced subgraph
+    (``_order_embedding_fault``), or StructuralError is raised.  A limit
+    base's graph needs no table: it is order isomorphic to its successor's
+    (``check_isomorphic``).
     """
-    ctx = g_small.ctx
-    index_of = g_big.order.index_of
+    small_at, big_at = g_small.order.index_of, g_big.order.index_of
+    images = {}
+    for name, image in _successor_point_pairs(g_small.ctx):
+        images.setdefault(small_at[name], set()).add(big_at[image])
     mapping = {}
     for v in g_small.vertices:
-        images = _endpoint_image_names(ctx, g_small.order.classes[v.index])
-        targets = {index_of[nm] for nm in images} & g_big.out.keys()
+        targets = images.get(v.index, set()) & g_big.out.keys()
         if len(targets) != 1:
-            raise StructuralError(
-                f"left endpoint of {g_small.vertex_name(v)} maps to {sorted(images)} "
-                f"which hits {len(targets)} vertices of the successor graph")
+            raise StructuralError(f"left endpoint of {g_small.vertex_name(v)} hits "
+                                  f"{len(targets)} vertices of the successor graph")
         mapping[v.index] = targets.pop()
     fault = _order_embedding_fault(g_small, g_big, mapping)
     if fault:

@@ -231,6 +231,37 @@ def test_non_pisot_remainders_hit_the_cap():
     assert ex.count_expansions(ctx, x, cap=300).kind == ex.CAP_EXCEEDED
 
 
+def test_cap_bounds_the_number_of_expansions():
+    # 24 expansions over 22 remainders: at caps 22 and 23 every remainder
+    # fits, and the number of expansions alone passes the cap
+    results = {}
+    for cap in (22, 23, 24):
+        ctx = new_base_context(2, "21(0)")
+        x = ctx.value(seq("02021220120(1)"))
+        results[cap] = ex.count_expansions(ctx, x, cap=cap)
+    assert len(per_digit_graph(ctx, x, 1000)) == 22
+    assert results[22] == results[23] == ex.ExpansionCount(ex.CAP_EXCEEDED)
+    assert results[24][:2] == (ex.EXACT, 24) and len(set(results[24].witnesses)) == 24
+
+
+def test_no_splice_head_exceeds_alpha(battery):
+    """A splice head w+[k:] never exceeds alpha's prefix w[:N-k]: beta is
+    greedy, so ``_start_ties`` keeps the heads that tie it and no more."""
+    rng = random.Random(31)
+    ctxs = list(battery) + [random_context(rng) for _ in range(200)]
+    ties = 0
+    for ctx in ctxs:
+        w = ctx.alpha_word()
+        N = len(w)
+        heads = [(k, dg.word_plus(w[k:], ctx.M), w[:N - k]) for k in range(1, N) if w[k - 1] < ctx.M]
+        assert all(head <= ref for _k, head, ref in heads), (ctx.M, ctx.beta)
+        upper, lower = ex._start_ties(ctx)
+        assert upper == {0} | {N - k for k, head, ref in heads if head == ref}, (ctx.M, ctx.beta)
+        assert lower == {0}
+        ties += len(upper) > 1
+    assert ties
+
+
 def test_negative_cap_is_rejected(tribonacci):
     x = tribonacci.value(seq("(10)"))
     assert ex.count_expansions(tribonacci, x, cap=0).kind == ex.CAP_EXCEEDED

@@ -375,14 +375,73 @@ def test_isomorphism_respects_interval_order(tribonacci):
 def test_embedding_must_be_increasing(tribonacci, monkeypatch):
     g = build_graph(tribonacci, FULL)
     rev, _mirror = reversed_copy(g)
-    index_of, classes = g.order.index_of, g.order.classes
+    classes = g.order.classes
     top = len(classes) - 1
-    # send each left endpoint to the mirror class: the map found is the
+    # pair each left endpoint with the mirror class: the map found is the
     # mirror map, which keeps every edge but reverses the order
-    monkeypatch.setattr(graph, "_endpoint_image_names",
-                        lambda ctx, names: set(classes[top - 1 - index_of[names[0]]]))
+    pairs = [(classes[v.index][0], classes[top - 1 - v.index][0]) for v in g.vertices]
+    monkeypatch.setattr(graph, "_successor_point_pairs", lambda ctx: pairs)
     with pytest.raises(graph.StructuralError, match="not increasing"):
         graph.embed_successor(g, rev)
+
+
+def name_image_map(g_small, g_big):
+    """Reference: the successor embedding of an in-between base read from
+    the point names, as the graph read it before the pair table.  With
+    N = 2n and c = alpha_n, et_c goes to a_n, every other th and et point
+    and every a_i with i < N, i != n to itself; a vertex goes to the one
+    successor vertex its left class's images name."""
+    n = g_small.ctx.n_period // 2
+    c = g_small.ctx.alpha_word()[n - 1]
+    mapping = {}
+    for v in g_small.vertices:
+        images = set()
+        for nm in g_small.order.classes[v.index]:
+            kind, idx = split_name(nm)
+            if nm == f"et{c}":
+                images.add(f"a{n}")
+            elif kind in ("th", "et") or (kind == "a" and idx < 2 * n and idx != n):
+                images.add(nm)
+        targets = {g_big.order.index_of[nm] for nm in images} & g_big.out.keys()
+        assert len(targets) == 1, (g_small.ctx.beta, g_small.vertex_name(v), images)
+        mapping[v.index] = targets.pop()
+    return mapping
+
+
+def test_successor_embedding_is_the_paper_name_map(battery):
+    """The pair table gives the map the point names give: along the V-chains
+    of the battery's limit bases (111(0) and 331(0) among them) to depth 4,
+    and one step on from 60 drawn limit bases."""
+    seeds = [(ctx, 4) for ctx in battery]
+    assert all(ctx.base_class is BaseClass.IN_CLOSURE_U_NOT_U for ctx in battery)
+    rng = random.Random(29)
+    while len(seeds) < len(battery) + 60:
+        ctx = random_context(rng)
+        if ctx.base_class is BaseClass.IN_CLOSURE_U_NOT_U:
+            seeds.append((ctx, 2))
+    embeddings = 0
+    for ctx, depth in seeds:
+        small = build_graph(v_successor(ctx), FULL)
+        for _ in range(depth - 1):
+            big = build_graph(v_successor(small.ctx), FULL)
+            assert graph.embed_successor(small, big) == name_image_map(small, big), \
+                (small.ctx.M, small.ctx.beta)
+            small = big
+            embeddings += 1
+    assert embeddings == 3 * len(battery) + 60
+
+
+def test_embedding_needs_one_target_per_endpoint():
+    ctx = v_successor(new_base_context(1, "111(0)"))
+    small, big = build_graph(ctx, FULL), build_graph(v_successor(ctx), FULL)
+    at = small.order.index_of
+    # a1 named at a2's class: that class has two images, both vertices
+    with pytest.raises(graph.StructuralError, match="hits 2 vertices of the successor graph"):
+        graph.embed_successor(with_index(small, a1=at["a2"]), big)
+    # the successor's a1 moved to its top class, the left end of no vertex
+    top = len(big.order.classes) - 1
+    with pytest.raises(graph.StructuralError, match="hits 0 vertices of the successor graph"):
+        graph.embed_successor(small, with_index(big, a1=top))
 
 
 def split_name(name):
@@ -806,3 +865,32 @@ def test_tower_later_level_must_not_reach_an_earlier_one(monkeypatch):
 
     with pytest.raises(graph.StructuralError, match="level 2 reaches level 1"):
         doctored_tower(monkeypatch, 2, doctor)
+
+
+def test_tower_seed_must_be_isomorphic_to_its_successor(monkeypatch):
+    # one more vertex in the seed graph alone: the pairing by interval rank
+    # no longer matches its successor's vertices
+    with pytest.raises(graph.StructuralError,
+                       match="the seed graph is not order isomorphic to its successor's"):
+        doctored_tower(monkeypatch, 1, lambda lv, g: with_end_vertex(g) if lv == 0 else g)
+
+
+def test_tower_level_vertex_has_one_move_inside(monkeypatch):
+    # a chord inside the level-2 cycle: its source has two moves there
+    path = tower_decompose(new_base_context(1, "111(0)"), 2).cycles[1][0]
+    chord = (path[0], 0, path[2])
+
+    def doctor(lv, g):
+        return regraph(g, edges=g.edges + [chord]) if lv == 2 else g
+
+    with pytest.raises(graph.StructuralError,
+                       match=r"cycle vertex \(.*\) has 2 successors inside level 2"):
+        doctored_tower(monkeypatch, 2, doctor)
+
+
+def test_full_build_needs_single_gap_switch_intervals():
+    # et1 put one class further up: [th1, et1] spans two gaps
+    ctx = new_base_context(1, "111(0)")
+    order_points(ctx).index_of["et1"] += 1
+    with pytest.raises(graph.StructuralError, match="switch interval 1 is not a single gap"):
+        build_graph(ctx, FULL)
