@@ -41,7 +41,8 @@ class InternalConsistencyError(AssertionError):
 
 
 class UnsupportedClassError(ValueError):
-    """Operation requires a base whose expansion of 1 is periodic (not unique)."""
+    """The base is not of a class the operation needs: a graph class
+    (``require_graph_class``) or the limit class (``require_limit_class``)."""
 
 
 class SearchBoundError(RuntimeError):
@@ -115,6 +116,13 @@ class BaseContext:
                 f"base class {self.base_class.value} has no interval graph "
                 "(the expansion of 1 must be periodic but not unique)")
 
+    def require_limit_class(self, what):
+        """Refuse ``what``, which holds for limit-of-uniqueness bases only, on others."""
+        if self.base_class is not BaseClass.IN_CLOSURE_U_NOT_U:
+            raise UnsupportedClassError(
+                f"{what} applies to limit-of-uniqueness bases (class closureU\\U) only, "
+                f"not to class {self.base_class.value}")
+
     def alpha_word(self):
         """The primitive period of alpha (graph classes only)."""
         self.require_graph_class()
@@ -137,7 +145,13 @@ def _kappa(ctx):
 
 def new_base_context(M, beta):
     """Build a context from the greedy expansion of 1 (digit string or EpSeq),
-    which ``base_polynomial`` validates while building the defining polynomial."""
+    which ``base_polynomial`` validates while building the defining polynomial.
+
+    Graph classes need no check that beta = w+ 0^inf for alpha's primitive
+    period w.  An infinite greedy beta is alpha and in no graph class, where
+    alpha = w^inf and w+ 0^inf is a larger expansion of 1.  A finite one with
+    a shorter period p of alpha is p^(j-1) p+ (j >= 2): its tail p^(j-2) p+,
+    after a digit below M, exceeds it, so ``base_polynomial`` refuses it."""
     if M < 1:
         raise ValueError("alphabet bound must be at least 1")
     if isinstance(beta, str):
@@ -145,23 +159,8 @@ def new_base_context(M, beta):
     poly = base_polynomial(M, beta)
     alpha = dg.alpha_from_beta(M, beta)
     base_class = dg.classify_alpha(M, alpha)
-    n_period = 0
-    if base_class in GRAPH_CLASSES:
-        n_period = len(alpha.per)
-        rebuilt = EpSeq(dg.word_plus(alpha.per, M), (0,))
-        if rebuilt != beta:
-            raise ValueError(
-                f"non-primitive greedy input {dg.format_seq(beta)}: the periodic expansion "
-                f"{dg.format_seq(alpha)} corresponds to {dg.format_seq(rebuilt)}")
-    return BaseContext(
-        M=M,
-        beta=beta,
-        alpha=alpha,
-        base_class=base_class,
-        defining_poly=poly,
-        field=field_for_base(poly, M),
-        n_period=n_period,
-    )
+    return BaseContext(M, beta, alpha, base_class, poly, field_for_base(poly, M),
+                       len(alpha.per) if base_class in GRAPH_CLASSES else 0)
 
 
 def golden_ratio_base(M):
@@ -200,6 +199,16 @@ def check_chain_period(ctx, kind, steps, bound):
     if total > bound:
         raise SearchBoundError(f"{steps} {kind}-chain steps from period {n} pass the bound "
                                f"{bound} on their total period: steps 1..{k} reach {total}")
+
+
+def chain(ctx, kind, steps, bound):
+    """``[ctx, c_1, ..., c_steps]`` along the successor chain (kind "v") or the
+    r-chain (kind "r"), once ``check_chain_period`` has let it through."""
+    check_chain_period(ctx, kind, steps, bound)
+    out = [ctx]
+    for k in range(1, steps + 1):
+        out.append(v_successor(out[-1]) if kind == "v" else r_chain(ctx, k))
+    return out
 
 
 def r_chain(ctx, k):

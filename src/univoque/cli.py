@@ -18,8 +18,8 @@ import os
 import sys
 
 from . import digits as dg
-from .base import (BaseClass, InternalConsistencyError, SearchBoundError, check_chain_period,
-                   new_base_context, order_points, r_chain, v_successor)
+from .base import (BaseClass, InternalConsistencyError, SearchBoundError, chain, new_base_context,
+                   order_points, v_successor)
 
 # total alpha period the bases of one ``base chain`` run may have
 CHAIN_PERIOD_BOUND = 4096
@@ -77,13 +77,10 @@ def cmd_base_chain(args):
     if args.steps < 0:
         raise ValueError(f"--steps must be nonnegative, got {args.steps}")
     ctx = _context(args)
-    check_chain_period(ctx, args.kind, args.steps, CHAIN_PERIOD_BOUND)
-    chain = [ctx]
-    for k in range(1, args.steps + 1):
-        chain.append(v_successor(chain[-1]) if args.kind == "v" else r_chain(ctx, k))
-    payload = [c.to_json() for c in chain]
+    ctxs = chain(ctx, args.kind, args.steps, CHAIN_PERIOD_BOUND)
+    payload = [c.to_json() for c in ctxs]
     lines = [f"step {i}: beta={dg.format_seq(c.beta)} alpha={dg.format_seq(c.alpha)} "
-             f"class={c.base_class.value} q~{c.q_approx(8)}" for i, c in enumerate(chain)]
+             f"class={c.base_class.value} q~{c.q_approx(8)}" for i, c in enumerate(ctxs)]
     _emit(args, payload, lines)
     return 0
 
@@ -148,8 +145,7 @@ def cmd_graph_verify(args):
     from .graph import FULL, build_graph, check_isomorphic, tower_decompose
     ctx = _context(args)
     if args.theorem in ("1.3", "iso"):
-        if ctx.base_class is not BaseClass.IN_CLOSURE_U_NOT_U:
-            raise ValueError("the successor isomorphism applies to limit-of-uniqueness bases only")
+        ctx.require_limit_class("the successor isomorphism")
         succ = v_successor(ctx)
         ok = check_isomorphic(build_graph(ctx, FULL), build_graph(succ, FULL)) is not None
         payload = {"check": "successor-isomorphism", "ok": ok}

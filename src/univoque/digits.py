@@ -418,16 +418,17 @@ class LexAutomaton:
 
 # ---------------------------------------------------------------------------
 # text grammar: digits 0-9 written directly, larger digits comma-separated,
-# period in parentheses, e.g. "111(0)", "(110)", "3,12,0(5,1)"
+# period in parentheses, e.g. "111(0)", "(110)", "3,12,0(5,1)", "(10,)"
 
 def parse_word(text, literal):
     """The digits of ``text``, one ASCII digit per character or one nonempty
-    run of ASCII digits per comma-separated piece; a ValueError naming the
+    run of ASCII digits per comma-separated piece, with an optional trailing
+    comma ("10," is ten, "10" one and zero); a ValueError naming the
     sequence literal ``literal`` on anything else."""
     text = text.strip()
     if not text:
         return ()
-    pieces = text.split(",") if "," in text else text
+    pieces = text.removesuffix(",").split(",") if "," in text else text
     if not all(p.isascii() and p.isdigit() for p in pieces):
         raise ValueError(f"malformed sequence literal {literal!r}")
     return tuple(int(p) for p in pieces)
@@ -457,15 +458,16 @@ def parse_seq(text):
     return EpSeq(word, (0,))
 
 
-def format_word(w):
-    if any(d >= 10 for d in w):
-        return ",".join(str(d) for d in w)
-    return "".join(str(d) for d in w)
+def format_word(w, wide=None):
+    """``w`` as ``parse_word`` reads it: comma-separated if ``wide`` (default: a
+    digit above 9), a lone digit above 9 with a trailing comma, else run on."""
+    wide = any(d >= 10 for d in w) if wide is None else wide
+    if not wide:
+        return "".join(map(str, w))
+    return ",".join(map(str, w)) + ("," if len(w) == 1 and w[0] >= 10 else "")
 
 
 def format_seq(s):
-    if any(d >= 10 for d in s.pre + s.per):
-        pre = ",".join(str(d) for d in s.pre)
-        per = ",".join(str(d) for d in s.per)
-        return f"{pre}({per})"
-    return f"{format_word(s.pre)}({format_word(s.per)})"
+    """``s`` as ``parse_seq`` reads it; a digit above 9 widens both words."""
+    wide = any(d >= 10 for d in s.pre + s.per)
+    return f"{format_word(s.pre, wide)}({format_word(s.per, wide)})"

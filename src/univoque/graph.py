@@ -41,8 +41,7 @@ from collections import namedtuple
 
 from . import digits as dg
 from .algebraic import apply_digit_map
-from .base import (BaseClass, InternalConsistencyError, check_chain_period, memo, order_points,
-                   v_successor)
+from .base import InternalConsistencyError, chain, memo, order_points
 from .walk import count_words, cyclic, explore, orbit, tarjan, words
 
 FULL, TILDE, TILDE1 = "FULL", "TILDE", "TILDE1"
@@ -250,8 +249,7 @@ def connectivity_report(ctx):
     ``m1_ab_criterion``, the core reaching every crossing vertex.  The
     endpoint test ``sufficient_b2`` is sufficient but not necessary.
     """
-    if ctx.base_class is not BaseClass.IN_CLOSURE_U_NOT_U:
-        raise ValueError("connectivity criteria apply to limit-of-uniqueness bases only")
+    ctx.require_limit_class("the connectivity report")
     tilde = build_graph(ctx, TILDE)
     direct = is_strongly_connected(tilde)
     reach = explore(build_graph(ctx, TILDE1).out, tilde.out.__getitem__).keys()
@@ -379,25 +377,19 @@ class TowerDecomposition(namedtuple("TowerDecomposition", "n graphs blocks resid
 def tower_decompose(ctx0, m):
     """Decompose the m-th successor graph along the embedding chain.
 
-    Takes the graphs of the first m successors of ``ctx0`` (the ones a chain
-    from ``ctx0`` already built, kept by ``base.memo``) and embeds each in
-    the next: the seed's graph by the successor isomorphism
-    (``check_isomorphic``), each later one by ``embed_successor``.  It
-    verifies the announced structure: the new vertices at each step form a
-    single pure cycle of doubled length, and a path runs from level j to
-    level k exactly when j <= k.  Successors of total period above
-    ``TOWER_PERIOD_BOUND`` are refused before any is built (SearchBoundError).
+    Takes the graphs of ``base.chain(ctx0, "v", m, TOWER_PERIOD_BOUND)``
+    (contexts that an earlier chain from ``ctx0`` built, kept by
+    ``base.memo``, are reused) and embeds each in the next: the seed's graph
+    by the successor isomorphism (``check_isomorphic``), each later one by
+    ``embed_successor``.  It verifies the announced structure: the new
+    vertices at each step form a single pure cycle of doubled length, and a
+    path runs from level j to level k exactly when j <= k.
     """
-    if ctx0.base_class is not BaseClass.IN_CLOSURE_U_NOT_U:
-        raise ValueError("tower decomposition starts from a limit-of-uniqueness base")
+    ctx0.require_limit_class("the tower decomposition")
     if m < 1:
         raise ValueError("need at least one successor step")
-    check_chain_period(ctx0, "v", m, TOWER_PERIOD_BOUND)
+    graphs = [build_graph(c, FULL) for c in chain(ctx0, "v", m, TOWER_PERIOD_BOUND)]
     n = ctx0.n_period
-    ctxs = [ctx0]
-    for _ in range(m):
-        ctxs.append(v_successor(ctxs[-1]))
-    graphs = [build_graph(c, FULL) for c in ctxs]
 
     # push-forward maps toward the top graph; the first is the successor
     # isomorphism, the pairing of the two vertex sets by interval rank

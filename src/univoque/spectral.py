@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add, itemgetter, truediv
 
-from .base import BaseClass, memo
+from .base import memo
 from .graph import TILDE, TILDE1, build_graph, is_strongly_connected, scc
 
 RADIUS_TOL = 1e-12
@@ -217,8 +217,7 @@ def component_dimensions(ctx):
     component carrying a cycle; an empty graph is not), satisfies it
     vacuously.
     """
-    if ctx.base_class is not BaseClass.IN_CLOSURE_U_NOT_U:
-        raise ValueError("component dimensions apply to limit-of-uniqueness bases only")
+    ctx.require_limit_class("the dimension-transfer report")
     tilde = build_graph(ctx, TILDE)
     core = {v.index for v in build_graph(ctx, TILDE1).vertices}
     comps, radii, per = _components(tilde)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -8,10 +9,11 @@ import pytest
 from univoque import base
 from univoque import digits as dg
 from univoque.algebraic import AlgebraicReal, NumberField, apply_digit_map
-from univoque.base import (BaseClass, BaseContext, InternalConsistencyError, SearchBoundError,
-                           SpecialPoints, check_chain_period, golden_ratio_base, new_base_context,
-                           order_points, UnsupportedClassError, r_chain, special_points,
-                           v_successor, chain_limit_alpha)
+from univoque.base import (GRAPH_CLASSES, BaseClass, BaseContext, InternalConsistencyError,
+                           SearchBoundError, SpecialPoints, chain, check_chain_period,
+                           golden_ratio_base, new_base_context, order_points,
+                           UnsupportedClassError, r_chain, special_points, v_successor,
+                           chain_limit_alpha)
 from conftest import random_context
 
 
@@ -39,6 +41,27 @@ def test_rejects_base_one_and_non_greedy():
         new_base_context(1, "1(0)")
     with pytest.raises(ValueError):
         new_base_context(1, "011(0)")
+    # alpha = (10)^inf has the non-primitive period 1010: 1011 is not greedy
+    with pytest.raises(ValueError, match="not a greedy expansion"):
+        new_base_context(1, "1011(0)")
+
+
+def test_graph_classes_need_no_primitivity_check():
+    # every greedy sequence pre (per)^inf with |pre| + |per| <= 6 and M <= 4,
+    # read by the digit layer alone (no field is built): a graph-class base
+    # has a purely periodic alpha = w^inf and beta = w+ 0^inf
+    seqs = {(M, dg.EpSeq(w[:s], w[s:])) for M in range(1, 5) for L in range(1, 7)
+            for w in itertools.product(range(M + 1), repeat=L) for s in range(L)}
+    greedy = graph = 0
+    for M, beta in seqs:
+        if not dg.is_greedy_beta(M, beta):
+            continue
+        greedy += 1
+        alpha = dg.alpha_from_beta(M, beta)
+        if dg.classify_alpha(M, alpha) in GRAPH_CLASSES:
+            graph += 1
+            assert not alpha.pre and beta == dg.EpSeq(dg.word_plus(alpha.per, M), (0,)), (M, beta)
+    assert (greedy, graph) == (17634, 619)
 
 
 @pytest.mark.parametrize("M", [0, -1])
@@ -47,6 +70,17 @@ def test_rejects_alphabet_bound_below_one(M):
         new_base_context(M, "1(0)")
     with pytest.raises(ValueError, match="alphabet bound must be at least 1"):
         golden_ratio_base(M)
+
+
+@pytest.mark.parametrize("M, beta, cls", [(1, "1101(0)", "V\\closureU"), (1, "101(0)", "notInV"),
+                                          (1, "(1)", "U"), (1, "11(0)", "V\\closureU")])
+def test_limit_class_refusal(M, beta, cls):
+    ctx = new_base_context(M, beta)
+    assert ctx.base_class.value == cls
+    with pytest.raises(UnsupportedClassError) as e:
+        ctx.require_limit_class("the tower decomposition")
+    assert str(e.value) == ("the tower decomposition applies to limit-of-uniqueness bases "
+                            f"(class closureU\\U) only, not to class {cls}")
 
 
 def test_below_min_v_flag():
@@ -121,6 +155,22 @@ def test_chain_period_bound_is_the_total_period(battery):
             check_chain_period(ctx, kind, steps, total)
             with pytest.raises(SearchBoundError, match=f"bound {total - 1} .* reach {total}"):
                 check_chain_period(ctx, kind, steps, total - 1)
+
+
+def test_chain_lists_the_bounded_chain(battery):
+    for ctx in battery:
+        v = chain(ctx, "v", 3, 4096)
+        assert v[0] is ctx and all(v[k + 1] is v_successor(v[k]) for k in range(3))
+        assert chain(ctx, "r", 3, 4096) == [r_chain(ctx, k) for k in range(4)]
+        assert chain(ctx, "v", 0, 0) == chain(ctx, "r", 0, 0) == [ctx]
+
+
+def test_chain_is_refused_before_any_base_is_built():
+    ctx = new_base_context(1, "111(0)")
+    for kind, steps in (("v", 12), ("r", 3000)):
+        with pytest.raises(SearchBoundError, match="pass the bound 4096"):
+            chain(ctx, kind, steps, 4096)
+    assert not ctx._cache
 
 
 @pytest.mark.parametrize("beta", ["1(10)", "101(0)"])

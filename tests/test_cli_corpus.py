@@ -100,6 +100,22 @@ def corpus():
         ["expansions", "witness", *tri, "-m", "10000"],
         ["oracle", "words", *tri, "-L", "40000"],
     ]
+    # a lone digit above 9, printed so that it reads back as itself
+    wide = ["-M", "10", "--beta", "(10,10)"]
+    cmds += [["base", "classify", *wide], ["expansions", "count", *wide, "--x", "(10,10)"]]
+    # edge inputs refused with exit 2: limit-only operations on an in-between
+    # base, a step, an m and a depth out of range, an empty period, and a
+    # word whose alpha has a shorter period, which is not greedy
+    between = ["-M", "1", "--beta", "1101(0)"]
+    cmds += [
+        ["graph", "connectivity", *between],
+        ["graph", "verify", *between, "--theorem", "1.4"],
+        ["graph", "verify", *tri, "--theorem", "1.4", "--steps", "0"],
+        ["expansions", "witness", *tri, "-m", "0"],
+        ["oracle", "brute-count", *tri, "--x", "(10)", "--depth", "25"],
+        ["base", "classify", "-M", "1", "--beta", "1()"],
+        ["base", "classify", "-M", "1", "--beta", "1011(0)"],
+    ]
     return {shlex.join(a): a for a in cmds}
 
 

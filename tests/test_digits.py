@@ -49,8 +49,10 @@ def test_equality_is_structural():
 
 
 def test_grammar_roundtrip():
-    for text in ["111(0)", "(110)", "0(01)", "3,12,0(5,1)", "(1)"]:
+    for text in ["111(0)", "(110)", "0(01)", "3,12,0(5,1)", "(1)", "(10,)", "12,(0)", "3(12,5)"]:
         assert dg.format_seq(seq(text)) == text
+    # a lone digit above 9 ends in a comma: "10" is one and zero
+    assert seq("(10,)") == seq("(10,10)") != seq("(10)")
     assert seq("111") == seq("111(0)")
     assert seq("(110)^") == seq("(110)")
     assert seq("0(10)") == seq("(01)")     # canonical form absorbs the preperiod
@@ -58,6 +60,18 @@ def test_grammar_roundtrip():
         seq("1(")
     with pytest.raises(ValueError):
         seq("")
+    for bad in ("(,)", "(10,,)"):
+        with pytest.raises(ValueError, match="malformed"):
+            seq(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 30), max_size=4),
+       st.lists(st.integers(0, 30), min_size=1, max_size=4))
+def test_printed_sequence_reads_back(pre, per):
+    s = EpSeq(pre, per)
+    assert dg.parse_seq(dg.format_seq(s)) == s
+    assert dg.parse_word(dg.format_word(s.per), "") == s.per
 
 
 def test_reflect_examples():

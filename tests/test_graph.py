@@ -11,8 +11,8 @@ import pytest
 from univoque import cli, graph, spectral
 from univoque import digits as dg
 from univoque.algebraic import NumberField, apply_digit_map
-from univoque.base import (BaseClass, golden_ratio_base, new_base_context, order_points,
-                           special_points, v_successor)
+from univoque.base import (BaseClass, UnsupportedClassError, golden_ratio_base, new_base_context,
+                           order_points, special_points, v_successor)
 from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
                             connectivity_report, count_label_paths, is_strongly_connected,
                             path_words, scc, tower_decompose)
@@ -225,6 +225,18 @@ def test_one_strongly_connected_verdict(battery, tribonacci, monkeypatch, capsys
         assert len(scc(lone)[0]) == 1
         assert is_strongly_connected(lone) is sc
         assert scc_json_verdict(monkeypatch, capsys, lone) is sc
+
+
+def test_limit_only_operations_refuse_an_in_between_base():
+    # one refusal, ``BaseContext.require_limit_class``, in every graph
+    # operation stated for limit-of-uniqueness bases only
+    ctx = new_base_context(1, "1101(0)")
+    for op, what in ((connectivity_report, "connectivity report"),
+                     (lambda c: tower_decompose(c, 1), "tower decomposition")):
+        with pytest.raises(UnsupportedClassError,
+                           match=f"^the {what} applies to limit-of-uniqueness bases"):
+            op(ctx)
+    assert not ctx._cache                        # refused before any graph is built
 
 
 def test_one_component_pass(battery, monkeypatch):

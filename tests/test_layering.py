@@ -70,15 +70,36 @@ def test_digits_imports_only_walk_from_the_package():
     assert all(name.startswith("univoque.walk.") for name in found - {"univoque.walk"}), found
 
 
+def names(tree):
+    """Every name a syntax tree reads, as a variable, an attribute or an
+    imported name."""
+    out = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    out |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    return out
+
+
 def test_graph_reads_the_points_only_through_their_order():
     # classes, values and keys come from ``PointOrder``, one certified order
     found = imported_modules(SRC / "graph.py")
     assert "univoque.base.order_points" in found
     assert "univoque.base.special_points" not in found
-    tree = ast.parse((SRC / "graph.py").read_text())
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert "special_points" not in used
+    assert "special_points" not in names(ast.parse((SRC / "graph.py").read_text()))
+
+
+def test_base_class_preconditions_live_in_base():
+    # the graph and spectral layers leave every class check to ``BaseContext``
+    # (``require_graph_class``, ``require_limit_class``); the CLI reads the
+    # class only to pick the default mode of ``oracle words``
+    for name in ("graph.py", "spectral.py"):
+        assert "BaseClass" not in names(ast.parse((SRC / name).read_text())), name
+    tree = ast.parse((SRC / "cli.py").read_text())
+    readers = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               and "BaseClass" in names(fn)}
+    assert readers == {"cmd_oracle_words"}
+    assert not [node for node in tree.body if "BaseClass" in names(node)
+                and not isinstance(node, (ast.FunctionDef, ast.ImportFrom))]
 
 
 BUILD_CONTEXTS = """

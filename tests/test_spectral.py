@@ -10,7 +10,8 @@ import pytest
 
 import univoque
 from univoque import spectral
-from univoque.base import golden_ratio_base, new_base_context, r_chain, v_successor
+from univoque.base import (UnsupportedClassError, golden_ratio_base, new_base_context, r_chain,
+                           v_successor)
 from univoque.digits import LexAutomaton
 from univoque.graph import FULL, TILDE, build_graph, count_label_paths, scc
 from univoque.spectral import (component_dimensions, dimension_of, spectral_radius,
@@ -228,6 +229,16 @@ def test_one_radius_per_component(monkeypatch):
     component_dimensions(ctx)
     spectral_radius(g)
     assert sorted(calls) == sorted(map(tuple, comps))
+
+
+def test_component_dimensions_refuse_an_in_between_base():
+    # the transfer hypothesis is stated for limit-of-uniqueness bases only;
+    # no command reaches this refusal, as ``dim`` reports on every graph
+    ctx = new_base_context(1, "1101(0)")
+    with pytest.raises(UnsupportedClassError,
+                       match=r"^the dimension-transfer report applies to limit-of-uniqueness"):
+        component_dimensions(ctx)
+    assert spectral_report(build_graph(ctx, TILDE), ctx).radius == pytest.approx(1.0)
 
 
 def test_empty_graph_radius_zero():
