@@ -183,13 +183,14 @@ def v_successor(ctx):
     return r_chain(ctx, 1)
 
 
-def check_chain_period(ctx, kind, steps, bound):
-    """Refuse a chain from ``ctx`` before building it when its ``steps`` bases
-    would have total alpha period above ``bound`` (SearchBoundError).  From
-    period N, the successor chain (kind "v") has periods 2N, 4N, ..., in all
-    N(2^(steps+1) - 2), and the r-chain (kind "r") has periods (k + 1)N for
-    k = 1..steps; the sum stops at the first step past the bound.  A base
-    with no graph (period 0) is refused first (UnsupportedClassError)."""
+def chain(ctx, kind, steps, bound):
+    """``[ctx, c_1, ..., c_steps]`` along the successor chain (kind "v") or the
+    r-chain (kind "r").  A chain whose ``steps`` bases would have total alpha
+    period above ``bound`` is refused before any is built (SearchBoundError):
+    from period N, the successor chain has periods 2N, 4N, ..., in all
+    N(2^(steps+1) - 2), and the r-chain has periods (k + 1)N for k =
+    1..steps; the sum stops at the first step past the bound.  A base with no
+    graph (period 0) is refused first (UnsupportedClassError)."""
     ctx.require_graph_class()
     n = ctx.n_period
     total = k = 0
@@ -199,12 +200,6 @@ def check_chain_period(ctx, kind, steps, bound):
     if total > bound:
         raise SearchBoundError(f"{steps} {kind}-chain steps from period {n} pass the bound "
                                f"{bound} on their total period: steps 1..{k} reach {total}")
-
-
-def chain(ctx, kind, steps, bound):
-    """``[ctx, c_1, ..., c_steps]`` along the successor chain (kind "v") or the
-    r-chain (kind "r"), once ``check_chain_period`` has let it through."""
-    check_chain_period(ctx, kind, steps, bound)
     out = [ctx]
     for k in range(1, steps + 1):
         out.append(v_successor(out[-1]) if kind == "v" else r_chain(ctx, k))

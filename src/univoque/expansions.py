@@ -362,6 +362,11 @@ def default_tail(ctx, strictness=STRICT):
     beyond that.  When no tail is found, the error says whether any
     admissible tail starting with the reflected period exists at all (a good
     state of the automaton after it, respectively an alive one for WEAK).
+    No base tried reaches the refusal before the walk (the run dies on the
+    reflected period) or the one after it that no tail lies within the
+    period cap: on all 845 graph-class bases with a finite beta of length up
+    to 7 (M <= 2) or 5 (M = 3, 4), a WEAK tail exists, and the STRICT
+    search either finds one or ends with the refusal that none exists.
 
     The default STRICT filter is what makes the exact-count witnesses exact;
     weak tails may put the remainder orbit on the switch boundary and blow

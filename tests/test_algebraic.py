@@ -443,6 +443,36 @@ def test_inverse_of_a_zero_divisor():
     assert AlgebraicReal(f, f.mul(f.cyc_inv(2), a)) == AlgebraicReal(f, f.one())
 
 
+def zero_at_q(f):
+    """The minimal polynomial of q as an element of the field ``f``: zero at
+    q, and nonzero modulo a reducible working polynomial."""
+    m = f.min_poly
+    return f.element(list(m) + [0] * (f.deg - len(m)), 1)
+
+
+@pytest.mark.parametrize("op,outcome", [
+    (lambda q, f: f.inv(f.zero()), (ZeroDivisionError, "inverse of zero field element")),
+    (lambda q, f: f.inv(zero_at_q(f)),
+     (ZeroDivisionError, "inverse of a field element that is zero at q")),
+    (lambda q, f: q + AlgebraicReal(f, f.gen()), (ValueError, "mixed field contexts")),
+    (lambda q, f: 2 - q, "<0.160713...>"),
+    (lambda q, f: q == "q", "False"),
+    (lambda q, f: (q > 1, q > 2, q > q), "(True, False, False)"),
+    (lambda q, f: q, "<1.839287...>"),
+], ids=["inverse-of-zero", "inverse-of-zero-at-q", "mixed-fields", "rsub", "eq-str", "gt",
+        "repr"])
+def test_element_refusals_and_printed_forms(tribonacci, op, outcome):
+    # q is the tribonacci base, f the field of 1101011(0), whose working
+    # polynomial has a factor besides the minimal one
+    f = new_base_context(1, "1101011(0)").field
+    if isinstance(outcome, str):
+        assert repr(op(tribonacci.q, f)) == outcome
+        return
+    with pytest.raises(outcome[0]) as info:
+        op(tribonacci.q, f)
+    assert str(info.value) == outcome[1]
+
+
 def test_decimals_and_floats_are_correctly_rounded():
     # every point value printed to 12 places is its 40-place value rounded
     # half to even, reads the same on a fresh context as after q has been

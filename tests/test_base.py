@@ -10,7 +10,7 @@ from univoque import base
 from univoque import digits as dg
 from univoque.algebraic import AlgebraicReal, NumberField, apply_digit_map
 from univoque.base import (GRAPH_CLASSES, BaseClass, BaseContext, InternalConsistencyError,
-                           SearchBoundError, SpecialPoints, chain, check_chain_period,
+                           SearchBoundError, SpecialPoints, chain,
                            golden_ratio_base, new_base_context, order_points,
                            UnsupportedClassError, r_chain, special_points, v_successor,
                            chain_limit_alpha)
@@ -152,9 +152,9 @@ def test_chain_period_bound_is_the_total_period(battery):
         r_built = [r_chain(ctx, k).n_period for k in range(1, 5)]
         assert sum(r_built) == N * 4 * 7 // 2
         for kind, steps, total in (("v", 3, sum(built)), ("r", 4, sum(r_built))):
-            check_chain_period(ctx, kind, steps, total)
+            assert len(chain(ctx, kind, steps, total)) == steps + 1
             with pytest.raises(SearchBoundError, match=f"bound {total - 1} .* reach {total}"):
-                check_chain_period(ctx, kind, steps, total - 1)
+                chain(ctx, kind, steps, total - 1)
 
 
 def test_chain_lists_the_bounded_chain(battery):
@@ -180,7 +180,7 @@ def test_chain_period_refuses_a_base_without_graph(beta):
     assert ctx.n_period == 0
     for kind in "vr":
         with pytest.raises(UnsupportedClassError, match="has no interval graph"):
-            check_chain_period(ctx, kind, 10 ** 10, 4096)
+            chain(ctx, kind, 10 ** 10, 4096)
 
 
 def test_golden_ratio_bases():

@@ -14,7 +14,8 @@ from univoque import cli, graph, oracle, walk
 from univoque import digits as dg
 from univoque import expansions as ex
 from univoque.algebraic import AlgebraicReal, DegenerateInputError
-from univoque.base import InternalConsistencyError, UnsupportedClassError
+from univoque.base import (BaseClass, InternalConsistencyError, UnsupportedClassError,
+                           new_base_context, r_chain, v_successor)
 from univoque.cli import main
 
 
@@ -296,6 +297,17 @@ def test_negative_bounds_exit_code(capsys, monkeypatch, argv):
     assert err.startswith("error: ") and "nonnegative" in err
 
 
+def period_288_beta():
+    """The beta of r_chain(v_successor^5(111(0)), 2), a limit base of period
+    288 whose successor has period 576."""
+    ctx = new_base_context(1, "111(0)")
+    for _ in range(5):
+        ctx = v_successor(ctx)
+    ctx = r_chain(ctx, 2)
+    assert ctx.n_period == 288 and ctx.base_class is BaseClass.IN_CLOSURE_U_NOT_U
+    return dg.format_seq(ctx.beta)
+
+
 @pytest.mark.parametrize("argv,reason", [
     (("base", "chain", "-M", "1", "--beta", "111(0)", "--kind", "v", "--steps", "12"),
      f"bound {cli.CHAIN_PERIOD_BOUND} "),
@@ -308,7 +320,10 @@ def test_negative_bounds_exit_code(capsys, monkeypatch, argv):
      "has no interval graph"),
     (("base", "chain", "-M", "1", "--beta", "1(10)", "--kind", "r", "--steps", "10000000000"),
      "has no interval graph"),
-], ids=["v", "r", "tower", "v-no-graph", "r-no-graph"])
+    # the successor isomorphism takes its successor from the bounded tower
+    (("graph", "verify", "-M", "1", "--beta", period_288_beta(), "--theorem", "1.3"),
+     f"bound {graph.TOWER_PERIOD_BOUND} "),
+], ids=["v", "r", "tower", "v-no-graph", "r-no-graph", "iso"])
 def test_long_chains_exit_2_at_once(capsys, argv, reason):
     # unbounded, each of these runs for more than 25 s
     def stalled(signum, frame):
@@ -361,7 +376,7 @@ def test_too_many_words_names_the_cap(capsys):
     (ex.TailSearchBudgetError(5, 2, 6), 2),
 ], ids=lambda e: type(e).__name__ if isinstance(e, Exception) else str(e))
 def test_exit_code_map(capsys, monkeypatch, error, code):
-    def fail(args):
+    def fail(ctx, args):
         raise error
 
     monkeypatch.setattr(cli, "cmd_base_classify", fail)

@@ -576,3 +576,23 @@ def test_automaton_run_matches_window_predicate(case):
     for mode, strict in ((dg.UNIQUE, True), (dg.DOUBLY_INFINITE, False)):
         accepted = state is not None and auto.periodic_ok(state, c.per, strict)
         assert accepted == dg.is_unique_expansion_seq(alpha, c, M, mode), (mode, alpha, c)
+
+
+@pytest.mark.parametrize("op,error,message", [
+    (lambda: dg.word_plus((), 1), dg.AlphabetError, "cannot increment last digit of () within 0..1"),
+    (lambda: dg.word_plus((0, 1), 1), dg.AlphabetError,
+     "cannot increment last digit of (0, 1) within 0..1"),
+    (lambda: dg.word_minus((1, 0)), dg.AlphabetError, "cannot decrement last digit of (1, 0)"),
+    (lambda: EpSeq((1,), ()), ValueError, "period must be nonempty"),
+    (lambda: EpSeq((1, -1), (0,)), ValueError, "digits must be nonnegative"),
+    (lambda: setattr(seq("1(0)"), "pre", ()), AttributeError, "EpSeq is immutable"),
+    (lambda: seq("1(10)").finite_word(), ValueError, "EpSeq('1(10)') is not finite"),
+    (lambda: dg.shift(seq("1(0)"), -1), ValueError, "shift amount must be nonnegative"),
+    (lambda: dg.is_unique_expansion_seq(seq("1(0)"), seq("(10)"), 1), ValueError,
+     "context sequence is not quasi-greedy"),
+], ids=["plus-empty", "plus-top", "minus-zero", "empty-period", "negative-digit", "immutable",
+        "not-finite", "negative-shift", "not-quasi-greedy"])
+def test_digit_layer_refusals(op, error, message):
+    with pytest.raises(error) as info:
+        op()
+    assert str(info.value) == message

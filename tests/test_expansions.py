@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import time
 
@@ -11,7 +12,7 @@ from test_reducible import REDUCIBLE
 from univoque import digits as dg
 from univoque import expansions as ex
 from univoque.algebraic import AlgebraicReal, NumberField
-from univoque.base import new_base_context, r_chain, special_points
+from univoque.base import GRAPH_CLASSES, new_base_context, r_chain, special_points
 from univoque.digits import EpSeq
 from univoque.walk import tarjan
 
@@ -149,6 +150,33 @@ def test_default_tails(tribonacci, base322):
     # the weak search relaxes down to the reflected period itself
     assert ex.default_tail(tribonacci, strictness=ex.WEAK) == seq("(001)")
     assert ex.default_tail(base322, strictness=ex.WEAK) == seq("(123)")
+
+
+def test_default_tail_failure_modes():
+    # every graph-class base with a finite beta of length <= 7 (M <= 2) or
+    # <= 5 (M = 3, 4), base 1 left out: the weak search finds a tail on each,
+    # so the run of the reflected period, which does not depend on the
+    # strictness, never dies; the strict search fails on 26 of them, each
+    # time because no admissible strict tail exists at all
+    bases = []
+    for M in range(1, 5):
+        for L in range(1, 8 if M <= 2 else 6):
+            for w in itertools.product(range(M + 1), repeat=L):
+                beta = EpSeq(w, (0,))
+                if (w[-1] and w != (1,) and dg.is_greedy_beta(M, beta)
+                        and dg.classify_alpha(M, dg.alpha_from_beta(M, beta)) in GRAPH_CLASSES):
+                    bases.append(new_base_context(M, beta))
+    assert len(bases) == 845
+    none_strict = 0
+    for ctx in bases:
+        assert ex.f_family_filter(ctx, ex.default_tail(ctx, strictness=ex.WEAK), ex.WEAK)
+        try:
+            ex.default_tail(ctx)
+        except ValueError as e:
+            assert str(e) == ("an admissible STRICT tail that starts with the reflected period "
+                              "does not exist for this base"), (ctx.M, ctx.beta)
+            none_strict += 1
+    assert none_strict == 26
 
 
 def test_filter_examples(tribonacci):
@@ -754,3 +782,12 @@ def test_remainder_map_is_bounded(monkeypatch):
         assert ex.count_expansions(tribonacci, x, cap=1000).count == m
         held.append(held_ids(tribonacci))
     assert 0 < max(held) <= 40 and 0 in held
+
+
+@pytest.mark.parametrize("count,text", [
+    (ex.ExpansionCount(ex.EXACT, 2, (seq("(10)"), seq("1(01)"))), "ExpansionCount(EXACT(2))"),
+    (ex.ExpansionCount(ex.INFINITE_CYCLE), "ExpansionCount(INFINITE_CYCLE)"),
+    (ex.ExpansionCount(ex.CAP_EXCEEDED), "ExpansionCount(CAP_EXCEEDED)"),
+], ids=["exact", "infinite", "cap"])
+def test_expansion_count_repr(count, text):
+    assert repr(count) == text

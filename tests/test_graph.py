@@ -186,7 +186,7 @@ def graph_bases(battery, seed):
 def scc_json_verdict(monkeypatch, capsys, g):
     """``strongly_connected`` as ``graph scc --json`` prints it for ``g``."""
     with monkeypatch.context() as mp:
-        mp.setattr(cli, "_context", lambda _args: g.ctx)
+        mp.setattr(cli, "new_base_context", lambda _M, _beta: g.ctx)
         mp.setattr(graph, "build_graph", lambda _ctx, _variant: g)
         assert cli.main(["graph", "scc", "-M", str(g.ctx.M), "--beta",
                          dg.format_seq(g.ctx.beta), "--json"]) == 0
@@ -879,12 +879,17 @@ def test_tower_later_level_must_not_reach_an_earlier_one(monkeypatch):
         doctored_tower(monkeypatch, 2, doctor)
 
 
-def test_tower_seed_must_be_isomorphic_to_its_successor(monkeypatch):
+def test_tower_seed_must_be_isomorphic_to_its_successor(monkeypatch, capsys):
     # one more vertex in the seed graph alone: the pairing by interval rank
     # no longer matches its successor's vertices
     with pytest.raises(graph.StructuralError,
                        match="the seed graph is not order isomorphic to its successor's"):
         doctored_tower(monkeypatch, 1, lambda lv, g: with_end_vertex(g) if lv == 0 else g)
+    # ``graph verify --theorem 1.3`` is the first level of the same tower
+    assert cli.main(["graph", "verify", "-M", "1", "--beta", "111(0)", "--theorem", "1.3"]) == 3
+    out = capsys.readouterr()
+    assert not out.out and out.err == ("internal consistency failure: the seed graph is not "
+                                       "order isomorphic to its successor's\n")
 
 
 def test_tower_level_vertex_has_one_move_inside(monkeypatch):
@@ -906,3 +911,12 @@ def test_full_build_needs_single_gap_switch_intervals():
     order_points(ctx).index_of["et1"] += 1
     with pytest.raises(graph.StructuralError, match="switch interval 1 is not a single gap"):
         build_graph(ctx, FULL)
+
+
+@pytest.mark.parametrize("variant,text", [
+    (FULL, "Vertex#0 Vertex#1 Vertex#2 Vertex#4 Vertex#5 Vertex#6"),
+    (TILDE, "Vertex#1 Vertex#2 Vertex#4 Vertex#5"),
+], ids=["full", "tilde"])
+def test_vertex_repr(tribonacci, variant, text):
+    # a vertex prints the index of its left point class
+    assert " ".join(map(repr, build_graph(tribonacci, variant).vertices)) == text
