@@ -233,12 +233,6 @@ def _r_chain(ctx, k):
     return out
 
 
-def chain_limit_alpha(ctx):
-    """Quasi-greedy expansion at the upper endpoint of the chain: ``w+ reflect(w)^inf``."""
-    w = ctx.alpha_word()
-    return EpSeq(dg.word_plus(w, ctx.M), dg.word_reflect(w, ctx.M))
-
-
 # --- special points ---------------------------------------------------------
 
 class SpecialPoints(namedtuple("SpecialPoints", "qg_key value")):

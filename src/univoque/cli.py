@@ -136,7 +136,7 @@ def cmd_graph_verify(ctx, args):
         # failed one raises StructuralError
         ctx.require_limit_class("the successor isomorphism")
         tower_decompose(ctx, 1)
-        return {"check": "successor-isomorphism", "ok": True}, ["successor graph isomorphic: True"]
+        return {"check": "successor-isomorphism"}, ["successor graph isomorphic: True"]
     dec = tower_decompose(ctx, args.steps)
     payload = {
         "check": "tower",
@@ -153,13 +153,7 @@ def cmd_graph_verify(ctx, args):
 def cmd_graph_connectivity(ctx, args):
     from .graph import connectivity_report
     rep = connectivity_report(ctx)
-    payload = {
-        "strongly_connected": rep.strongly_connected,
-        "reach_criterion": rep.reach_criterion,
-        "sufficient_b2": rep.sufficient_b2,
-        "m1_ab_criterion": rep.m1_ab_criterion,
-    }
-    return payload, [
+    return rep._asdict(), [
         f"strongly connected:      {rep.strongly_connected}",
         f"reachability criterion:  {rep.reach_criterion}",
         f"sufficient b2 condition: {rep.sufficient_b2}",

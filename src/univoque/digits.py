@@ -304,6 +304,13 @@ UNIQUE = "UNIQUE"
 DOUBLY_INFINITE = "DOUBLY_INFINITE"
 
 
+def strict_mode(mode, strict, weak):
+    """Whether ``mode`` names the strict of two modes; ValueError for any other name."""
+    if mode not in (strict, weak):
+        raise ValueError(f"unknown mode {mode!r}, expected {strict!r} or {weak!r}")
+    return mode == strict
+
+
 def is_unique_expansion_seq(ctx_alpha, c, M, mode=UNIQUE):
     """Membership test for a digit sequence against the bound ``ctx_alpha``.
 
@@ -312,10 +319,11 @@ def is_unique_expansion_seq(ctx_alpha, c, M, mode=UNIQUE):
     a unique doubly infinite expansion, i.e. lies in the two-sided survivor
     set (weak inequalities).
     """
+    strict = strict_mode(mode, UNIQUE, DOUBLY_INFINITE)
     if not is_quasigreedy_alpha(M, ctx_alpha):
         raise ValueError("context sequence is not quasi-greedy")
     check_alphabet(c.pre + c.per, M)
-    return _shifts_bounded(c, ctx_alpha, M, upper=True, lower=True, strict=mode == UNIQUE)
+    return _shifts_bounded(c, ctx_alpha, M, upper=True, lower=True, strict=strict)
 
 
 class LexAutomaton:
@@ -385,8 +393,8 @@ class LexAutomaton:
 
     def admissible(self, strict, *roots):
         """The admissible part of the automaton: the successor map of the
-        states reachable from ``start()`` or from ``roots``, restricted to the
-        alive states (weak) or to the good states (strict).
+        states reachable from ``roots`` (from ``start()`` when none is given),
+        restricted to the alive states (weak) or to the good states (strict).
 
         A state is alive when it admits some infinite violation-free
         continuation, and good when it admits one along which every tie
@@ -395,10 +403,10 @@ class LexAutomaton:
         A state is therefore good iff it reaches a cyclic component that
         either has a state with two moves inside it (runs within it need not
         be eventually periodic), or is one simple cycle whose word passes the
-        strict ``periodic_ok``.  ``start()`` is in both parts: its 0s run to
-        the good cycle ({0}, {}).
+        strict ``periodic_ok``.  Explored from ``start()``, both parts hold
+        it: its 0s run to the good cycle ({0}, {}).
         """
-        succ = explore((self.start(), *roots),
+        succ = explore(roots or (self.start(),),
                        lambda s: [(d, t) for d in range(self.M + 1)
                                   if (t := self.step(s, d)) is not None])
 

@@ -35,11 +35,12 @@ with exactly m expansions for each m >= 1, by prefixing the tail with
 ``1 0^((m-1)N)``.  Every tail condition is a run of the follower automaton
 ``digits.LexAutomaton`` (owned by the digit layer and shared with the word
 oracle) from one start tie set: ``f_family_filter`` runs it over a given
-tail, and the least admissible tail comes from a depth-first lexicographic
-search that steps it digit by digit, prunes every prefix on which it dies
-and decides each leaf from the leaf's own state.  Both decide a periodic
-tail by the automaton's own check ``LexAutomaton.periodic_ok``, the same one
-its good states are built on.
+tail.  The least admissible tail is searched on the automaton's admissible
+part from the state after the reflected period: that part is empty exactly
+when no admissible tail starts with that period, and otherwise a depth-first
+lexicographic search reads its moves and decides each leaf by its state.
+Both decide a periodic tail by the automaton's own check
+``LexAutomaton.periodic_ok``, the same one its good states are built on.
 """
 
 from __future__ import annotations
@@ -338,11 +339,12 @@ def f_family_filter(ctx, c, strictness=WEAK):
     inequalities, WEAK allows equality.  Decided by one run of the follower
     automaton from the tie set ``_start_ties``.
     """
+    strict = dg.strict_mode(strictness, STRICT, WEAK)
     ctx.require_graph_class()
     dg.check_alphabet(c.pre + c.per, ctx.M)
     auto = LexAutomaton(ctx.M, ctx.alpha_word())
     state = auto.run(_start_ties(ctx), c.pre)
-    return state is not None and auto.periodic_ok(state, c.per, strictness == STRICT)
+    return state is not None and auto.periodic_ok(state, c.per, strict)
 
 
 def default_tail(ctx, strictness=STRICT):
@@ -352,21 +354,21 @@ def default_tail(ctx, strictness=STRICT):
     starts with the reflected alpha period and has length N..2N (N the
     alpha period), every length searched in full.  For each length the words
     are walked depth first in increasing order, which is the order of their
-    periodic sequences, with the follower automaton run from ``_start_ties``;
-    a node is pruned once the run dies (a checked tail or a spliced alpha
-    tail already exceeds alpha), or once its prefix exceeds the best tail
-    found at a shorter length.  The first leaf whose state passes
-    ``LexAutomaton.periodic_ok`` is the least tail of its length, and the
-    least over all lengths is returned.  The walk visits at most
-    ``TAIL_NODE_BUDGET`` nodes in total and raises ``TailSearchBudgetError``
-    beyond that.  When no tail is found, the error says whether any
-    admissible tail starting with the reflected period exists at all (a good
-    state of the automaton after it, respectively an alive one for WEAK).
-    No base tried reaches the refusal before the walk (the run dies on the
-    reflected period) or the one after it that no tail lies within the
-    period cap: on all 845 graph-class bases with a finite beta of length up
-    to 7 (M <= 2) or 5 (M = 3, 4), a WEAK tail exists, and the STRICT
-    search either finds one or ends with the refusal that none exists.
+    periodic sequences, on the admissible part of the follower automaton
+    (good states for STRICT, alive ones for WEAK) explored once from the
+    state after ``_start_ties`` and the reflected period; a node is pruned
+    once its state leaves that part (no admissible tail extends its
+    prefix), or once its prefix exceeds the best tail found at a shorter
+    length.  The first leaf whose state passes ``LexAutomaton.periodic_ok``
+    is the least tail of its length, and the least over all lengths is
+    returned.  When the start state is outside the part, ValueError says
+    that no admissible tail starting with the reflected period exists, before
+    any search.  The walk visits at most ``TAIL_NODE_BUDGET`` nodes in total
+    and raises ``TailSearchBudgetError`` beyond that; the one refusal after
+    it, that no tail lies within the period cap, is reached by no base tried:
+    on all 845 graph-class bases with a finite beta of length up to 7
+    (M <= 2) or 5 (M = 3, 4), a WEAK tail exists, and the STRICT search
+    either finds one or is refused because none exists.
 
     The default STRICT filter is what makes the exact-count witnesses exact;
     weak tails may put the remainder orbit on the switch boundary and blow
@@ -376,13 +378,13 @@ def default_tail(ctx, strictness=STRICT):
     M, w = ctx.M, ctx.alpha_word()
     N = len(w)
     rw = dg.word_reflect(w, M)
-    strict = strictness == STRICT
+    strict = dg.strict_mode(strictness, STRICT, WEAK)
     auto = LexAutomaton(M, w)
     state = auto.run(_start_ties(ctx), rw)
-    none_exists = (f"an admissible {strictness} tail that starts with the reflected period "
-                   "does not exist for this base")
-    if state is None:
-        raise ValueError(none_exists)
+    part = {} if state is None else auto.admissible(strict, state)
+    if state not in part:
+        raise ValueError(f"an admissible {strictness} tail that starts with the reflected period "
+                         "does not exist for this base")
 
     nodes = 0
     best = None
@@ -401,13 +403,10 @@ def default_tail(ctx, strictness=STRICT):
                     break
                 continue
             top = best.digit(len(word)) if tied else M
-            for d in range(top, -1, -1):        # pushed high to low: popped low first
-                nxt = auto.step(cur, d)
-                if nxt is not None:
+            for d, nxt in reversed(part[cur]):  # pushed high to low: popped low first
+                if d <= top:
                     stack.append((word + (d,), nxt, tied and d == top))
     if best is None:
-        if state not in auto.admissible(strict, state):
-            raise ValueError(none_exists)
         raise ValueError("no admissible periodic tail within the period cap")
     return best
 

@@ -23,7 +23,7 @@ its strict periodic-run check.
 from __future__ import annotations
 
 from .base import SearchBoundError
-from .digits import LexAutomaton
+from .digits import LexAutomaton, strict_mode
 from .walk import orbit, words
 
 U_PREFIX = "U_PREFIX"    # prefixes of unique expansions (strict bounds)
@@ -47,7 +47,7 @@ def enumerate_admissible_words(ctx, L, mode=V_PREFIX):
         raise ValueError(f"word length must be nonnegative, got {L}")
     ctx.require_graph_class()
     auto = LexAutomaton(ctx.M, ctx.alpha.per)
-    return words(auto.admissible(mode == U_PREFIX), auto.start(), L)
+    return words(auto.admissible(strict_mode(mode, U_PREFIX, V_PREFIX)), auto.start(), L)
 
 
 def brute_count_expansions(ctx, x, depth):

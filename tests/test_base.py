@@ -12,8 +12,7 @@ from univoque.algebraic import AlgebraicReal, NumberField, apply_digit_map
 from univoque.base import (GRAPH_CLASSES, BaseClass, BaseContext, InternalConsistencyError,
                            SearchBoundError, SpecialPoints, chain,
                            golden_ratio_base, new_base_context, order_points,
-                           UnsupportedClassError, r_chain, special_points, v_successor,
-                           chain_limit_alpha)
+                           UnsupportedClassError, r_chain, special_points, v_successor)
 from conftest import random_context
 
 
@@ -127,6 +126,12 @@ def test_r_chain_examples(tribonacci, base322):
     assert r_chain(tribonacci, 1).base_class is BaseClass.IN_V_NOT_CLOSURE_U
     for k in (2, 3):
         assert r_chain(tribonacci, k).base_class is BaseClass.IN_CLOSURE_U_NOT_U
+
+
+def chain_limit_alpha(ctx):
+    """Quasi-greedy expansion at the upper endpoint of the chain: ``w+ reflect(w)^inf``."""
+    w = ctx.alpha_word()
+    return dg.EpSeq(dg.word_plus(w, ctx.M), dg.word_reflect(w, ctx.M))
 
 
 def test_r_chain_monotone_below_limit(tribonacci):

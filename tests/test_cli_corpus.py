@@ -57,6 +57,7 @@ def corpus():
                  ["oracle", "words", *base, "-L", L, "--mode", "u"]]
     tri = ["-M", "1", "--beta", "111(0)"]
     cmds += [["graph", "verify", *tri, "--theorem", t] for t in ("iso", "tower")]
+    cmds.append(["graph", "verify", *tri, "--theorem", "1.3", "--json"])
     cmds += [["graph", "build", *tri, "--variant", v] for v in ("full", "tilde1")]
     cmds += [["graph", "scc", *tri, "--variant", v] for v in cli._VARIANTS]
     cmds += [

@@ -375,8 +375,9 @@ def test_beta_alpha_conversion():
 # --- the follower automaton against literal references -----------------------
 
 def reachable(auto, *roots):
-    """The successor map of every state reachable from start() or roots."""
-    return explore((auto.start(), *roots),
+    """The successor map of every state reachable from roots, or from start()
+    when none is given."""
+    return explore(roots or (auto.start(),),
                    lambda s: [(d, t) for d in range(auto.M + 1)
                               if (t := auto.step(s, d)) is not None])
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import signal
 import time
 
 import pytest
@@ -12,8 +13,9 @@ from test_reducible import REDUCIBLE
 from univoque import digits as dg
 from univoque import expansions as ex
 from univoque.algebraic import AlgebraicReal, NumberField
-from univoque.base import GRAPH_CLASSES, new_base_context, r_chain, special_points
+from univoque.base import GRAPH_CLASSES, new_base_context, r_chain, special_points, v_successor
 from univoque.digits import EpSeq
+from univoque.oracle import enumerate_admissible_words
 from univoque.walk import tarjan
 
 # the battery plus the two wide-alphabet bases of the benchmark's count workload
@@ -453,6 +455,48 @@ def test_default_tail_budget(tribonacci, monkeypatch):
     with pytest.raises(ex.TailSearchBudgetError) as err:
         ex.default_tail(tribonacci)
     assert err.value.nodes == 3 and err.value.max_period == 2 * tribonacci.n_period
+
+
+@pytest.mark.parametrize("M,beta", [(1, "1101(0)"), (1, "111001(0)"), (1, "11(0)"), (2, "21(0)")])
+def test_default_tail_refuses_before_searching(M, beta, monkeypatch):
+    # the admissible part at the witness start decides that no strict tail
+    # exists before the search visits its first node past the budget
+    monkeypatch.setattr(ex, "TAIL_NODE_BUDGET", 1)
+    with pytest.raises(ValueError, match="does not exist"):
+        ex.default_tail(new_base_context(M, beta))
+
+
+def test_default_tail_refuses_a_long_chain_base_at_once():
+    # the 8th V-successor of 111(0), period 768, has no strict tail; a search
+    # over periods 768..1536 stops at its node budget after about 2 s
+    ctx = new_base_context(1, "111(0)")
+    for _ in range(8):
+        ctx = v_successor(ctx)
+
+    def stalled(signum, frame):
+        raise TimeoutError("the tail search ran before the refusal")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(1)
+    try:
+        with pytest.raises(ValueError, match="does not exist"):
+            ex.default_tail(ctx)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call,accepted", [
+    (lambda ctx: ex.default_tail(ctx, "strict"), "'STRICT' or 'WEAK'"),
+    (lambda ctx: ex.f_family_filter(ctx, seq("(001)"), "strict"), "'STRICT' or 'WEAK'"),
+    (lambda ctx: dg.is_unique_expansion_seq(ctx.alpha, seq("(110)"), 1, "unique"),
+     "'UNIQUE' or 'DOUBLY_INFINITE'"),
+    (lambda ctx: enumerate_admissible_words(ctx, 3, "u"), "'U_PREFIX' or 'V_PREFIX'"),
+], ids=["default_tail", "f_family_filter", "is_unique_expansion_seq", "oracle_words"])
+def test_unknown_modes_are_refused(tribonacci, call, accepted):
+    # any other string used to select the weak check
+    with pytest.raises(ValueError, match=f"unknown mode .* expected {accepted}"):
+        call(tribonacci)
 
 
 # --- feasible digits from enclosures against per-digit signs ------------------
