@@ -55,17 +55,18 @@ Every value is decided one way, by ``NumberField.settle``: interval Horner
 on the element's numerator, in integers scaled by powers of two, encloses
 its value, and q is refined until a monotone step function (the sign, the
 rounding to some decimal places, the nearest double) agrees on both ends of
-the enclosure.  That ends unless the value sits on a step.  A sign settles
-only on a numerator that is nonzero at q: either it is coprime to R, or
-it is reduced modulo m_q, where a zero remainder means the element is 0 and
-a nonzero one, of degree below m_q, does not vanish at q.  The field runs
-its own coprimality test (``coprime``), which spares it the factoring on
-most signs it must refine: a numerator whose gcd with R modulo the large
-prime ``LARGE_PRIME`` is 1 is nonzero at every root of R.  Without that
-test refinement need not end: an element that vanishes at q but not modulo
-R has enclosures that straddle 0 forever.  Decimals and floats settle on
-the reduced element, which is irrational unless its numerator is constant,
-and then its enclosure is exact.
+the enclosure.  That ends unless the value sits on a step.  So a sign
+(``NumberField.sign``) is exact on a constant numerator and otherwise
+settles on a numerator that is nonzero at q, as one that vanishes at q but
+not modulo R has enclosures that straddle 0 forever.  While m_q is not
+certified that is the element's own numerator when the field's coprimality
+test (``coprime``) passes: a numerator whose gcd with R modulo the large
+prime ``LARGE_PRIME`` is 1 is nonzero at every root of R, so most signs
+settle without factoring R.  Otherwise it is the numerator reduced modulo
+m_q, where a zero remainder means the element is 0, with an exact
+enclosure, and a nonzero one, of degree below m_q, does not vanish at q.
+Decimals and floats settle on the reduced element, which is irrational
+unless its numerator is constant, and then its enclosure is exact.
 
 ``Q`` (fractions.Fraction) is used only at the edges: ``INITIAL_WIDTH``,
 decimal rounding and the rational endpoints ``NumberField.lo`` and
@@ -477,28 +478,15 @@ class NumberField:
             self.refine()
 
     def sign(self, a):
-        """The sign of ``a``: from one enclosure on the current interval when
-        it excludes 0, else ``settle`` on a numerator nonzero at q."""
+        """The sign of ``a``: exact for a constant numerator, else ``settle`` on
+        a numerator nonzero at q (0 is a step of sign).  That is ``a``'s own
+        while m_q is not yet certified and ``coprime`` proves it coprime to the
+        working polynomial, else ``reduce(a)``, which is 0 only for 0."""
         if not any(a[1:-1]):
             return _sign(a[0])
-        p = poly_trim(a[:-1])
-        vlo, vhi = self._interval(p)
-        if vlo > 0:
-            return 1
-        if vhi < 0:
-            return -1
-        # a sign settles only on a numerator that is nonzero at q (0 is a
-        # step of sign): one reduced modulo m_q, or, while m_q is not yet
-        # certified, one coprime to the working polynomial
-        b = a
-        if "min_poly" in vars(self) or not coprime(p, self.working_poly):
-            b = self.reduce(a)
-            if not any(b[:-1]):
-                return 0
-        if b == a:
-            # the enclosure above left this numerator open: settle starts narrower
-            self.refine()
-        return self.settle(b, lambda n, D: _sign(n))
+        if "min_poly" in vars(self) or not coprime(a[:-1], self.working_poly):
+            a = self.reduce(a)
+        return self.settle(a, lambda n, D: _sign(n))
 
     def decimal(self, a, places=12):
         """The value of ``a`` to ``places`` decimals, correctly rounded half to

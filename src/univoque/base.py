@@ -189,8 +189,11 @@ def chain(ctx, kind, steps, bound):
     period above ``bound`` is refused before any is built (SearchBoundError):
     from period N, the successor chain has periods 2N, 4N, ..., in all
     N(2^(steps+1) - 2), and the r-chain has periods (k + 1)N for k =
-    1..steps; the sum stops at the first step past the bound.  A base with no
-    graph (period 0) is refused first (UnsupportedClassError)."""
+    1..steps; the sum stops at the first step past the bound.  Another kind
+    (ValueError), then a base with no graph (period 0, UnsupportedClassError)
+    are refused first."""
+    if kind not in ("v", "r"):
+        raise ValueError(f"unknown chain kind {kind!r}, expected 'v' or 'r'")
     ctx.require_graph_class()
     n = ctx.n_period
     total = k = 0

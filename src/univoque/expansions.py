@@ -99,7 +99,7 @@ def _feasible_moves(field, M, kappa, kbox, v):
     for d in range(max(0, -(-lo // D)), min(M, ahi // ad) + 1):
         u = field.add_int(qv, -d)
         if d * ad > alo:
-            if not d:       # u is q*v, whose enclosure just taken left its sign open
+            if not d:       # u is q*v, just enclosed: refine, or settle repeats that pass
                 field.refine()
             if field.sign(u) < 0:
                 continue
@@ -201,7 +201,8 @@ def _walk(ctx, x, run):
 def greedy_expand(ctx, x, L):
     """First L digits of the lexicographically largest expansion of x: each
     is the largest move of its remainder v, which for v in [0, kappa] is the
-    largest d with q*v - d >= 0, since q*kappa - M = kappa >= 1."""
+    largest d with q*v - d >= 0, since q*kappa - M = kappa >= 1.  ValueError
+    for a negative L, before the walk."""
     def run(v, rmap):
         out = []
         for _ in range(L):
@@ -209,6 +210,8 @@ def greedy_expand(ctx, x, L):
             out.append(d)
         return tuple(out)
 
+    if L < 0:
+        raise ValueError(f"expansion length must be nonnegative, got {L}")
     return _walk(ctx, x, run)
 
 

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BATTERY, random_context
-from test_reducible import REDUCIBLE
+from test_expansions import record_passes
+from test_reducible import REDUCIBLE, on_min_poly
 from univoque import digits as dg
 from univoque.algebraic import (Q, AlgebraicReal, DegenerateInputError, NumberField,
                                 _pseudo_divmod, apply_digit_map, base_polynomial,
@@ -431,6 +432,33 @@ def test_sign_repeats_no_enclosure(monkeypatch):
                 passes.clear()
                 assert f.sign(f.element([-n, D] + [0] * (f.deg - 2), D)) == expect
                 assert len(passes) > 2 and len(set(passes)) == len(passes)
+
+
+@pytest.mark.parametrize("M, beta", REDUCIBLE)
+def test_sign_settles_a_shared_factor_on_its_reduction(M, beta, monkeypatch):
+    # a multiple of S = R / m_q of degree deg m_q .. deg R - 1 shares a factor
+    # with R, so before m_q is certified its sign is settled on the reduction
+    # modulo m_q alone: no interval pass is taken on the unreduced numerator,
+    # though the enclosure on the current interval contains 0
+    f = new_base_context(M, beta).field
+    m = on_min_poly(M, beta).field.working_poly
+    S, rest = _pseudo_divmod(f.working_poly, m)
+    assert not rest
+    # 2^(e+1) t - (n_lo + n_hi) vanishes at the midpoint of the interval
+    split = poly_mul(S, (-(f.n_lo + f.n_hi), 1 << (f.e + 1)))
+    passes = record_passes(monkeypatch)
+    for deg in range(len(m) - 1, f.deg):
+        num = poly_mul(split, (0,) * (deg - len(split) + 1) + (1,))
+        field = NumberField(f.working_poly, f.n_lo, f.n_hi, f.e)
+        a = field.element(list(num) + [0] * (field.deg - len(num)), 1)
+        vlo, vhi, _D = field.enclosure(a)
+        assert vlo <= 0 <= vhi and "min_poly" not in vars(field)
+        passes.clear()
+        sign = field.sign(a)
+        assert num not in [p for g, *_, p in passes if g is field]
+        twin = NumberField(m, f.n_lo, f.n_hi, f.e)
+        rem = _pseudo_divmod(num, m)[1]
+        assert sign == twin.sign(twin.element(list(rem) + [0] * (twin.deg - len(rem)), 1)) != 0
 
 
 def test_inverse_of_a_zero_divisor():

@@ -178,6 +178,17 @@ def test_chain_is_refused_before_any_base_is_built():
     assert not ctx._cache
 
 
+@pytest.mark.parametrize("beta", ["111(0)", "101(0)"])
+def test_chain_refuses_an_unknown_kind(beta):
+    # "V" used to build the r-chain; the kind is refused before the graph
+    # class, and before any base is built
+    ctx = new_base_context(1, beta)
+    for kind in ("V", "x", ""):
+        with pytest.raises(ValueError, match="unknown chain kind .* expected 'v' or 'r'"):
+            chain(ctx, kind, 2, 100)
+    assert not ctx._cache
+
+
 @pytest.mark.parametrize("beta", ["1(10)", "101(0)"])
 def test_chain_period_refuses_a_base_without_graph(beta):
     # period 0 would keep the sum at 0 for all of a huge step count

@@ -1,15 +1,14 @@
 import json
 import os
-import shlex
 import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
 import univoque
+from test_cli_corpus import readme_commands
 from univoque import cli, graph, oracle, walk
 from univoque import digits as dg
 from univoque import expansions as ex
@@ -23,13 +22,6 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
-
-
-def readme_commands():
-    """The ``univoque`` lines of the README's "Command line" block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("univoque ")]
 
 
 def test_readme_commands_run(capsys):

@@ -15,7 +15,6 @@ import json
 import shlex
 from pathlib import Path
 
-from test_cli import readme_commands
 from univoque import cli
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
@@ -24,6 +23,13 @@ CORPUS = Path(__file__).with_name("cli_corpus.json")
 BATTERY = [(1, "111(0)"), (1, "11011(0)"), (4, "4331(0)"), (3, "331(0)"), (4, "322(0)"),
            (1, "111001010(0)")]
 REDUCIBLE = [(7, "77041503(0)"), (7, "744516145(0)"), (1, "1101011(0)")]
+
+
+def readme_commands():
+    """The ``univoque`` lines of the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("univoque ")]
 
 
 def other_mode(argv):
@@ -64,7 +70,21 @@ def corpus():
         ["expansions", "count", *tri, "--x", "1(01)", "--cap", "1"],
         ["expansions", "witness", *tri, "-m", "2", "--tail", "(01)"],
         ["oracle", "words", *tri, "-L", "8", "--mode", "v"],
+        ["dim", *tri],
+        ["expansions", "count", *tri, "--x", "(10)"],
+        ["oracle", "words", *tri, "-L", "6"],
+        ["base", "chain", *tri, "--kind", "v", "--steps", "8"],
     ]
+    # counts that pass the cap: the remainders of a point of a non-Pisot base,
+    # and the 24 expansions over 22 remainders of a point of 21(0)
+    cmds += [
+        ["expansions", "count", "-M", "1", "--beta", "111001010(0)", "--x", "011(10)",
+         "--cap", "300"],
+        ["expansions", "count", "-M", "2", "--beta", "21(0)", "--x", "02021220120(1)",
+         "--cap", "23"],
+    ]
+    # integer bases: 2 by a finite and 3 by a periodic greedy expansion of 1
+    cmds += [["base", "classify", "-M", "2", "--beta", beta] for beta in ("2(0)", "(2)")]
     cmds += [
         ["base", "classify", "-M", "0", "--beta", "1(0)"],
         ["base", "classify", "-M", "1", "--beta", "1a(0)"],
@@ -105,11 +125,13 @@ def corpus():
     wide = ["-M", "10", "--beta", "(10,10)"]
     cmds += [["base", "classify", *wide], ["expansions", "count", *wide, "--x", "(10,10)"]]
     # edge inputs refused with exit 2: limit-only operations on an in-between
-    # base, a step, an m and a depth out of range, an empty period, and a
-    # word whose alpha has a shorter period, which is not greedy
+    # base, a witness on it, which has no strict tail, a step, an m and a
+    # depth out of range, an empty period, and a word whose alpha has a
+    # shorter period, which is not greedy
     between = ["-M", "1", "--beta", "1101(0)"]
     cmds += [
         ["graph", "connectivity", *between],
+        ["expansions", "witness", *between, "-m", "2"],
         ["graph", "verify", *between, "--theorem", "1.4"],
         ["graph", "verify", *tri, "--theorem", "1.4", "--steps", "0"],
         ["expansions", "witness", *tri, "-m", "0"],

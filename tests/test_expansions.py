@@ -52,6 +52,13 @@ def test_greedy_range_check(tribonacci):
         ex.greedy_expand(tribonacci, tribonacci.kappa + 1, 3)
 
 
+def test_greedy_expand_refuses_a_negative_length(tribonacci):
+    # refused before the walk, as the word and depth bounds of walk and oracle
+    for x in (tribonacci.q - 1, tribonacci.kappa + 1):
+        with pytest.raises(ValueError, match="length must be nonnegative, got -2"):
+            ex.greedy_expand(tribonacci, x, -2)
+
+
 def test_quasi_greedy_examples(tribonacci):
     one = tribonacci.value(tribonacci.alpha)
     assert ex.quasi_greedy_expand(tribonacci, one) == tribonacci.alpha
