@@ -189,11 +189,13 @@ def chain(ctx, kind, steps, bound):
     period above ``bound`` is refused before any is built (SearchBoundError):
     from period N, the successor chain has periods 2N, 4N, ..., in all
     N(2^(steps+1) - 2), and the r-chain has periods (k + 1)N for k =
-    1..steps; the sum stops at the first step past the bound.  Another kind
-    (ValueError), then a base with no graph (period 0, UnsupportedClassError)
-    are refused first."""
+    1..steps; the sum stops at the first step past the bound.  Another kind,
+    then a negative ``steps`` (ValueError), then a base with no graph
+    (period 0, UnsupportedClassError) are refused first."""
     if kind not in ("v", "r"):
         raise ValueError(f"unknown chain kind {kind!r}, expected 'v' or 'r'")
+    if steps < 0:
+        raise ValueError(f"chain steps must be nonnegative, got {steps}")
     ctx.require_graph_class()
     n = ctx.n_period
     total = k = 0

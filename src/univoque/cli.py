@@ -75,8 +75,6 @@ def cmd_base_classify(ctx, args):
 
 
 def cmd_base_chain(ctx, args):
-    if args.steps < 0:
-        raise ValueError(f"--steps must be nonnegative, got {args.steps}")
     ctxs = chain(ctx, args.kind, args.steps, CHAIN_PERIOD_BOUND)
     return [c.to_json() for c in ctxs], [
         f"step {i}: beta={dg.format_seq(c.beta)} alpha={dg.format_seq(c.alpha)} "

@@ -131,7 +131,9 @@ class EpSeq:
         return f"EpSeq({format_seq(self)!r})"
 
     def digit(self, i):
-        """The digit at 0-based position ``i``."""
+        """The digit at 0-based position ``i``; ValueError for a negative ``i``."""
+        if i < 0:
+            raise ValueError("digit position must be nonnegative")
         if i < len(self.pre):
             return self.pre[i]
         return self.per[(i - len(self.pre)) % len(self.per)]

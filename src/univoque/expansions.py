@@ -37,9 +37,9 @@ with exactly m expansions for each m >= 1, by prefixing the tail with
 oracle) from one start tie set: ``f_family_filter`` runs it over a given
 tail.  The least admissible tail is searched on the automaton's admissible
 part from the state after the reflected period: that part is empty exactly
-when no admissible tail starts with that period, and otherwise a depth-first
-lexicographic search reads its moves and decides each leaf by its state.
-Both decide a periodic tail by the automaton's own check
+when no admissible tail starts with that period, and otherwise one
+depth-first walk reads its moves and tests each word by its state.  Both
+decide a periodic tail by the automaton's own check
 ``LexAutomaton.periodic_ok``, the same one its good states are built on.
 """
 
@@ -355,21 +355,21 @@ def default_tail(ctx, strictness=STRICT):
 
     Candidates are the purely periodic sequences ``(u)`` whose period word u
     starts with the reflected alpha period and has length N..2N (N the
-    alpha period), every length searched in full.  For each length the words
-    are walked depth first in increasing order, which is the order of their
-    periodic sequences, on the admissible part of the follower automaton
-    (good states for STRICT, alive ones for WEAK) explored once from the
-    state after ``_start_ties`` and the reflected period; a node is pruned
-    once its state leaves that part (no admissible tail extends its
-    prefix), or once its prefix exceeds the best tail found at a shorter
-    length.  The first leaf whose state passes ``LexAutomaton.periodic_ok``
-    is the least tail of its length, and the least over all lengths is
-    returned.  When the start state is outside the part, ValueError says
-    that no admissible tail starting with the reflected period exists, before
-    any search.  The walk visits at most ``TAIL_NODE_BUDGET`` nodes in total
-    and raises ``TailSearchBudgetError`` beyond that; the one refusal after
-    it, that no tail lies within the period cap, is reached by no base tried:
-    on all 845 graph-class bases with a finite beta of length up to 7
+    alpha period).  One depth-first walk, least digit first, visits these
+    words from the reflected period on, each prefix once, on the admissible
+    part of the follower automaton (good states for STRICT, alive ones for
+    WEAK) explored once from the state after ``_start_ties`` and the
+    reflected period; a word is pruned once its state leaves that part (no
+    admissible tail extends it), or once it exceeds the best tail's prefix.
+    A word whose state passes ``LexAutomaton.periodic_ok`` is a candidate;
+    one below the best becomes the best and empties the stack, whose words
+    all exceed it at the first digit where they differ.  When the start
+    state is outside the part, ValueError says that no admissible tail
+    starting with the reflected period exists, before any search.  Past
+    ``TAIL_NODE_BUDGET`` nodes the walk raises ``TailSearchBudgetError`` at
+    the length of the word it was about to visit; the one refusal after it,
+    that no tail lies within the period cap, is reached by no base tried: on
+    all 1,271 graph-class bases with a finite beta of length up to 8
     (M <= 2) or 5 (M = 3, 4), a WEAK tail exists, and the STRICT search
     either finds one or is refused because none exists.
 
@@ -389,22 +389,19 @@ def default_tail(ctx, strictness=STRICT):
         raise ValueError(f"an admissible {strictness} tail that starts with the reflected period "
                          "does not exist for this base")
 
-    nodes = 0
-    best = None
-    for length in range(N, 2 * N + 1):
-        stack = [(rw, state, best is not None)]
-        while stack:
-            if nodes == TAIL_NODE_BUDGET:
-                raise TailSearchBudgetError(nodes, length, 2 * N)
-            nodes += 1
-            word, cur, tied = stack.pop()
-            if len(word) == length:
-                if auto.periodic_ok(cur, word, strict):
-                    c = EpSeq((), word)
-                    if best is None or dg.lex_cmp(c, best) == dg.LT:
-                        best = c
-                    break
-                continue
+    nodes, best = 0, None
+    stack = [(rw, state, False)]
+    while stack:
+        word, cur, tied = stack.pop()
+        if nodes == TAIL_NODE_BUDGET:
+            raise TailSearchBudgetError(nodes, len(word), 2 * N)
+        nodes += 1
+        if auto.periodic_ok(cur, word, strict):
+            c = EpSeq((), word)
+            if best is None or dg.lex_cmp(c, best) == dg.LT:
+                best, tied = c, True
+                stack.clear()
+        if len(word) < 2 * N:
             top = best.digit(len(word)) if tied else M
             for d, nxt in reversed(part[cur]):  # pushed high to low: popped low first
                 if d <= top:

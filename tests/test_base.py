@@ -189,6 +189,19 @@ def test_chain_refuses_an_unknown_kind(beta):
     assert not ctx._cache
 
 
+@pytest.mark.parametrize("beta", ["111(0)", "101(0)"])
+def test_chain_refuses_negative_steps(beta):
+    # a negative count used to return [ctx]; it is refused after the kind and
+    # before the graph class, and before any base is built
+    ctx = new_base_context(1, beta)
+    for kind, steps in (("v", -1), ("r", -5)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            chain(ctx, kind, steps, 4096)
+    with pytest.raises(ValueError, match="unknown chain kind"):
+        chain(ctx, "x", -1, 4096)
+    assert not ctx._cache
+
+
 @pytest.mark.parametrize("beta", ["1(10)", "101(0)"])
 def test_chain_period_refuses_a_base_without_graph(beta):
     # period 0 would keep the sum at 0 for all of a huge step count

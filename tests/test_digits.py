@@ -97,6 +97,16 @@ def test_shift_examples():
     assert dg.shift(s, 0) == s
 
 
+@pytest.mark.parametrize("literal", ["1(0)", "(110)"])
+def test_digit_refuses_a_negative_position(literal):
+    # a preperiod used to read its last digit there, a bare period to raise
+    # IndexError
+    s = seq(literal)
+    assert s.digit(0) == 1
+    with pytest.raises(ValueError, match="digit position must be nonnegative"):
+        s.digit(-1)
+
+
 def assert_canonical(s):
     assert dg._primitive(s.per) == s.per
     assert not s.pre or s.pre[-1] != s.per[-1]

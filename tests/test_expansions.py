@@ -474,8 +474,9 @@ def test_default_tail_refuses_before_searching(M, beta, monkeypatch):
 
 
 def test_default_tail_refuses_a_long_chain_base_at_once():
-    # the 8th V-successor of 111(0), period 768, has no strict tail; a search
-    # over periods 768..1536 stops at its node budget after about 2 s
+    # the 8th V-successor of 111(0), period 768, has no strict tail; the
+    # refusal comes before a walk over words of length 768..1536.  Its weak
+    # tail is the reflected period, the walk's first node
     ctx = new_base_context(1, "111(0)")
     for _ in range(8):
         ctx = v_successor(ctx)
@@ -491,6 +492,38 @@ def test_default_tail_refuses_a_long_chain_base_at_once():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert ex.default_tail(ctx, ex.WEAK) == reflected_period(ctx)
+
+
+def reflected_period(ctx):
+    return EpSeq((), dg.word_reflect(ctx.alpha_word(), ctx.M))
+
+
+def v_chain(M, beta, depth):
+    ctx = new_base_context(M, beta)
+    for _ in range(depth):
+        ctx = v_successor(ctx)
+    return ctx
+
+
+def test_default_tail_weak_on_a_long_chain_base():
+    # period 640: each prefix of the walk is visited once, so the weak tail,
+    # the reflected period, comes long before the node budget
+    ctx = v_chain(1, "11011(0)", 7)
+    assert ex.default_tail(ctx, ex.WEAK) == reflected_period(ctx)
+
+
+def test_default_tail_weak_walk_visits_each_prefix_once(monkeypatch):
+    # period N = 96: the reflected period is the first node, and its only
+    # extensions left are the N words that keep tying it, N + 1 nodes in all
+    ctx = v_chain(1, "111(0)", 5)
+    N = ctx.n_period
+    monkeypatch.setattr(ex, "TAIL_NODE_BUDGET", N + 1)
+    assert ex.default_tail(ctx, ex.WEAK) == reflected_period(ctx)
+    monkeypatch.setattr(ex, "TAIL_NODE_BUDGET", N)
+    with pytest.raises(ex.TailSearchBudgetError) as err:
+        ex.default_tail(ctx, ex.WEAK)
+    assert err.value.nodes == N and err.value.period == 2 * N
 
 
 @pytest.mark.parametrize("call,accepted", [
