@@ -9,20 +9,16 @@ input or a search bound reached, 3 internal consistency failure or a failed
 check.  ``main`` builds the base of the -M and --beta flags and prints;
 each ``cmd_*`` function takes that base and the parsed flags and returns
 what it prints, a JSON payload and its text lines.  Each command imports
-the layers it runs inside its own function, so a process loads nothing
-else.
+the layers it runs inside its own function, and ``main`` loads ``base`` only
+once the arguments parse, so ``--help`` and usage errors load no layer and a
+command loads nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-
-from . import digits as dg
-from .base import (BaseClass, InternalConsistencyError, SearchBoundError, chain, new_base_context,
-                   order_points)
 
 # total alpha period the bases of one ``base chain`` run may have
 CHAIN_PERIOD_BOUND = 4096
@@ -46,6 +42,7 @@ def _command(group, name, fn, *options, json_flag=True, **kwargs):
 
 def _emit(args, payload, text_lines):
     if getattr(args, "json", False):
+        import json
         print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
@@ -65,6 +62,7 @@ def _write(path, content):
 
 
 def cmd_base_classify(ctx, args):
+    from . import digits as dg
     return ctx.to_json(), [
         f"beta   {dg.format_seq(ctx.beta)}",
         f"alpha  {dg.format_seq(ctx.alpha)}",
@@ -75,6 +73,8 @@ def cmd_base_classify(ctx, args):
 
 
 def cmd_base_chain(ctx, args):
+    from . import digits as dg
+    from .base import chain
     ctxs = chain(ctx, args.kind, args.steps, CHAIN_PERIOD_BOUND)
     return [c.to_json() for c in ctxs], [
         f"step {i}: beta={dg.format_seq(c.beta)} alpha={dg.format_seq(c.alpha)} "
@@ -82,6 +82,8 @@ def cmd_base_chain(ctx, args):
 
 
 def cmd_base_points(ctx, args):
+    from . import digits as dg
+    from .base import order_points
     order = order_points(ctx)
     payload = {
         "chain": order.chain(),
@@ -101,6 +103,8 @@ _VARIANTS = ("full", "tilde", "tilde1")     # graph.FULL, TILDE, TILDE1 in lower
 
 
 def cmd_graph_build(ctx, args):
+    import json
+
     from .graph import build_graph
     g = build_graph(ctx, args.variant.upper())
     if args.dot:
@@ -128,6 +132,7 @@ def cmd_graph_scc(ctx, args):
 
 
 def cmd_graph_verify(ctx, args):
+    from . import digits as dg
     from .graph import tower_decompose
     if args.theorem in ("1.3", "iso"):
         # the successor isomorphism is the first level of the tower; a
@@ -175,6 +180,7 @@ def cmd_dim(ctx, args):
 
 
 def cmd_expansions_count(ctx, args):
+    from . import digits as dg
     from . import expansions as exp
     x = ctx.value(dg.parse_seq(args.x))
     cap = exp.DEFAULT_STATE_CAP if args.cap is None else args.cap
@@ -186,6 +192,7 @@ def cmd_expansions_count(ctx, args):
 
 
 def cmd_expansions_witness(ctx, args):
+    from . import digits as dg
     from . import expansions as exp
     c = dg.parse_seq(args.tail) if args.tail else exp.default_tail(ctx)
     x, exps = exp.build_witness_xm(ctx, args.m, c)
@@ -202,6 +209,8 @@ def cmd_expansions_witness(ctx, args):
 
 
 def cmd_oracle_words(ctx, args):
+    from . import digits as dg
+    from .base import BaseClass
     from .oracle import U_PREFIX, V_PREFIX, enumerate_admissible_words
     # default: strict bounds for in-between bases, weak ones for limit bases
     strict = (args.mode == "u" if args.mode
@@ -214,6 +223,7 @@ def cmd_oracle_words(ctx, args):
 
 
 def cmd_oracle_brute(ctx, args):
+    from . import digits as dg
     from .oracle import brute_count_expansions
     lo, hi = brute_count_expansions(ctx, ctx.value(dg.parse_seq(args.x)), args.depth)
     return {"lower": lo, "upper": hi}, [f"bounds: [{lo}, {hi}]"]
@@ -280,19 +290,22 @@ def main(argv=None):
             # --help exits from inside argparse with its text still buffered
             sys.stdout.flush()
             raise
-        _emit(args, *args.fn(new_base_context(args.M, args.beta), args))
-        sys.stdout.flush()
+        # the arguments name a command: only now load the layers
+        from .base import InternalConsistencyError, SearchBoundError, new_base_context
+        try:
+            _emit(args, *args.fn(new_base_context(args.M, args.beta), args))
+            sys.stdout.flush()
+        except InternalConsistencyError as e:        # graph.StructuralError included
+            print(f"internal consistency failure: {e}", file=sys.stderr)
+            return 3
+        except (ValueError, SearchBoundError) as e:     # every input-error class is a ValueError
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         return 0
     except BrokenPipeError:
         # the reader of stdout is gone: drop the rest of the output quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except InternalConsistencyError as e:        # graph.StructuralError included
-        print(f"internal consistency failure: {e}", file=sys.stderr)
-        return 3
-    except (ValueError, SearchBoundError) as e:     # every input-error class is a ValueError
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

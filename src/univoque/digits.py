@@ -213,11 +213,12 @@ def lex_cmp(a, b):
     return (u > v) - (u < v)
 
 
-def _shifts_bounded(s, bound, M, upper, lower, strict):
+def _shifts_bounded(s, bound, M, upper, lower, strict, mirror=None):
     """Whether the checked shifted tails of ``s`` stay below ``bound``.
 
     The tail after a digit below M is checked when ``upper`` holds, the
-    reflection of the tail after a positive digit when ``lower`` holds; a
+    reflection of the tail after a positive digit when ``lower`` holds (read
+    from ``mirror``, the reflection of ``s``, when the caller has it); a
     checked tail fails above ``bound``, and at equality too when ``strict``.
     Positions 1..|pre|+|per| exhaust all distinct (digit, shifted tail) pairs.
     Every tail has the period of ``s`` and a preperiod no longer than that of
@@ -231,7 +232,7 @@ def _shifts_bounded(s, bound, M, upper, lower, strict):
     if upper:
         words.append(prefix(s, end + n))
     if lower:
-        words.append(prefix(reflect(s, M), end + n))
+        words.append(prefix(mirror or reflect(s, M), end + n))
     cap = prefix(bound, n)
     fails = tuple.__ge__ if strict else tuple.__gt__
     return not any(w[k - 1] < M and fails(w[k:k + n], cap)
@@ -343,6 +344,7 @@ class LexAutomaton:
         self.M = M
         self.alpha = tuple(alpha_period)
         self.N = len(self.alpha)
+        self._alpha_seq = EpSeq((), self.alpha)
 
     def start(self):
         return (frozenset(), frozenset())
@@ -386,12 +388,14 @@ class LexAutomaton:
         period are ``_shifts_bounded``'s.  Strict takes < for <=, so a tie
         that survives forever is plain equality.
         """
-        tail, alpha = EpSeq((), per), EpSeq((), self.alpha)
+        tail, alpha = EpSeq((), per), self._alpha_seq
+        mirror = reflect(tail, self.M)
         fail = EQ if strict else GT
         if any(lex_cmp(bound, shift(alpha, i)) >= fail
-               for ties, bound in zip(state, (tail, reflect(tail, self.M))) for i in ties):
+               for ties, bound in zip(state, (tail, mirror)) for i in ties):
             return False
-        return _shifts_bounded(tail, alpha, self.M, upper=True, lower=True, strict=strict)
+        return _shifts_bounded(tail, alpha, self.M, upper=True, lower=True, strict=strict,
+                               mirror=mirror)
 
     def admissible(self, strict, *roots):
         """The admissible part of the automaton: the successor map of the

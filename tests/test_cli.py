@@ -9,7 +9,7 @@ import pytest
 
 import univoque
 from test_cli_corpus import readme_commands
-from univoque import cli, graph, oracle, walk
+from univoque import base, cli, graph, oracle, walk
 from univoque import digits as dg
 from univoque import expansions as ex
 from univoque.algebraic import AlgebraicReal, DegenerateInputError
@@ -147,13 +147,13 @@ def test_oracle_words_default_mode(capsys):
 
 def test_oracle_words_default_mode_builds_one_context(capsys, monkeypatch):
     calls = []
-    inner = cli.new_base_context
+    inner = base.new_base_context
 
     def counted(*args, **kwargs):
         calls.append(args)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "new_base_context", counted)
+    monkeypatch.setattr(base, "new_base_context", counted)
     rc, out, _ = run(capsys, "oracle", "words", "-M", "1", "--beta", "11(0)", "-L", "3")
     assert rc == 0
     assert len(calls) == 1

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from univoque import cli, graph, spectral
+from univoque import base, cli, graph, spectral
 from univoque import digits as dg
 from univoque.algebraic import NumberField, apply_digit_map
 from univoque.base import (BaseClass, UnsupportedClassError, golden_ratio_base, new_base_context,
@@ -186,7 +186,7 @@ def graph_bases(battery, seed):
 def scc_json_verdict(monkeypatch, capsys, g):
     """``strongly_connected`` as ``graph scc --json`` prints it for ``g``."""
     with monkeypatch.context() as mp:
-        mp.setattr(cli, "new_base_context", lambda _M, _beta: g.ctx)
+        mp.setattr(base, "new_base_context", lambda _M, _beta: g.ctx)
         mp.setattr(graph, "build_graph", lambda _ctx, _variant: g)
         assert cli.main(["graph", "scc", "-M", str(g.ctx.M), "--beta",
                          dg.format_seq(g.ctx.beta), "--json"]) == 0

@@ -8,7 +8,8 @@ ordering its points or building and measuring its graphs, loads no
 factoring: ``minpoly`` is imported only to certify a minimal polynomial.
 The package itself declares no runtime dependency, and keeps no
 process-wide memo: what is derived from a context or a graph is kept on it
-by ``base.memo``.
+by ``base.memo``.  The CLI loads no layer to print help or refuse its
+arguments, and each command loads only the layers it runs.
 """
 
 import ast
@@ -142,6 +143,58 @@ def test_points_graphs_and_radii_load_no_factoring():
     out = subprocess.run([sys.executable, "-c", POINTS_GRAPHS_AND_RADII],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False"]
+
+
+CLI_CALLS = """
+import sys
+from univoque import cli
+codes = []
+for argv in {calls!r}:
+    try:
+        codes.append(cli.main(argv))
+    except SystemExit as e:
+        codes.append(e.code)
+print(repr((codes, sorted(name.removeprefix("univoque.") for name in sys.modules
+                          if name.startswith("univoque.") or name == "json"))))
+"""
+
+
+def cli_loads(*calls):
+    """The exit codes of ``cli.main`` on each argv of ``calls``, made in one
+    fresh interpreter, and the package modules (and ``json``) loaded then."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", CLI_CALLS.format(calls=calls)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    codes, modules = ast.literal_eval(out.splitlines()[-1])
+    return codes, set(modules)
+
+
+def test_help_and_usage_errors_load_no_layer():
+    # argparse exits before any command runs, so nothing past the parser loads
+    codes, modules = cli_loads(["--help"], ["graph", "--help"], ["base", "classify", "-M", "1"])
+    assert codes == [0, 0, 2]
+    assert modules == {"cli"}
+
+
+COMMAND_LAYERS = {"cli", "digits", "walk", "base", "algebraic"}
+
+
+@pytest.mark.parametrize("argv,layers", [
+    ("base classify -M 1 --beta 111(0)", set()),
+    ("graph scc -M 1 --beta 111(0)", {"graph"}),
+    ("dim -M 1 --beta 111(0)", {"graph", "spectral"}),
+    ("expansions count -M 2 --beta 2(0) --x (1)", {"expansions"}),
+    ("oracle words -M 1 --beta 111(0) -L 3", {"oracle"}),
+    # these four certify the minimal polynomial of an irrational q
+    ("base points -M 1 --beta 111(0)", {"minpoly"}),
+    ("expansions witness -M 1 --beta 111(0) -m 2", {"expansions", "minpoly"}),
+    ("expansions count -M 1 --beta 111(0) --x (1)", {"expansions", "minpoly"}),
+    ("oracle brute-count -M 1 --beta 111(0) --x 1(0) --depth 6", {"oracle", "minpoly"}),
+])
+def test_each_command_loads_only_its_layers(argv, layers):
+    codes, modules = cli_loads(argv.split())
+    assert codes == [0]
+    assert modules == COMMAND_LAYERS | layers
 
 
 PROCESS_MEMOS = {"functools.lru_cache", "functools.cache"}
