@@ -135,12 +135,14 @@ def cmd_graph_verify(ctx, args):
     from . import digits as dg
     from .graph import tower_decompose
     if args.theorem in ("1.3", "iso"):
+        if args.steps is not None:
+            raise ValueError("--steps applies to the tower only (--theorem 1.4/tower)")
         # the successor isomorphism is the first level of the tower; a
         # failed one raises StructuralError
         ctx.require_limit_class("the successor isomorphism")
         tower_decompose(ctx, 1)
         return {"check": "successor-isomorphism"}, ["successor graph isomorphic: True"]
-    dec = tower_decompose(ctx, args.steps)
+    dec = tower_decompose(ctx, 2 if args.steps is None else args.steps)
     payload = {
         "check": "tower",
         "levels": [len(b) for b in dec.blocks],
@@ -257,7 +259,7 @@ def make_parser():
              ("--theorem", dict(choices=("1.3", "1.4", "iso", "tower"), required=True,
                                 help="1.3/iso: successor isomorphism; 1.4/tower: tower "
                                      "decomposition")),
-             ("--steps", dict(type=int, default=2)))
+             ("--steps", dict(type=int)))
     _command(graph, "connectivity", cmd_graph_connectivity)
 
     _command(sub, "dim", cmd_dim, ("--per-scc", dict(dest="per_scc", action="store_true")),

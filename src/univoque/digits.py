@@ -11,10 +11,12 @@ the word oracle and the witness-tail search both run on.  The automaton
 reads finite words; its admissible part ``LexAutomaton.admissible`` is the
 successor map of its reachable states restricted to the alive states (weak)
 or the good states (strict), found by one sinks-first pass of
-``walk.alive``.  An infinite tail is judged one way throughout: a periodic
-tail after a run is compared with alpha over the Fine-Wilf window, by
-``lex_cmp`` for the run's ties and ``_shifts_bounded`` for the tails that
-start inside its period (``LexAutomaton.periodic_ok``).
+``walk.alive``.  A periodic tail is decided once: the run that reads its
+period checks every tail that starts inside it, digit by digit, and
+``LexAutomaton.periodic_ok`` settles only the ties left at the period's
+end, each one comparison with alpha or its reflection over the Fine-Wilf
+window.  ``is_unique_expansion_seq`` decides the same conditions by the
+window predicate ``_shifts_bounded`` alone, and the tests compare the two.
 
 A sequence over the alphabet ``{0, ..., M}`` is *finite* if it has a last
 nonzero digit (``EpSeq.is_finite``) and *infinite* otherwise; it is *doubly
@@ -213,12 +215,11 @@ def lex_cmp(a, b):
     return (u > v) - (u < v)
 
 
-def _shifts_bounded(s, bound, M, upper, lower, strict, mirror=None):
+def _shifts_bounded(s, bound, M, upper, lower, strict):
     """Whether the checked shifted tails of ``s`` stay below ``bound``.
 
     The tail after a digit below M is checked when ``upper`` holds, the
-    reflection of the tail after a positive digit when ``lower`` holds (read
-    from ``mirror``, the reflection of ``s``, when the caller has it); a
+    reflection of the tail after a positive digit when ``lower`` holds; a
     checked tail fails above ``bound``, and at equality too when ``strict``.
     Positions 1..|pre|+|per| exhaust all distinct (digit, shifted tail) pairs.
     Every tail has the period of ``s`` and a preperiod no longer than that of
@@ -232,7 +233,7 @@ def _shifts_bounded(s, bound, M, upper, lower, strict, mirror=None):
     if upper:
         words.append(prefix(s, end + n))
     if lower:
-        words.append(prefix(mirror or reflect(s, M), end + n))
+        words.append(prefix(reflect(s, M), end + n))
     cap = prefix(bound, n)
     fails = tuple.__ge__ if strict else tuple.__gt__
     return not any(w[k - 1] < M and fails(w[k:k + n], cap)
@@ -343,8 +344,8 @@ class LexAutomaton:
     def __init__(self, M, alpha_period):
         self.M = M
         self.alpha = tuple(alpha_period)
+        self.mirror = word_reflect(self.alpha, M)
         self.N = len(self.alpha)
-        self._alpha_seq = EpSeq((), self.alpha)
 
     def start(self):
         return (frozenset(), frozenset())
@@ -360,7 +361,7 @@ class LexAutomaton:
             if d == ai:
                 nu.add((i + 1) % self.N)
         for i in lower:
-            bi = self.M - self.alpha[i]
+            bi = self.mirror[i]
             if d < bi:
                 return None
             if d == bi:
@@ -380,22 +381,28 @@ class LexAutomaton:
         return state
 
     def periodic_ok(self, state, per, strict):
-        """Whether ``per`` repeated forever is admissible from ``state``.
+        """Whether a run that stands at ``state`` after reading ``per`` can
+        read ``per`` forever.
 
-        Each tie of ``state`` compares the tail ``(per)`` itself with alpha:
-        an upper tie i needs ``(per) <= shift(alpha, i)``, a lower tie i the
-        same of the reflection of ``(per)``.  The tails that start inside the
-        period are ``_shifts_bounded``'s.  Strict takes < for <=, so a tie
-        that survives forever is plain equality.
+        The run has checked every tail that starts inside the period: a
+        violated one killed it, and a tie that broke, broke the allowed way.
+        A tail that starts at the period's end is a tie at offset 0.  So
+        only the ties of ``state`` are open, and each compares ``(per)``
+        with a tail of a bound: an upper tie i needs ``(per) <= shift(alpha,
+        i)``, a lower tie i ``(per) >= shift(reflect(alpha), i)``.  Both are
+        periodic, so ``_fine_wilf`` digits decide each, read as slices of
+        one unrolled tail and of alpha and its reflection unrolled.  Strict
+        takes < for <=, so a tie that survives forever is plain equality.
         """
-        tail, alpha = EpSeq((), per), self._alpha_seq
-        mirror = reflect(tail, self.M)
-        fail = EQ if strict else GT
-        if any(lex_cmp(bound, shift(alpha, i)) >= fail
-               for ties, bound in zip(state, (tail, mirror)) for i in ties):
-            return False
-        return _shifts_bounded(tail, alpha, self.M, upper=True, lower=True, strict=strict,
-                               mirror=mirror)
+        per = tuple(per)
+        n = _fine_wilf(len(per), self.N)
+        tail = (per * (n // len(per) + 1))[:n]
+        reps = n // self.N + 2                  # covers offset N - 1 plus n digits
+        alpha, mirror = self.alpha * reps, self.mirror * reps
+        fails = tuple.__ge__ if strict else tuple.__gt__
+        upper, lower = state
+        return not (any(fails(tail, alpha[i:i + n]) for i in upper)
+                    or any(fails(mirror[i:i + n], tail) for i in lower))
 
     def admissible(self, strict, *roots):
         """The admissible part of the automaton: the successor map of the
@@ -408,8 +415,9 @@ class LexAutomaton:
         periodic, so a run that is not eventually periodic breaks every tie.
         A state is therefore good iff it reaches a cyclic component that
         either has a state with two moves inside it (runs within it need not
-        be eventually periodic), or is one simple cycle whose word passes the
-        strict ``periodic_ok``.  Explored from ``start()``, both parts hold
+        be eventually periodic), or is one simple cycle whose word, read
+        from one of its states back to it, passes the strict ``periodic_ok``
+        there.  Explored from ``start()``, both parts hold
         it: its 0s run to the good cycle ({0}, {}).
         """
         succ = explore(roots or (self.start(),),

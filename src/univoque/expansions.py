@@ -35,12 +35,13 @@ with exactly m expansions for each m >= 1, by prefixing the tail with
 ``1 0^((m-1)N)``.  Every tail condition is a run of the follower automaton
 ``digits.LexAutomaton`` (owned by the digit layer and shared with the word
 oracle) from one start tie set: ``f_family_filter`` runs it over a given
-tail.  The least admissible tail is searched on the automaton's admissible
-part from the state after the reflected period: that part is empty exactly
-when no admissible tail starts with that period, and otherwise one
-depth-first walk reads its moves and tests each word by its state.  Both
-decide a periodic tail by the automaton's own check
-``LexAutomaton.periodic_ok``, the same one its good states are built on.
+tail's preperiod and one period.  The least admissible tail is searched on
+the automaton's admissible part from the state after the reflected period:
+that part is empty exactly when no admissible tail starts with that
+period, and otherwise one depth-first walk reads its moves and tests each
+word by its state.  Both stand after a period and leave only the ties of
+that state to ``LexAutomaton.periodic_ok``, the check its good states are
+built on.
 """
 
 from __future__ import annotations
@@ -340,13 +341,14 @@ def f_family_filter(ctx, c, strictness=WEAK):
     tail spliced with c (incremented period tail followed by c) stays below
     alpha wherever the period digit is below M.  STRICT demands strict
     inequalities, WEAK allows equality.  Decided by one run of the follower
-    automaton from the tie set ``_start_ties``.
+    automaton from the tie set ``_start_ties`` over the preperiod and one
+    period, and ``LexAutomaton.periodic_ok`` on the ties the run leaves.
     """
     strict = dg.strict_mode(strictness, STRICT, WEAK)
     ctx.require_graph_class()
     dg.check_alphabet(c.pre + c.per, ctx.M)
     auto = LexAutomaton(ctx.M, ctx.alpha_word())
-    state = auto.run(_start_ties(ctx), c.pre)
+    state = auto.run(_start_ties(ctx), c.pre + c.per)
     return state is not None and auto.periodic_ok(state, c.per, strict)
 
 
@@ -380,9 +382,9 @@ def default_tail(ctx, strictness=STRICT):
     ctx.require_graph_class()
     M, w = ctx.M, ctx.alpha_word()
     N = len(w)
-    rw = dg.word_reflect(w, M)
     strict = dg.strict_mode(strictness, STRICT, WEAK)
     auto = LexAutomaton(M, w)
+    rw = auto.mirror
     state = auto.run(_start_ties(ctx), rw)
     part = {} if state is None else auto.admissible(strict, state)
     if state not in part:

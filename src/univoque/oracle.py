@@ -16,8 +16,8 @@ a valid prefix if some infinite continuation never violates a constraint
 (strict mode, where a tie surviving forever would mean equality with the
 bound).  One exploration of the automaton decides both from its components
 (``LexAutomaton.admissible``): a state is alive when it reaches a cycle, and
-good when it reaches a branching component or a simple cycle that passes
-its strict periodic-run check.
+good when it reaches a branching component or a simple cycle whose word,
+read once around it, leaves ties that ``LexAutomaton.periodic_ok`` breaks.
 """
 
 from __future__ import annotations

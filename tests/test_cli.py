@@ -93,6 +93,21 @@ def test_graph_verify(capsys):
     assert data["levels"] == [3, 6]
 
 
+@pytest.mark.parametrize("theorem", ["1.3", "iso"])
+def test_graph_verify_refuses_steps_off_the_tower(capsys, monkeypatch, theorem):
+    # the successor isomorphism has no steps: an explicit --steps is an
+    # input error, refused before any graph is built
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(graph, "tower_decompose", no_graph)
+    monkeypatch.setattr(graph, "build_graph", no_graph)
+    rc, out, err = run(capsys, "graph", "verify", "-M", "1", "--beta", "111(0)",
+                       "--theorem", theorem, "--steps", "99")
+    assert rc == 2 and not out
+    assert err.startswith("error: ") and "--theorem 1.4/tower" in err
+
+
 def test_graph_connectivity(capsys):
     rc, out, _ = run(capsys, "graph", "connectivity", "-M", "1", "--beta", "111001010(0)",
                      "--json")

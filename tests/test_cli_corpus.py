@@ -126,8 +126,8 @@ def corpus():
     cmds += [["base", "classify", *wide], ["expansions", "count", *wide, "--x", "(10,10)"]]
     # edge inputs refused with exit 2: limit-only operations on an in-between
     # base, a witness on it, which has no strict tail, a step, an m and a
-    # depth out of range, an empty period, and a word whose alpha has a
-    # shorter period, which is not greedy
+    # depth out of range, an empty period, a word whose alpha has a shorter
+    # period, which is not greedy, and steps given to the isomorphism check
     between = ["-M", "1", "--beta", "1101(0)"]
     cmds += [
         ["graph", "connectivity", *between],
@@ -138,6 +138,7 @@ def corpus():
         ["oracle", "brute-count", *tri, "--x", "(10)", "--depth", "25"],
         ["base", "classify", "-M", "1", "--beta", "1()"],
         ["base", "classify", "-M", "1", "--beta", "1011(0)"],
+        ["graph", "verify", *tri, "--theorem", "1.3", "--steps", "99"],
     ]
     return {shlex.join(a): a for a in cmds}
 

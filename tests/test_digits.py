@@ -523,8 +523,9 @@ def assert_periodic_ok_matches_orbit(M, w, rng, state_cap=60):
     states += [random_ties(rng, len(w)) for _ in range(5)]
     for per in sweep_periods(rng, M, w):
         for state in states:
+            after = auto.run(state, per)
             for strict in (True, False):
-                assert auto.periodic_ok(state, per, strict) == \
+                assert (after is not None and auto.periodic_ok(after, per, strict)) == \
                     orbit_periodic_ok(auto, state, per, strict), (M, w, state, per, strict)
 
 
@@ -558,8 +559,10 @@ def test_periodic_ok_matches_orbit_reference_random(seed, data):
     state = data.draw(st.sampled_from(list(reachable(auto))) | st.tuples(offsets, offsets))
     per = data.draw(st.sampled_from(alpha_rotations(M, w)) |
                     st.lists(st.integers(0, M), min_size=1, max_size=2 * len(w)).map(tuple))
+    after = auto.run(state, per)
     for strict in (True, False):
-        assert auto.periodic_ok(state, per, strict) == orbit_periodic_ok(auto, state, per, strict)
+        assert (after is not None and auto.periodic_ok(after, per, strict)) == \
+            orbit_periodic_ok(auto, state, per, strict)
 
 
 def test_start_is_in_both_admissible_parts(battery):
@@ -579,11 +582,12 @@ def test_start_is_in_both_admissible_parts(battery):
 @settings(max_examples=300, deadline=None)
 @given(alpha_and_sequence())
 def test_automaton_run_matches_window_predicate(case):
-    # periodic_ok judges the period by the window predicate itself, so this
-    # checks the run over the preperiod and the ties it hands over
+    # the run over the preperiod and one period, with periodic_ok on the
+    # ties it leaves, against the window predicate, which shares no code
+    # with either
     M, alpha, c = case
     auto = LexAutomaton(M, alpha.per)
-    state = auto.run(auto.start(), c.pre)
+    state = auto.run(auto.start(), c.pre + c.per)
     for mode, strict in ((dg.UNIQUE, True), (dg.DOUBLY_INFINITE, False)):
         accepted = state is not None and auto.periodic_ok(state, c.per, strict)
         assert accepted == dg.is_unique_expansion_seq(alpha, c, M, mode), (mode, alpha, c)

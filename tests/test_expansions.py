@@ -526,6 +526,28 @@ def test_default_tail_weak_walk_visits_each_prefix_once(monkeypatch):
     assert err.value.nodes == N and err.value.period == 2 * N
 
 
+def test_tail_walk_builds_no_sequence_per_node(monkeypatch):
+    # period N = 192: the walk visits N + 1 words and judges each on the
+    # automaton's tuples.  Alpha is reflected once, with the automaton, and
+    # a sequence is built and compared only for a word that passes: the
+    # reflected period and its square, which ties it
+    ctx = v_chain(1, "111(0)", 6)
+    expected = reflected_period(ctx)
+    calls = dict.fromkeys(("EpSeq", "word_reflect", "lex_cmp"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(EpSeq, "__init__", counted("EpSeq", EpSeq.__init__))
+    for name in ("word_reflect", "lex_cmp"):
+        monkeypatch.setattr(dg, name, counted(name, getattr(dg, name)))
+    assert ex.default_tail(ctx, ex.WEAK) == expected
+    assert calls["EpSeq"] <= 2 and calls["word_reflect"] <= 1 and calls["lex_cmp"] <= 1, calls
+
+
 @pytest.mark.parametrize("call,accepted", [
     (lambda ctx: ex.default_tail(ctx, "strict"), "'STRICT' or 'WEAK'"),
     (lambda ctx: ex.f_family_filter(ctx, seq("(001)"), "strict"), "'STRICT' or 'WEAK'"),
