@@ -33,6 +33,11 @@ decomposition follow; the embedding of an in-between base's graph in its
 successor's reads the paper's point map from one table of (point, image
 point) name pairs.  Components, reachability, tower cycles and the label
 automaton are walks of ``walk`` over ``out`` (vertex -> [(label, target)]).
+That successor map is a graph's only edge store: the (source, label, target)
+triples of ``edges`` are built from it on each access, for the printers.  The
+restrictions hold FULL's own (label, target) tuples, in lists of their own,
+and no caller changes them: a graph is kept by ``base.memo``, and what it
+keeps is never mutated.
 """
 
 from __future__ import annotations
@@ -73,21 +78,27 @@ class Vertex(namedtuple("Vertex", "index label")):
 
 
 class UnivoqueGraph:
-    """A labeled interval graph; ``_cache`` holds what ``base.memo`` derived
-    from it (its components, and the spectral layer's pass over them)."""
+    """A labeled interval graph.  ``out`` is its only edge store, and
+    ``edges`` reads it out as triples on each access; a restriction shares
+    FULL's pair tuples, which no caller changes (the ``base.memo``
+    contract).  ``_cache`` holds what ``base.memo`` derived from it (its
+    components, and the spectral layer's pass over them)."""
 
-    __slots__ = ("ctx", "variant", "order", "vertices", "edges", "out", "_cache")
+    __slots__ = ("ctx", "variant", "order", "vertices", "out", "_cache")
 
-    def __init__(self, ctx, variant, order, vertices, edges):
+    def __init__(self, ctx, variant, order, vertices, out):
         self.ctx = ctx
         self.variant = variant
         self.order = order                  # PointOrder of the context
         self.vertices = vertices            # in interval order
-        self.edges = edges                  # (src index, label, dst index) triples
-        self.out = out = {v.index: [] for v in vertices}
-        for i, k, j in edges:
-            out[i].append((k, j))
+        self.out = out                      # vertex index -> [(label, target index)]
         self._cache = {}
+
+    @property
+    def edges(self):
+        """The (source index, label, target index) triples, in vertex order
+        with targets ascending: a new list on each access."""
+        return [(i, k, j) for i, moves in self.out.items() for k, j in moves]
 
     def class_name(self, class_idx):
         return self.order.classes[class_idx][0]
@@ -193,20 +204,21 @@ def _build_full(ctx):
         images[k, d] = j
         return j
 
-    edges = []
-    for v in vertices:
-        # the targets are the gaps between the two image classes
-        edges.extend((v.index, v.label, j)
-                     for j in range(image(v.left, v.label), image(v.right, v.label))
-                     if j not in switch_left)
-    return UnivoqueGraph(ctx=ctx, variant=FULL, order=order, vertices=vertices, edges=edges)
+    # the targets are the gaps between the two image classes; each list is
+    # copied to its exact size, as a comprehension over-allocates
+    out = {v.index: [(v.label, j) for j in range(image(v.left, v.label), image(v.right, v.label))
+                     if j not in switch_left][:]
+           for v in vertices}
+    return UnivoqueGraph(ctx=ctx, variant=FULL, order=order, vertices=vertices, out=out)
 
 
 def _restrict(full, keep, variant):
+    """The subgraph of FULL induced on the vertex indices ``keep``: FULL's
+    own pair tuples, in new lists (exact size, as in ``_build_full``)."""
     vertices = [v for v in full.vertices if v.index in keep]
-    edges = [(i, k, j) for i, k, j in full.edges if i in keep and j in keep]
+    out = {v.index: [move for move in full.out[v.index] if move[1] in keep][:] for v in vertices}
     return UnivoqueGraph(ctx=full.ctx, variant=variant, order=full.order,
-                         vertices=vertices, edges=edges)
+                         vertices=vertices, out=out)
 
 
 # --- strongly connected components -----------------------------------------
@@ -225,7 +237,8 @@ def scc(g):
 def _scc(g):
     comps = sorted(sorted(comp) for comp in tarjan(g.out))
     comp_of = {v: pos for pos, comp in enumerate(comps) for v in comp}
-    cond = {(comp_of[i], comp_of[j]) for i, _k, j in g.edges if comp_of[i] != comp_of[j]}
+    cond = {(comp_of[i], comp_of[j]) for i, moves in g.out.items() for _k, j in moves
+            if comp_of[i] != comp_of[j]}
     return comps, sorted(cond)
 
 
@@ -285,8 +298,8 @@ def _order_embedding_fault(g_small, g_big, mapping):
     if any(a >= b for a, b in zip(images, images[1:])):
         return "the map is not increasing in interval order"
     image = set(mapping.values())
-    pushed = {(mapping[i], k, mapping[j]) for i, k, j in g_small.edges}
-    induced = {(i, k, j) for i, k, j in g_big.edges if i in image and j in image}
+    pushed = {(mapping[i], k, mapping[j]) for i, moves in g_small.out.items() for k, j in moves}
+    induced = {(i, k, j) for i in image for k, j in g_big.out[i] if j in image}
     if pushed - induced:
         return "an edge is lost by the map"
     if induced - pushed:
@@ -412,10 +425,10 @@ def tower_decompose(ctx0, m):
     for i, v in enumerate(seed_cycle, 1):
         if v not in graphs[0].out:
             raise StructuralError(f"no vertex of the seed graph has a{i} as its right end")
-    seed_edges = set(graphs[0].edges)
+    seed_out = graphs[0].out
     for i in range(n):
         src, dst = seed_cycle[i], seed_cycle[(i + 1) % n]
-        if (src, alpha[i], dst) not in seed_edges:
+        if (alpha[i], dst) not in seed_out[src]:
             raise StructuralError(f"seed orbit edge {i + 1} with digit {alpha[i]} is missing")
     cycles = [(push_seq(seed_cycle, 0), tuple(alpha))]
 

@@ -52,6 +52,16 @@ def mirror_map(g):
     return dict(zip(indices, reversed(indices)))
 
 
+def out_map(vertices, edges):
+    """The successor map a ``UnivoqueGraph`` on ``vertices`` is built from,
+    read from (source, label, target) triples: each source's moves in the
+    order of the list."""
+    out = {v.index: [] for v in vertices}
+    for i, k, j in edges:
+        out[i].append((k, j))
+    return out
+
+
 def random_context(rng):
     """A random base admitting the graph construction (alphabet <= 5,
     period <= 8), drawn by rejection from random greedy words."""

@@ -18,7 +18,7 @@ from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
                             path_words, scc, tower_decompose)
 from univoque.spectral import component_dimensions, spectral_report
 from univoque.walk import WORD_CAP, count_words, explore, tarjan
-from conftest import BATTERY, mirror_map, random_context
+from conftest import BATTERY, mirror_map, out_map, random_context
 from test_expansions import record_calls
 from test_reducible import REDUCIBLE
 
@@ -221,7 +221,7 @@ def test_one_strongly_connected_verdict(battery, tribonacci, monkeypatch, capsys
     v = g.vertices[0]
     assert (v.index, v.label, v.index) in g.edges
     for edges, sc in (([], False), ([(v.index, v.label, v.index)], True)):
-        lone = graph.UnivoqueGraph(g.ctx, FULL, g.order, [v], edges)
+        lone = graph.UnivoqueGraph(g.ctx, FULL, g.order, [v], out_map([v], edges))
         assert len(scc(lone)[0]) == 1
         assert is_strongly_connected(lone) is sc
         assert scc_json_verdict(monkeypatch, capsys, lone) is sc
@@ -363,6 +363,30 @@ def test_vertex_index_is_left_class_index(battery, tribonacci):
             assert all(j in g.out for _i, _k, j in g.edges), (ctx.M, ctx.beta, g.variant)
 
 
+def test_successor_map_is_the_one_edge_store(battery, tribonacci):
+    """A graph keeps its edges once, in ``out``: the restrictions hold FULL's
+    own (label, target) tuples in lists of their own, and ``edges`` is the
+    map read out as triples."""
+    assert "edges" not in graph.UnivoqueGraph.__slots__
+    ctxs = list(battery)
+    rng = random.Random(29)
+    ctxs += [random_context(rng) for _ in range(100)]
+    ctx = tribonacci
+    for _ in range(5):
+        ctx = v_successor(ctx)
+        ctxs.append(ctx)
+    for ctx in ctxs:
+        full = build_graph(ctx, FULL)
+        for g in (full, build_graph(ctx, TILDE), build_graph(ctx, TILDE1)):
+            assert g.edges == [(i, k, j) for i, moves in g.out.items() for k, j in moves]
+            if g is full:
+                continue
+            for i, moves in g.out.items():
+                assert moves is not full.out[i], (ctx.M, ctx.beta, g.variant)
+                own = {move[1]: move for move in full.out[i]}
+                assert all(move is own[move[1]] for move in moves), (ctx.M, ctx.beta, g.variant)
+
+
 def reversed_copy(g):
     """g with its interval order turned around: every vertex keeps its label
     and moves to the mirror gap of the point order, whose index it takes,
@@ -371,7 +395,7 @@ def reversed_copy(g):
     mirror = {v.index: top - v.index for v in g.vertices}
     vertices = sorted(graph.Vertex(mirror[v.index], v.label) for v in g.vertices)
     edges = [(mirror[i], k, mirror[j]) for i, k, j in g.edges]
-    return graph.UnivoqueGraph(g.ctx, FULL, g.order, vertices, edges), mirror
+    return graph.UnivoqueGraph(g.ctx, FULL, g.order, vertices, out_map(vertices, edges)), mirror
 
 
 def test_isomorphism_respects_interval_order(tribonacci):
@@ -778,9 +802,9 @@ def test_full_build_needs_shifted_keys_among_the_points():
 
 def regraph(g, order=None, vertices=None, edges=None):
     """A copy of ``g`` with some of its parts replaced."""
-    return graph.UnivoqueGraph(g.ctx, g.variant, order or g.order,
-                               vertices if vertices is not None else g.vertices,
-                               edges if edges is not None else g.edges)
+    vertices = vertices if vertices is not None else g.vertices
+    return graph.UnivoqueGraph(g.ctx, g.variant, order or g.order, vertices,
+                               out_map(vertices, edges if edges is not None else g.edges))
 
 
 def with_index(g, **names):

@@ -8,8 +8,9 @@ ordering its points or building and measuring its graphs, loads no
 factoring: ``minpoly`` is imported only to certify a minimal polynomial.
 The package itself declares no runtime dependency, and keeps no
 process-wide memo: what is derived from a context or a graph is kept on it
-by ``base.memo``.  The CLI loads no layer to print help or refuse its
-arguments, and each command loads only the layers it runs.
+by ``base.memo``.  The graph layer's hot paths walk the successor map, not
+the edge triples built from it.  The CLI loads no layer to print help or
+refuse its arguments, and each command loads only the layers it runs.
 """
 
 import ast
@@ -87,6 +88,16 @@ def test_graph_reads_the_points_only_through_their_order():
     assert "univoque.base.order_points" in found
     assert "univoque.base.special_points" not in found
     assert "special_points" not in names(ast.parse((SRC / "graph.py").read_text()))
+
+
+def test_graph_hot_paths_walk_the_successor_map():
+    # the condensation, the order embedding and the tower read the map
+    # ``out``, never ``edges``, the triple list each access builds anew
+    tree = ast.parse((SRC / "graph.py").read_text())
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    for name in ("_scc", "_order_embedding_fault", "tower_decompose"):
+        attrs = {node.attr for node in ast.walk(fns[name]) if isinstance(node, ast.Attribute)}
+        assert "out" in attrs and "edges" not in attrs, name
 
 
 def test_base_class_preconditions_live_in_base():
