@@ -78,9 +78,9 @@ class BaseContext:
     to them the expansion layer keeps its remainder map, with the one
     enclosure of kappa it reads: every remainder that a count or a greedy
     run has met, under an int id, with its moves and, once a count has
-    decided it, its number of expansions, its reachable set and, on a
-    cycle, its tail.  A run that leaves more than ``DEFAULT_STATE_CAP``
-    remainders there empties it.
+    decided it, its number of expansions and, on a cycle, its tail.  A
+    count's cap is checked against the map's size.  A run that leaves more
+    than ``DEFAULT_STATE_CAP`` remainders there empties it.
     """
 
     __slots__ = ("M", "beta", "alpha", "base_class", "defining_poly", "field", "n_period", "_cache")

@@ -113,9 +113,10 @@ def cmd_graph_build(ctx, args):
         _write(args.json_path, json.dumps(g.to_json(), indent=2, sort_keys=True) + "\n")
     if args.dot or args.json_path:
         return None, []
-    return None, ([f"{len(g.vertices)} vertices, {len(g.edges)} edges"]
+    edges = g.edges
+    return None, ([f"{len(g.vertices)} vertices, {len(edges)} edges"]
                   + [f"  {g.vertex_name(v)}  digit {v.label}" for v in g.vertices]
-                  + [f"  {g.gap_name(i)} --{k}--> {g.gap_name(j)}" for i, k, j in sorted(g.edges)])
+                  + [f"  {g.gap_name(i)} --{k}--> {g.gap_name(j)}" for i, k, j in edges])
 
 
 def cmd_graph_scc(ctx, args):

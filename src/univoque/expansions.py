@@ -23,11 +23,12 @@ base, so the context keeps every remainder it has met in one map
 and its moves are ``(digit, id)`` pairs.  The map serves counts and greedy
 runs alike: the greedy digit is the largest move, and a point lies in
 [0, M/(q-1)] exactly when it has a move.  A count decides each remainder it
-reaches, once: its number of expansions (or infinitely many), its reachable
-set and, on a deterministic cycle, its tail word.  A later count explores
-and splits into components only the remainders no count has decided, so
-points that share tails, such as the witnesses x_m, walk each remainder
-once.  A run that leaves more than ``DEFAULT_STATE_CAP`` remainders there
+reaches, once: its number of expansions (or infinitely many) and, on a
+deterministic cycle, its tail word.  A later count explores and splits into
+components only the remainders no count has decided, so points that share
+tails, such as the witnesses x_m, walk each remainder once.  A count's cap
+is checked against the map's size, and only a larger map is walked from the
+point.  A run that leaves more than ``DEFAULT_STATE_CAP`` remainders there
 empties the map.
 
 The witness constructor produces, for any admissible tail sequence, a point
@@ -118,19 +119,19 @@ class _RemainderMap:
     from one enclosure of kappa and reduced on a reducible field, where
     remainders are hashed.  A count decides each id it reaches, once: its
     number of expansions in ``count`` (``math.inf`` when a branching cycle
-    is reachable), its reachable ids in ``reach``, one bit each, and, for an
-    id on a deterministic cycle, the tail word read from it in ``tails``.
+    is reachable) and, for an id on a deterministic cycle, the tail word
+    read from it in ``tails``.
     Built once per context (``memo``); the map is the one part of a memoized
     value that grows, and ``_walk`` bounds it.
     """
 
-    __slots__ = ("field", "M", "kappa", "kbox", "ids", "elems", "out", "count", "reach", "tails")
+    __slots__ = ("field", "M", "kappa", "kbox", "ids", "elems", "out", "count", "tails")
 
     def __init__(self, ctx):
         self.field, self.M, self.kappa = ctx.field, ctx.M, ctx.kappa.elem
         self.kbox = self.field.enclosure(self.kappa)
         self.ids, self.elems, self.out = {}, [], []
-        self.count, self.reach, self.tails = {}, {}, {}
+        self.count, self.tails = {}, {}
 
     def intern(self, v):
         i = self.ids.get(v)
@@ -153,11 +154,11 @@ class _RemainderMap:
     def decide(self, succ):
         """Decide every id of ``succ``, the successor map of undecided ids
         (decided targets dropped).  Tarjan lists components sinks first, so
-        each component is decided from decided successors: counts add,
-        infinity absorbs and reach sets are joined.  A cyclic component is
-        one deterministic cycle, one expansion from each of its ids, when
-        each of its ids has a single move, and infinitely many otherwise."""
-        moves, count, reach, tails = self.moves, self.count, self.reach, self.tails
+        each component is decided from decided successors: counts add and
+        infinity absorbs.  A cyclic component is one deterministic cycle,
+        one expansion from each of its ids, when each of its ids has a
+        single move, and infinitely many otherwise."""
+        moves, count, tails = self.moves, self.count, self.tails
         for comp in tarjan(succ):
             if not cyclic(succ, comp):
                 ks = [count[w] for _d, w in moves(comp[0])]
@@ -169,17 +170,11 @@ class _RemainderMap:
                 k = 1
             else:
                 k = math.inf
-            bits = 0
             for v in comp:
-                bits |= 1 << v
-                for _d, w in moves(v):
-                    if w in reach:
-                        bits |= reach[w]
-            for v in comp:
-                count[v], reach[v] = k, bits
+                count[v] = k
 
     def clear(self):
-        for table in (self.ids, self.elems, self.out, self.count, self.reach, self.tails):
+        for table in (self.ids, self.elems, self.out, self.count, self.tails):
             table.clear()
 
 
@@ -264,8 +259,9 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
     The remainders that earlier counts on the context decided are not
     walked again: the count explores the undecided ones alone (more than
     ``cap`` of them are CAP_EXCEEDED at once), decides them from the
-    decided ones below, and reads the number of remainders and of
-    expansions of x from the map.
+    decided ones below, and reads the number of expansions of x from the
+    map, which holds every remainder x reaches: only a map of more than
+    ``cap`` remainders is walked from x, over its stored moves.
     """
     if cap < 0:
         raise ValueError(f"state cap must be nonnegative, got {cap}")
@@ -277,7 +273,7 @@ def count_expansions(ctx, x, cap=DEFAULT_STATE_CAP):
             if succ is None:
                 return ExpansionCount(CAP_EXCEEDED)
             rmap.decide(succ)
-        if rmap.reach[root].bit_count() > cap:
+        if len(rmap.ids) > cap and explore([root], moves, cap) is None:
             return ExpansionCount(CAP_EXCEEDED)
         k = count[root]
         if k == math.inf:

@@ -114,7 +114,7 @@ class UnivoqueGraph:
         lines = ["digraph univoque {", "  rankdir=LR;"]
         for v in self.vertices:
             lines.append(f'  "{self.vertex_name(v)}";')
-        for i, k, j in sorted(self.edges):
+        for i, k, j in self.edges:
             lines.append(f'  "{self.gap_name(i)}" -> "{self.gap_name(j)}" [label="{k}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -137,7 +137,7 @@ class UnivoqueGraph:
             ],
             "edges": [
                 {"from": self.gap_name(i), "label": k, "to": self.gap_name(j)}
-                for i, k, j in sorted(self.edges)
+                for i, k, j in self.edges
             ],
         }
 

@@ -755,8 +755,8 @@ def test_counted_points_are_read_from_the_map(M, beta, monkeypatch):
 
 
 def test_cap_holds_on_decided_remainders(monkeypatch):
-    # once x_10 is decided, a count at a smaller cap reads the size of its
-    # reachable set from the map and still stops at the cap
+    # once x_10 is decided, a count at a smaller cap walks the map's stored
+    # moves from x_10 and still stops at the cap
     ctx = new_base_context(1, "111(0)")
     x = ex.build_witness_xm(ctx, 10, ex.default_tail(ctx))[0]
     assert ex.count_expansions(ctx, x, cap=1000)[:2] == (ex.EXACT, 10)
@@ -805,6 +805,30 @@ def test_counts_in_any_order_match_per_digit_signs(base, order, caps):
     for i in order:
         got = ex.count_expansions(ctx, points[i](ctx), cap=caps[i])
         assert got == battery_reference(M, beta, i, caps[i])
+
+
+def test_remainder_map_keeps_no_reachable_sets():
+    # a decided id keeps its count and, on a cycle, its tail: nothing else
+    assert set(ex._RemainderMap.__slots__) == {"field", "M", "kappa", "kbox",
+                                                "ids", "elems", "out", "count", "tails"}
+
+
+def test_cap_is_checked_against_the_map_size(monkeypatch):
+    # a map of at most cap remainders keeps x within the cap, so a recount
+    # walks nothing; below the reachable count one walk over the stored
+    # moves finds x over the cap, and computes no move
+    ctx = new_base_context(1, "111(0)")
+    x = ex.build_witness_xm(ctx, 10, ex.default_tail(ctx))[0]
+    assert ex.count_expansions(ctx, x, cap=1000)[:2] == (ex.EXACT, 10)
+    rmap = ctx._cache[(ex._RemainderMap,)]
+    n = len(per_digit_graph(ctx, x, 1000))
+    walks = record_calls(monkeypatch, ex, "explore", lambda roots, moves, cap: cap)
+    moved = record_calls(monkeypatch, ex, "_feasible_moves")
+    for cap in (len(rmap.ids), len(rmap.ids) + 1, 1000):
+        assert ex.count_expansions(ctx, x, cap=cap)[:2] == (ex.EXACT, 10)
+    assert walks == []
+    assert ex.count_expansions(ctx, x, cap=n - 1) == ex.ExpansionCount(ex.CAP_EXCEEDED)
+    assert walks == [n - 1] and moved == []
 
 
 @pytest.mark.parametrize("M, beta", COUNT_BASES)

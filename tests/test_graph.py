@@ -368,7 +368,8 @@ def test_successor_map_is_the_one_edge_store(battery, tribonacci):
     own (label, target) tuples in lists of their own, and ``edges`` is the
     map read out as triples."""
     assert "edges" not in graph.UnivoqueGraph.__slots__
-    ctxs = list(battery)
+    ctxs = list(battery) + [new_base_context(1, "111001000111001(0)"),
+                            new_base_context(7, "744516145(0)")]
     rng = random.Random(29)
     ctxs += [random_context(rng) for _ in range(100)]
     ctx = tribonacci
@@ -379,6 +380,7 @@ def test_successor_map_is_the_one_edge_store(battery, tribonacci):
         full = build_graph(ctx, FULL)
         for g in (full, build_graph(ctx, TILDE), build_graph(ctx, TILDE1)):
             assert g.edges == [(i, k, j) for i, moves in g.out.items() for k, j in moves]
+            assert g.edges == sorted(g.edges), (ctx.M, ctx.beta, g.variant)
             if g is full:
                 continue
             for i, moves in g.out.items():
