@@ -22,9 +22,10 @@ is minus the digit sum of the period.  And f(M+1) <= 1, so P(M+1) >= 0.
 P/R is a product of cyclotomic polynomials Phi_k, k >= 2 (Phi_1 = t - 1
 does not divide P, as P(1) != 0), which are positive on [1, M+1].  So R(1) < 0 <= R(M+1), and q
 is the one root of R in that bracket, a simple one.  That is all this
-module needs: ``refine`` bisects on the sign change of R at q, a numerator
-coprime to R is nonzero at q, and Euclid against R inverts an element or
-ends at a common factor.  Computing modulo R gives every value at q that
+module needs: the sign change of R at q locates it (``refine`` bisects on
+it, ``refine_to`` confirms a cell by it), a numerator coprime to R is
+nonzero at q, and Euclid against R inverts an element or ends at a common
+factor.  Computing modulo R gives every value at q that
 computing modulo the minimal polynomial m_q gives; only the representation
 of an element is no longer unique when R has other factors.
 So m_q, the irreducible factor of R vanishing at q, is certified on demand
@@ -45,12 +46,18 @@ monic, so products reduce over the integers; multiplying by q is a shift
 plus one reduction step, and dividing by q is one step with the constant
 term of R.
 
-The root is isolated in a dyadic interval ``[n_lo, n_hi] / 2^e``: the
-bracket [1, M+1] at e = 0, where R changes sign, is narrowed by
-``NumberField.refine`` (the one bisection of q) to ``INITIAL_WIDTH`` =
-1/10^12, and from then on it is refined only on demand.  The k-th bisection
-of the bracket has the cells (2^k + M j) / 2^k; refinement stops early on a
-midpoint that is q, and an integer q = M + 1 starts as the point [M+1, M+1].
+The root is isolated in a dyadic interval ``[n_lo, n_hi] / 2^e`` on the
+grid of the bracket [1, M+1], where R changes sign: its k-th bisection
+(``NumberField.refine``) has the cells (2^k + M j) / 2^k, a midpoint that is
+q ends it at that point, and an integer q = M + 1 starts as the point
+[M+1, M+1].  ``NumberField.refine_to`` reaches the cell of a given level in
+one step: a Newton estimate of q picks it, and two exact signs of R at its
+ends confirm it, or it bisects as far as that level.  A field is built at
+the first level of width at most ``INITIAL_WIDTH`` = 1/10^12, by one such
+step, and from then on q is refined only on demand: once by the point
+order (``base.order_points``), to the level its keys plan, and one
+bisection at a time by ``settle``.
+
 Every value is decided one way, by ``NumberField.settle``: interval Horner
 on the element's numerator, in integers scaled by powers of two, encloses
 its value, and q is refined until a monotone step function (the sign, the
@@ -77,6 +84,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction as Q
 
 from .digits import EpSeq, format_seq, is_greedy_beta
@@ -176,6 +184,61 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
+# --- estimates of the root ----------------------------------------------------
+#
+# Newton's method runs on h(y) = y^d R(1/y), whose root is 1/q: every power of
+# y < 1 stays in range, and h's coefficients are R's read from the constant
+# term up.  An estimate only chooses a cell; two exact signs confirm it.
+
+def _float_root(R, x_lo, x_hi, s_lo):
+    """1/q as a float, for the one root q of R in [x_lo, x_hi], 1 <= x_lo,
+    where R has the sign s_lo left of q: Newton's method on h, kept inside
+    the bracket [1/x_hi, 1/x_lo] by bisection wherever it would leave it."""
+    a, b = 1 / x_hi, 1 / x_lo
+    y = (a + b) / 2
+    for _ in range(64):
+        h = dh = 0.0
+        for c in R:
+            dh = dh * y + h
+            h = h * y + c
+        if not h:
+            break
+        if _sign(h) == s_lo:        # h has R's sign at 1/y: y is past 1/q
+            b = y
+        else:
+            a = y
+        step = y - h / dh if dh else a
+        step = step if a < step < b else (a + b) / 2
+        if abs(step - y) <= 1e-15 * y:
+            return step
+        y = step
+    return y
+
+
+def _newton_step(R, Y, p):
+    """One Newton step on h at y = Y / 2^p, in fixed point at precision p."""
+    h = dh = 0
+    for c in R:
+        dh = (dh * Y >> p) + h
+        h = (h * Y >> p) + (c << p)
+    return Y - (h << p) // dh if dh else Y
+
+
+def _root_estimate(R, x_lo, x_hi, s_lo, e):
+    """An integer near q * 2^e: the float root, then one fixed-point Newton
+    step at each precision of a ladder that about doubles up to e + 64, so
+    that an estimate misses the cell of q only when q is within about
+    2^-(e+64) of the cell's end."""
+    ladder = [e + 64]
+    while ladder[-1] > 48:
+        ladder.append(ladder[-1] // 2 + 8)
+    p = ladder.pop()
+    Y = int(math.ldexp(_float_root(R, x_lo, x_hi, s_lo), p))
+    for p_next in reversed(ladder):
+        Y, p = _newton_step(R, Y << (p_next - p), p_next), p_next
+    return (1 << (p + e)) // max(Y, 1)
+
+
 # --- polynomials modulo a prime ---------------------------------------------
 
 LARGE_PRIME = (1 << 61) - 1
@@ -227,9 +290,10 @@ class NumberField:
     minimal polynomial ``min_poly`` of q divides it and is certified, once,
     on first use (see the module docstring for what uses it).  Elements are
     int tuples of length ``deg + 1`` (numerators, then the denominator).
-    The isolating interval is refined in place on demand, by ``settle``
-    (signs, decimals, floats) alone once the field is built; refinement
-    only ever shrinks it, so previously returned answers stay valid.
+    The isolating interval is refined in place on demand, once the field is
+    built by ``settle`` (signs, decimals, floats) and by the point order's
+    ``refine_to``; refinement only ever shrinks it, so previously returned
+    answers stay valid.
     Share a field between threads only if refinement and certification
     are serialized (clone per thread otherwise).
     """
@@ -442,6 +506,29 @@ class NumberField:
             self.n_lo, self.n_hi = self.n_lo << 1, mid
         self.e = e
 
+    def refine_to(self, e):
+        """Narrow the interval to the cell that ``refine`` reaches at level e,
+        or to the point where a midpoint on the way is q, in one step.
+
+        The cells of level e inside the current one have its width over 2^e,
+        on the grid from its left end.  A Newton estimate of q picks one, and
+        two exact signs of R at its ends confirm it: a sign change there puts
+        q, the one root in the interval, strictly inside, and so at no grid
+        point of any level up to e.  Otherwise, an end being q or the
+        estimate missing, it bisects as far as level e."""
+        if e <= self.e or self.n_lo == self.n_hi:
+            return
+        R, width, shift = self.working_poly, self.n_hi - self.n_lo, e - self.e
+        lo = self.n_lo << shift
+        x = _root_estimate(R, self.n_lo / (1 << self.e), self.n_hi / (1 << self.e), self._slo, e)
+        a = lo + width * min(max((x - lo) // width, 0), (1 << shift) - 1)
+        if (_sign(_dyadic_eval(R, a, e)) == self._slo
+                and _sign(_dyadic_eval(R, a + width, e)) == -self._slo):
+            self.n_lo, self.n_hi, self.e = a, a + width, e
+            return
+        while self.e < e and self.n_lo != self.n_hi:
+            self.refine()
+
     def _interval(self, p):
         """Bounds on ``2^(e deg p) * p(x)`` over x in the isolating interval,
         by interval Horner; every endpoint is positive, so each product
@@ -457,10 +544,36 @@ class NumberField:
     def enclosure(self, a):
         """Bounds ``(lo, hi, D)`` with the value of ``a`` in [lo/D, hi/D], from
         one interval Horner pass on the current isolating interval (no
-        refinement); exact (lo == hi) for rational elements."""
+        refinement); exact (lo == hi) for rational elements.  ``settle`` and
+        the expansion layer enclose one element per interval, and so use
+        this pass; ``enclosures`` builds a power table instead, which the
+        point order does once, after its jump, for all its classes."""
         p = poly_trim(a[:-1])
         vlo, vhi = self._interval(p)
         return vlo, vhi, a[-1] << (self.e * max(len(p) - 1, 0))
+
+    def enclosures(self, elems):
+        """Bounds ``(lo, hi, D)`` like ``enclosure``'s for each of ``elems``,
+        from one power table of the current interval [x_lo, x_hi]: the floor
+        of x_lo^k 2^P and the ceiling of x_hi^k 2^P for k < deg, P = e + 64,
+        each rounded from the last, so that both stay bounds on q^k 2^P.
+        With s_k and g_k their sum and their gap, 2^(P+1) times a numerator
+        sum(c_k q^k) lies in sum(c_k s_k) -+ sum(|c_k| g_k): two dot
+        products per element, exact for a constant numerator."""
+        n_lo, n_hi, e = self.n_lo, self.n_hi, self.e
+        P = e + 64
+        lows, highs = [1 << P], [1 << P]
+        for _ in range(self.deg - 1):
+            lows.append(lows[-1] * n_lo >> e)
+            highs.append(-(-highs[-1] * n_hi >> e))
+        sums = list(map(operator.add, lows, highs))
+        gaps = list(map(operator.sub, highs, lows))
+        out = []
+        for a in elems:
+            mid = sum(map(operator.mul, a, sums))
+            rad = sum(map(operator.mul, map(abs, a), gaps))
+            out.append((mid - rad, mid + rad, a[-1] << (P + 1)))
+        return out
 
     def settle(self, a, f):
         """``f(n, D)`` for the value n/D of ``a``: refines q until ``f`` agrees
@@ -686,11 +799,11 @@ def working_polynomial(P):
 def field_for_base(P, M):
     """NumberField for the base whose defining polynomial ``P``
     (``base_polynomial``) has it as its one root in (1, M+1], built on the
-    working polynomial R of P and narrowed from the bracket [1, M+1] to a
-    width of at most ``INITIAL_WIDTH``; nothing is factored.  R changes sign
-    over the bracket (see the module docstring).  A root at its end,
-    q = M + 1, starts as the point [M+1, M+1], which bisection never
-    reaches.  DegenerateInputError for a P that vanishes at 1 (checked on P:
+    working polynomial R of P and narrowed from the bracket [1, M+1], by one
+    ``refine_to``, to the first bisection level of width at most
+    ``INITIAL_WIDTH``; nothing is factored.  R changes sign over the
+    bracket (see the module docstring).  A root at its end, q = M + 1,
+    starts as the point [M+1, M+1], which bisection never reaches.  DegenerateInputError for a P that vanishes at 1 (checked on P:
     the strip takes t - 1 out of R) or whose R keeps one sign over the
     bracket, a constant P among them."""
     if not sum(P):
@@ -700,9 +813,8 @@ def field_for_base(P, M):
     if _sign(_dyadic_eval(R, 1, 0)) == top:
         raise DegenerateInputError(f"polynomial does not change sign over [1, {M + 1}]")
     field = NumberField(R, 1 if top else M + 1, M + 1, 0)
-    width = INITIAL_WIDTH
-    while (field.n_hi - field.n_lo) * width.denominator > width.numerator << field.e:
-        field.refine()
+    # the least level whose cells, of width M / 2^e, are at most INITIAL_WIDTH
+    field.refine_to((-(-M * INITIAL_WIDTH.denominator // INITIAL_WIDTH.numerator) - 1).bit_length())
     return field
 
 

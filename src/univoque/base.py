@@ -28,6 +28,7 @@ one context, with its graphs, per base.  Nothing is cached at module level:
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from . import digits as dg
@@ -314,15 +315,33 @@ def order_points(ctx):
     read off prefix tuples of one common length (``digits.common_prefixes``);
     exact algebraic comparison then confirms every coincidence and every
     strict step.  Each coincidence is checked by exact equality.  Each class
-    value is enclosed once (``NumberField.enclosure``, rigorous on the
-    current isolating interval of q); a strict step whose two enclosures are
-    disjoint in the right order is certified by them, and one whose
-    enclosures overlap by the exact ``cmp``, which refines q as far as it
-    needs.  A disagreement would falsify the order isomorphism between
-    sequences and values and raises InternalConsistencyError.
+    value is enclosed (``NumberField.enclosure``, rigorous on the current
+    isolating interval of q); a strict step whose two enclosures are
+    disjoint in the right order is certified by them.  Where some overlap,
+    the precision is planned from the keys: points whose keys share L
+    digits differ by about q^-L, and an enclosure of a numerator of degree
+    d loses about d log2 q bits, so q is moved once (``refine_to``) to the
+    level e = ceil((L + deg R) log2 q_hi) + 64, with L the longest prefix
+    the close pairs share, and every class is enclosed again from one power
+    table of that interval (``NumberField.enclosures``).  A step whose
+    enclosures still overlap goes to the exact ``cmp``, which refines q as
+    far as it needs.  A disagreement would falsify the order isomorphism
+    between sequences and values and raises InternalConsistencyError.
     """
     ctx.require_graph_class()
     return memo(ctx, _order_points)
+
+
+def _apart(left, right):
+    """Whether the enclosure ``left`` lies wholly below ``right``."""
+    _lo, hi, D = left
+    lo, _hi, D_next = right
+    return hi * D_next < lo * D
+
+
+def _common_length(u, v):
+    """The length of the common prefix of the unequal tuples u and v."""
+    return next(i for i, (x, y) in enumerate(zip(u, v)) if x != y)
 
 
 def _order_points(ctx):
@@ -344,15 +363,19 @@ def _order_points(ctx):
             if pts.value[nm] != val:
                 raise InternalConsistencyError(
                     f"key order says {cls[0]} = {nm} but the values differ")
-    enclose = ctx.field.enclosure
-    _lo, hi, D = enclose(values[0].elem)
-    for k in range(len(values) - 1):
-        lo_next, hi_next, D_next = enclose(values[k + 1].elem)
-        # hi/D < lo_next/D_next puts the two enclosures in order, apart
-        if hi * D_next >= lo_next * D and values[k].cmp(values[k + 1]) >= 0:
+    field = ctx.field
+    elems = [v.elem for v in values]
+    bounds = list(map(field.enclosure, elems))
+    close = [k for k in range(len(values) - 1) if not _apart(bounds[k], bounds[k + 1])]
+    if close:
+        common = max(_common_length(prefix[classes[k][0]], prefix[classes[k + 1][0]])
+                     for k in close)
+        field.refine_to(math.ceil((common + field.deg) * math.log2(field.hi)) + 64)
+        bounds = field.enclosures(elems)
+    for k in close:
+        if not _apart(bounds[k], bounds[k + 1]) and values[k].cmp(values[k + 1]) >= 0:
             raise InternalConsistencyError(
                 f"key order says {classes[k][0]} < {classes[k+1][0]} but the values disagree")
-        hi, D = hi_next, D_next
     return PointOrder(
         classes=classes,
         values=values,

@@ -30,8 +30,9 @@ enclosure become Fractions.
 
 The pass over a graph's components runs once per graph (``_components``,
 kept on the graph by ``base.memo``, over the components ``graph.scc`` found
-once); ``spectral_radius``, ``spectral_report`` and
-``component_dimensions`` all read it.
+once) and encloses the graph's top radius there too;
+``spectral_radius``, ``spectral_report`` and ``component_dimensions`` all
+read it.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ def spectral_radius(g):
     connected components, each of which is irreducible; a graph with no
     components has radius 0.
     """
-    _comps, radii, _per = _components(g)
-    return _max_radius(radii)
+    _comps, _radii, _per, top = _components(g)
+    return top
 
 
 def dimension_of(g, ctx, radius=None):
@@ -174,8 +175,9 @@ def dimension_of(g, ctx, radius=None):
 
 def _components(g):
     """The components of ``g`` in ``scc`` order, their (radius, error) pairs,
-    and the ``per_scc`` list of (vertex names, radius) pairs; computed once
-    per graph."""
+    the ``per_scc`` list of (vertex names, radius) pairs and the (radius,
+    error) pair of the whole graph (``_max_radius``); computed once per
+    graph."""
     return memo(g, _component_pass)
 
 
@@ -183,12 +185,11 @@ def _component_pass(g):
     comps, _ = scc(g)
     radii = [_component_radius(g.out, comp) for comp in comps]
     per = [([g.gap_name(v) for v in comp], r) for comp, (r, _e) in zip(comps, radii)]
-    return comps, radii, per
+    return comps, radii, per, _max_radius(radii)
 
 
 def spectral_report(g, ctx):
-    _comps, radii, per = _components(g)
-    r, err = _max_radius(radii)
+    _comps, _radii, per, (r, err) = _components(g)
     dim, dim_err = dimension_of(g, ctx, (r, err))
     return SpectralReport(
         radius=r,
@@ -220,9 +221,8 @@ def component_dimensions(ctx):
     ctx.require_limit_class("the dimension-transfer report")
     tilde = build_graph(ctx, TILDE)
     core = {v.index for v in build_graph(ctx, TILDE1).vertices}
-    comps, radii, per = _components(tilde)
+    comps, radii, per, (overall, _err) = _components(tilde)
     inside = [r for comp, (r, _e) in zip(comps, radii) if set(comp) <= core]
-    overall, _err = _max_radius(radii)
     if is_strongly_connected(tilde):
         hypothesis = True
         core_max = per[0][1]

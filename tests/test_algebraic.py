@@ -12,17 +12,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BATTERY, random_context
-from test_expansions import record_passes
+from test_expansions import record_calls, record_passes
 from test_reducible import REDUCIBLE, on_min_poly
+from univoque import algebraic
 from univoque import digits as dg
 from univoque.algebraic import (Q, AlgebraicReal, DegenerateInputError, NumberField,
                                 _pseudo_divmod, apply_digit_map, base_polynomial,
                                 field_for_base, poly_mul, value_of_sequence)
-from univoque.base import new_base_context, special_points, v_successor
+from univoque.base import new_base_context, r_chain, special_points, v_successor
 
 
 def seq(text):
     return dg.parse_seq(text)
+
+
+def horner(p, x):
+    """p(x) exactly, for the little-endian integer polynomial p and a
+    Fraction x."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def test_table_enclosures_hold_the_exact_values():
+    # the special points, q and 1 of the battery, the reducible bases, 100
+    # random bases and the 111(0) chain at depth 5, on the field's interval
+    # and 100 bits below it: each table enclosure holds the exact value of
+    # the element at both ends of its interval and of one 64 bits narrower
+    # around q, and a sign it decides is the exact sign
+    rng = random.Random(11)
+    bases = list(BATTERY) + REDUCIBLE + v_chain(1, "111(0)", 5)
+    bases += [(c.M, c.beta) for c in (random_context(rng) for _ in range(100))]
+    for M, beta in bases:
+        ctx = new_base_context(M, beta)
+        f = ctx.field
+        elems = [v.elem for v in special_points(ctx).value.values()] + [f.gen(), f.one()]
+        for level in (f.e, f.e + 100):
+            field = NumberField(f.working_poly, f.n_lo, f.n_hi, f.e)
+            field.refine_to(level)
+            inner = NumberField(f.working_poly, field.n_lo, field.n_hi, field.e)
+            inner.refine_to(level + 64)
+            ends = (field.lo, field.hi, inner.lo, inner.hi)
+            for a, (lo, hi, D) in zip(elems, field.enclosures(elems)):
+                for x in ends:
+                    assert Q(lo, D) <= horner(a[:-1], x) / a[-1] <= Q(hi, D), (M, beta)
+                if not any(a[1:-1]):
+                    assert lo == hi
+                if lo > 0 or hi < 0:
+                    assert f.sign(a) == (1 if lo > 0 else -1), (M, beta)
 
 
 def test_base_polynomial_examples():
@@ -63,12 +101,18 @@ def test_isolate_root_exact_rational():
     lo, hi, D = field.enclosure(field.gen())
     assert Q(lo, D) == Q(hi, D) == 2
     assert field.lo == field.hi == 2
+    # 2 is the first midpoint of the bracket [1, 3]: the point, at level 1
+    assert (field.n_lo, field.n_hi, field.e) == (4, 4, 1)
+    lo, hi, D = field.enclosures([field.gen()])[0]
+    assert lo == hi and Q(lo, D) == 2
 
 
 def _scaled_sign(P, n, e):
     """The sign of P(n / 2^e)."""
-    d = len(P) - 1
-    v = sum(c * n**k << (e * (d - k)) for k, c in enumerate(P))
+    d, v, power = len(P) - 1, 0, 1
+    for k, c in enumerate(P):
+        v += c * power << (e * (d - k))
+        power *= n
     return (v > 0) - (v < 0)
 
 
@@ -149,6 +193,20 @@ INTEGER_BASES = ([(M, f"({M})") for M in range(1, 10)]
                  + [(M, f"{k}(0)") for M in range(2, 10) for k in range(2, M + 1)])
 
 
+def chain_bases(depth, r_depth):
+    """The V-chains of 111(0) and 331(0) to ``depth``, and the first three
+    r-chain bases of each of their elements up to ``r_depth``."""
+    out = []
+    for M, beta in ((1, "111(0)"), (3, "331(0)")):
+        ctx = new_base_context(M, beta)
+        for d in range(depth + 1):
+            out.append((M, ctx.beta))
+            if d <= r_depth:
+                out += [(M, r_chain(ctx, k).beta) for k in (1, 2, 3)]
+            ctx = v_successor(ctx)
+    return out
+
+
 def test_field_starts_on_the_bisected_interval():
     # base 2 is a midpoint of [1, 3] for M = 2 but never one of [1, 4] for
     # M = 3, where the field's generator is rational and q's interval must
@@ -156,11 +214,48 @@ def test_field_starts_on_the_bisected_interval():
     bases = list(BATTERY) + INTEGER_BASES
     rng = random.Random(7)
     bases += [(c.M, c.beta) for c in (random_context(rng) for _ in range(100))]
-    bases += v_chain(1, "111(0)", 4)
+    bases += chain_bases(8, 6)
     for M, beta in bases:
         ctx = new_base_context(M, beta)
         f = ctx.field
         assert (f.n_lo, f.n_hi, f.e) == bisected_interval(ctx.defining_poly, M), (M, beta)
+
+
+@pytest.mark.parametrize("miss", [
+    lambda x, M: 0,                 # below the bracket: its first cell
+    lambda x, M: x << 40,           # above it: its last cell
+    lambda x, M: x - 3 * M,         # three cells low
+    lambda x, M: x + M,             # the next cell up
+])
+def test_a_wrong_estimate_still_gives_the_bisected_interval(monkeypatch, miss):
+    # the two signs refuse the cell, and bisection reaches the same one
+    bases = list(BATTERY) + [(1, "11(0)"), (9, "98(0)")] + chain_bases(3, 1)
+    estimate = algebraic._root_estimate
+    monkeypatch.setattr(algebraic, "_root_estimate",
+                        lambda R, x_lo, x_hi, s_lo, e: miss(estimate(R, x_lo, x_hi, s_lo, e), M))
+    refines = record_calls(monkeypatch, NumberField, "refine", lambda f: f.e)
+    for M, beta in bases:
+        refines.clear()
+        P = base_polynomial(M, seq(beta) if isinstance(beta, str) else beta)
+        f = field_for_base(P, M)
+        assert (f.n_lo, f.n_hi, f.e) == bisected_interval(P, M), (M, beta)
+        assert refines == list(range(f.e)), (M, beta)
+
+
+def test_refine_to_is_bisection_at_every_level():
+    # levels past the field's, up to 700 bits, where the estimate runs in
+    # fixed point, land on the cell of the same number of bisections
+    bases = list(BATTERY) + REDUCIBLE + chain_bases(5, 2)
+    for M, beta in bases:
+        f = new_base_context(M, beta).field
+        for e in (f.e, f.e + 1, 97, 433):
+            jumped = NumberField(f.working_poly, f.n_lo, f.n_hi, f.e)
+            bisected = NumberField(f.working_poly, f.n_lo, f.n_hi, f.e)
+            jumped.refine_to(e)
+            while bisected.e < e:
+                bisected.refine()
+            assert (jumped.n_lo, jumped.n_hi, jumped.e) == (bisected.n_lo, bisected.n_hi,
+                                                             bisected.e), (M, beta, e)
 
 
 def test_bracket_gives_the_cells_of_the_scan():

@@ -406,16 +406,23 @@ def test_order_points_falls_back_to_exact_comparison(monkeypatch, battery, tribo
         ctx = v_successor(ctx)
         contexts.append(ctx)
     expected = [order_points(ctx).classes for ctx in contexts]
-    enclosure, cmp = NumberField.enclosure, AlgebraicReal.cmp
+    enclosure, enclosures, cmp = NumberField.enclosure, NumberField.enclosures, AlgebraicReal.cmp
     steps = []
 
+    def widened(lo, hi, D):
+        return lo - (D << 20), hi + (D << 20), D
+
     def wide(self, a):
-        # the point order's enclosures cover [-2^20, 2^20], which holds
-        # every point, so no two classes are apart; settle's stay as they are
-        lo, hi, D = enclosure(self, a)
+        # the point order's enclosures, one at a time or from the power
+        # table, cover [-2^20, 2^20], which holds every point, so no two
+        # classes are apart; settle's stay as they are
         if sys._getframe(1).f_code is base._order_points.__code__:
-            return lo - (D << 20), hi + (D << 20), D
-        return lo, hi, D
+            return widened(*enclosure(self, a))
+        return enclosure(self, a)
+
+    def wide_table(self, elems):
+        assert sys._getframe(1).f_code is base._order_points.__code__
+        return [widened(*b) for b in enclosures(self, elems)]
 
     def counted(self, other):
         if sys._getframe(1).f_code is base._order_points.__code__:
@@ -423,11 +430,61 @@ def test_order_points_falls_back_to_exact_comparison(monkeypatch, battery, tribo
         return cmp(self, other)
 
     monkeypatch.setattr(NumberField, "enclosure", wide)
+    monkeypatch.setattr(NumberField, "enclosures", wide_table)
     monkeypatch.setattr(AlgebraicReal, "cmp", counted)
     for ctx, classes in zip(contexts, expected):
         steps.clear()
         assert order_points(new_base_context(ctx.M, ctx.beta)).classes == classes
         assert len(steps) == len(classes) - 1, dg.format_seq(ctx.beta)
+
+
+def v_chain_element(M, beta, depth):
+    ctx = new_base_context(M, beta)
+    for _ in range(depth):
+        ctx = v_successor(ctx)
+    return ctx
+
+
+def test_order_points_matches_mpmath_at_depth_7():
+    # the 111(0) V-chain at depth 7 (period 384, deg R = 193), where the
+    # closest classes share 144 key digits: q to 3,000 digits by Newton's
+    # method in mpmath, every point valued there, each class one value and
+    # the classes strictly increasing
+    import mpmath
+
+    ctx = v_chain_element(1, "111(0)", 7)
+    order, pts, f = order_points(ctx), special_points(ctx), ctx.field
+    R = f.working_poly[::-1]
+    with mpmath.workdps(3000):
+        q = mpmath.mpf(float(f.lo))
+        for _ in range(16):
+            value, slope = mpmath.polyval(R, q, derivative=True)
+            q -= value / slope
+        assert mpmath.mpf(f.n_lo) / 2**f.e <= q <= mpmath.mpf(f.n_hi) / 2**f.e
+        powers = [q ** k for k in range(f.deg)]
+        value = {nm: mpmath.fdot(a.elem[:-1], powers) / a.elem[-1]
+                 for nm, a in pts.value.items()}
+        tol = mpmath.mpf(10) ** -2900
+        for cls in order.classes:
+            assert all(abs(value[nm] - value[cls[0]]) < tol for nm in cls), cls
+        for below, above in zip(order.classes, order.classes[1:]):
+            assert value[above[0]] - value[below[0]] > tol, (below, above)
+
+
+def test_order_points_at_depth_8_is_certified_by_one_jump(monkeypatch):
+    # the 111(0) V-chain at depth 8 (period 768): the planned level is
+    # reached without a bisection, and its table separates every step that
+    # the first enclosures left close, so no exact cmp runs
+    ctx = v_chain_element(1, "111(0)", 8)
+    special_points(ctx)
+    refines, jumps = [], []
+    refine, refine_to, cmp = NumberField.refine, NumberField.refine_to, AlgebraicReal.cmp
+    monkeypatch.setattr(NumberField, "refine", lambda f: refines.append(f.e) or refine(f))
+    monkeypatch.setattr(NumberField, "refine_to", lambda f, e: jumps.append(e) or refine_to(f, e))
+    monkeypatch.setattr(AlgebraicReal, "cmp", lambda a, b: pytest.fail("an exact cmp ran"))
+    classes = len(order_points(ctx).classes)
+    assert classes == 770
+    assert refines == [] and jumps == [ctx.field.e] and ctx.field.e > 600
 
 
 def test_special_points_match_tail_values(battery, tribonacci):

@@ -188,6 +188,14 @@ def test_default_tail_failure_modes():
     assert none_strict == 26
 
 
+def test_default_tail_refuses_when_no_word_passes(tribonacci, monkeypatch):
+    # no candidate passes its ties: the walk runs out within the period cap
+    monkeypatch.setattr(dg.LexAutomaton, "periodic_ok", lambda self, state, per, strict: False)
+    for strictness in (ex.STRICT, ex.WEAK):
+        with pytest.raises(ValueError, match=r"^no admissible periodic tail within the period cap$"):
+            ex.default_tail(tribonacci, strictness)
+
+
 def test_filter_examples(tribonacci):
     assert ex.f_family_filter(tribonacci, seq("(001)"), ex.WEAK)
     # the reflection equals the bound exactly

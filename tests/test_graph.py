@@ -11,8 +11,9 @@ import pytest
 from univoque import base, cli, graph, spectral
 from univoque import digits as dg
 from univoque.algebraic import NumberField, apply_digit_map
-from univoque.base import (BaseClass, UnsupportedClassError, golden_ratio_base, new_base_context,
-                           order_points, special_points, v_successor)
+from univoque.base import (BaseClass, InternalConsistencyError, UnsupportedClassError,
+                           golden_ratio_base, new_base_context, order_points, special_points,
+                           v_successor)
 from univoque.graph import (FULL, TILDE, TILDE1, build_graph, check_isomorphic,
                             connectivity_report, count_label_paths, is_strongly_connected,
                             path_words, scc, tower_decompose)
@@ -167,6 +168,44 @@ def test_connectivity_battery():
         assert connectivity_report(ctx).sufficient_b2 == exact, (ctx.M, ctx.beta)
         verdicts.append(exact)
     assert set(verdicts) == {True, False}
+
+
+def split_context():
+    """A fresh context of the split M = 1 base 111001000111001(0) with its
+    three graphs built, so that a doctored criterion reaches only the
+    report."""
+    ctx = new_base_context(1, "111001000111001(0)")
+    return ctx, [build_graph(ctx, variant) for variant in (FULL, TILDE, TILDE1)]
+
+
+def test_connectivity_report_refuses_a_disagreeing_reach_criterion(monkeypatch):
+    # a component count that says connected, against the core's reach
+    ctx, _graphs = split_context()
+    monkeypatch.setattr(graph, "is_strongly_connected", lambda g: True)
+    with pytest.raises(InternalConsistencyError, match="^reachability criterion and component "
+                       "count disagree on strong connectedness$"):
+        connectivity_report(ctx)
+
+
+def test_connectivity_report_refuses_a_disagreeing_two_digit_criterion(monkeypatch):
+    # no a-point, so the core reaches every crossing vertex, while every
+    # class counts as a switch point, which keeps the reach criterion false
+    ctx, (_full, tilde, _core) = split_context()
+    _a, b, _th = graph._point_classes(ctx)
+    every = set(range(len(tilde.order.classes)))
+    monkeypatch.setattr(graph, "_point_classes", lambda c: (set(), b, every))
+    with pytest.raises(InternalConsistencyError,
+                       match="^two-digit criterion disagrees with component count$"):
+        connectivity_report(ctx)
+
+
+def test_connectivity_report_refuses_a_split_graph_under_the_endpoint_test():
+    # b2 put below every a-point: the sufficient endpoint condition holds
+    ctx, (_full, tilde, _core) = split_context()
+    tilde.order = tilde.order._replace(index_of={**tilde.order.index_of, "b2": -1})
+    with pytest.raises(InternalConsistencyError,
+                       match="^sufficient endpoint condition held but graph is split$"):
+        connectivity_report(ctx)
 
 
 def test_connectivity_patterns_differ_by_alphabet():

@@ -16,7 +16,8 @@ from univoque import cli, minpoly
 from univoque import digits as dg
 from univoque import expansions as ex
 from univoque.algebraic import (DegenerateInputError, NumberField, _cyclotomic, _dyadic_eval,
-                                _sign, base_polynomial, field_for_base, working_polynomial)
+                                _sign, base_polynomial, field_for_base, poly_mul,
+                                working_polynomial)
 from univoque.base import new_base_context, order_points, v_successor
 from univoque.digits import EpSeq
 from univoque.graph import FULL, TILDE, TILDE1, build_graph, check_isomorphic, connectivity_report
@@ -144,6 +145,15 @@ def test_non_squarefree_cases(M, beta, min_poly):
     assert minpoly._squarefree_part(P) != P
     assert ctx.field.min_poly == min_poly
     assert_matches_sympy(ctx)
+
+
+@pytest.mark.parametrize("n_lo, n_hi", [(1, 2), (3, 4)])
+def test_minimal_factor_refuses_an_interval_without_one_root(n_lo, n_hi):
+    # (t^2 - 2)(t^2 - 3): [1, 2] holds the roots of both factors, [3, 4] none
+    R = poly_mul((-2, 0, 1), (-3, 0, 1))
+    with pytest.raises(DegenerateInputError,
+                       match="^could not isolate a unique irreducible factor$"):
+        minpoly.minimal_factor(R, n_lo, n_hi, 0)
 
 
 def test_integer_root_needs_no_factorization(monkeypatch):

@@ -353,6 +353,28 @@ def test_max_radius_pairs():
     assert spectral._max_radius([(1.7, 0.125), (1.5, 0.0)]) == (1.7, 0.125)
 
 
+def test_top_radius_is_enclosed_once_per_graph(monkeypatch):
+    # the component pass encloses a graph's top radius, and spectral_radius,
+    # spectral_report and component_dimensions all read that pair, bit for
+    # bit the one taken from the graph's component radii
+    from conftest import BATTERY
+    top = spectral._max_radius
+    calls = []
+    monkeypatch.setattr(spectral, "_max_radius", lambda radii: calls.append(1) or top(radii))
+    for M, beta in BATTERY:
+        ctx = new_base_context(M, beta)
+        full, tilde = build_graph(ctx, FULL), build_graph(ctx, TILDE)
+        dims = component_dimensions(ctx)
+        report = spectral_report(tilde, ctx)
+        pairs = {g: top([spectral._component_radius(g.out, c) for c in scc(g)[0]])
+                 for g in (full, tilde)}
+        assert spectral_radius(full) == pairs[full]
+        assert spectral_radius(tilde) == (report.radius, report.radius_err) == pairs[tilde]
+        assert dims.overall_radius == pairs[tilde][0]
+        assert len(calls) == 2, beta          # one pass each for TILDE and FULL
+        calls.clear()
+
+
 def automaton_radius(ctx):
     """The certified radius of the follower automaton's weak admissible part:
     the largest over its cyclic components, parallel edges counted."""
