@@ -53,7 +53,7 @@ q ends it at that point, and an integer q = M + 1 starts as the point
 [M+1, M+1].  ``NumberField.refine_to`` reaches the cell of a given level in
 one step: a Newton estimate of q picks it, and two exact signs of R at its
 ends confirm it, or it bisects as far as that level.  A field is built at
-the first level of width at most ``INITIAL_WIDTH`` = 1/10^12, by one such
+the first level of width at most 1/``INITIAL_WIDTH`` = 1/10^12, by one such
 step, and from then on q is refined only on demand: once by the point
 order (``base.order_points``), to the level its keys plan, and one
 bisection at a time by ``settle``.
@@ -75,9 +75,13 @@ enclosure, and a nonzero one, of degree below m_q, does not vanish at q.
 Decimals and floats settle on the reduced element, which is irrational
 unless its numerator is constant, and then its enclosure is exact.
 
-``Q`` (fractions.Fraction) is used only at the edges: ``INITIAL_WIDTH``,
-decimal rounding and the rational endpoints ``NumberField.lo`` and
-``NumberField.hi``.
+Everything is computed in ints, and floats for estimates; a decimal rounds
+half to even in integer division.  ``fractions`` is imported only where an
+element is compared with, or made from, something other than an int or an
+element, where an element with a constant numerator and a denominator above
+1 is hashed as its Fraction, and for the Fraction endpoints
+``NumberField.lo`` and ``NumberField.hi``: no command does any of these, so
+no command loads it.
 """
 
 from __future__ import annotations
@@ -85,14 +89,14 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from fractions import Fraction as Q
 
 from .digits import EpSeq, format_seq, is_greedy_beta
 
 
-# width of the isolating interval of q when a field is built; every sign,
-# decimal and float refines it further as far as it needs (``settle``)
-INITIAL_WIDTH = Q(1, 10**12)
+# the reciprocal of the width of the isolating interval of q when a field is
+# built; every sign, decimal and float refines it further as far as it needs
+# (``settle``)
+INITIAL_WIDTH = 10**12
 
 
 class DegenerateInputError(ValueError):
@@ -182,6 +186,21 @@ def _dyadic_eval(p, n, e):
 
 def _sign(x):
     return (x > 0) - (x < 0)
+
+
+def _round_half_even(n, d):
+    """n / d rounded to the nearest int, ties to even, for d > 0."""
+    q, r = divmod(n, d)
+    return q + (2 * r > d or (2 * r == d and q & 1))
+
+
+def _to_float(n, d):
+    """n / d as the nearest float, or an infinity of its sign beyond the
+    float range, for d > 0."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 # --- estimates of the root ----------------------------------------------------
@@ -345,11 +364,13 @@ class NumberField:
 
     @property
     def lo(self):
-        return Q(self.n_lo, 1 << self.e)
+        from fractions import Fraction
+        return Fraction(self.n_lo, 1 << self.e)
 
     @property
     def hi(self):
-        return Q(self.n_hi, 1 << self.e)
+        from fractions import Fraction
+        return Fraction(self.n_hi, 1 << self.e)
 
     # elements -------------------------------------------------------------
 
@@ -370,7 +391,8 @@ class NumberField:
 
     def rational(self, r):
         if not isinstance(r, int):
-            r = Q(r)
+            from fractions import Fraction
+            r = Fraction(r)
             return (r.numerator,) + (0,) * (self.deg - 1) + (r.denominator,)
         return (r,) + (0,) * (self.deg - 1) + (1,)
 
@@ -605,7 +627,7 @@ class NumberField:
         """The value of ``a`` to ``places`` decimals, correctly rounded half to
         even."""
         scale = 10**places
-        n = self.settle(self.reduce(a), lambda n, D: round(Q(n * scale, D)))
+        n = self.settle(self.reduce(a), lambda n, D: _round_half_even(n * scale, D))
         sign = "-" if n < 0 else ""
         n = abs(n)
         return f"{sign}{n // scale}.{n % scale:0{places}d}"
@@ -684,15 +706,22 @@ class AlgebraicReal:
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraicReal):
-            if not isinstance(other, (int, Q)):
-                return NotImplemented
+            if not isinstance(other, int):
+                from fractions import Fraction
+                if not isinstance(other, Fraction):
+                    return NotImplemented
             other = self._lift(other)
         return self.field is other.field and (self.elem == other.elem
                                               or self.cmp(other) == 0)
 
     def __hash__(self):
         a = self.field.reduce(self.elem)
-        return hash(Q(a[0], a[-1]) if not any(a[1:-1]) else a)
+        if any(a[1:-1]):
+            return hash(a)
+        if a[-1] == 1:
+            return hash(a[0])
+        from fractions import Fraction
+        return hash(Fraction(a[0], a[-1]))
 
     def __lt__(self, other):
         return self.cmp(other) < 0
@@ -712,7 +741,11 @@ class AlgebraicReal:
         return self.field.settle(self.field.reduce(self.elem), int.__truediv__)
 
     def __repr__(self):
-        return f"<{self.field.decimal(self.elem, 6)}...>"
+        """The midpoint and half-width of one enclosure of the value on the
+        current interval of q, which printing never refines; an end past
+        the float range prints as an infinity."""
+        lo, hi, D = self.field.enclosure(self.elem)
+        return f"<{_to_float(lo + hi, 2 * D):.12g} +/- {_to_float(hi - lo, 2 * D):.1e}>"
 
     def decimal(self, places=12):
         return self.field.decimal(self.elem, places)
@@ -801,7 +834,7 @@ def field_for_base(P, M):
     (``base_polynomial``) has it as its one root in (1, M+1], built on the
     working polynomial R of P and narrowed from the bracket [1, M+1], by one
     ``refine_to``, to the first bisection level of width at most
-    ``INITIAL_WIDTH``; nothing is factored.  R changes sign over the
+    1/``INITIAL_WIDTH``; nothing is factored.  R changes sign over the
     bracket (see the module docstring).  A root at its end, q = M + 1,
     starts as the point [M+1, M+1], which bisection never reaches.  DegenerateInputError for a P that vanishes at 1 (checked on P:
     the strip takes t - 1 out of R) or whose R keeps one sign over the
@@ -813,8 +846,8 @@ def field_for_base(P, M):
     if _sign(_dyadic_eval(R, 1, 0)) == top:
         raise DegenerateInputError(f"polynomial does not change sign over [1, {M + 1}]")
     field = NumberField(R, 1 if top else M + 1, M + 1, 0)
-    # the least level whose cells, of width M / 2^e, are at most INITIAL_WIDTH
-    field.refine_to((-(-M * INITIAL_WIDTH.denominator // INITIAL_WIDTH.numerator) - 1).bit_length())
+    # the least level whose cells, of width M / 2^e, are at most 1/INITIAL_WIDTH
+    field.refine_to((M * INITIAL_WIDTH - 1).bit_length())
     return field
 
 

@@ -370,7 +370,8 @@ def _order_points(ctx):
     if close:
         common = max(_common_length(prefix[classes[k][0]], prefix[classes[k + 1][0]])
                      for k in close)
-        field.refine_to(math.ceil((common + field.deg) * math.log2(field.hi)) + 64)
+        q_hi = field.n_hi / (1 << field.e)
+        field.refine_to(math.ceil((common + field.deg) * math.log2(q_hi)) + 64)
         bounds = field.enclosures(elems)
     for k in close:
         if not _apart(bounds[k], bounds[k + 1]) and values[k].cmp(values[k + 1]) >= 0:

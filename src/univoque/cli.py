@@ -8,10 +8,12 @@ codes: 0 success, 1 stdout closed before the output was written, 2 invalid
 input or a search bound reached, 3 internal consistency failure or a failed
 check.  ``main`` builds the base of the -M and --beta flags and prints;
 each ``cmd_*`` function takes that base and the parsed flags and returns
-what it prints, a JSON payload and its text lines.  Each command imports
-the layers it runs inside its own function, and ``main`` loads ``base`` only
-once the arguments parse, so ``--help`` and usage errors load no layer and a
-command loads nothing else.
+what it prints: a function that builds the JSON payload, called only under
+--json, and its text lines.  ``make_parser`` given the arguments builds the
+parser of the one command they name.  Each command imports the layers it
+runs inside its own function, and ``main`` loads ``base`` only once the
+arguments parse, so ``--help`` and usage errors load no layer and a command
+loads nothing else.
 """
 
 from __future__ import annotations
@@ -24,26 +26,12 @@ import sys
 CHAIN_PERIOD_BOUND = 4096
 
 
-def _command(group, name, fn, *options, json_flag=True, **kwargs):
-    """The subcommand ``name`` of ``group`` (``kwargs`` go to ``add_parser``),
-    which runs ``fn`` on the base its flags give.  Its own ``options`` are
-    ``(flag, add_argument keywords)`` pairs; --json follows them unless
-    ``json_flag`` is false."""
-    p = group.add_parser(name, **kwargs)
-    p.add_argument("-M", type=int, required=True, help="alphabet bound")
-    p.add_argument("--beta", required=True,
-                   help='greedy expansion of 1 in digit-string form, e.g. "111(0)"')
-    for flag, spec in options:
-        p.add_argument(flag, **spec)
-    if json_flag:
-        p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=fn)
-
-
 def _emit(args, payload, text_lines):
+    """Print the JSON ``payload()`` under --json, else the text lines; the
+    payload is built only when it is printed."""
     if getattr(args, "json", False):
         import json
-        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+        print(json.dumps(payload(), indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in text_lines:
             print(line)
@@ -63,7 +51,7 @@ def _write(path, content):
 
 def cmd_base_classify(ctx, args):
     from . import digits as dg
-    return ctx.to_json(), [
+    return ctx.to_json, [
         f"beta   {dg.format_seq(ctx.beta)}",
         f"alpha  {dg.format_seq(ctx.alpha)}",
         f"class  {ctx.base_class.value}",
@@ -76,7 +64,7 @@ def cmd_base_chain(ctx, args):
     from . import digits as dg
     from .base import chain
     ctxs = chain(ctx, args.kind, args.steps, CHAIN_PERIOD_BOUND)
-    return [c.to_json() for c in ctxs], [
+    return lambda: [c.to_json() for c in ctxs], [
         f"step {i}: beta={dg.format_seq(c.beta)} alpha={dg.format_seq(c.alpha)} "
         f"class={c.base_class.value} q~{c.q_approx(8)}" for i, c in enumerate(ctxs)]
 
@@ -85,7 +73,7 @@ def cmd_base_points(ctx, args):
     from . import digits as dg
     from .base import order_points
     order = order_points(ctx)
-    payload = {
+    payload = lambda: {
         "chain": order.chain(),
         "classes": [
             {"names": cls, "value": order.values[k].to_json(),
@@ -123,7 +111,7 @@ def cmd_graph_scc(ctx, args):
     from .graph import build_graph, is_strongly_connected, scc
     g = build_graph(ctx, args.variant.upper())
     comps, cond = scc(g)
-    payload = {
+    payload = lambda: {
         "components": [[g.gap_name(v) for v in c] for c in comps],
         "condensation": [list(e) for e in cond],
         "strongly_connected": is_strongly_connected(g),
@@ -142,9 +130,9 @@ def cmd_graph_verify(ctx, args):
         # failed one raises StructuralError
         ctx.require_limit_class("the successor isomorphism")
         tower_decompose(ctx, 1)
-        return {"check": "successor-isomorphism"}, ["successor graph isomorphic: True"]
+        return lambda: {"check": "successor-isomorphism"}, ["successor graph isomorphic: True"]
     dec = tower_decompose(ctx, 2 if args.steps is None else args.steps)
-    payload = {
+    payload = lambda: {
         "check": "tower",
         "levels": [len(b) for b in dec.blocks],
         "residual": len(dec.residual),
@@ -159,7 +147,7 @@ def cmd_graph_verify(ctx, args):
 def cmd_graph_connectivity(ctx, args):
     from .graph import connectivity_report
     rep = connectivity_report(ctx)
-    return rep._asdict(), [
+    return rep._asdict, [
         f"strongly connected:      {rep.strongly_connected}",
         f"reachability criterion:  {rep.reach_criterion}",
         f"sufficient b2 condition: {rep.sufficient_b2}",
@@ -179,7 +167,7 @@ def cmd_dim(ctx, args):
     if args.per_scc:
         lines += [f"  component ({len(names)} vertices) radius {r:.5f}: " + " ".join(names)
                   for names, r in rep.per_scc]
-    return rep.to_json(), lines
+    return rep.to_json, lines
 
 
 def cmd_expansions_count(ctx, args):
@@ -188,8 +176,8 @@ def cmd_expansions_count(ctx, args):
     x = ctx.value(dg.parse_seq(args.x))
     cap = exp.DEFAULT_STATE_CAP if args.cap is None else args.cap
     res = exp.count_expansions(ctx, x, cap=cap)
-    payload = {"kind": res.kind, "count": res.count,
-               "witnesses": [dg.format_seq(w) for w in res.witnesses]}
+    payload = lambda: {"kind": res.kind, "count": res.count,
+                       "witnesses": [dg.format_seq(w) for w in res.witnesses]}
     lines = [f"count: {res.kind}" + (f"({res.count})" if res.count is not None else "")]
     return payload, lines + [f"  {dg.format_seq(w)}" for w in res.witnesses]
 
@@ -200,15 +188,16 @@ def cmd_expansions_witness(ctx, args):
     c = dg.parse_seq(args.tail) if args.tail else exp.default_tail(ctx)
     x, exps = exp.build_witness_xm(ctx, args.m, c)
     res = exp.count_expansions(ctx, x)
-    payload = {
+    verified = res.count if res.kind == exp.EXACT else res.kind
+    payload = lambda: {
         "tail": dg.format_seq(c),
         "value": x.to_json(),
         "expansions": [dg.format_seq(e) for e in exps],
-        "verified_count": res.count if res.kind == exp.EXACT else res.kind,
+        "verified_count": verified,
     }
     return payload, ([f"tail {dg.format_seq(c)}", f"value ~ {x.decimal(12)}"]
                      + [f"  {dg.format_seq(e)}" for e in exps]
-                     + [f"verified count: {payload['verified_count']}"])
+                     + [f"verified count: {verified}"])
 
 
 def cmd_oracle_words(ctx, args):
@@ -220,8 +209,8 @@ def cmd_oracle_words(ctx, args):
               else ctx.base_class is not BaseClass.IN_CLOSURE_U_NOT_U)
     mode = U_PREFIX if strict else V_PREFIX
     words = sorted(enumerate_admissible_words(ctx, args.L, mode))
-    payload = {"mode": mode, "L": args.L, "count": len(words),
-               "words": [dg.format_word(w) for w in words]}
+    payload = lambda: {"mode": mode, "L": args.L, "count": len(words),
+                       "words": [dg.format_word(w) for w in words]}
     return payload, [f"{len(words)} words"] + ["  " + dg.format_word(w) for w in words]
 
 
@@ -229,63 +218,94 @@ def cmd_oracle_brute(ctx, args):
     from . import digits as dg
     from .oracle import brute_count_expansions
     lo, hi = brute_count_expansions(ctx, ctx.value(dg.parse_seq(args.x)), args.depth)
-    return {"lower": lo, "upper": hi}, [f"bounds: [{lo}, {hi}]"]
+    return lambda: {"lower": lo, "upper": hi}, [f"bounds: [{lo}, {hi}]"]
 
 
-def make_parser():
+def make_parser(argv=None):
+    """The parser of the ``univoque`` command.  Its top level and its five
+    groups are always built: their names and help make up the top-level help
+    and the invalid-choice messages.  Given ``argv``, only a group that it
+    names gets its subcommands, and only a subcommand that it names gets its
+    arguments, so a process builds the parser of the one command it runs;
+    without, everything is built."""
+    named = (lambda _name: True) if argv is None else set(argv).__contains__
     p = argparse.ArgumentParser(prog="univoque",
                                 description="interval graphs and expansion counts "
                                             "of non-integer bases, in exact arithmetic")
     sub = p.add_subparsers(dest="command", required=True)
 
     def group(name, help):
-        return sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
+        """The subparsers of the group ``name``; None, with no subcommand to
+        add, for a group that ``argv`` does not name."""
+        g = sub.add_parser(name, help=help).add_subparsers(dest="subcommand", required=True)
+        return g if named(name) else None
+
+    def command(group, name, fn, *options, json_flag=True, **kwargs):
+        """The subcommand ``name`` of ``group`` (``kwargs`` go to
+        ``add_parser``), which runs ``fn`` on the base its flags give.  Its
+        own ``options`` are ``(flag, add_argument keywords)`` pairs; --json
+        follows them unless ``json_flag`` is false."""
+        if group is None:
+            return
+        c = group.add_parser(name, **kwargs)
+        if not named(name):
+            return
+        c.add_argument("-M", type=int, required=True, help="alphabet bound")
+        c.add_argument("--beta", required=True,
+                       help='greedy expansion of 1 in digit-string form, e.g. "111(0)"')
+        for flag, spec in options:
+            c.add_argument(flag, **spec)
+        if json_flag:
+            c.add_argument("--json", action="store_true")
+        c.set_defaults(fn=fn)
 
     base = group("base", "base classification and chains")
-    _command(base, "classify", cmd_base_classify)
-    _command(base, "chain", cmd_base_chain,
-             ("--kind", dict(choices=("v", "r"), required=True,
-                             help="v: successor chain, r: reflected-block chain")),
-             ("--steps", dict(type=int, required=True)))
-    _command(base, "points", cmd_base_points)
+    command(base, "classify", cmd_base_classify)
+    command(base, "chain", cmd_base_chain,
+            ("--kind", dict(choices=("v", "r"), required=True,
+                            help="v: successor chain, r: reflected-block chain")),
+            ("--steps", dict(type=int, required=True)))
+    command(base, "points", cmd_base_points)
 
     graph = group("graph", "interval graph construction and analysis")
-    _command(graph, "build", cmd_graph_build,
-             ("--variant", dict(choices=_VARIANTS, default="full")),
-             ("--dot", dict(metavar="PATH", help="write DOT to PATH (- for stdout)")),
-             ("--json", dict(dest="json_path", metavar="PATH",
-                             help="write JSON to PATH (- for stdout)")), json_flag=False)
-    _command(graph, "scc", cmd_graph_scc, ("--variant", dict(choices=_VARIANTS, default="tilde")))
-    _command(graph, "verify", cmd_graph_verify,
-             ("--theorem", dict(choices=("1.3", "1.4", "iso", "tower"), required=True,
-                                help="1.3/iso: successor isomorphism; 1.4/tower: tower "
-                                     "decomposition")),
-             ("--steps", dict(type=int)))
-    _command(graph, "connectivity", cmd_graph_connectivity)
+    command(graph, "build", cmd_graph_build,
+            ("--variant", dict(choices=_VARIANTS, default="full")),
+            ("--dot", dict(metavar="PATH", help="write DOT to PATH (- for stdout)")),
+            ("--json", dict(dest="json_path", metavar="PATH",
+                            help="write JSON to PATH (- for stdout)")), json_flag=False)
+    command(graph, "scc", cmd_graph_scc, ("--variant", dict(choices=_VARIANTS, default="tilde")))
+    command(graph, "verify", cmd_graph_verify,
+            ("--theorem", dict(choices=("1.3", "1.4", "iso", "tower"), required=True,
+                               help="1.3/iso: successor isomorphism; 1.4/tower: tower "
+                                    "decomposition")),
+            ("--steps", dict(type=int)))
+    command(graph, "connectivity", cmd_graph_connectivity)
 
-    _command(sub, "dim", cmd_dim, ("--per-scc", dict(dest="per_scc", action="store_true")),
-             help="spectral radius, entropy, dimension")
+    command(sub, "dim", cmd_dim, ("--per-scc", dict(dest="per_scc", action="store_true")),
+            help="spectral radius, entropy, dimension")
 
     ex = group("expansions", "expansion generation and counting")
-    _command(ex, "count", cmd_expansions_count,
-             ("--x", dict(required=True, help="point given by a digit sequence")),
-             ("--cap", dict(type=int, default=None)))
-    _command(ex, "witness", cmd_expansions_witness,
-             ("-m", dict(type=int, required=True, dest="m")),
-             ("--tail", dict(help="periodic tail (defaults to the least strict one)")))
+    command(ex, "count", cmd_expansions_count,
+            ("--x", dict(required=True, help="point given by a digit sequence")),
+            ("--cap", dict(type=int, default=None)))
+    command(ex, "witness", cmd_expansions_witness,
+            ("-m", dict(type=int, required=True, dest="m")),
+            ("--tail", dict(help="periodic tail (defaults to the least strict one)")))
 
     orc = group("oracle", "brute-force reference computations")
-    _command(orc, "words", cmd_oracle_words,
-             ("-L", dict(type=int, required=True, dest="L")),
-             ("--mode", dict(choices=("u", "v"), default=None,
-                             help="default: u for in-between bases, v for limit bases")))
-    _command(orc, "brute-count", cmd_oracle_brute,
-             ("--x", dict(required=True)), ("--depth", dict(type=int, default=18)))
+    command(orc, "words", cmd_oracle_words,
+            ("-L", dict(type=int, required=True, dest="L")),
+            ("--mode", dict(choices=("u", "v"), default=None,
+                            help="default: u for in-between bases, v for limit bases")))
+    command(orc, "brute-count", cmd_oracle_brute,
+            ("--x", dict(required=True)), ("--depth", dict(type=int, default=18)))
     return p
 
 
 def main(argv=None):
-    parser = make_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = make_parser(argv)
     try:
         try:
             args = parser.parse_args(argv)

@@ -16,7 +16,7 @@ reported radius is the midpoint of that enclosure minus one, and its error
 bound the distance to either end, rounded up.  Every component gets this
 certificate, whatever its size (there is no size cutoff); when the
 iteration cap is hit the enclosure is wider but still exact.  Only Python
-floats, ints and Fractions are used, no array library.
+floats and ints are used, no array library.
 
 Each step of the iteration reads a row's successors with one
 ``operator.itemgetter`` gather (a lone successor directly), and adds every
@@ -24,9 +24,10 @@ float sum left to right with ``functools.reduce(operator.add, ...)``.  The
 built-in ``sum`` is not used on floats: from Python 3.12 on it compensates
 the rounding of a float sum, so the iterates, and the radius printed from
 them, would change in their last bits with the interpreter.  Left-to-right
-sums give the same bits on every version.  The Collatz-Wielandt quotients
-are compared by integer cross-multiplication, so only the two ends of the
-enclosure become Fractions.
+sums give the same bits on every version.  Every rational, from the
+Collatz-Wielandt quotients to the ends of an enclosure, is an exact pair
+(n, d) of ints with d > 0: pairs are compared by cross-multiplication, with
+no gcd taken, and n / d of ints rounds correctly to the nearest float.
 
 The pass over a graph's components runs once per graph (``_components``,
 kept on the graph by ``base.memo``, over the components ``graph.scc`` found
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import reduce
 from operator import add, itemgetter, truediv
 
@@ -50,16 +50,36 @@ RADIUS_TOL = 1e-12
 ITERATION_CAP = 10**5
 
 
+def _below(a, b):
+    """Whether the rational pair a = (n, d) lies below b."""
+    return a[0] * b[1] < b[0] * a[1]
+
+
+def _plus(a, b):
+    """The rational pair a + b."""
+    return a[0] * b[1] + b[0] * a[1], a[1] * b[1]
+
+
+def _minus(a, b):
+    """The rational pair a - b."""
+    return _plus(a, (-b[0], b[1]))
+
+
+def _greatest(pairs):
+    """The greatest of the rational pairs ``pairs``."""
+    return reduce(lambda a, b: b if _below(a, b) else a, pairs)
+
+
 def _round_up(q):
-    """The least float not below the rational q."""
-    f = float(q)
-    return f if Fraction(f) >= q else math.nextafter(f, math.inf)
+    """The least float not below the rational pair q."""
+    f = q[0] / q[1]
+    return math.nextafter(f, math.inf) if _below(f.as_integer_ratio(), q) else f
 
 
 def _round_down(q):
-    """The greatest float not above the rational q."""
-    f = float(q)
-    return f if Fraction(f) <= q else math.nextafter(f, -math.inf)
+    """The greatest float not above the rational pair q."""
+    f = q[0] / q[1]
+    return math.nextafter(f, -math.inf) if _below(q, f.as_integer_ratio()) else f
 
 
 def _row_sum(row):
@@ -101,14 +121,18 @@ def _component_radius(succ, comp):
             lo = i
         elif B[i] * X[hi] > B[hi] * X[i]:
             hi = i
-    return _centred(Fraction(B[lo], X[lo]) - 1, Fraction(B[hi], X[hi]) - 1)
+    return _centred((B[lo] - X[lo], X[lo]), (B[hi] - X[hi], X[hi]))
 
 
 def _centred(lo, hi):
-    """A (radius, error) pair for the rational interval [lo, hi]: its float
-    midpoint r, and the distance from r to either end, rounded up."""
-    r = float((lo + hi) / 2)
-    return r, _round_up(max(hi - Fraction(r), Fraction(r) - lo))
+    """A (radius, error) pair for the interval between the rational pairs lo
+    and hi: its float midpoint r, and the distance from r to either end,
+    rounded up."""
+    (a, b), (c, d) = lo, hi
+    r = (a * d + c * b) / (2 * b * d)
+    mid = r.as_integer_ratio()
+    up, down = _minus(hi, mid), _minus(mid, lo)
+    return r, _round_up(down if _below(up, down) else up)
 
 
 class SpectralReport(namedtuple("SpectralReport",
@@ -132,8 +156,9 @@ class SpectralReport(namedtuple("SpectralReport",
 def _max_radius(radii):
     """A (radius, error) pair enclosing the largest radius of the (radius,
     error) pairs ``radii``: [max(r - e), max(r + e)]; (0, 0) for none."""
-    return _centred(max((Fraction(r) - Fraction(e) for r, e in radii), default=0),
-                    max((Fraction(r) + Fraction(e) for r, e in radii), default=0))
+    pairs = [(r.as_integer_ratio(), e.as_integer_ratio()) for r, e in radii] or [((0, 1), (0, 1))]
+    return _centred(_greatest([_minus(r, e) for r, e in pairs]),
+                    _greatest([_plus(r, e) for r, e in pairs]))
 
 
 def spectral_radius(g):
@@ -154,7 +179,7 @@ def dimension_of(g, ctx, radius=None):
     isolating interval of q, with every logarithm and quotient rounded
     outward.  It reads q's isolating interval as it stands and does not
     ``settle``: a field is built with q to a width of 1/10^12
-    (``algebraic.INITIAL_WIDTH``) and every base with a graph has q at
+    (1/``algebraic.INITIAL_WIDTH``) and every base with a graph has q at
     least the golden ratio, so q's share of the width, at most
     width(q) / (q log q) for a dimension at most 1, is below 1.3 * 10^-12;
     the rest is the radius error's.  ``radius`` is the graph's (radius,
@@ -165,8 +190,9 @@ def dimension_of(g, ctx, radius=None):
         return 0.0, 0.0
     log_r_lo = math.nextafter(math.log(max(math.nextafter(r - err, 0.0), 1.0)), -math.inf)
     log_r_hi = math.nextafter(math.log(math.nextafter(r + err, math.inf)), math.inf)
-    log_q_lo = math.nextafter(math.log(_round_down(ctx.field.lo)), -math.inf)
-    log_q_hi = math.nextafter(math.log(_round_up(ctx.field.hi)), math.inf)
+    field = ctx.field
+    log_q_lo = math.nextafter(math.log(_round_down((field.n_lo, 1 << field.e))), -math.inf)
+    log_q_hi = math.nextafter(math.log(_round_up((field.n_hi, 1 << field.e))), math.inf)
     lo = math.nextafter(max(log_r_lo, 0.0) / log_q_hi, -math.inf)
     hi = math.nextafter(log_r_hi / log_q_lo, math.inf)
     mid = (lo + hi) / 2

@@ -16,7 +16,7 @@ from test_expansions import record_calls, record_passes
 from test_reducible import REDUCIBLE, on_min_poly
 from univoque import algebraic
 from univoque import digits as dg
-from univoque.algebraic import (Q, AlgebraicReal, DegenerateInputError, NumberField,
+from univoque.algebraic import (AlgebraicReal, DegenerateInputError, NumberField,
                                 _pseudo_divmod, apply_digit_map, base_polynomial,
                                 field_for_base, poly_mul, value_of_sequence)
 from univoque.base import new_base_context, r_chain, special_points, v_successor
@@ -56,7 +56,8 @@ def test_table_enclosures_hold_the_exact_values():
             ends = (field.lo, field.hi, inner.lo, inner.hi)
             for a, (lo, hi, D) in zip(elems, field.enclosures(elems)):
                 for x in ends:
-                    assert Q(lo, D) <= horner(a[:-1], x) / a[-1] <= Q(hi, D), (M, beta)
+                    value = horner(a[:-1], x) / a[-1]
+                    assert Fraction(lo, D) <= value <= Fraction(hi, D), (M, beta)
                 if not any(a[1:-1]):
                     assert lo == hi
                 if lo > 0 or hi < 0:
@@ -99,12 +100,12 @@ def test_isolate_root_degenerate_inputs():
 def test_isolate_root_exact_rational():
     field = field_for_base((-2, 1), 2)
     lo, hi, D = field.enclosure(field.gen())
-    assert Q(lo, D) == Q(hi, D) == 2
+    assert Fraction(lo, D) == Fraction(hi, D) == 2
     assert field.lo == field.hi == 2
     # 2 is the first midpoint of the bracket [1, 3]: the point, at level 1
     assert (field.n_lo, field.n_hi, field.e) == (4, 4, 1)
     lo, hi, D = field.enclosures([field.gen()])[0]
-    assert lo == hi and Q(lo, D) == 2
+    assert lo == hi and Fraction(lo, D) == 2
 
 
 def _scaled_sign(P, n, e):
@@ -283,7 +284,7 @@ def test_integer_bases_are_exact_where_the_scan_was():
         assert f.working_poly == P == (-q, 1)
         lo, hi, e = scanned_interval(P, M)
         if lo == hi:
-            assert f.n_lo == f.n_hi and f.lo == q == Q(lo, 1 << e), (M, beta)
+            assert f.n_lo == f.n_hi and f.lo == q == Fraction(lo, 1 << e), (M, beta)
         else:
             assert (f.n_lo, f.n_hi, f.e) == (lo, hi, e) and f.lo < q < f.hi, (M, beta)
         if q == M + 1:          # the bracket's end, which bisection never reaches
@@ -374,9 +375,9 @@ def test_rational_values_equal_and_hash_as_numbers(M, beta):
     ctx = new_base_context(M, beta)
     one, zero = ctx.q * ctx.value(seq("1(0)")), ctx.value(seq("(0)"))
     assert one <= 1 and one >= 1 and one == 1 and 1 == one and zero == 0
-    assert one != 2 and ctx.q != 1 and one != Q(1, 2) and one / 2 == Q(1, 2)
-    assert 1 in {one} and 0 in {zero} and Q(3, 2) in {one + one / 2}
-    assert {one, zero, one / 2} == {1, 0, Q(1, 2)}
+    assert one != 2 and ctx.q != 1 and one != Fraction(1, 2) and one / 2 == Fraction(1, 2)
+    assert 1 in {one} and 0 in {zero} and Fraction(3, 2) in {one + one / 2}
+    assert {one, zero, one / 2} == {1, 0, Fraction(1, 2)}
 
 
 def test_nonconstant_tuple_of_a_rational_hashes_as_its_value():
@@ -386,13 +387,14 @@ def test_nonconstant_tuple_of_a_rational_hashes_as_its_value():
     hidden = AlgebraicReal(f, f.element(list(f.min_poly) + [0] * (f.deg - len(f.min_poly)), 3))
     assert f.reducible and any(hidden.elem[1:-1])
     assert hidden == 0 and hidden + 1 == 1 and hash(hidden + 1) == hash(1)
-    assert hash(hidden - Q(1, 3)) == hash(Q(-1, 3)) and Q(-1, 3) in {hidden - Q(1, 3)}
+    third = Fraction(1, 3)
+    assert hash(hidden - third) == hash(-third) and -third in {hidden - third}
 
 def test_json_rendering(tribonacci):
     payload = tribonacci.q.to_json()
     assert payload["den"] == [1]
     assert payload["approx"].startswith("1.839286755214")
-    third = AlgebraicReal(tribonacci.field, tribonacci.field.rational(Q(1, 3)))
+    third = AlgebraicReal(tribonacci.field, tribonacci.field.rational(Fraction(1, 3)))
     num, den = third.as_fraction()
     assert num == (1,) and den == 3
 
@@ -416,8 +418,8 @@ def _sympy_value(min_poly, s):
         period = sympy.Poly(list(s.per), t, domain=sympy.QQ)     # sum p_j t^(p-j)
         cyc = sympy.Poly(t**p - 1, t, domain=sympy.QQ).invert(m)
         value += (power * period * cyc).rem(m)
-    coeffs = [Q(int(c.p), int(c.q)) for c in value.rem(m).all_coeffs()[::-1]]
-    return coeffs + [Q(0)] * (len(min_poly) - 1 - len(coeffs))
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in value.rem(m).all_coeffs()[::-1]]
+    return coeffs + [Fraction(0)] * (len(min_poly) - 1 - len(coeffs))
 
 
 def test_special_points_match_sympy(battery):
@@ -430,7 +432,7 @@ def test_special_points_match_sympy(battery):
         pts = special_points(ctx)
         for name, key in pts.qg_key.items():
             num, den = pts.value[name].as_fraction()
-            ours = [Q(c, den) for c in num] + [Q(0)] * (ctx.field.deg - len(num))
+            ours = [Fraction(c, den) for c in num] + [Fraction(0)] * (ctx.field.deg - len(num))
             assert ours == _sympy_value(ctx.field.min_poly, key), (dg.format_seq(ctx.beta), name)
 
 
@@ -578,22 +580,51 @@ def zero_at_q(f):
     (lambda q, f: f.inv(zero_at_q(f)),
      (ZeroDivisionError, "inverse of a field element that is zero at q")),
     (lambda q, f: q + AlgebraicReal(f, f.gen()), (ValueError, "mixed field contexts")),
-    (lambda q, f: 2 - q, "<0.160713...>"),
+    (lambda q, f: 2 - q, "<0.160713244786 +/- 4.5e-13>"),
     (lambda q, f: q == "q", "False"),
     (lambda q, f: (q > 1, q > 2, q > q), "(True, False, False)"),
-    (lambda q, f: q, "<1.839287...>"),
+    (lambda q, f: q, "<1.83928675521 +/- 4.5e-13>"),
 ], ids=["inverse-of-zero", "inverse-of-zero-at-q", "mixed-fields", "rsub", "eq-str", "gt",
         "repr"])
-def test_element_refusals_and_printed_forms(tribonacci, op, outcome):
-    # q is the tribonacci base, f the field of 1101011(0), whose working
+def test_element_refusals_and_printed_forms(op, outcome):
+    # q is the tribonacci base, fresh, as a value prints its enclosure on the
+    # interval of q as built; f the field of 1101011(0), whose working
     # polynomial has a factor besides the minimal one
+    q = new_base_context(1, "111(0)").q
     f = new_base_context(1, "1101011(0)").field
     if isinstance(outcome, str):
-        assert repr(op(tribonacci.q, f)) == outcome
+        assert repr(op(q, f)) == outcome
         return
     with pytest.raises(outcome[0]) as info:
-        op(tribonacci.q, f)
+        op(q, f)
     assert str(info.value) == outcome[1]
+
+
+def test_printing_a_value_never_refines_q():
+    # the tribonacci root on the bracket [1, 2]: six places would need about
+    # twenty bisections
+    f = NumberField((-1, -1, -1, 1), 1, 2, 0)
+    q = AlgebraicReal(f, f.gen())
+    assert [repr(q), repr(2 - q), repr(q / 3), repr(q - q)] == [
+        "<1.5 +/- 5.0e-01>", "<0.5 +/- 5.0e-01>", "<0.5 +/- 1.7e-01>", "<0 +/- 0.0e+00>"]
+    # q^2000, about 2^1760, is enclosed past the float range
+    big = q
+    for _ in range(1999):
+        big = big.mul_gen()
+    assert repr(big) == "<inf +/- inf>" and repr(-big) == "<-inf +/- inf>"
+    assert (f.n_lo, f.n_hi, f.e) == (1, 2, 0)
+
+
+def test_integer_rounding_matches_fraction_rounding():
+    # a decimal rounds half to even in ints, as round(Fraction) does, ties
+    # and negative values included
+    for n in range(-50, 51):
+        for d in (1, 2, 3, 4, 8, 10, 16):
+            assert algebraic._round_half_even(n, d) == round(Fraction(n, d)), (n, d)
+    f = field_for_base((-2, 1), 2)
+    eighth = f.rational(Fraction(1, 8))
+    assert [f.decimal(eighth, 2), f.decimal(f.neg(eighth), 2), f.decimal(f.mul_int(eighth, 3), 2)] \
+        == ["0.12", "-0.12", "0.38"]
 
 
 def test_decimals_and_floats_are_correctly_rounded():

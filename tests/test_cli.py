@@ -8,7 +8,7 @@ import time
 import pytest
 
 import univoque
-from test_cli_corpus import readme_commands
+from test_cli_corpus import readme_commands, subcommand_parsers
 from univoque import base, cli, graph, oracle, walk
 from univoque import digits as dg
 from univoque import expansions as ex
@@ -258,6 +258,46 @@ def test_precision_flag_refused(capsys):
     assert "unrecognized arguments: --precision" in out.err
 
 
+def parser_exit(capsys, parse, argv):
+    """The exit code, stdout and stderr of ``parse(argv)``, which exits."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    out = capsys.readouterr()
+    return exit_info.value.code, out.out, out.err
+
+
+def test_each_process_prints_what_the_full_parser_prints(capsys):
+    # main builds only the parser of the command its arguments name: the
+    # help of every command and group, and each usage error, are those of
+    # the parser with every command built
+    full = cli.make_parser()
+    leaves = [path for path, _parser in subcommand_parsers(full)]
+    paths = [()] + sorted({path[:1] for path in leaves if len(path) > 1}) + leaves
+    tri = ["-M", "1", "--beta", "111(0)"]
+    argvs = [[*path, "--help"] for path in paths] + [
+        [], ["nope"], ["base"], ["base", "nope"], ["base", "classify", "-M", "1"],
+        ["dim", "-M", "x", "--beta", "111(0)"], ["graph", "build", *tri, "--variant", "x"],
+        ["expansions", "count", *tri, "--x", "1(0)", "--bogus"], ["oracle", "words", *tri],
+    ]
+    assert len(argvs) > 20
+    for argv in argvs:
+        got = parser_exit(capsys, main, argv)
+        assert got == parser_exit(capsys, cli.make_parser().parse_args, argv), argv
+        assert got[0] == (0 if "--help" in argv else 2) and (got[1] or got[2]), argv
+
+
+def test_plain_points_build_no_json_payload(capsys, monkeypatch):
+    # the payload, with its second decimal and reduction per value, is built
+    # only under --json
+    calls = []
+    monkeypatch.setattr(AlgebraicReal, "to_json", lambda self: calls.append(self) or {})
+    argv = ["base", "points", "-M", "1", "--beta", "111001(0)"]
+    rc, out, _err = run(capsys, *argv)
+    assert rc == 0 and "<" in out and calls == []
+    rc, out, _err = run(capsys, *argv, "--json")
+    assert rc == 0 and len(calls) == len(json.loads(out)["classes"]) > 1
+
+
 def test_dim_empty_central_graph(capsys):
     # the golden-ratio base has an empty central graph: radius 0, dimension 0
     rc, out, err = run(capsys, "dim", "-M", "1", "--beta", "11(0)")
@@ -456,7 +496,7 @@ def test_command_loads_only_its_layers(argv, loaded):
     rc, out, added = fresh_interpreter(RUN_COMMAND.format(argv=list(argv)))
     assert rc == 0 and out
     assert {m.split(".")[1] for m in added if m.startswith("univoque.")} & OPTIONAL == loaded
-    assert not {"dataclasses", "inspect"} & set(added)
+    assert not {"dataclasses", "inspect", "fractions", "decimal"} & set(added)
     if argv == ("--help",):
         assert "usage:" in out
 

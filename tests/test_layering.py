@@ -10,7 +10,8 @@ The package itself declares no runtime dependency, and keeps no
 process-wide memo: what is derived from a context or a graph is kept on it
 by ``base.memo``.  The graph layer's hot paths walk the successor map, not
 the edge triples built from it.  The CLI loads no layer to print help or
-refuse its arguments, and each command loads only the layers it runs.
+refuse its arguments, and each command loads only the layers it runs, and
+neither ``fractions`` nor ``decimal``.
 """
 
 import ast
@@ -156,8 +157,11 @@ def test_points_graphs_and_radii_load_no_factoring():
     assert out.split() == ["False"]
 
 
+# modules a bare interpreter of this environment holds (a site hook may
+# preload some) are not counted as loaded by the calls
 CLI_CALLS = """
 import sys
+bare = set(sys.modules)
 from univoque import cli
 codes = []
 for argv in {calls!r}:
@@ -165,14 +169,16 @@ for argv in {calls!r}:
         codes.append(cli.main(argv))
     except SystemExit as e:
         codes.append(e.code)
-print(repr((codes, sorted(name.removeprefix("univoque.") for name in sys.modules
-                          if name.startswith("univoque.") or name == "json"))))
+print(repr((codes, sorted(name.removeprefix("univoque.") for name in set(sys.modules) - bare
+                          if name.startswith("univoque.")
+                          or name in ("json", "fractions", "decimal")))))
 """
 
 
 def cli_loads(*calls):
     """The exit codes of ``cli.main`` on each argv of ``calls``, made in one
-    fresh interpreter, and the package modules (and ``json``) loaded then."""
+    fresh interpreter, and the package modules (and ``json``, ``fractions``
+    and ``decimal``) loaded then."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", CLI_CALLS.format(calls=calls)],
                          env=env, capture_output=True, text=True, check=True).stdout
@@ -181,7 +187,8 @@ def cli_loads(*calls):
 
 
 def test_help_and_usage_errors_load_no_layer():
-    # argparse exits before any command runs, so nothing past the parser loads
+    # argparse exits before any command runs, so nothing past the parser
+    # loads, and neither fractions nor decimal
     codes, modules = cli_loads(["--help"], ["graph", "--help"], ["base", "classify", "-M", "1"])
     assert codes == [0, 0, 2]
     assert modules == {"cli"}
@@ -203,6 +210,7 @@ COMMAND_LAYERS = {"cli", "digits", "walk", "base", "algebraic"}
     ("oracle brute-count -M 1 --beta 111(0) --x 1(0) --depth 6", {"oracle", "minpoly"}),
 ])
 def test_each_command_loads_only_its_layers(argv, layers):
+    # no command loads fractions or decimal: its values are ints and floats
     codes, modules = cli_loads(argv.split())
     assert codes == [0]
     assert modules == COMMAND_LAYERS | layers

@@ -302,7 +302,12 @@ def left_to_right_radius(succ, comp):
     den = max(d for _n, d in parts)
     X = [n * (den // d) for n, d in parts]
     cw = [Fraction(X[i] + sum(X[j] for j in row), X[i]) for i, row in enumerate(rows)]
-    return spectral._centred(min(cw) - 1, max(cw) - 1)
+    # centred in Fractions, independently of the integer pairs of ``_centred``
+    lo, hi = min(cw) - 1, max(cw) - 1
+    r = float((lo + hi) / 2)
+    err = max(hi - Fraction(r), Fraction(r) - lo)
+    up = float(err)
+    return r, up if Fraction(up) >= err else math.nextafter(up, math.inf)
 
 
 def test_component_radius_sums_left_to_right(battery):
