@@ -26,8 +26,10 @@ doubly infinite expansions (DOUBLY_INFINITE).  All predicates here decide
 their condition over a finite window, which is sufficient because every
 input is eventually periodic: past the longer preperiod, two sequences of
 periods p and r that agree on p + r - gcd(p, r) digits agree forever (Fine
-and Wilf 1965).  Comparisons run on prefix tuples of that length, and the
-shifted tails of a sequence are slices of one unrolled prefix.
+and Wilf 1965).  A comparison stops at the first digit that differs, and
+unrolls prefixes of that length only when the heads ``pre + per`` cannot
+decide it (``lex_cmp``); the shifted tails of a sequence are slices of one
+unrolled prefix.
 """
 
 from __future__ import annotations
@@ -102,12 +104,13 @@ class EpSeq:
         if min(pre + per) < 0:
             raise ValueError("digits must be nonnegative")
         per = _primitive(per)
-        # the k trailing digits of pre that repeat the period backwards move
-        # into it, which rotates the period right by k
-        n, k = len(per), 0
-        while k < len(pre) and pre[-1 - k] == per[-1 - k % n]:
-            k += 1
-        pre, per = pre[:len(pre) - k], per[n - k % n:] + per[:n - k % n]
+        if pre and pre[-1] == per[-1]:
+            # the k trailing digits of pre that repeat the period backwards
+            # move into it, which rotates the period right by k
+            n, k = len(per), 0
+            while k < len(pre) and pre[-1 - k] == per[-1 - k % n]:
+                k += 1
+            pre, per = pre[:len(pre) - k], per[n - k % n:] + per[:n - k % n]
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
 
@@ -208,10 +211,23 @@ def common_prefixes(seqs):
 def lex_cmp(a, b):
     """Lexicographic comparison of two EpSeq; returns -1, 0 or 1.
 
-    Decided by comparing their prefixes over ``_window(a, b)`` as tuples.
+    Decided at the first exit that applies: the first digits, when they
+    differ; equality, when the canonical (pre, per) pairs are identical;
+    the heads ``pre + per``, when they differ within the shorter one; and
+    otherwise the prefixes over ``_window(a, b)``.  Each exit is exact: a
+    head is a prefix of its sequence, so a difference inside both heads is
+    the first difference, and the window decides any pair (Fine-Wilf).
     """
-    n = _window(a, b)
-    u, v = prefix(a, n), prefix(b, n)
+    x, y = (a.pre or a.per)[0], (b.pre or b.per)[0]
+    if x != y:
+        return LT if x < y else GT
+    if a.pre == b.pre and a.per == b.per:
+        return EQ
+    u, v = a.pre + a.per, b.pre + b.per
+    n = min(len(u), len(v))
+    if u[:n] == v[:n]:
+        n = _window(a, b)
+        u, v = prefix(a, n), prefix(b, n)
     return (u > v) - (u < v)
 
 
@@ -226,6 +242,7 @@ def _shifts_bounded(s, bound, M, upper, lower, strict):
     ``s``, so one ``_window`` decides them all: ``s`` is unrolled once, and
     each tail is a slice of it (or of its reflection, in which the digit
     before a reflected tail is below M exactly when it was positive in ``s``).
+    A tail whose first digit is below that of ``bound`` passes unsliced.
     """
     n = _window(s, bound)
     end = len(s.pre) + len(s.per)
@@ -235,8 +252,9 @@ def _shifts_bounded(s, bound, M, upper, lower, strict):
     if lower:
         words.append(prefix(reflect(s, M), end + n))
     cap = prefix(bound, n)
+    top = cap[0]
     fails = tuple.__ge__ if strict else tuple.__gt__
-    return not any(w[k - 1] < M and fails(w[k:k + n], cap)
+    return not any(w[k - 1] < M and w[k] >= top and fails(w[k:k + n], cap)
                    for w in words for k in range(1, end + 1))
 
 
@@ -330,6 +348,19 @@ def is_unique_expansion_seq(ctx_alpha, c, M, mode=UNIQUE):
     return _shifts_bounded(c, ctx_alpha, M, upper=True, lower=True, strict=strict)
 
 
+def _order(per, w, i, n):
+    """The order of ``(per)`` against ``w`` from ``i`` over ``n >= |per|``
+    digits, -1, 0 or 1, decided by the first digit or the first period when
+    either differs."""
+    p, d = len(per), per[0]
+    if d != w[i]:
+        return LT if d < w[i] else GT
+    u, v = w[i:i + p], per
+    if u == v:
+        u, v = w[i + p:i + n], (per * (n // p))[:n - p]
+    return (v > u) - (v < u)
+
+
 class LexAutomaton:
     """Follower automaton of the two-sided shift conditions against alpha.
 
@@ -346,6 +377,7 @@ class LexAutomaton:
         self.alpha = tuple(alpha_period)
         self.mirror = word_reflect(self.alpha, M)
         self.N = len(self.alpha)
+        self._unrolled = ((), ())
 
     def start(self):
         return (frozenset(), frozenset())
@@ -390,19 +422,20 @@ class LexAutomaton:
         only the ties of ``state`` are open, and each compares ``(per)``
         with a tail of a bound: an upper tie i needs ``(per) <= shift(alpha,
         i)``, a lower tie i ``(per) >= shift(reflect(alpha), i)``.  Both are
-        periodic, so ``_fine_wilf`` digits decide each, read as slices of
-        one unrolled tail and of alpha and its reflection unrolled.  Strict
-        takes < for <=, so a tie that survives forever is plain equality.
+        periodic, so ``_fine_wilf`` digits decide each, read by ``_order``
+        from alpha and its reflection, unrolled once per automaton (again
+        only for a longer window).  Strict takes < for <=, so a tie that
+        survives forever is plain equality.
         """
         per = tuple(per)
         n = _fine_wilf(len(per), self.N)
-        tail = (per * (n // len(per) + 1))[:n]
-        reps = n // self.N + 2                  # covers offset N - 1 plus n digits
-        alpha, mirror = self.alpha * reps, self.mirror * reps
-        fails = tuple.__ge__ if strict else tuple.__gt__
+        if len(self._unrolled[0]) < self.N + n:
+            reps = n // self.N + 2                  # covers offset N - 1 plus n digits
+            self._unrolled = (self.alpha * reps, self.mirror * reps)
+        alpha, mirror = self._unrolled
         upper, lower = state
-        return not (any(fails(tail, alpha[i:i + n]) for i in upper)
-                    or any(fails(mirror[i:i + n], tail) for i in lower))
+        return not (any(_order(per, alpha, i, n) + strict > 0 for i in upper)
+                    or any(strict - _order(per, mirror, i, n) > 0 for i in lower))
 
     def admissible(self, strict, *roots):
         """The admissible part of the automaton: the successor map of the

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -275,6 +276,56 @@ def reference_classify(M, s):
     if reference_bounded(beta, beta, M, upper=False, lower=True, strict=True):
         return BaseClass.IN_U
     return BaseClass.IN_CLOSURE_U_NOT_U
+
+
+def small_sequences(M):
+    """Every canonical EpSeq over 0..M with |pre| <= 2 and |per| <= 3."""
+    words = [w for n in range(4) for w in itertools.product(range(M + 1), repeat=n)]
+    return sorted({EpSeq(pre, per) for pre in words if len(pre) <= 2 for per in words if per},
+                  key=lambda s: (s.pre, s.per))
+
+
+def first_difference(a, b):
+    """The first position where a and b differ, None when they are equal."""
+    return next((i for i in range(horizon(a, b)) if digit_at(a, i) != digit_at(b, i)), None)
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_lex_cmp_on_every_small_pair(M, monkeypatch):
+    # lex_cmp decides a pair at its first digit, at equality, inside the two
+    # heads pre + per, or over the window; the window is read exactly on the
+    # pairs whose first difference lies past the shorter head, and every exit
+    # is taken
+    seqs = small_sequences(M)
+    windows = []
+    window = dg._window
+    monkeypatch.setattr(dg, "_window", lambda a, b: windows.append((a, b)) or window(a, b))
+    exits = dict.fromkeys(("first digit", "equal", "heads", "window"), 0)
+    for a in seqs:
+        for b in seqs:
+            windows.clear()
+            assert dg.lex_cmp(a, b) == reference_cmp(a, b), (a, b)
+            i = first_difference(a, b)
+            exit = ("equal" if i is None else "first digit" if i == 0 else
+                    "heads" if i < min(len(a.pre + a.per), len(b.pre + b.per)) else "window")
+            exits[exit] += 1
+            assert bool(windows) == (exit == "window"), (a, b, exit)
+    assert all(exits.values()), exits
+
+
+@pytest.mark.parametrize("M", [1, 2])
+def test_shifts_bounded_on_every_small_sequence(M):
+    # all six flag combinations, each sequence bounded by itself and by
+    # every quasi-greedy sequence of the set
+    seqs = small_sequences(M)
+    bounds = [t for t in seqs if dg.is_quasigreedy_alpha(M, t)]
+    flags = [(upper, lower, strict) for upper, lower in ((True, False), (False, True), (True, True))
+             for strict in (True, False)]
+    for s in seqs:
+        for bound in [s] + bounds:
+            for flag in flags:
+                assert dg._shifts_bounded(s, bound, M, *flag) == \
+                    reference_bounded(s, bound, M, *flag), (s, bound, flag)
 
 
 def test_predicates_match_digit_loops():
@@ -600,12 +651,16 @@ def test_automaton_run_matches_window_predicate(case):
     (lambda: dg.word_minus((1, 0)), dg.AlphabetError, "cannot decrement last digit of (1, 0)"),
     (lambda: EpSeq((1,), ()), ValueError, "period must be nonempty"),
     (lambda: EpSeq((1, -1), (0,)), ValueError, "digits must be nonnegative"),
+    (lambda: EpSeq((), (0, -1)), ValueError, "digits must be nonnegative"),
+    (lambda: dg.check_alphabet((0, 5, -1), 2), dg.AlphabetError, "digit 5 outside alphabet 0..2"),
+    (lambda: dg.reflect((-1, 3), 2), dg.AlphabetError, "digit -1 outside alphabet 0..2"),
     (lambda: setattr(seq("1(0)"), "pre", ()), AttributeError, "EpSeq is immutable"),
     (lambda: seq("1(10)").finite_word(), ValueError, "EpSeq('1(10)') is not finite"),
     (lambda: dg.shift(seq("1(0)"), -1), ValueError, "shift amount must be nonnegative"),
     (lambda: dg.is_unique_expansion_seq(seq("1(0)"), seq("(10)"), 1), ValueError,
      "context sequence is not quasi-greedy"),
-], ids=["plus-empty", "plus-top", "minus-zero", "empty-period", "negative-digit", "immutable",
+], ids=["plus-empty", "plus-top", "minus-zero", "empty-period", "negative-digit",
+        "negative-period-digit", "first-digit-outside", "reflect-outside", "immutable",
         "not-finite", "negative-shift", "not-quasi-greedy"])
 def test_digit_layer_refusals(op, error, message):
     with pytest.raises(error) as info:
