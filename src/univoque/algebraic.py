@@ -58,11 +58,14 @@ step, and from then on q is refined only on demand: once by the point
 order (``base.order_points``), to the level its keys plan, and one
 bisection at a time by ``settle``.
 
-Every value is decided one way, by ``NumberField.settle``: interval Horner
-on the element's numerator, in integers scaled by powers of two, encloses
-its value, and q is refined until a monotone step function (the sign, the
-rounding to some decimal places, the nearest double) agrees on both ends of
-the enclosure.  That ends unless the value sits on a step.  So a sign
+Every element is enclosed one way, by ``NumberField.enclosure``: two dot
+products of its numerator with a table of bounds on the powers of q over
+the current interval, in integers scaled by powers of two, built once per
+interval.  The other layers read q's interval only as the enclosure of q.
+Every value is decided one way, by ``NumberField.settle``: q is refined
+until a monotone step function (the sign, the rounding to some decimal
+places, the nearest double) agrees on both ends of the enclosure.  That
+ends unless the value sits on a step.  So a sign
 (``NumberField.sign``) is exact on a constant numerator and otherwise
 settles on a numerator that is nonzero at q, as one that vanishes at q but
 not modulo R has enclosures that straddle 0 forever.  While m_q is not
@@ -312,9 +315,9 @@ class NumberField:
     The isolating interval is refined in place on demand, once the field is
     built by ``settle`` (signs, decimals, floats) and by the point order's
     ``refine_to``; refinement only ever shrinks it, so previously returned
-    answers stay valid.
-    Share a field between threads only if refinement and certification
-    are serialized (clone per thread otherwise).
+    answers stay valid.  ``enclosure`` keeps the interval's power table,
+    keyed by its level e.  Share a field between threads only if refinement,
+    enclosure and certification are serialized (clone per thread otherwise).
     """
 
     def __init__(self, working_poly, n_lo, n_hi, e):
@@ -328,6 +331,7 @@ class NumberField:
         self.n_lo, self.n_hi, self.e = n_lo, n_hi, e
         self._slo = _sign(_dyadic_eval(working_poly, n_lo, e)) if n_lo != n_hi else 0
         self._cyc_inv = {}
+        self._table = (None, (), ())
 
     @functools.cached_property
     def min_poly(self):
@@ -551,55 +555,34 @@ class NumberField:
         while self.e < e and self.n_lo != self.n_hi:
             self.refine()
 
-    def _interval(self, p):
-        """Bounds on ``2^(e deg p) * p(x)`` over x in the isolating interval,
-        by interval Horner; every endpoint is positive, so each product
-        bound pairs with the endpoint chosen by the sign of the accumulator."""
-        n_lo, n_hi, e = self.n_lo, self.n_hi, self.e
-        lo = hi = shift = 0
-        for c in reversed(p):
-            c <<= shift
-            lo, hi = lo * (n_hi if lo < 0 else n_lo) + c, hi * (n_hi if hi > 0 else n_lo) + c
-            shift += e
-        return lo, hi
-
     def enclosure(self, a):
-        """Bounds ``(lo, hi, D)`` with the value of ``a`` in [lo/D, hi/D], from
-        one interval Horner pass on the current isolating interval (no
-        refinement); exact (lo == hi) for rational elements.  ``settle`` and
-        the expansion layer enclose one element per interval, and so use
-        this pass; ``enclosures`` builds a power table instead, which the
-        point order does once, after its jump, for all its classes."""
-        p = poly_trim(a[:-1])
-        vlo, vhi = self._interval(p)
-        return vlo, vhi, a[-1] << (self.e * max(len(p) - 1, 0))
-
-    def enclosures(self, elems):
-        """Bounds ``(lo, hi, D)`` like ``enclosure``'s for each of ``elems``,
-        from one power table of the current interval [x_lo, x_hi]: the floor
-        of x_lo^k 2^P and the ceiling of x_hi^k 2^P for k < deg, P = e + 64,
-        each rounded from the last, so that both stay bounds on q^k 2^P.
-        With s_k and g_k their sum and their gap, 2^(P+1) times a numerator
-        sum(c_k q^k) lies in sum(c_k s_k) -+ sum(|c_k| g_k): two dot
-        products per element, exact for a constant numerator."""
-        n_lo, n_hi, e = self.n_lo, self.n_hi, self.e
-        P = e + 64
-        lows, highs = [1 << P], [1 << P]
-        for _ in range(self.deg - 1):
-            lows.append(lows[-1] * n_lo >> e)
-            highs.append(-(-highs[-1] * n_hi >> e))
-        sums = list(map(operator.add, lows, highs))
-        gaps = list(map(operator.sub, highs, lows))
-        out = []
-        for a in elems:
-            mid = sum(map(operator.mul, a, sums))
-            rad = sum(map(operator.mul, map(abs, a), gaps))
-            out.append((mid - rad, mid + rad, a[-1] << (P + 1)))
-        return out
+        """Bounds ``(lo, hi, D)`` with the value of ``a`` in [lo/D, hi/D], read
+        off the power table of the current isolating interval [x_lo, x_hi]
+        (no refinement): the floor of x_lo^k 2^P and the ceiling of
+        x_hi^k 2^P for k < deg, P = e + 64, each rounded from the last, so
+        that both stay bounds on q^k 2^P.  With s_k and g_k their sum and
+        their gap, 2^(P+1) times a numerator sum(c_k q^k) lies in
+        sum(c_k s_k) -+ sum(|c_k| g_k): exact for a constant numerator, and
+        exactly [x_lo, x_hi] for q when deg > 1.  The table is built on first
+        use and kept until q moves; every move raises e, which keys it."""
+        e, sums, gaps = self._table
+        if e != self.e:
+            n_lo, n_hi, e = self.n_lo, self.n_hi, self.e
+            lows, highs = [1 << (e + 64)], [1 << (e + 64)]
+            for _ in range(self.deg - 1):
+                lows.append(lows[-1] * n_lo >> e)
+                highs.append(-(-highs[-1] * n_hi >> e))
+            sums = list(map(operator.add, lows, highs))
+            gaps = list(map(operator.sub, highs, lows))
+            self._table = e, sums, gaps
+        mid = sum(map(operator.mul, a, sums))
+        rad = sum(map(operator.mul, map(abs, a), gaps))
+        return mid - rad, mid + rad, a[-1] << (e + 65)
 
     def settle(self, a, f):
-        """``f(n, D)`` for the value n/D of ``a``: refines q until ``f`` agrees
-        on both ends of the enclosure of ``a``.  For a monotone step function
+        """``f(n, D)`` for the value n/D of ``a``: bisects q until ``f``
+        agrees on both ends of the ``enclosure`` of ``a``, from a new power
+        table each time.  For a monotone step function
         ``f`` that answer holds on the whole enclosure, hence at q.  It ends
         unless the value of ``a`` sits on a step of ``f``: a canonical element
         (``reduce``) is rational only with a constant numerator, whose
@@ -741,7 +724,7 @@ class AlgebraicReal:
         return self.field.settle(self.field.reduce(self.elem), int.__truediv__)
 
     def __repr__(self):
-        """The midpoint and half-width of one enclosure of the value on the
+        """The midpoint and half-width of the value's ``enclosure`` on the
         current interval of q, which printing never refines; an end past
         the float range prints as an infinity."""
         lo, hi, D = self.field.enclosure(self.elem)

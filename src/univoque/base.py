@@ -322,8 +322,8 @@ def order_points(ctx):
     digits differ by about q^-L, and an enclosure of a numerator of degree
     d loses about d log2 q bits, so q is moved once (``refine_to``) to the
     level e = ceil((L + deg R) log2 q_hi) + 64, with L the longest prefix
-    the close pairs share, and every class is enclosed again from one power
-    table of that interval (``NumberField.enclosures``).  A step whose
+    the close pairs share and q_hi the upper end of the enclosure of q, and
+    every class is enclosed again on that interval.  A step whose
     enclosures still overlap goes to the exact ``cmp``, which refines q as
     far as it needs.  A disagreement would falsify the order isomorphism
     between sequences and values and raises InternalConsistencyError.
@@ -370,9 +370,9 @@ def _order_points(ctx):
     if close:
         common = max(_common_length(prefix[classes[k][0]], prefix[classes[k + 1][0]])
                      for k in close)
-        q_hi = field.n_hi / (1 << field.e)
-        field.refine_to(math.ceil((common + field.deg) * math.log2(q_hi)) + 64)
-        bounds = field.enclosures(elems)
+        _lo, q_hi, D = field.enclosure(field.gen())
+        field.refine_to(math.ceil((common + field.deg) * math.log2(q_hi / D)) + 64)
+        bounds = list(map(field.enclosure, elems))
     for k in close:
         if not _apart(bounds[k], bounds[k + 1]) and values[k].cmp(values[k + 1]) >= 0:
             raise InternalConsistencyError(

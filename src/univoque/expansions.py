@@ -13,8 +13,8 @@ For other bases the remainders may never repeat; the state cap then bounds
 the search and the answer is CAP_EXCEEDED.
 
 Exact arithmetic runs only where it can change the answer, and once: the
-feasible digits of a remainder are read from one interval enclosure of q*v
-on the field's current isolating interval and one enclosure of M/(q-1),
+feasible digits of a remainder are read from one enclosure of q*v on the
+field's current isolating interval and one enclosure of M/(q-1),
 taken once per context (refining q only narrows it), and q*v - M/(q-1) is
 formed, and an exact sign computed, only for a digit that these leave
 undecided.  A remainder's moves, and what they imply, are facts about the
@@ -86,9 +86,9 @@ class TailSearchBudgetError(SearchBoundError):
 def _feasible_moves(field, M, kappa, kbox, v):
     """The moves ``(d, q*v - d)`` with 0 <= q*v - d <= kappa, d increasing.
 
-    The feasible digits are the integers in [q*v - kappa, q*v].  An
-    enclosure of q*v on the field's current isolating interval and ``kbox``,
-    an enclosure ``field.enclosure(kappa)`` taken on it or on an earlier
+    The feasible digits are the integers in [q*v - kappa, q*v].
+    ``field.enclosure(q*v)`` on the field's current isolating interval and
+    ``kbox``, ``field.enclosure(kappa)`` taken on it or on an earlier
     (wider) one, settle every digit outside both bounds; only a digit inside
     one costs an exact sign, and only such a digit forms q*v - d - kappa.
     """
@@ -101,7 +101,7 @@ def _feasible_moves(field, M, kappa, kbox, v):
     for d in range(max(0, -(-lo // D)), min(M, ahi // ad) + 1):
         u = field.add_int(qv, -d)
         if d * ad > alo:
-            if not d:       # u is q*v, just enclosed: refine, or settle repeats that pass
+            if not d:       # u is q*v, just enclosed: refine, or settle repeats that enclosure
                 field.refine()
             if field.sign(u) < 0:
                 continue
@@ -116,8 +116,8 @@ class _RemainderMap:
 
     ``intern(v)`` gives the reduced element v an id the first time it is
     met, and ``moves(i)`` the ``(digit, id)`` moves of id i, computed once
-    from one enclosure of kappa and reduced on a reducible field, where
-    remainders are hashed.  A count decides each id it reaches, once: its
+    from one enclosure of kappa, ``kbox``, and reduced on a reducible field,
+    where remainders are hashed.  A count decides each id it reaches, once: its
     number of expansions in ``count`` (``math.inf`` when a branching cycle
     is reachable) and, for an id on a deterministic cycle, the tail word
     read from it in ``tails``.

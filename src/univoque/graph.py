@@ -120,6 +120,10 @@ class UnivoqueGraph:
         return "\n".join(lines) + "\n"
 
     def to_json(self):
+        # adjacent vertices share a class: its decimal is settled once
+        values = self.order.values
+        classes = {k for v in self.vertices for k in (v.left, v.right)}
+        approx = {k: values[k].decimal(12) for k in classes}
         return {
             "M": self.ctx.M,
             "beta": dg.format_seq(self.ctx.beta),
@@ -130,8 +134,8 @@ class UnivoqueGraph:
                     "left": self.class_name(v.left),
                     "right": self.class_name(v.right),
                     "label": v.label,
-                    "lo_approx": self.order.values[v.left].decimal(12),
-                    "hi_approx": self.order.values[v.right].decimal(12),
+                    "lo_approx": approx[v.left],
+                    "hi_approx": approx[v.right],
                 }
                 for v in self.vertices
             ],

@@ -176,8 +176,9 @@ def dimension_of(g, ctx, radius=None):
     """log(radius) / log(q) as a (dimension, half-width) pair.
 
     The enclosure takes the radius interval [r - err, r + err] over the
-    isolating interval of q, with every logarithm and quotient rounded
-    outward.  It reads q's isolating interval as it stands and does not
+    enclosure of q (its isolating interval, or q itself when q is an
+    integer), with every logarithm and quotient rounded outward.  It reads
+    that enclosure as it stands and does not
     ``settle``: a field is built with q to a width of 1/10^12
     (1/``algebraic.INITIAL_WIDTH``) and every base with a graph has q at
     least the golden ratio, so q's share of the width, at most
@@ -190,9 +191,9 @@ def dimension_of(g, ctx, radius=None):
         return 0.0, 0.0
     log_r_lo = math.nextafter(math.log(max(math.nextafter(r - err, 0.0), 1.0)), -math.inf)
     log_r_hi = math.nextafter(math.log(math.nextafter(r + err, math.inf)), math.inf)
-    field = ctx.field
-    log_q_lo = math.nextafter(math.log(_round_down((field.n_lo, 1 << field.e))), -math.inf)
-    log_q_hi = math.nextafter(math.log(_round_up((field.n_hi, 1 << field.e))), math.inf)
+    q_lo, q_hi, D = ctx.field.enclosure(ctx.field.gen())
+    log_q_lo = math.nextafter(math.log(_round_down((q_lo, D))), -math.inf)
+    log_q_hi = math.nextafter(math.log(_round_up((q_hi, D))), math.inf)
     lo = math.nextafter(max(log_r_lo, 0.0) / log_q_hi, -math.inf)
     hi = math.nextafter(log_r_hi / log_q_lo, math.inf)
     mid = (lo + hi) / 2

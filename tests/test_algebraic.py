@@ -36,25 +36,33 @@ def horner(p, x):
 
 
 def test_table_enclosures_hold_the_exact_values():
-    # the special points, q and 1 of the battery, the reducible bases, 100
-    # random bases and the 111(0) chain at depth 5, on the field's interval
-    # and 100 bits below it: each table enclosure holds the exact value of
-    # the element at both ends of its interval and of one 64 bits narrower
-    # around q, and a sign it decides is the exact sign
+    # the special points, 1, q and the powers of q below deg R, q less the ends
+    # and the midpoint of the interval, within its width of 0, of the
+    # battery, the reducible bases, 100 random bases and the 111(0) chain at
+    # depth 5, on the field's interval and 100 bits below it: each enclosure
+    # holds the exact value of the element at both ends of its interval and
+    # of one 64 bits narrower around q, a constant numerator encloses
+    # exactly, a sign it decides is the exact sign, and q encloses to
+    # exactly its interval, also after each move of q (a power table kept
+    # past a move would still give the old one)
     rng = random.Random(11)
     bases = list(BATTERY) + REDUCIBLE + v_chain(1, "111(0)", 5)
     bases += [(c.M, c.beta) for c in (random_context(rng) for _ in range(100))]
     for M, beta in bases:
         ctx = new_base_context(M, beta)
         f = ctx.field
-        elems = [v.elem for v in special_points(ctx).value.values()] + [f.gen(), f.one()]
+        points = [v.elem for v in special_points(ctx).value.values()]
         for level in (f.e, f.e + 100):
             field = NumberField(f.working_poly, f.n_lo, f.n_hi, f.e)
             field.refine_to(level)
             inner = NumberField(f.working_poly, field.n_lo, field.n_hi, field.e)
             inner.refine_to(level + 64)
             ends = (field.lo, field.hi, inner.lo, inner.hi)
-            for a, (lo, hi, D) in zip(elems, field.enclosures(elems)):
+            near_zero = [field.sub(field.gen(), field.rational(x))
+                         for x in (field.lo, field.hi, (field.lo + field.hi) / 2)]
+            powers = [field.pow_gen(k) for k in range(max(field.deg, 2))]
+            for a in points + powers + near_zero:
+                lo, hi, D = field.enclosure(a)
                 for x in ends:
                     value = horner(a[:-1], x) / a[-1]
                     assert Fraction(lo, D) <= value <= Fraction(hi, D), (M, beta)
@@ -62,6 +70,16 @@ def test_table_enclosures_hold_the_exact_values():
                     assert lo == hi
                 if lo > 0 or hi < 0:
                     assert f.sign(a) == (1 if lo > 0 else -1), (M, beta)
+            for move in (lambda: None, field.refine, lambda: field.refine_to(field.e + 40)):
+                move()
+                lo, hi, D = field.enclosure(field.gen())
+                if field.deg > 1:
+                    assert (Fraction(lo, D), Fraction(hi, D)) == (field.lo, field.hi), (M, beta)
+    point = field_for_base((-2, 1), 2)
+    assert point.lo == point.hi
+    for r in (2, Fraction(-7, 3)):
+        lo, hi, D = point.enclosure(point.rational(r))
+        assert lo == hi and Fraction(lo, D) == r
 
 
 def test_base_polynomial_examples():
@@ -104,8 +122,7 @@ def test_isolate_root_exact_rational():
     assert field.lo == field.hi == 2
     # 2 is the first midpoint of the bracket [1, 3]: the point, at level 1
     assert (field.n_lo, field.n_hi, field.e) == (4, 4, 1)
-    lo, hi, D = field.enclosures([field.gen()])[0]
-    assert lo == hi and Fraction(lo, D) == 2
+    assert lo == hi
 
 
 def _scaled_sign(P, n, e):
@@ -512,12 +529,12 @@ def test_sign_of_a_hidden_zero_terminates():
 
 def test_sign_repeats_no_enclosure(monkeypatch):
     # q - r for dyadic r within 1e-12 of q is open on the bracket [1, M+1];
-    # each interval-Horner pass of its sign must see a new interval, whether
-    # the numerator is proved coprime to R or m_q is already certified
+    # each enclosure of its sign must see a new interval, whether the
+    # numerator is proved coprime to R or m_q is already certified
     passes = []
-    interval = NumberField._interval
-    monkeypatch.setattr(NumberField, "_interval", lambda f, p: passes.append(
-        (f.n_lo, f.n_hi, f.e, tuple(p))) or interval(f, p))
+    enclosure = NumberField.enclosure
+    monkeypatch.setattr(NumberField, "enclosure", lambda f, a: passes.append(
+        (f.n_lo, f.n_hi, f.e, a)) or enclosure(f, a))
     for M, beta in BATTERY[:3]:
         ctx = new_base_context(M, beta)
         for certified in (False, True):
@@ -535,8 +552,8 @@ def test_sign_repeats_no_enclosure(monkeypatch):
 def test_sign_settles_a_shared_factor_on_its_reduction(M, beta, monkeypatch):
     # a multiple of S = R / m_q of degree deg m_q .. deg R - 1 shares a factor
     # with R, so before m_q is certified its sign is settled on the reduction
-    # modulo m_q alone: no interval pass is taken on the unreduced numerator,
-    # though the enclosure on the current interval contains 0
+    # modulo m_q alone: no enclosure is taken of the unreduced element,
+    # though its enclosure on the current interval contains 0
     f = new_base_context(M, beta).field
     m = on_min_poly(M, beta).field.working_poly
     S, rest = _pseudo_divmod(f.working_poly, m)
@@ -552,7 +569,7 @@ def test_sign_settles_a_shared_factor_on_its_reduction(M, beta, monkeypatch):
         assert vlo <= 0 <= vhi and "min_poly" not in vars(field)
         passes.clear()
         sign = field.sign(a)
-        assert num not in [p for g, *_, p in passes if g is field]
+        assert a not in [b for g, *_, b in passes if g is field]
         twin = NumberField(m, f.n_lo, f.n_hi, f.e)
         rem = _pseudo_divmod(num, m)[1]
         assert sign == twin.sign(twin.element(list(rem) + [0] * (twin.deg - len(rem)), 1)) != 0

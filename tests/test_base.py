@@ -406,23 +406,20 @@ def test_order_points_falls_back_to_exact_comparison(monkeypatch, battery, tribo
         ctx = v_successor(ctx)
         contexts.append(ctx)
     expected = [order_points(ctx).classes for ctx in contexts]
-    enclosure, enclosures, cmp = NumberField.enclosure, NumberField.enclosures, AlgebraicReal.cmp
+    enclosure, cmp = NumberField.enclosure, AlgebraicReal.cmp
     steps = []
 
     def widened(lo, hi, D):
         return lo - (D << 20), hi + (D << 20), D
 
     def wide(self, a):
-        # the point order's enclosures, one at a time or from the power
-        # table, cover [-2^20, 2^20], which holds every point, so no two
-        # classes are apart; settle's stay as they are
+        # the point order's enclosures, before and after its jump, cover
+        # [-2^20, 2^20], which holds every point, so no two classes are
+        # apart (q's is wide too, so the jump goes further); settle's stay
+        # as they are
         if sys._getframe(1).f_code is base._order_points.__code__:
             return widened(*enclosure(self, a))
         return enclosure(self, a)
-
-    def wide_table(self, elems):
-        assert sys._getframe(1).f_code is base._order_points.__code__
-        return [widened(*b) for b in enclosures(self, elems)]
 
     def counted(self, other):
         if sys._getframe(1).f_code is base._order_points.__code__:
@@ -430,7 +427,6 @@ def test_order_points_falls_back_to_exact_comparison(monkeypatch, battery, tribo
         return cmp(self, other)
 
     monkeypatch.setattr(NumberField, "enclosure", wide)
-    monkeypatch.setattr(NumberField, "enclosures", wide_table)
     monkeypatch.setattr(AlgebraicReal, "cmp", counted)
     for ctx, classes in zip(contexts, expected):
         steps.clear()

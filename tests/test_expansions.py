@@ -709,9 +709,9 @@ def record_calls(monkeypatch, owner, name, key=lambda *a: a):
 
 
 def record_passes(monkeypatch):
-    """Field, isolating interval and numerator of every interval-Horner pass."""
-    return record_calls(monkeypatch, NumberField, "_interval",
-                        lambda f, p: (f, f.n_lo, f.n_hi, f.e, tuple(p)))
+    """Field, isolating interval and element of every enclosure."""
+    return record_calls(monkeypatch, NumberField, "enclosure",
+                        lambda f, a: (f, f.n_lo, f.n_hi, f.e, a))
 
 
 @pytest.mark.parametrize("M, beta", BATTERY + REDUCIBLE)
@@ -735,9 +735,9 @@ def test_shared_remainder_map_matches_fresh_contexts(M, beta, monkeypatch):
 
 @pytest.mark.parametrize("M, beta", BATTERY)
 def test_counts_repeat_no_interval_pass(M, beta, monkeypatch):
-    # an interval-Horner pass of the numerator, field and interval of the
-    # pass just before it can only repeat its answer; the remainders of
-    # x_8..x_10 come close enough to 0 to leave the sign of q*v open
+    # an enclosure of the element, field and interval of the enclosure just
+    # before it can only repeat its answer; the remainders of x_8..x_10
+    # come close enough to 0 to leave the sign of q*v open
     ctx = new_base_context(M, beta)
     points = [point(ctx) for point in count_points(M, beta)]
     passes = record_passes(monkeypatch)

@@ -683,6 +683,16 @@ def test_dot_and_json_exports_deterministic(base322):
     assert g.to_dot().count("->") == 9
 
 
+def test_json_export_settles_one_decimal_per_class(monkeypatch):
+    # adjacent vertices share their common end class, whose decimal is
+    # settled once, not once per vertex end
+    g = build_graph(new_base_context(1, "111001000111001(0)"), FULL)
+    calls = record_calls(monkeypatch, NumberField, "decimal")
+    g.to_json()
+    classes = {k for v in g.vertices for k in (v.left, v.right)}
+    assert len(calls) == len(classes) < 2 * len(g.vertices)
+
+
 def test_central_subgraph_empty_at_even_minimum():
     # at the even-alphabet minimum the central interval is one switch block
     g = build_graph(golden_ratio_base(2), TILDE)

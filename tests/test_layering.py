@@ -5,7 +5,8 @@ it, and no library module may depend on an oracle.  The walks over successor
 maps sit below everything: ``walk`` imports nothing from the package, and the
 digit layer imports nothing else from it.  Building a number field, and
 ordering its points or building and measuring its graphs, loads no
-factoring: ``minpoly`` is imported only to certify a minimal polynomial.
+factoring: ``minpoly`` is imported only to certify a minimal polynomial,
+and no layer but the number field reads how q's interval is stored.
 The package itself declares no runtime dependency, and keeps no
 process-wide memo: what is derived from a context or a graph is kept on it
 by ``base.memo``.  The graph layer's hot paths walk the successor map, not
@@ -89,6 +90,18 @@ def test_graph_reads_the_points_only_through_their_order():
     assert "univoque.base.order_points" in found
     assert "univoque.base.special_points" not in found
     assert "special_points" not in names(ast.parse((SRC / "graph.py").read_text()))
+
+
+def test_only_the_field_reads_the_interval_of_q():
+    # q's isolating interval is stored as [n_lo, n_hi] / 2^e inside the
+    # number field; every other layer takes q's bounds from the field's
+    # enclosure of q, and ``minpoly`` gets the interval as arguments
+    stored = {"n_lo", "n_hi", "e"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "algebraic.py":
+            tree = ast.parse(path.read_text())
+            attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert not attrs & stored, path.name
 
 
 def test_graph_hot_paths_walk_the_successor_map():
