@@ -22,12 +22,12 @@ is minus the digit sum of the period.  And f(M+1) <= 1, so P(M+1) >= 0.
 P/R is a product of cyclotomic polynomials Phi_k, k >= 2 (Phi_1 = t - 1
 does not divide P, as P(1) != 0), which are positive on [1, M+1].  So R(1) < 0 <= R(M+1), and q
 is the one root of R in that bracket, a simple one.  That is all this
-module needs: the sign change of R at q locates it (``refine`` bisects on
-it, ``refine_to`` confirms a cell by it), a numerator coprime to R is
-nonzero at q, and Euclid against R inverts an element or ends at a common
-factor.  Computing modulo R gives every value at q that
-computing modulo the minimal polynomial m_q gives; only the representation
-of an element is no longer unique when R has other factors.
+module needs: the sign change of R at q locates it (``refine_to``
+confirms a cell by it), a numerator coprime to R is nonzero at q, and
+Euclid against R inverts an element or ends at a common factor.  Computing
+modulo R gives every value at q that computing modulo the minimal
+polynomial m_q gives; only the representation of an element is no longer
+unique when R has other factors.
 So m_q, the irreducible factor of R vanishing at q, is certified on demand
 (``minpoly.minimal_factor``: Zassenhaus factoring of the squarefree part of
 R in pure Python) where a unique representation is needed: to hash or
@@ -47,25 +47,25 @@ plus one reduction step, and dividing by q is one step with the constant
 term of R.
 
 The root is isolated in a dyadic interval ``[n_lo, n_hi] / 2^e`` on the
-grid of the bracket [1, M+1], where R changes sign: its k-th bisection
-(``NumberField.refine``) has the cells (2^k + M j) / 2^k, a midpoint that is
-q ends it at that point, and an integer q = M + 1 starts as the point
-[M+1, M+1].  ``NumberField.refine_to`` reaches the cell of a given level in
+grid of the bracket [1, M+1], where R changes sign: its k-th bisection has
+the cells (2^k + M j) / 2^k, a midpoint that is q ends it at that point,
+and an integer q = M + 1 starts as the point [M+1, M+1].  q moves one way,
+by ``NumberField.refine_to``, which reaches the cell of a given level in
 one step: a Newton estimate of q picks it, and two exact signs of R at its
 ends confirm it, or it bisects as far as that level.  A field is built at
 the first level of width at most 1/``INITIAL_WIDTH`` = 1/10^12, by one such
-step, and from then on q is refined only on demand: once by the point
-order (``base.order_points``), to the level its keys plan, and one
-bisection at a time by ``settle``.
+step, and from then on q moves only on demand: once by the point order
+(``base.order_points``), to the level its keys plan, and by ``settle``, up
+a ladder that doubles q's level at each rung.
 
 Every element is enclosed one way, by ``NumberField.enclosure``: two dot
 products of its numerator with a table of bounds on the powers of q over
 the current interval, in integers scaled by powers of two, built once per
 interval.  The other layers read q's interval only as the enclosure of q.
-Every value is decided one way, by ``NumberField.settle``: q is refined
-until a monotone step function (the sign, the rounding to some decimal
-places, the nearest double) agrees on both ends of the enclosure.  That
-ends unless the value sits on a step.  So a sign
+Every value is decided one way, by ``NumberField.settle``: q climbs its
+ladder until a monotone step function (the sign, the rounding to some
+decimal places, the nearest double) agrees on both ends of the enclosure.
+That ends unless the value sits on a step.  So a sign
 (``NumberField.sign``) is exact on a constant numerator and otherwise
 settles on a numerator that is nonzero at q, as one that vanishes at q but
 not modulo R has enclosures that straddle 0 forever.  While m_q is not
@@ -312,12 +312,13 @@ class NumberField:
     minimal polynomial ``min_poly`` of q divides it and is certified, once,
     on first use (see the module docstring for what uses it).  Elements are
     int tuples of length ``deg + 1`` (numerators, then the denominator).
-    The isolating interval is refined in place on demand, once the field is
-    built by ``settle`` (signs, decimals, floats) and by the point order's
-    ``refine_to``; refinement only ever shrinks it, so previously returned
-    answers stay valid.  ``enclosure`` keeps the interval's power table,
-    keyed by its level e.  Share a field between threads only if refinement,
-    enclosure and certification are serialized (clone per thread otherwise).
+    Once the field is built, the isolating interval is narrowed in place
+    only by ``refine_to``, on demand: up the ladder of ``settle`` (signs,
+    decimals, floats) and to the point order's planned level.  It only ever
+    shrinks, so previously returned answers stay valid.  ``enclosure``
+    keeps the interval's power table, keyed by its level e.  Share a field
+    between threads only if refinement, enclosure and certification are
+    serialized (clone per thread otherwise).
     """
 
     def __init__(self, working_poly, n_lo, n_hi, e):
@@ -519,29 +520,18 @@ class NumberField:
 
     # sign and approximation ------------------------------------------------
 
-    def refine(self):
-        if self.n_lo == self.n_hi:
-            return
-        mid, e = self.n_lo + self.n_hi, self.e + 1
-        sm = _sign(_dyadic_eval(self.working_poly, mid, e))
-        if sm == 0:
-            self.n_lo = self.n_hi = mid
-        elif sm == self._slo:
-            self.n_lo, self.n_hi = mid, self.n_hi << 1
-        else:
-            self.n_lo, self.n_hi = self.n_lo << 1, mid
-        self.e = e
-
     def refine_to(self, e):
-        """Narrow the interval to the cell that ``refine`` reaches at level e,
-        or to the point where a midpoint on the way is q, in one step.
+        """Narrow the interval to the cell that e bisections of the bracket
+        reach, or to the point where a midpoint on the way is q, in one step:
+        the one way q moves once a field is built.
 
         The cells of level e inside the current one have its width over 2^e,
         on the grid from its left end.  A Newton estimate of q picks one, and
         two exact signs of R at its ends confirm it: a sign change there puts
         q, the one root in the interval, strictly inside, and so at no grid
         point of any level up to e.  Otherwise, an end being q or the
-        estimate missing, it bisects as far as level e."""
+        estimate missing, it bisects on the sign of R at each midpoint as
+        far as level e."""
         if e <= self.e or self.n_lo == self.n_hi:
             return
         R, width, shift = self.working_poly, self.n_hi - self.n_lo, e - self.e
@@ -553,7 +543,14 @@ class NumberField:
             self.n_lo, self.n_hi, self.e = a, a + width, e
             return
         while self.e < e and self.n_lo != self.n_hi:
-            self.refine()
+            mid, self.e = self.n_lo + self.n_hi, self.e + 1
+            sm = _sign(_dyadic_eval(R, mid, self.e))
+            if sm == 0:
+                self.n_lo = self.n_hi = mid
+            elif sm == self._slo:
+                self.n_lo, self.n_hi = mid, self.n_hi << 1
+            else:
+                self.n_lo, self.n_hi = self.n_lo << 1, mid
 
     def enclosure(self, a):
         """Bounds ``(lo, hi, D)`` with the value of ``a`` in [lo/D, hi/D], read
@@ -580,20 +577,24 @@ class NumberField:
         return mid - rad, mid + rad, a[-1] << (e + 65)
 
     def settle(self, a, f):
-        """``f(n, D)`` for the value n/D of ``a``: bisects q until ``f``
-        agrees on both ends of the ``enclosure`` of ``a``, from a new power
-        table each time.  For a monotone step function
-        ``f`` that answer holds on the whole enclosure, hence at q.  It ends
-        unless the value of ``a`` sits on a step of ``f``: a canonical element
-        (``reduce``) is rational only with a constant numerator, whose
-        enclosure is exact, and the steps of sign, rounding and float
-        conversion lie at rationals."""
+        """``f(n, D)`` for the value n/D of ``a``: while ``f`` disagrees on the
+        two ends of the ``enclosure`` of ``a``, q climbs one rung of a
+        doubling ladder, one ``refine_to`` to twice its level (level 0 goes
+        to 1), and ``a`` is enclosed on the rung's new power table.  For a
+        monotone step function ``f`` the answer holds on the whole
+        enclosure, hence at q.  It ends unless the value of ``a`` sits on a
+        step of ``f``: the steps of sign, rounding and float conversion lie
+        at rationals, and a canonical element (``reduce``) is rational only
+        with a constant numerator, whose enclosure is exact.  So every caller
+        passes a canonical element, or to a sign a numerator nonzero at q:
+        on one that vanishes at q the ladder would double q's level, and the
+        size of every table, without end."""
         while True:
             vlo, vhi, D = self.enclosure(a)
             out = f(vlo, D)
             if vlo == vhi or f(vhi, D) == out:
                 return out
-            self.refine()
+            self.refine_to(2 * self.e or 1)
 
     def sign(self, a):
         """The sign of ``a``: exact for a constant numerator, else ``settle`` on

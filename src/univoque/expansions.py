@@ -91,6 +91,8 @@ def _feasible_moves(field, M, kappa, kbox, v):
     ``kbox``, ``field.enclosure(kappa)`` taken on it or on an earlier
     (wider) one, settle every digit outside both bounds; only a digit inside
     one costs an exact sign, and only such a digit forms q*v - d - kappa.
+    For d = 0 the sign of q*v, just enclosed, is read as the sign of v, so
+    no sign repeats an enclosure and q is never moved here.
     """
     qv = field.mul_gen(v)
     alo, ahi, ad = field.enclosure(qv)
@@ -100,11 +102,8 @@ def _feasible_moves(field, M, kappa, kbox, v):
     moves = []
     for d in range(max(0, -(-lo // D)), min(M, ahi // ad) + 1):
         u = field.add_int(qv, -d)
-        if d * ad > alo:
-            if not d:       # u is q*v, just enclosed: refine, or settle repeats that enclosure
-                field.refine()
-            if field.sign(u) < 0:
-                continue
+        if d * ad > alo and field.sign(u if d else v) < 0:
+            continue
         if d * D < hi and field.sign(field.sub(u, kappa)) > 0:
             continue
         moves.append((d, u))

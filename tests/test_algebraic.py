@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import math
 import random
 import signal
 import sys
@@ -70,7 +71,8 @@ def test_table_enclosures_hold_the_exact_values():
                     assert lo == hi
                 if lo > 0 or hi < 0:
                     assert f.sign(a) == (1 if lo > 0 else -1), (M, beta)
-            for move in (lambda: None, field.refine, lambda: field.refine_to(field.e + 40)):
+            for move in (lambda: None, lambda: field.refine_to(field.e + 1),
+                         lambda: field.refine_to(field.e + 40)):
                 move()
                 lo, hi, D = field.enclosure(field.gen())
                 if field.deg > 1:
@@ -134,11 +136,12 @@ def _scaled_sign(P, n, e):
     return (v > 0) - (v < 0)
 
 
-def _narrowed(P, lo, hi, e):
-    """[lo, hi] / 2^e, where P changes sign, bisected on P itself to width
-    at most 1/10^12, or [r, r] once a midpoint is the root r."""
+def _narrowed(P, lo, hi, e, level=None):
+    """[lo, hi] / 2^e, where P changes sign, bisected on P itself to
+    ``level``, by default the first level of width at most 1/10^12, or to
+    [r, r] once a midpoint is the root r."""
     slo = _scaled_sign(P, lo, e)
-    while (hi - lo) * 10**12 > 1 << e:
+    while e < level if level is not None else (hi - lo) * 10**12 > 1 << e:
         mid, e = lo + hi, e + 1
         lo, hi = lo << 1, hi << 1
         sm = _scaled_sign(P, mid, e)
@@ -251,29 +254,30 @@ def test_a_wrong_estimate_still_gives_the_bisected_interval(monkeypatch, miss):
     estimate = algebraic._root_estimate
     monkeypatch.setattr(algebraic, "_root_estimate",
                         lambda R, x_lo, x_hi, s_lo, e: miss(estimate(R, x_lo, x_hi, s_lo, e), M))
-    refines = record_calls(monkeypatch, NumberField, "refine", lambda f: f.e)
+    # the levels of R's exact signs: the bracket's ends and its left end at
+    # level 0, the refused cell's ends, then one midpoint per bisection
+    levels = record_calls(monkeypatch, algebraic, "_dyadic_eval", lambda R, n, e: e)
     for M, beta in bases:
-        refines.clear()
+        levels.clear()
         P = base_polynomial(M, seq(beta) if isinstance(beta, str) else beta)
         f = field_for_base(P, M)
         assert (f.n_lo, f.n_hi, f.e) == bisected_interval(P, M), (M, beta)
-        assert refines == list(range(f.e)), (M, beta)
+        assert levels[:3] == [0, 0, 0] and levels[3:-f.e] in ([f.e], [f.e] * 2), (M, beta)
+        assert levels[-f.e:] == list(range(1, f.e + 1)), (M, beta)
 
 
 def test_refine_to_is_bisection_at_every_level():
     # levels past the field's, up to 700 bits, where the estimate runs in
-    # fixed point, land on the cell of the same number of bisections
+    # fixed point, land on the cell of the same number of bisections of R,
+    # made on the test side
     bases = list(BATTERY) + REDUCIBLE + chain_bases(5, 2)
     for M, beta in bases:
         f = new_base_context(M, beta).field
         for e in (f.e, f.e + 1, 97, 433):
             jumped = NumberField(f.working_poly, f.n_lo, f.n_hi, f.e)
-            bisected = NumberField(f.working_poly, f.n_lo, f.n_hi, f.e)
             jumped.refine_to(e)
-            while bisected.e < e:
-                bisected.refine()
-            assert (jumped.n_lo, jumped.n_hi, jumped.e) == (bisected.n_lo, bisected.n_hi,
-                                                             bisected.e), (M, beta, e)
+            assert (jumped.n_lo, jumped.n_hi, jumped.e) == _narrowed(
+                f.working_poly, f.n_lo, f.n_hi, f.e, e), (M, beta, e)
 
 
 def test_bracket_gives_the_cells_of_the_scan():
@@ -546,6 +550,46 @@ def test_sign_repeats_no_enclosure(monkeypatch):
                 passes.clear()
                 assert f.sign(f.element([-n, D] + [0] * (f.deg - 2), D)) == expect
                 assert len(passes) > 2 and len(set(passes)) == len(passes)
+
+
+def _separating_level(P, lo, hi, e, r):
+    """The first level at which bisecting [lo, hi] / 2^e on P, where P
+    changes sign, leaves the rational r out of the closed cell of the root."""
+    while lo <= r * (1 << e) <= hi:
+        lo, hi, e = _narrowed(P, lo, hi, e, e + 1)
+    return e
+
+
+@pytest.mark.parametrize("k", [64, 512])
+def test_settle_climbs_a_doubling_ladder(monkeypatch, k):
+    # q - r for r an end of q's cell k levels below the built level e, on a
+    # fresh field at e: q moves only by refine_to, each call at least
+    # doubling its level, in at most ceil(log2(e_end / e)) + 1 calls, to a
+    # level e_end at most twice, plus one, the first level at which
+    # bisection leaves r out of q's cell; there is one enclosure at e and
+    # one on each rung, every one on a new interval and a new power table
+    jumps = record_calls(monkeypatch, NumberField, "refine_to", lambda f, e: (f.e, e))
+    built = record_calls(monkeypatch, NumberField, "enclosure", lambda f, a: f._table[0] != f.e)
+    passes = record_passes(monkeypatch)
+    for M, beta in BATTERY:
+        f = new_base_context(M, beta).field
+        R, e = f.working_poly, f.e
+        lo, hi, level = _narrowed(R, f.n_lo, f.n_hi, e, e + k)
+        assert level == e + k and lo < hi
+        for end, expect in ((lo, 1), (hi, -1)):
+            r = Fraction(end, 1 << level)
+            field = NumberField(R, f.n_lo, f.n_hi, e)
+            for calls in (jumps, built, passes):
+                calls.clear()
+            q_less_r = field.element([-r.numerator, r.denominator] + [0] * (field.deg - 2),
+                                     r.denominator)
+            assert field.sign(q_less_r) == expect, (M, beta)
+            e_end = field.e
+            assert all(to >= max(2 * at, 1) for at, to in jumps), (M, beta, jumps)
+            assert len(jumps) <= math.ceil(math.log2(e_end / e)) + 1, (M, beta, jumps)
+            assert e_end <= 2 * _separating_level(R, f.n_lo, f.n_hi, e, r) + 1, (M, beta)
+            assert [p[3] for p in passes] == [e] + [to for _, to in jumps], (M, beta)
+            assert len(set(passes)) == len(passes) and all(built), (M, beta)
 
 
 @pytest.mark.parametrize("M, beta", REDUCIBLE)

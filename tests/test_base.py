@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from univoque import base
+from univoque import algebraic, base
 from univoque import digits as dg
 from univoque.algebraic import AlgebraicReal, NumberField, apply_digit_map
 from univoque.base import (GRAPH_CLASSES, BaseClass, BaseContext, InternalConsistencyError,
@@ -114,8 +114,8 @@ def test_successor_increases_base_and_keeps_admissibility(battery):
         assert succ.base_class is BaseClass.IN_V_NOT_CLOSURE_U
         # isolating intervals eventually separate in the right order
         while not ctx.field.hi < succ.field.lo:
-            ctx.field.refine()
-            succ.field.refine()
+            ctx.field.refine_to(ctx.field.e + 1)
+            succ.field.refine_to(succ.field.e + 1)
 
 
 def test_r_chain_examples(tribonacci, base322):
@@ -469,18 +469,20 @@ def test_order_points_matches_mpmath_at_depth_7():
 
 def test_order_points_at_depth_8_is_certified_by_one_jump(monkeypatch):
     # the 111(0) V-chain at depth 8 (period 768): the planned level is
-    # reached without a bisection, and its table separates every step that
+    # reached without a bisection (R's only exact signs are the two that
+    # confirm the planned cell), and its table separates every step that
     # the first enclosures left close, so no exact cmp runs
     ctx = v_chain_element(1, "111(0)", 8)
     special_points(ctx)
-    refines, jumps = [], []
-    refine, refine_to, cmp = NumberField.refine, NumberField.refine_to, AlgebraicReal.cmp
-    monkeypatch.setattr(NumberField, "refine", lambda f: refines.append(f.e) or refine(f))
+    levels, jumps = [], []
+    evaluate, refine_to, cmp = algebraic._dyadic_eval, NumberField.refine_to, AlgebraicReal.cmp
+    monkeypatch.setattr(algebraic, "_dyadic_eval",
+                        lambda R, n, e: levels.append(e) or evaluate(R, n, e))
     monkeypatch.setattr(NumberField, "refine_to", lambda f, e: jumps.append(e) or refine_to(f, e))
     monkeypatch.setattr(AlgebraicReal, "cmp", lambda a, b: pytest.fail("an exact cmp ran"))
     classes = len(order_points(ctx).classes)
     assert classes == 770
-    assert refines == [] and jumps == [ctx.field.e] and ctx.field.e > 600
+    assert levels == [ctx.field.e] * 2 and jumps == [ctx.field.e] and ctx.field.e > 600
 
 
 def test_special_points_match_tail_values(battery, tribonacci):

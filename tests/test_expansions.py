@@ -891,7 +891,7 @@ def test_feasible_moves_match_exact_signs(seed, pre, per, steps, coarse):
                   if (qv - d).sign() >= 0 and (qv - d - kappa).sign() <= 0]
         assert ex._feasible_moves(field, M, kappa.elem, kbox, v.elem) == expect
         v = AlgebraicReal(field, expect[-1][1])
-        field.refine()
+        field.refine_to(field.e + 1)
 
 
 def held_ids(ctx):

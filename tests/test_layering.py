@@ -6,7 +6,8 @@ maps sit below everything: ``walk`` imports nothing from the package, and the
 digit layer imports nothing else from it.  Building a number field, and
 ordering its points or building and measuring its graphs, loads no
 factoring: ``minpoly`` is imported only to certify a minimal polynomial,
-and no layer but the number field reads how q's interval is stored.
+and no layer but the number field reads how q's interval is stored or
+moves q, except the point order's one planned ``refine_to``.
 The package itself declares no runtime dependency, and keeps no
 process-wide memo: what is derived from a context or a graph is kept on it
 by ``base.memo``.  The graph layer's hot paths walk the successor map, not
@@ -25,6 +26,7 @@ import pytest
 
 import univoque
 from conftest import BATTERY
+from univoque.algebraic import NumberField
 
 SRC = Path(univoque.__file__).parent
 
@@ -102,6 +104,20 @@ def test_only_the_field_reads_the_interval_of_q():
             tree = ast.parse(path.read_text())
             attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
             assert not attrs & stored, path.name
+
+
+def test_q_moves_only_through_refine_to():
+    # q moves one way, by the field's ``refine_to``: no module but the field
+    # calls an attribute ``refine``, the field has no public bisection, and
+    # outside the field only the point order in ``base`` calls ``refine_to``
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "algebraic.py":
+            tree = ast.parse(path.read_text())
+            called = {node.func.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+            assert "refine" not in called, path.name
+            assert "refine_to" not in called or path.name == "base.py", path.name
+    assert not hasattr(NumberField, "refine")
 
 
 def test_graph_hot_paths_walk_the_successor_map():

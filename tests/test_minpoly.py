@@ -274,7 +274,7 @@ def bisected(poly, M):
     bisections of the bracket [1, M+1]."""
     f = NumberField(poly, 1, M + 1, 0)
     for _ in range(40):
-        f.refine()
+        f.refine_to(f.e + 1)
     return f.n_lo, f.n_hi, f.e
 
 
